@@ -3,6 +3,9 @@
 Every op is eager: it computes its value immediately and records, for each
 parent, a callback mapping the output gradient to that parent's gradient
 contribution. backward() replays the tape in reverse topological order.
+A Leaf's gradient is a preallocated array that backward() adds into in
+place; an op whose parent is a Leaf may instead add its contribution into
+that array itself (touching only the rows it used) and return None.
 The op set is exactly what the model needs; analytic gradients produced
 here are validated against numeric.finite_diff_grad, never trusted blind.
 """
@@ -59,6 +62,17 @@ class Var:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+
+class Leaf(Var):
+    """A tape input whose gradient accumulates in place into `grad`, a
+    preallocated array such as a view into a flat gradient buffer."""
+
+    __slots__ = ()
+
+    def __init__(self, value, grad):
+        super().__init__(value)
+        self.grad = grad
 
 
 def as_var(x) -> Var:
@@ -190,16 +204,37 @@ def mean(a, axis=None, keepdims: bool = False) -> Var:
 
 
 def gather_rows(a, indices) -> Var:
-    """Index along the first axis; rows may repeat. Gradient scatter-adds."""
+    """Index along the first axis; rows may repeat. Gradient scatter-adds:
+    into a Leaf's own gradient (touching only the gathered rows), otherwise
+    into a fresh zero tensor."""
     a = as_var(a)
     idx = np.asarray(indices, dtype=np.intp)
 
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return out
+    if isinstance(a, Leaf):
+        def vjp(g):
+            np.add.at(a.grad, idx, g)
+    else:
+        def vjp(g):
+            out = np.zeros_like(a.value)
+            np.add.at(out, idx, g)
+            return out
 
     return Var(a.value[idx].copy(), ((a, vjp),))
+
+
+def sum_squares(a: Leaf, runs) -> Var:
+    """Sum of squares of a 1-D Leaf's entries over the index ranges `runs`
+    ((start, stop) pairs). Its gradient, 2*g*a on those ranges, is added into
+    the Leaf's own gradient."""
+    w = a.value
+    total = sum(float(np.dot(w[lo:hi], w[lo:hi])) for lo, hi in runs)
+
+    def vjp(g):
+        scale = 2.0 * float(g)
+        for lo, hi in runs:
+            a.grad[lo:hi] += scale * w[lo:hi]
+
+    return Var(np.asarray(total), ((a, vjp),))
 
 
 def pick(a, index: int) -> Var:
@@ -308,4 +343,9 @@ def backward(out: Var) -> None:
             continue
         for parent, vjp in node._parents:
             contrib = vjp(g)
-            parent.grad = contrib if parent.grad is None else parent.grad + contrib
+            if contrib is None:  # the op added into the Leaf's gradient itself
+                continue
+            if isinstance(parent, Leaf):
+                parent.grad += contrib
+            else:
+                parent.grad = contrib if parent.grad is None else parent.grad + contrib

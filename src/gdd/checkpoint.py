@@ -3,18 +3,21 @@
 Layout: 4-byte magic "GDD1", 8-byte little-endian header length, a JSON
 header (config, both vocabularies, and an ordered parameter manifest of
 name -> shape), then each tensor's raw little-endian float64 data in
-manifest order.
+manifest order: the model's flat parameter buffer, written and read in one
+call. The manifest must match the layout that the config and the two
+vocabulary sizes imply.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import sys
 
 import numpy as np
 
 from .embeddings import TagVocab, Vocab
-from .model import Model, ModelConfig, ModelParams
+from .model import Model, ModelConfig, ModelParams, param_layout
 
 MAGIC = b"GDD1"
 
@@ -36,8 +39,7 @@ def save_checkpoint(path, model: Model) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for _, tensor in model.params.items():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        fh.write(np.asarray(model.params.flat, dtype="<f8"))
 
 
 def load_checkpoint(path) -> Model:
@@ -53,36 +55,53 @@ def load_checkpoint(path) -> Model:
         for key in ("config", "vocab", "tag_vocab", "params"):
             if key not in header:
                 raise CheckpointError(f"header missing {key!r}")
-        config = ModelConfig.from_dict(header["config"])
-        params = ModelParams()
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise CheckpointError(f"truncated data for parameter {entry['name']}")
-            params.add(entry["name"], np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-        trailing = fh.read(1)
-        if trailing:
-            raise CheckpointError("trailing bytes after parameter data")
-    model = Model(config, Vocab.from_list(header["vocab"]),
-                  TagVocab.from_list(header["tag_vocab"]), params)
-    _check_consistency(model)
-    return model
-
-
-def _check_consistency(model: Model) -> None:
-    cfg = model.config
-    expected = {
-        "embed.token": (len(model.vocab), cfg.d_model),
-        "embed.tag": (len(model.tag_vocab), cfg.d_tag),
-        "out.W": (cfg.final_width, 3),
-    }
-    for name, shape in expected.items():
         try:
-            actual = model.params.get(name).shape
-        except KeyError:
-            raise CheckpointError(f"checkpoint missing parameter {name}") from None
-        if actual != shape:
+            config = ModelConfig.from_dict(header["config"])
+        except ValueError as e:
+            raise CheckpointError(f"bad config in header: {e}") from None
+        vocab = Vocab.from_list(header["vocab"])
+        tag_vocab = TagVocab.from_list(header["tag_vocab"])
+        layout = param_layout(config, len(vocab), len(tag_vocab))
+        _check_manifest(header["params"], layout)
+        params = ModelParams(layout)
+        raw = params.flat.view(np.uint8)
+        got = fh.readinto(raw)
+        if got < raw.size:
+            name = next(name for name, _ in layout if params.span(name)[1] * 8 > got)
+            raise CheckpointError(f"truncated data for parameter {name}")
+        if sys.byteorder == "big":  # the file holds little-endian float64
+            params.flat.byteswap(inplace=True)
+        if fh.read(1):
+            raise CheckpointError("trailing bytes after parameter data")
+    return Model(config, vocab, tag_vocab, params)
+
+
+def _check_manifest(manifest, layout) -> None:
+    """The manifest must list exactly the tensors that the config and both
+    vocabulary sizes imply, in layout order, with their shapes."""
+    expected = dict(layout)
+    names = []
+    for i, entry in enumerate(manifest):
+        try:
+            name, shape = entry["name"], tuple(entry["shape"])
+        except (KeyError, TypeError):
+            raise CheckpointError(f"malformed parameter manifest entry {i}: {entry!r}") from None
+        if name not in expected:
+            raise CheckpointError(f"checkpoint has unknown parameter {name}")
+        if shape != expected[name]:
             raise CheckpointError(
-                f"checkpoint/config mismatch for {name}: {actual} vs expected {shape}")
+                f"checkpoint/config mismatch for {name}: {shape} vs expected {expected[name]}")
+        names.append(name)
+    if names == list(expected):
+        return
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise CheckpointError(f"checkpoint lists parameter {name} twice")
+        seen.add(name)
+    for name in expected:
+        if name not in seen:
+            raise CheckpointError(f"checkpoint missing parameter {name}")
+    at = next(i for i, (a, b) in enumerate(zip(names, expected)) if a != b)
+    raise CheckpointError(f"checkpoint parameter {names[at]} out of order: "
+                          f"the layout has {list(expected)[at]} there")

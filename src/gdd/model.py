@@ -9,6 +9,7 @@ Class order is fixed: positive=0, neutral=1, negative=2.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import dgat as dg
 from . import local_encoder as le
-from .autodiff import Var
+from .autodiff import Leaf, Var
 from .data import LABELS, Example
 from .dep_graph import Awig, build_awig
 from .embeddings import TagVocab, Vocab, composed_tag_ids, token_ids
@@ -112,70 +113,159 @@ def _coerce(key: str, raw, typ):
 
 
 class ModelParams:
-    """Named trainable tensors; every tensor reachable by exactly one name."""
+    """Named trainable tensors, each a view into one contiguous float64 buffer.
 
-    def __init__(self):
-        self._tensors: dict[str, Tensor] = {}
+    `flat` holds every tensor's values and `grad` every tensor's gradient,
+    both in layout order. get(), items() and leaves() hand out views, so a
+    write through them is a write into the buffer.
+    """
+
+    def __init__(self, layout=()):
+        self._spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        size = 0
+        for name, shape in layout:
+            size = self._add_span(name, tuple(shape), size)
+        self.flat = np.zeros(size)
+        self.grad = np.zeros(size)
+        self._bind()
+
+    def _add_span(self, name: str, shape: tuple[int, ...], start: int) -> int:
+        if name in self._spans:
+            raise ValueError(f"duplicate parameter name: {name}")
+        stop = start + math.prod(shape)
+        self._spans[name] = (start, stop, shape)
+        return stop
+
+    def _bind(self) -> None:
+        self._values = {name: self.flat[lo:hi].reshape(shape)
+                        for name, (lo, hi, shape) in self._spans.items()}
+        self._grads = {name: self.grad[lo:hi].reshape(shape)
+                       for name, (lo, hi, shape) in self._spans.items()}
 
     def add(self, name: str, tensor: Tensor) -> None:
-        if name in self._tensors:
-            raise ValueError(f"duplicate parameter name: {name}")
-        self._tensors[name] = np.asarray(tensor, dtype=np.float64)
+        """Append a tensor. Both buffers are reallocated, so views taken before
+        go stale; init_params and checkpoints allocate the whole layout at once."""
+        t = np.asarray(tensor, dtype=np.float64)
+        self._add_span(name, t.shape, self.flat.size)
+        self.flat = np.concatenate([self.flat, t.ravel()])
+        self.grad = np.zeros_like(self.flat)
+        self._bind()
 
     def get(self, name: str) -> Tensor:
-        return self._tensors[name]
+        return self._values[name]
 
     def set(self, name: str, tensor: Tensor) -> None:
-        if name not in self._tensors:
-            raise KeyError(name)
-        if self._tensors[name].shape != tensor.shape:
-            raise ValueError(f"shape mismatch for {name}: "
-                             f"{self._tensors[name].shape} vs {tensor.shape}")
-        self._tensors[name] = np.asarray(tensor, dtype=np.float64)
+        view = self._values[name]
+        if view.shape != tensor.shape:
+            raise ValueError(f"shape mismatch for {name}: {view.shape} vs {tensor.shape}")
+        view[...] = tensor
 
     def names(self) -> list[str]:
-        return list(self._tensors)
+        return list(self._values)
 
     def items(self):
-        return self._tensors.items()
+        return self._values.items()
 
-    def leaves(self) -> dict[str, Var]:
-        """Fresh tape leaves for one forward/backward pass."""
-        return {name: Var(t) for name, t in self._tensors.items()}
+    def span(self, name: str) -> tuple[int, int]:
+        """The [start, stop) range of `name` in the flat buffers."""
+        lo, hi, _ = self._spans[name]
+        return lo, hi
+
+    def leaves(self) -> "Leaves":
+        """Fresh tape leaves for one forward/backward pass, one per tensor.
+
+        Zeroes the gradient buffer; each leaf's gradient is its view into it,
+        which backward() fills in place.
+        """
+        self.grad.fill(0.0)
+        return Leaves({name: Leaf(t, self._grads[name]) for name, t in self._values.items()},
+                      self.flat, self.grad)
+
+    def flatten(self, tensors: dict[str, Tensor]) -> Tensor:
+        """A {name: tensor} dict over every tensor as one vector in layout order.
+        The gradient buffer itself, not a copy, when the dict holds its views."""
+        if tensors.keys() != self._values.keys():
+            raise ValueError(f"expected one tensor for each of {self.names()}, "
+                             f"got {list(tensors)}")
+        if all(tensors[name] is g for name, g in self._grads.items()):
+            return self.grad
+        for name, view in self._values.items():
+            if np.shape(tensors[name]) != view.shape:
+                raise ValueError(f"shape {np.shape(tensors[name])} != parameter shape "
+                                 f"{view.shape} for {name}")
+        return np.concatenate([np.ravel(tensors[name]) for name in self._values])
 
     def total_size(self) -> int:
-        return sum(t.size for t in self._tensors.values())
+        return self.flat.size
+
+
+class Leaves(dict):
+    """Tape leaves of one pass by tensor name, with the flat value and
+    gradient buffers that they view."""
+
+    def __init__(self, leaves: dict[str, Leaf], flat: Tensor, grad: Tensor):
+        super().__init__(leaves)
+        self.flat = flat
+        self.grad = grad
+
+
+def param_layout(config: ModelConfig, vocab_size: int,
+                 tag_vocab_size: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every trainable tensor, in the fixed order of
+    initialization, of the flat buffers and of checkpoints."""
+    d_model, d_tag, d_head = config.d_model, config.d_tag, config.d_head
+    layout = [
+        ("embed.token", (vocab_size, d_model)),
+        ("embed.tag", (tag_vocab_size, d_tag)),
+        ("embed.hop", (config.kappa_max, d_tag)),
+        ("local.mask.W1", (d_model, config.d_hid)),
+        ("local.mask.b1", (config.d_hid,)),
+        ("local.mask.W2", (config.d_hid, 1)),
+        ("local.mask.b2", (1,)),
+    ]
+    layout += [(f"local.attn.{w}", (d_model, d_head)) for w in ("Wq", "Wk", "Wv")]
+    for l in range(config.L):
+        a_w, e_w = config.aspect_width(l), config.edge_width(l)
+        for u in range(config.U):
+            layout += [(f"dgat.l{l}.dual{u}.Wa", (a_w, d_head)),
+                       (f"dgat.l{l}.dual{u}.We", (e_w, d_head)),
+                       (f"dgat.l{l}.dual{u}.Wi", (d_model, d_head))]
+        for v in range(config.V):
+            layout += [(f"dgat.l{l}.rel{v}.Wv", (d_model, d_head)),
+                       (f"dgat.l{l}.rel{v}.W1", (e_w, d_head)),
+                       (f"dgat.l{l}.rel{v}.b1", (d_head,)),
+                       (f"dgat.l{l}.rel{v}.W2", (d_head, 1)),
+                       (f"dgat.l{l}.rel{v}.b2", (1,))]
+        layout.append((f"dgat.l{l}.Wr", (e_w, d_model)))
+    layout += [("out.W", (config.final_width, len(LABELS))), ("out.b", (len(LABELS),))]
+    return layout
 
 
 def init_params(config: ModelConfig, vocab_size: int, tag_vocab_size: int,
                 rng: Rng) -> ModelParams:
     """Allocate and seed every trainable tensor in a fixed, reproducible order."""
-    p = ModelParams()
-    p.add("embed.token", init_uniform(rng, (vocab_size, config.d_model)))
-    p.add("embed.tag", init_uniform(rng, (tag_vocab_size, config.d_tag)))
-    p.add("embed.hop", init_uniform(rng, (config.kappa_max, config.d_tag)))
-    p.add("local.mask.W1", init_uniform(rng, (config.d_model, config.d_hid)))
-    p.add("local.mask.b1", init_uniform(rng, (config.d_hid,)))
-    p.add("local.mask.W2", init_uniform(rng, (config.d_hid, 1)))
-    p.add("local.mask.b2", init_uniform(rng, (1,)))
-    for w in ("Wq", "Wk", "Wv"):
-        p.add(f"local.attn.{w}", init_uniform(rng, (config.d_model, config.d_head)))
-    for l in range(config.L):
-        a_w, e_w = config.aspect_width(l), config.edge_width(l)
-        for u in range(config.U):
-            p.add(f"dgat.l{l}.dual{u}.Wa", init_uniform(rng, (a_w, config.d_head)))
-            p.add(f"dgat.l{l}.dual{u}.We", init_uniform(rng, (e_w, config.d_head)))
-            p.add(f"dgat.l{l}.dual{u}.Wi", init_uniform(rng, (config.d_model, config.d_head)))
-        for v in range(config.V):
-            p.add(f"dgat.l{l}.rel{v}.Wv", init_uniform(rng, (config.d_model, config.d_head)))
-            p.add(f"dgat.l{l}.rel{v}.W1", init_uniform(rng, (e_w, config.d_head)))
-            p.add(f"dgat.l{l}.rel{v}.b1", init_uniform(rng, (config.d_head,)))
-            p.add(f"dgat.l{l}.rel{v}.W2", init_uniform(rng, (config.d_head, 1)))
-            p.add(f"dgat.l{l}.rel{v}.b2", init_uniform(rng, (1,)))
-        p.add(f"dgat.l{l}.Wr", init_uniform(rng, (e_w, config.d_model)))
-    p.add("out.W", init_uniform(rng, (config.final_width, len(LABELS))))
-    p.add("out.b", init_uniform(rng, (len(LABELS),)))
+    p = ModelParams(param_layout(config, vocab_size, tag_vocab_size))
+    for _, t in p.items():
+        t[...] = init_uniform(rng, t.shape)
     return p
+
+
+def l2_runs(params: ModelParams) -> tuple[tuple[int, int], ...]:
+    """The [start, stop) ranges of params.flat that the l2 term covers: every
+    2-D tensor except the PAD rows (row 0) of the token and tag tables.
+    Adjacent ranges are merged."""
+    runs: list[tuple[int, int]] = []
+    for name, t in params.items():
+        if t.ndim != 2:
+            continue
+        lo, hi = params.span(name)
+        if name in ("embed.token", "embed.tag"):
+            lo += t.shape[1]
+        if runs and runs[-1][1] == lo:
+            runs[-1] = (runs[-1][0], hi)
+        else:
+            runs.append((lo, hi))
+    return tuple(runs)
 
 
 @dataclass
@@ -214,6 +304,7 @@ class Model:
         self.tag_vocab = tag_vocab
         self.params = params
         self.frozen_embeddings = frozen_embeddings
+        self._l2_runs = l2_runs(params)
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: Vocab, tag_vocab: TagVocab,
@@ -320,27 +411,23 @@ class Model:
 
     def predict(self, example: Example, with_trace: bool = False):
         prep = self.prepare(example)
-        logits, trace = self.forward_var(prep, self.params.leaves())
+        leaves = {name: Var(t) for name, t in self.params.items()}  # forward only
+        logits, trace = self.forward_var(prep, leaves)
         probs = np.exp(logits.value - np.max(logits.value))
         probs /= probs.sum()
         pred = Prediction(probs=probs, label_id=int(np.argmax(probs)),
                           logits=logits.value.copy())
         return (pred, trace) if with_trace else pred
 
-    def regularizer_var(self, leaves: dict[str, Var]) -> Var:
-        """Sum of squared weight-matrix entries; biases and PAD rows excluded."""
-        total = None
-        for name, leaf in leaves.items():
-            if leaf.value.ndim != 2:
-                continue
-            sq = ad.sum_(ad.mul(leaf, leaf))
-            if name in ("embed.token", "embed.tag"):
-                row0 = ad.gather_rows(leaf, [0])
-                sq = sq - ad.sum_(ad.mul(row0, row0))
-            total = sq if total is None else total + sq
-        return total if total is not None else Var(np.asarray(0.0))
+    def regularizer_var(self, leaves: Leaves) -> Var:
+        """Sum of squared weight-matrix entries; biases and PAD rows excluded.
 
-    def batch_loss_var(self, preps, leaves: dict[str, Var], train: bool = False,
+        One tape node over the flat buffer that `leaves` (from params.leaves())
+        view; its gradient goes straight into their gradient buffer.
+        """
+        return ad.sum_squares(Leaf(leaves.flat, leaves.grad), self._l2_runs)
+
+    def batch_loss_var(self, preps, leaves: Leaves, train: bool = False,
                        dropout_rng: Rng | None = None) -> Var:
         """Summed cross-entropy over the batch plus one l2 term."""
         total = None

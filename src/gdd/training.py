@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,48 +12,74 @@ from .model import Model, ModelParams
 from .numeric import Rng, Tensor, finite_diff_grad
 
 
+# Adam runs over the flat buffers in blocks of this many entries: its two
+# scratch vectors stay small (whole-buffer ones would add 2 x 2.8 MB of
+# resident memory at a 5k vocab), and each block's operands stay in cache.
+ADAM_BLOCK = 1 << 14
+
+
 @dataclass
 class AdamState:
-    m: dict[str, Tensor] = field(default_factory=dict)
-    v: dict[str, Tensor] = field(default_factory=dict)
+    """First and second moments over the whole flat parameter vector."""
+
+    m: Tensor
+    v: Tensor
     t: int = 0
+
+    def __post_init__(self):
+        block = min(self.m.size, ADAM_BLOCK)
+        self.scratch = (np.empty(block), np.empty(block))
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        state = cls()
-        for name, tensor in params.items():
-            state.m[name] = np.zeros_like(tensor)
-            state.v[name] = np.zeros_like(tensor)
-        return state
+        return cls(m=np.zeros(params.total_size()), v=np.zeros(params.total_size()))
 
 
 def adam_step(params: ModelParams, grads: dict[str, Tensor], state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update of every parameter, in place.
+
+    grads needs one tensor per parameter. The update runs over the flat
+    buffers, a block at a time, with the elementwise operations, in the same
+    order, of m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    theta = theta - lr*m_hat / (sqrt(v_hat) + eps).
+    """
+    g = params.flatten(grads)
     state.t += 1
-    t = state.t
-    for name, g in grads.items():
-        theta = params.get(name)
-        if g.shape != theta.shape:
-            raise ValueError(f"adam_step: gradient shape {g.shape} != parameter "
-                             f"shape {theta.shape} for {name}")
-        m = state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        v = state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        params.set(name, theta - lr * m_hat / (np.sqrt(v_hat) + eps))
+    c1, c2 = 1 - beta1 ** state.t, 1 - beta2 ** state.t
+    theta = params.flat
+    for lo in range(0, theta.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, theta.size)
+        m, v, gb = state.m[lo:hi], state.v[lo:hi], g[lo:hi]
+        s, u = (a[:hi - lo] for a in state.scratch)
+        m *= beta1
+        np.multiply(gb, 1 - beta1, out=s)
+        m += s
+        v *= beta2
+        np.multiply(gb, 1 - beta2, out=s)
+        s *= gb
+        v += s
+        np.divide(m, c1, out=s)
+        np.divide(v, c2, out=u)
+        np.sqrt(u, out=u)
+        u += eps
+        s *= lr
+        s /= u
+        theta[lo:hi] -= s
 
 
 def batch_grads(model: Model, preps, train: bool = True,
                 dropout_rng: Rng | None = None):
-    """Loss value and gradient dict for one batch (cross-entropy + l2 once)."""
+    """Loss value and gradient dict for one batch (cross-entropy + l2 once).
+
+    The gradients are views into model.params.grad, which the next call
+    zeroes and refills: copy them to keep them past the next step.
+    """
     leaves = model.params.leaves()
     loss = model.batch_loss_var(preps, leaves, train=train, dropout_rng=dropout_rng)
     ad.backward(loss)
-    grads = {name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
-             for name, leaf in leaves.items()}
-    return float(loss.value), grads
+    return float(loss.value), {name: leaf.grad for name, leaf in leaves.items()}
 
 
 @dataclass
@@ -148,26 +174,28 @@ def gradcheck_model(model: Model, example, eps: float = 1e-6,
     """
     if model.config.dropout != 0.0:
         raise ValueError("gradcheck requires dropout == 0")
+    params = model.params
     prep = model.prepare(example)
-    leaves = model.params.leaves()
-    loss = model.batch_loss_var([prep], leaves)
-    ad.backward(loss)
+    leaves = params.leaves()
+    ad.backward(model.batch_loss_var([prep], leaves))
+    analytic_grads = {name: leaf.grad.copy() for name, leaf in leaves.items()}
 
     report: dict[str, float] = {}
-    for name in model.params.names():
-        leaf = leaves[name]
-        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
+    for name, view in params.items():
+        analytic = analytic_grads[name]
         if not np.all(np.isfinite(analytic)):
             report[name] = np.inf
             continue
-        original = model.params.get(name).copy()
+        original = view.copy()
 
         def f(candidate):
-            trial = {n: (ad.Var(candidate) if n == name else ad.Var(model.params.get(n)))
-                     for n in model.params.names()}
-            return float(model.batch_loss_var([prep], trial).value)
+            view[...] = candidate  # a write into params.flat
+            return float(model.batch_loss_var([prep], params.leaves()).value)
 
-        numeric = finite_diff_grad(f, original, eps)
+        try:
+            numeric = finite_diff_grad(f, original, eps)
+        finally:
+            view[...] = original
         scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-6)
         report[name] = float(np.max(np.abs(analytic - numeric))) / scale
     return GradCheckReport(per_tensor=report, tolerance=tolerance)

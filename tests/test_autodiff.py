@@ -70,6 +70,43 @@ def test_gather_rows_repeated_indices():
     check_grad(lambda a: ad.sum_(ad.mul(ad.gather_rows(a, [0, 2, 2, 1]), 1.5)), (4, 3))
 
 
+def test_gather_rows_from_a_leaf_scatters_only_touched_rows():
+    """The Leaf path adds into the preallocated gradient what a dense scatter
+    would add; rows not gathered keep their bits."""
+    rng = Rng(5)
+    table, g, prior = rng.normal((6, 3)), rng.normal((6, 3)), rng.normal((6, 3))
+    idx = [0, 3, 3, 1, 0, 5]  # row 0 (PAD) and row 3 repeat
+    dense = np.zeros_like(table)
+    np.add.at(dense, idx, g)
+    leaf = ad.Leaf(table, prior.copy())
+    backward(ad.sum_(ad.mul(ad.gather_rows(leaf, idx), Var(g))))
+    assert np.max(np.abs(leaf.grad - (prior + dense))) < 1e-15 * np.max(np.abs(prior + dense))
+    assert np.array_equal(leaf.grad[[2, 4]], prior[[2, 4]])
+    plain = Var(table)
+    backward(ad.sum_(ad.mul(ad.gather_rows(plain, idx), Var(g))))
+    assert np.array_equal(plain.grad, dense)
+
+
+def test_leaf_gradient_accumulates_in_place():
+    buffer = np.zeros(6)
+    a = ad.Leaf(np.arange(6.0).reshape(2, 3), buffer.reshape(2, 3))
+    backward(ad.sum_(ad.mul(a, a)) + ad.sum_(a))
+    assert np.array_equal(buffer, 2 * np.arange(6.0) + 1)
+
+
+def test_sum_squares_over_runs():
+    rng = Rng(6)
+    w, prior = rng.normal((10,)), rng.normal((10,))
+    runs = ((0, 3), (5, 9))
+    mask = np.zeros(10)
+    mask[0:3] = mask[5:9] = 1.0
+    leaf = ad.Leaf(w, prior.copy())
+    out = ad.sum_squares(leaf, runs)
+    assert abs(float(out.value) - float(np.sum(mask * w * w))) < 1e-14
+    backward(ad.mul(out, 0.5))
+    assert np.max(np.abs(leaf.grad - (prior + mask * w))) < 1e-15
+
+
 def test_gather_rows_untouched_rows_get_zero_grad():
     a = Var(np.arange(12.0).reshape(4, 3))
     out = ad.sum_(ad.gather_rows(a, [1, 1]))

@@ -1,8 +1,13 @@
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from gdd.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from gdd.data import generate_synthetic
+from gdd.cli import main
+from gdd.data import example_to_dict, generate_synthetic
 from gdd.metrics import evaluate
 from gdd.model import Model, ModelConfig
 
@@ -80,4 +85,64 @@ def test_header_param_mismatch(tmp_path):
     assert len(patched) == len(blob)
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="mismatch"):
+        load_checkpoint(path)
+
+
+def _write(path, header: dict, body: bytes) -> None:
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + body)
+
+
+def _rewrite(path, edit):
+    """Re-encode a checkpoint after edit(tensors) changes its list of (name, array)."""
+    model = load_checkpoint(path)
+    tensors = edit([(name, t.copy()) for name, t in model.params.items()])
+    header = {"config": model.config.to_dict(), "vocab": model.vocab.to_list(),
+              "tag_vocab": model.tag_vocab.to_list(),
+              "params": [{"name": n, "shape": list(t.shape)} for n, t in tensors]}
+    _write(path, header, b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes()
+                                  for _, t in tensors))
+
+
+def _replace(name, value):
+    return lambda ts: [(n, value if n == name else t) for n, t in ts]
+
+
+@pytest.mark.parametrize("edit, culprit", [
+    (lambda ts: [(n, t) for n, t in ts if n != "dgat.l0.rel0.b2"], "dgat.l0.rel0.b2"),
+    (_replace("embed.hop", np.zeros((5, TOY["d_tag"]))), "embed.hop"),
+    (lambda ts: ts + [("dgat.l0.rel0.W3", np.zeros((2, 2)))], "dgat.l0.rel0.W3"),
+    (lambda ts: [ts[1], ts[0], *ts[2:]], "embed.token"),
+    (lambda ts: ts + [ts[-1]], "out.b"),
+], ids=["missing", "wrong-shape", "unknown", "out-of-order", "duplicate"])
+def test_manifest_checked_against_the_full_layout(trained_model, edit, culprit, capsys):
+    _, examples, path = trained_model
+    _rewrite(path, edit)
+    with pytest.raises(CheckpointError, match=re.escape(culprit)):
+        load_checkpoint(path)
+    data = path.parent / "data.jsonl"
+    data.write_text("".join(json.dumps(example_to_dict(ex)) + "\n" for ex in examples))
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
+    assert culprit in capsys.readouterr().err
+
+
+def _edit_header(path, edit):
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12:12 + n])
+    edit(header)
+    _write(path, header, raw[12 + n:])
+
+
+def test_malformed_manifest_entry(trained_model):
+    _, _, path = trained_model
+    _edit_header(path, lambda h: h["params"].__setitem__(3, ["local.mask.W1", [8, 4]]))
+    with pytest.raises(CheckpointError, match="manifest entry 3"):
+        load_checkpoint(path)
+
+
+def test_invalid_config_in_header(trained_model):
+    _, _, path = trained_model
+    _edit_header(path, lambda h: h["config"].__setitem__("d_model", 0))
+    with pytest.raises(CheckpointError, match="d_model must be positive"):
         load_checkpoint(path)

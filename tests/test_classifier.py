@@ -13,6 +13,7 @@ from gdd.model import (
     cross_entropy,
     loss,
 )
+from gdd import training
 from gdd.numeric import Rng
 from gdd.training import AdamState, adam_step, batch_grads, gradcheck_model, train
 
@@ -130,6 +131,32 @@ class TestLoss:
             manual += float(np.sum(rows * rows))
         assert abs(reg - manual) < 1e-9 * max(1.0, manual)
 
+    def test_one_node_l2_matches_the_taped_sum(self, toy_model):
+        """Value and gradient of the flat-buffer l2 node against the per-tensor
+        taped sum it replaced, within test_pad_rows_excluded's tolerance."""
+        import gdd.autodiff as ad
+        model, _ = toy_model
+        plain = {name: ad.Var(t.copy()) for name, t in model.params.items()}
+        taped = None
+        for name, leaf in plain.items():
+            if leaf.value.ndim != 2:
+                continue
+            sq = ad.sum_(ad.mul(leaf, leaf))
+            if name in ("embed.token", "embed.tag"):
+                row0 = ad.gather_rows(leaf, [0])
+                sq = sq - ad.sum_(ad.mul(row0, row0))
+            taped = sq if taped is None else taped + sq
+        ad.backward(taped)
+        leaves = model.params.leaves()
+        node = model.regularizer_var(leaves)
+        ad.backward(node)
+        want = float(taped.value)
+        assert abs(float(node.value) - want) < 1e-9 * max(1.0, want)
+        scale = max(float(np.max(np.abs(model.params.grad))), 1.0)
+        for name, leaf in leaves.items():
+            ref = plain[name].grad if plain[name].grad is not None else 0.0
+            assert np.max(np.abs(leaf.grad - ref)) < 1e-9 * scale, name
+
     def test_batch_loss_additivity(self, toy_model):
         model, examples = toy_model
         preps = [model.prepare(ex) for ex in examples[:3]]
@@ -174,6 +201,43 @@ class TestAdam:
             return params.get("w")
 
         assert np.array_equal(run(), run())
+
+    def test_whole_buffer_step_equals_the_per_tensor_update(self, toy_model, monkeypatch):
+        """Same arithmetic in the same order as a loop over tensors: equal bits,
+        also across block boundaries."""
+        monkeypatch.setattr(training, "ADAM_BLOCK", 100)
+        model, _ = toy_model
+        rng = Rng(8)
+        names = model.params.names()
+        ref = {name: model.params.get(name).copy() for name in names}
+        m = {name: np.zeros_like(t) for name, t in ref.items()}
+        v = {name: np.zeros_like(t) for name, t in ref.items()}
+        state = AdamState.for_params(model.params)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        for t in range(1, 4):
+            grads = {name: rng.normal(ref[name].shape) for name in names}
+            adam_step(model.params, grads, state, lr=lr)
+            for name, g in grads.items():
+                m[name] = b1 * m[name] + (1 - b1) * g
+                v[name] = b2 * v[name] + (1 - b2) * g * g
+                m_hat, v_hat = m[name] / (1 - b1 ** t), v[name] / (1 - b2 ** t)
+                ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for name in names:
+            assert np.array_equal(model.params.get(name), ref[name]), name
+
+    def test_batch_grads_are_views_of_the_gradient_buffer(self, toy_model):
+        model, examples = toy_model
+        _, grads = batch_grads(model, [model.prepare(examples[0])], train=False)
+        assert model.params.flatten(grads) is model.params.grad
+        assert all(np.shares_memory(g, model.params.grad) for g in grads.values())
+
+    def test_missing_gradient_rejected(self):
+        params = ModelParams()
+        params.add("w", np.zeros((2, 2)))
+        params.add("b", np.zeros(2))
+        state = AdamState.for_params(params)
+        with pytest.raises(ValueError, match="one tensor for each"):
+            adam_step(params, {"w": np.zeros((2, 2))}, state, lr=0.1)
 
     def test_shape_mismatch(self):
         params = ModelParams()

@@ -3,6 +3,8 @@
 Every op is eager: it computes its value immediately and records, for each
 parent, a callback mapping the output gradient to that parent's gradient
 contribution. backward() replays the tape in reverse topological order.
+A fused node (see `fused`) computes all its parents' contributions in one
+hand-derived VJP call.
 A Leaf's gradient is a preallocated array that backward() adds into in
 place; an op whose parent is a Leaf may instead add its contribution into
 that array itself (touching only the rows it used) and return None.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import IMAG_RESIDUE_TOL, as_tensor
+from .numeric import as_tensor
 from .numeric import softmax as _softmax_value
 
 
@@ -291,30 +293,47 @@ def logsumexp(a) -> Var:
     return Var(np.asarray(m + np.log(total)), ((a, lambda g: g * p),))
 
 
+def fused(value, parents, vjp) -> Var:
+    """A node over several parents whose gradient contributions all come
+    from one hand-derived call: vjp(g) returns one array per parent, in
+    order. backward() asks for the parents' contributions in order, so the
+    call runs when the first is asked for, once per backward pass, and each
+    contribution is dropped as it is handed out."""
+    pending = []
+
+    def take(i):
+        def vjp_i(g):
+            if i == 0:
+                pending[:] = vjp(g)
+            contrib, pending[i] = pending[i], None
+            return contrib
+
+        return vjp_i
+
+    return Var(value, tuple((p, take(i)) for i, p in enumerate(parents)))
+
+
 def circ_corr(a, b) -> Var:
     """Circular correlation along the last axis; 2-D operands pair row-wise.
 
-    Forward matches numeric.circ_corr_fft, including the imaginary-residue
-    guard. Gradients are themselves FFT circular ops:
+    out = irfft(conj(rfft(a)) * rfft(b)), the real-input form of
+    numeric.circ_corr_fft: real by construction, so no imaginary residue to
+    discard. Gradients are themselves circular ops, from one transform of g:
     d/da = corr(g, b), d/db = circular convolution of g with a.
     """
     a, b = as_var(a), as_var(b)
     if a.value.shape != b.value.shape:
         raise ValueError(f"circ_corr: shape mismatch {a.value.shape} vs {b.value.shape}")
-    fa = np.fft.fft(a.value, axis=-1)
-    fb = np.fft.fft(b.value, axis=-1)
-    out = np.fft.ifft(np.conj(fa) * fb, axis=-1)
-    residue = float(np.max(np.abs(out.imag), initial=0.0))
-    if residue >= IMAG_RESIDUE_TOL:
-        raise ValueError(f"circ_corr: imaginary residue {residue:.3e} exceeds tolerance")
+    d = a.value.shape[-1]
+    fa = np.fft.rfft(a.value, axis=-1)
+    fb = np.fft.rfft(b.value, axis=-1)
 
-    def vjp_a(g):
-        return np.fft.ifft(np.conj(np.fft.fft(g, axis=-1)) * fb, axis=-1).real
+    def vjp(g):
+        fg = np.fft.rfft(g, axis=-1)
+        return (np.fft.irfft(np.conj(fg) * fb, n=d, axis=-1),
+                np.fft.irfft(fg * fa, n=d, axis=-1))
 
-    def vjp_b(g):
-        return np.fft.ifft(np.fft.fft(g, axis=-1) * fa, axis=-1).real
-
-    return Var(np.ascontiguousarray(out.real), ((a, vjp_a), (b, vjp_b)))
+    return fused(np.fft.irfft(np.conj(fa) * fb, n=d, axis=-1), (a, b), vjp)
 
 
 def backward(out: Var) -> None:

@@ -47,14 +47,15 @@ def load_checkpoint(path) -> Model:
         magic = fh.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"bad magic header: expected {MAGIC!r}, got {magic!r}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
+        size_field = fh.read(8)
+        if len(size_field) < 8:
+            raise CheckpointError("truncated header length")
+        (header_len,) = struct.unpack("<Q", size_field)
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"corrupt header: {e}") from None
-        for key in ("config", "vocab", "tag_vocab", "params"):
-            if key not in header:
-                raise CheckpointError(f"header missing {key!r}")
+        _check_header_types(header)
         try:
             config = ModelConfig.from_dict(header["config"])
         except ValueError as e:
@@ -76,6 +77,28 @@ def load_checkpoint(path) -> Model:
     return Model(config, vocab, tag_vocab, params)
 
 
+def _check_header_types(header) -> None:
+    """Each header field must have the JSON type that save_checkpoint writes."""
+    if not isinstance(header, dict):
+        raise CheckpointError("header is not a JSON object")
+    for key in ("config", "vocab", "tag_vocab", "params"):
+        if key not in header:
+            raise CheckpointError(f"header missing {key!r}")
+    config = header["config"]
+    if not isinstance(config, dict):
+        raise CheckpointError(f"header field 'config' must be an object, got {config!r}")
+    for key in ("vocab", "tag_vocab"):
+        tokens = header[key]
+        try:
+            "".join(tokens)  # fails on any item that is not a string, at C speed
+        except TypeError:
+            tokens = None
+        if not isinstance(tokens, list):
+            raise CheckpointError(f"header field {key!r} must be a list of strings")
+    if not isinstance(header["params"], list):
+        raise CheckpointError("header field 'params' must be a list of manifest entries")
+
+
 def _check_manifest(manifest, layout) -> None:
     """The manifest must list exactly the tensors that the config and both
     vocabulary sizes imply, in layout order, with their shapes."""
@@ -84,9 +107,10 @@ def _check_manifest(manifest, layout) -> None:
     for i, entry in enumerate(manifest):
         try:
             name, shape = entry["name"], tuple(entry["shape"])
+            known = name in expected  # a TypeError when the name is a list or an object
         except (KeyError, TypeError):
             raise CheckpointError(f"malformed parameter manifest entry {i}: {entry!r}") from None
-        if name not in expected:
+        if not known:
             raise CheckpointError(f"checkpoint has unknown parameter {name}")
         if shape != expected[name]:
             raise CheckpointError(

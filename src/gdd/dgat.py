@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var, as_var
-from .numeric import Tensor, as_tensor
+from .numeric import Tensor, as_tensor, softmax
 
 
 @dataclass
@@ -66,55 +66,104 @@ class GraphBatch:
         return self.H_N.shape[0]
 
 
-def _maybe_scale(logits: Var, d_head: int, scale: bool) -> Var:
-    return ad.mul(logits, 1.0 / math.sqrt(d_head)) if scale else logits
+def _scaled(logits: Tensor, d_head: int, scale: bool) -> Tensor:
+    return logits * (1.0 / math.sqrt(d_head)) if scale else logits
 
 
-def target_edge_attention_var(h_a: Var, E: Var, Wa, We, scale: bool = False) -> Var:
-    """Edge-level weights: softmax over <Wa h_a, We e_i> across the m neighbors."""
-    a_proj = ad.matmul(h_a, as_var(Wa))
-    e_proj = ad.matmul(E, as_var(We))
-    logits = ad.matmul(e_proj, a_proj)
-    return ad.softmax(_maybe_scale(logits, a_proj.value.shape[0], scale), axis=-1)
+def _edge_weights(a_proj: Tensor, e_proj: Tensor, scale: bool) -> Tensor:
+    """Target-edge weights beta: softmax over <Wa h_a, We e_i>."""
+    return softmax(_scaled(e_proj @ a_proj, a_proj.shape[0], scale))
 
 
-def target_node_attention_var(h_a: Var, H_N: Var, beta: Var, Wa, Wi,
-                              scale: bool = False) -> Var:
-    """Node-level weights: softmax of beta_i * <Wa h_a, Wi h_i>.
+def _node_weights(a_proj: Tensor, n_proj: Tensor, beta: Tensor, scale: bool):
+    """Target-node weights omega: softmax of beta_i * <Wa h_a, Wi h_i>.
 
     beta multiplies the logit, it never masks: a zero beta_i leaves logit 0,
-    which still receives softmax mass.
+    which still receives softmax mass. Returns (<Wa h_a, Wi h_i>, omega).
     """
-    a_proj = ad.matmul(h_a, as_var(Wa))
-    n_proj = ad.matmul(H_N, as_var(Wi))
-    logits = ad.mul(beta, ad.matmul(n_proj, a_proj))
-    return ad.softmax(_maybe_scale(logits, a_proj.value.shape[0], scale), axis=-1)
+    dots = n_proj @ a_proj
+    return dots, softmax(_scaled(beta * dots, a_proj.shape[0], scale))
+
+
+def dual_attention_var(a_proj: Var, e_proj: Var, n_proj: Var, composed: Var,
+                       scale: bool = False):
+    """The attention of a dual-level head as one tape node: beta from the
+    edges, omega from the nodes and beta, and the omega-weighted sum of the
+    composed rows. Returns (output Var[d_head], beta, omega); the weights are
+    plain arrays.
+
+    The VJP runs the chain rule back through both softmaxes by hand:
+    d/d composed = omega g^T; d/d a_proj collects both logits' terms.
+    """
+    a, Ep, Np, C = a_proj.value, e_proj.value, n_proj.value, composed.value
+    c = 1.0 / math.sqrt(a.shape[0]) if scale else 1.0
+    beta = _edge_weights(a, Ep, scale)
+    dots, omega = _node_weights(a, Np, beta, scale)
+
+    def vjp(g):
+        d_omega = C @ g
+        d_node = (d_omega - np.dot(d_omega, omega)) * omega * c  # d/d (beta * dots)
+        d_beta = d_node * dots
+        d_dots = d_node * beta
+        d_edge = (d_beta - np.dot(d_beta, beta)) * beta * c  # d/d (Ep @ a)
+        return (Ep.T @ d_edge + Np.T @ d_dots, np.outer(d_edge, a),
+                np.outer(d_dots, a), np.outer(omega, g))
+
+    out = ad.fused(omega @ C, (a_proj, e_proj, n_proj, composed), vjp)
+    return out, beta, omega
 
 
 def dual_head_var(h_a: Var, H_N: Var, E: Var, p: DualHeadParams,
                   scale: bool = False):
     """One dual-level head: omega-weighted sum of corr(Wi h_i, We e_i) rows.
 
-    Returns (head output Var[d_head], beta Var[m], omega Var[m]).
+    Five tape nodes: the three projections, each computed once, their
+    row-wise circular correlation, and `dual_attention_var`.
+    Returns (head output Var[d_head], beta array[m], omega array[m]).
     """
-    beta = target_edge_attention_var(h_a, E, p.Wa, p.We, scale)
-    omega = target_node_attention_var(h_a, H_N, beta, p.Wa, p.Wi, scale)
-    n_proj = ad.matmul(H_N, as_var(p.Wi))
-    e_proj = ad.matmul(E, as_var(p.We))
+    a_proj = ad.matmul(h_a, p.Wa)
+    e_proj = ad.matmul(E, p.We)
+    n_proj = ad.matmul(H_N, p.Wi)
     composed = ad.circ_corr(n_proj, e_proj)  # m x d_head, row-wise
-    return ad.matmul(omega, composed), beta, omega
+    return dual_attention_var(a_proj, e_proj, n_proj, composed, scale)
+
+
+def relational_attention_var(E: Var, W1: Var, b1: Var, W2: Var, b2: Var,
+                             values: Var):
+    """The attention of a relational head as one tape node:
+    rho = softmax(relu(E W1 + b1) W2 + b2) and the rho-weighted sum of the
+    value rows. Returns (output Var[d_head], rho array[m]).
+
+    The VJP goes by hand through the softmax and the relu MLP to E, the
+    four MLP tensors and the values.
+    """
+    Ev, W1v, W2v = E.value, W1.value, W2.value
+    pre = Ev @ W1v + b1.value
+    hidden = np.maximum(pre, 0.0)
+    rho = softmax((hidden @ W2v).reshape(-1) + b2.value)
+    V = values.value
+
+    def vjp(g):
+        d_rho = V @ g
+        d_logits = (d_rho - np.dot(d_rho, rho)) * rho
+        d_pre = np.outer(d_logits, W2v[:, 0]) * (pre > 0.0)
+        return (d_pre @ W1v.T, Ev.T @ d_pre, d_pre.sum(axis=0),
+                hidden.T @ d_logits[:, None], d_logits.sum(keepdims=True),
+                np.outer(rho, g))
+
+    return ad.fused(rho @ V, (E, W1, b1, W2, b2, values), vjp), rho
 
 
 def relational_head_var(H_N: Var, E: Var, p: RelHeadParams):
     """One relational head: neighbor weights from an edge-only MLP.
 
     rho_i = softmax(relu(e_i W1 + b1) W2 + b2); output = sum_i rho_i (Wv h_i).
-    Returns (head output Var[d_head], rho Var[m]).
+    Two tape nodes: the value projection and `relational_attention_var`.
+    Returns (head output Var[d_head], rho array[m]).
     """
-    hidden = ad.relu(ad.matmul(E, as_var(p.W1)) + as_var(p.b1))
-    logits = ad.reshape(ad.matmul(hidden, as_var(p.W2)), (-1,)) + as_var(p.b2)
-    rho = ad.softmax(logits, axis=-1)
-    return ad.matmul(rho, ad.matmul(H_N, as_var(p.Wv))), rho
+    values = ad.matmul(H_N, p.Wv)
+    return relational_attention_var(as_var(E), as_var(p.W1), as_var(p.b1), as_var(p.W2),
+                                    as_var(p.b2), values)
 
 
 def relation_update_var(E: Var, Wr) -> Var:
@@ -138,12 +187,12 @@ def dgat_layer_var(h_a: Var, H_N: Var, E: Var, params: DgatLayerParams,
     for hp in params.dual:
         out, beta, omega = dual_head_var(h_a, H_N, E, hp, scale)
         outs.append(out)
-        trace["beta"].append(beta.value.tolist())
-        trace["omega"].append(omega.value.tolist())
+        trace["beta"].append(beta.tolist())
+        trace["omega"].append(omega.tolist())
     for rp in params.rel:
         out, rho = relational_head_var(H_N, E, rp)
         outs.append(out)
-        trace["rho"].append(rho.value.tolist())
+        trace["rho"].append(rho.tolist())
     h_next = ad.concat(outs)
     E_next = relation_update_var(E, params.Wr)
     return h_next, E_next, trace
@@ -173,14 +222,13 @@ def global_forward_var(h_a: Var, H_N: Var, E: Var, layers: list[DgatLayerParams]
 
 def target_edge_attention(h_a, E, Wa, We, scale: bool = False) -> Tensor:
     _require_nonempty(E)
-    return target_edge_attention_var(as_var(as_tensor(h_a)), as_var(as_tensor(E)),
-                                     Wa, We, scale).value
+    return _edge_weights(as_tensor(h_a) @ as_tensor(Wa), as_tensor(E) @ as_tensor(We), scale)
 
 
 def target_node_attention(h_a, H_N, beta, Wa, Wi, scale: bool = False) -> Tensor:
     _require_nonempty(H_N)
-    return target_node_attention_var(as_var(as_tensor(h_a)), as_var(as_tensor(H_N)),
-                                     as_var(as_tensor(beta)), Wa, Wi, scale).value
+    return _node_weights(as_tensor(h_a) @ as_tensor(Wa), as_tensor(H_N) @ as_tensor(Wi),
+                         as_tensor(beta), scale)[1]
 
 
 def dual_head(h_a, H_N, E, params: DualHeadParams, scale: bool = False) -> Tensor:

@@ -105,10 +105,13 @@ def _coerce(key: str, raw, typ):
         if text in ("false", "0", "no"):
             return False
         raise ValueError(f"config: {key} expects a boolean, got {raw!r}")
-    if typ in ("int", int):
-        return int(raw)
-    if typ in ("float", float):
-        return float(raw)
+    try:
+        if typ in ("int", int):
+            return int(raw)
+        if typ in ("float", float):
+            return float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"config: {key} expects a number ({typ}), got {raw!r}") from None
     return str(raw)
 
 

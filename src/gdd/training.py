@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +84,25 @@ def batch_grads(model: Model, preps, train: bool = True,
     return float(loss.value), {name: leaf.grad for name, leaf in leaves.items()}
 
 
+@contextlib.contextmanager
+def gc_paused():
+    """Cyclic garbage collection off inside the block, and back to its
+    previous state on exit, also on an exception.
+
+    A training step allocates thousands of tape objects, and the collections
+    they would trigger traverse the whole heap. The tape holds no reference
+    cycles (a node refers only to its parents), so reference counting frees
+    it when batch_grads returns.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @dataclass
 class EpochLog:
     epoch: int
@@ -119,8 +140,9 @@ def train(model: Model, train_examples, dev_examples=None, *,
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = [preps[i] for i in order[start:start + cfg.batch_size]]
-            loss, grads = batch_grads(model, batch, train=True, dropout_rng=dropout_rng)
-            adam_step(model.params, grads, state, cfg.lr)
+            with gc_paused():
+                loss, grads = batch_grads(model, batch, train=True, dropout_rng=dropout_rng)
+                adam_step(model.params, grads, state, cfg.lr)
             total += loss
         log = EpochLog(epoch=epoch, train_loss=total / len(preps))
         need_train_acc = track_train_accuracy or stop_at_train_accuracy is not None

@@ -1,17 +1,25 @@
 """Each tape op's gradient against the finite-difference oracle."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from gdd import autodiff as ad
 from gdd.autodiff import Var, backward
-from gdd.numeric import Rng, finite_diff_grad
+from gdd.dgat import dual_attention_var, relational_attention_var
+from gdd.numeric import Rng, circ_corr_naive, finite_diff_grad
+
+
+def inputs(*shapes, seed=0):
+    """The operand values that check_grad draws for `shapes`."""
+    rng = Rng(seed)
+    return [rng.uniform(s, -1.5, 1.5) for s in shapes]
 
 
 def check_grad(build, *shapes, seed=0, tol=1e-7):
     """build(*vars) -> scalar Var; compares tape gradients to central differences."""
-    rng = Rng(seed)
-    values = [rng.uniform(s, -1.5, 1.5) for s in shapes]
+    values = inputs(*shapes, seed=seed)
     leaves = [Var(v) for v in values]
     out = build(*leaves)
     backward(out)
@@ -145,6 +153,20 @@ def test_circ_corr_1d_and_rows():
     check_grad(lambda a, b: ad.sum_(ad.mul(ad.circ_corr(a, b), 0.7)), (3, 4), (3, 4))
 
 
+@pytest.mark.parametrize("d", [4, 5, 16, 64])
+def test_circ_corr_matches_the_naive_oracle(d):
+    rng = Rng(d)
+    a, b = rng.normal((d,)), rng.normal((d,))
+    out = ad.circ_corr(Var(a), Var(b)).value
+    assert out.shape == (d,)
+    assert np.max(np.abs(out - circ_corr_naive(a, b))) < 1e-12
+    A, B = rng.normal((3, d)), rng.normal((3, d))
+    rows = ad.circ_corr(Var(A), Var(B)).value
+    assert rows.shape == (3, d)
+    for i in range(3):
+        assert np.max(np.abs(rows[i] - circ_corr_naive(A[i], B[i]))) < 1e-12
+
+
 def test_circ_corr_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         ad.circ_corr(Var(np.zeros(3)), Var(np.zeros(4)))
@@ -169,3 +191,42 @@ def test_operator_sugar_matches_functions():
     assert np.array_equal((a * b).value, ad.mul(a, b).value)
     assert np.array_equal((a / b).value, ad.div(a, b).value)
     assert np.array_equal((-a).value, np.array([-1.0, -2.0]))
+
+
+def test_fused_node_calls_its_vjp_once_per_pass_and_drops_the_results():
+    calls, handed = [], []
+
+    def vjp(g):
+        calls.append(g)
+        handed[:] = [np.full(2, float(g)), np.full(3, 2.0 * float(g))]
+        return tuple(handed)
+
+    a, b = ad.Leaf(np.ones(2), np.zeros(2)), ad.Leaf(np.ones(3), np.zeros(3))
+    out = ad.fused(np.asarray(5.0), (a, b), vjp)
+    weak = [weakref.ref(x) for x in handed]
+    handed.clear()
+    backward(out)
+    assert len(calls) == 1
+    assert np.array_equal(a.grad, np.ones(2)) and np.array_equal(b.grad, np.full(3, 2.0))
+    assert all(ref() is None for ref in weak)  # freed while the tape is still alive
+    backward(out)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("scale", [False, True])
+def test_fused_dual_attention(m, scale):
+    d = 4
+    probe = Var(Rng(7).uniform((d,), -1.0, 1.0))
+    check_grad(lambda a, e, n, c: ad.matmul(dual_attention_var(a, e, n, c, scale)[0], probe),
+               (d,), (m, d), (m, d), (m, d), seed=m)
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_fused_relational_attention(m):
+    e_w, d = 6, 4
+    shapes = [(m, e_w), (e_w, d), (d,), (d, 1), (1,), (m, d)]
+    E, W1, b1 = inputs(*shapes, seed=m)[:3]
+    assert np.min(np.abs(E @ W1 + b1)) > 1e-3  # central differences stay off the relu kinks
+    probe = Var(Rng(8).uniform((d,), -1.0, 1.0))
+    check_grad(lambda *vs: ad.matmul(relational_attention_var(*vs)[0], probe), *shapes, seed=m)

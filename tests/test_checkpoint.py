@@ -60,6 +60,13 @@ def test_truncated_file(trained_model):
         load_checkpoint(path)
 
 
+def test_file_cut_inside_the_header_length(trained_model):
+    _, _, path = trained_model
+    path.write_bytes(path.read_bytes()[:7])
+    with pytest.raises(CheckpointError, match="truncated header length"):
+        load_checkpoint(path)
+
+
 def test_trailing_garbage(trained_model):
     _, _, path = trained_model
     path.write_bytes(path.read_bytes() + b"x")
@@ -145,4 +152,49 @@ def test_invalid_config_in_header(trained_model):
     _, _, path = trained_model
     _edit_header(path, lambda h: h["config"].__setitem__("d_model", 0))
     with pytest.raises(CheckpointError, match="d_model must be positive"):
+        load_checkpoint(path)
+
+
+def _set(key, value):
+    return lambda h: h.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_set("config", []), "config"),
+    (_set("config", None), "config"),
+    (lambda h: h["config"].__setitem__("d_model", []), "d_model"),
+    (lambda h: h["config"].__setitem__("lr", None), "lr"),
+    (lambda h: h["config"].__setitem__("d_head", "x"), "d_head"),
+    (lambda h: h["config"].__setitem__("d_hid", float("inf")), "d_hid"),
+    (_set("vocab", 5), "vocab"),
+    (lambda h: h["vocab"].__setitem__(2, 7), "vocab"),
+    (_set("tag_vocab", "x"), "tag_vocab"),
+    (lambda h: h["tag_vocab"].append(None), "tag_vocab"),
+    (_set("params", 7), "params"),
+    (_set("params", {"embed.token": [1, 2]}), "params"),
+    (lambda h: h["params"][0].__setitem__("name", ["embed.token"]), "manifest entry 0"),
+    (lambda h: h["params"][0].__setitem__("name", 3), "unknown parameter 3"),
+    (lambda h: h["params"][1].__setitem__("shape", [4.5, 2]), "embed.tag"),
+    (lambda h: h["params"][1].__setitem__("shape", "ab"), "embed.tag"),
+    (lambda h: h["params"][1].__setitem__("shape", 8), "manifest entry 1"),
+], ids=["config-list", "config-null", "config-value-list", "config-value-null",
+        "config-value-str", "config-value-inf", "vocab-int", "vocab-entry-int", "tag-vocab-str",
+        "tag-vocab-entry-null", "params-int", "params-object", "entry-name-list",
+        "entry-name-int", "entry-shape-float", "entry-shape-str", "entry-shape-int"])
+def test_header_field_of_the_wrong_json_type(trained_model, edit, field, capsys):
+    _, examples, path = trained_model
+    _edit_header(path, edit)
+    with pytest.raises(CheckpointError, match=re.escape(field)):
+        load_checkpoint(path)
+    data = path.parent / "data.jsonl"
+    data.write_text("".join(json.dumps(example_to_dict(ex)) + "\n" for ex in examples))
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+def test_header_that_is_not_an_object(trained_model):
+    _, _, path = trained_model
+    _write(path, [1, 2], b"")
+    with pytest.raises(CheckpointError, match="JSON object"):
         load_checkpoint(path)

@@ -301,6 +301,13 @@ class TestGradcheck:
         assert set(report.per_tensor) == set(model.params.names())
         assert report.ok, report.worst()
 
+    def test_toy_model_with_scaled_logits_passes(self):
+        # the golden fixture records unscaled DGAT logits only
+        examples = generate_synthetic(seed=0, count=6)
+        model = Model.build_for_examples(ModelConfig(scale_logits=True, **TOY), examples)
+        report = gradcheck_model(model, examples[1])
+        assert report.ok, report.worst()
+
     def test_untouched_embedding_rows_zero_grad(self, toy_model):
         model, examples = toy_model
         prep = model.prepare(examples[0])

@@ -12,13 +12,52 @@ from gdd.dgat import (
     RelHeadParams,
     dgat_layer,
     dual_head,
+    dual_head_var,
     global_forward_var,
     relation_update,
     relational_head,
+    relational_head_var,
     target_edge_attention,
     target_node_attention,
 )
 from gdd.numeric import Rng, circ_corr_fft, softmax
+
+
+# Reference heads built from one small tape op per step, each with its own
+# VJP. The fused heads of gdd.dgat must reproduce them in value and gradient.
+
+def _maybe_scale_oracle(logits, d_head, scale):
+    return ad.mul(logits, 1.0 / math.sqrt(d_head)) if scale else logits
+
+
+def target_edge_attention_oracle(h_a, E, Wa, We, scale=False):
+    a_proj = ad.matmul(h_a, Wa)
+    e_proj = ad.matmul(E, We)
+    logits = ad.matmul(e_proj, a_proj)
+    return ad.softmax(_maybe_scale_oracle(logits, a_proj.value.shape[0], scale), axis=-1)
+
+
+def target_node_attention_oracle(h_a, H_N, beta, Wa, Wi, scale=False):
+    a_proj = ad.matmul(h_a, Wa)
+    n_proj = ad.matmul(H_N, Wi)
+    logits = ad.mul(beta, ad.matmul(n_proj, a_proj))
+    return ad.softmax(_maybe_scale_oracle(logits, a_proj.value.shape[0], scale), axis=-1)
+
+
+def dual_head_oracle(h_a, H_N, E, p, scale=False):
+    beta = target_edge_attention_oracle(h_a, E, p.Wa, p.We, scale)
+    omega = target_node_attention_oracle(h_a, H_N, beta, p.Wa, p.Wi, scale)
+    n_proj = ad.matmul(H_N, p.Wi)
+    e_proj = ad.matmul(E, p.We)
+    composed = ad.circ_corr(n_proj, e_proj)
+    return ad.matmul(omega, composed), beta, omega
+
+
+def relational_head_oracle(H_N, E, p):
+    hidden = ad.relu(ad.matmul(E, p.W1) + p.b1)
+    logits = ad.reshape(ad.matmul(hidden, p.W2), (-1,)) + p.b2
+    rho = ad.softmax(logits, axis=-1)
+    return ad.matmul(rho, ad.matmul(H_N, p.Wv)), rho
 
 
 def make_dual(rng, a_w=6, e_w=8, d_model=6, d_head=4):
@@ -333,3 +372,49 @@ class TestGlobalForwardGradients:
                 analytic = np.zeros_like(values[i])
             scale = max(np.max(np.abs(numeric)), np.max(np.abs(analytic)), 1e-6)
             assert np.max(np.abs(analytic - numeric)) / scale < 1e-4, name
+
+
+def _close(got, want, tol=1e-12):
+    return np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+def _run_head(head, graph, params_cls, param_values, probe):
+    """Value, returned weights and the gradient of every input (graph tensors,
+    then parameters) of probe . head(*graph, params)."""
+    graph_vars = [Var(v) for v in graph]
+    param_vars = [Var(v) for v in param_values]
+    out, *weights = head(*graph_vars, params_cls(*param_vars))
+    ad.backward(ad.matmul(out, Var(probe)))
+    grads = [v.grad for v in graph_vars + param_vars]
+    return out.value, [getattr(w, "value", w) for w in weights], grads
+
+
+class TestFusedHeadsAgainstOracle:
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_dual_head_value_and_every_gradient(self, m, scale):
+        rng = Rng(40 + m)
+        graph = [rng.uniform(s, -1, 1) for s in [(6,), (m, 6), (m, 8)]]
+        params = [rng.uniform(s, -1, 1) for s in [(6, 4), (8, 4), (6, 4)]]
+        probe = rng.uniform((4,), -1, 1)
+        got, want = (_run_head(lambda *a: head(*a, scale=scale), graph, DualHeadParams,
+                               params, probe)
+                     for head in (dual_head_var, dual_head_oracle))
+        assert _close(got[0], want[0])
+        for g, w in zip(got[1], want[1], strict=True):  # beta, omega
+            assert _close(g, w)
+        for name, g, w in zip(["h_a", "H_N", "E", "Wa", "We", "Wi"], got[2], want[2], strict=True):
+            assert _close(g, w), name
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_relational_head_value_and_every_gradient(self, m):
+        rng = Rng(50 + m)
+        graph = [rng.uniform(s, -1, 1) for s in [(m, 6), (m, 8)]]
+        params = [rng.uniform(s, -1, 1) for s in [(6, 4), (8, 4), (4,), (4, 1), (1,)]]
+        probe = rng.uniform((4,), -1, 1)
+        got, want = (_run_head(head, graph, RelHeadParams, params, probe)
+                     for head in (relational_head_var, relational_head_oracle))
+        assert _close(got[0], want[0]) and _close(got[1][0], want[1][0])
+        names = ["H_N", "E", "Wv", "W1", "b1", "W2", "b2"]
+        for name, g, w in zip(names, got[2], want[2], strict=True):
+            assert _close(g, w), name

@@ -43,7 +43,7 @@ params = AttentionParams(Wq=rng.uniform((d_model, d_k), -0.5, 0.5),
 for variant in ("original", "covariance"):
     _, probs = attention_var(Var(H), params.Wq, params.Wk, params.Wv, variant=variant)
     print(f"\n{variant} attention rows:")
-    for row in probs.value:
+    for row in probs:
         print("   " + " ".join(f"{v:6.3f}" for v in row))
 
 print("\nWith zero-mean inputs the two variants coincide exactly; the unit "

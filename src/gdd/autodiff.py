@@ -8,16 +8,16 @@ hand-derived VJP call.
 A Leaf's gradient is a preallocated array that backward() adds into in
 place; an op whose parent is a Leaf may instead add its contribution into
 that array itself (touching only the rows it used) and return None.
-The op set is exactly what the model needs; analytic gradients produced
-here are validated against numeric.finite_diff_grad, never trusted blind.
+The ops serve the model and the reference compositions that the tests
+compare its fused nodes against; analytic gradients produced here are
+validated against numeric.finite_diff_grad, never trusted blind.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numeric import as_tensor
-from .numeric import softmax as _softmax_value
+from .numeric import _softmax, as_tensor
 
 
 class Var:
@@ -200,9 +200,15 @@ def sum_(a, axis=None, keepdims: bool = False) -> Var:
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Var:
+    """sum * (1/count) as one node; its gradient is g * (1/count), broadcast."""
     a = as_var(a)
-    count = a.value.size if axis is None else a.value.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    scale = 1.0 / (a.value.size if axis is None else a.value.shape[axis])
+
+    def vjp(g):
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(gg * scale, a.value.shape).copy()
+
+    return Var(a.value.sum(axis=axis, keepdims=keepdims) * scale, ((a, vjp),))
 
 
 def gather_rows(a, indices) -> Var:
@@ -273,10 +279,10 @@ def exp(a) -> Var:
 
 def softmax(a, axis: int = -1) -> Var:
     a = as_var(a)
-    p = _softmax_value(a.value, axis=axis)
+    p = _softmax(a.value, axis)
 
     def vjp(g):
-        return (g - np.sum(g * p, axis=axis, keepdims=True)) * p
+        return (g - (g * p).sum(axis, keepdims=True)) * p
 
     return Var(p, ((a, vjp),))
 

@@ -1,9 +1,10 @@
 """Command-line surface: train, eval, build-graph, inspect, verify-proposition, gradcheck.
 
 Exit codes: 0 success, 1 internal failure (including a failed check), 2
-usage or input error. Configuration comes from an optional flat key=value
-file plus per-key flags; flags win. GDD_SEED provides a seed fallback when
-neither source sets one.
+usage or input error, or training that diverged (a configuration such as
+too large an lr; no checkpoint is written). Configuration comes from an
+optional flat key=value file plus per-key flags; flags win. GDD_SEED
+provides a seed fallback when neither source sets one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .local_encoder import check_stationarity
 from .metrics import evaluate
 from .model import Model, ModelConfig
 from .numeric import Rng
-from .training import EpochLog, gradcheck_model, train
+from .training import EpochLog, TrainingDiverged, gradcheck_model, train
 
 INPUT_ERRORS = (DataError, ParseError, CheckpointError, FileNotFoundError,
                 IsADirectoryError, PermissionError)
@@ -261,7 +262,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, *INPUT_ERRORS) as e:
+    except (UsageError, TrainingDiverged, *INPUT_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

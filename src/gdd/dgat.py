@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var, as_var
-from .numeric import Tensor, as_tensor, softmax
+from .numeric import Tensor, _softmax, as_tensor
 
 
 @dataclass
@@ -72,7 +72,7 @@ def _scaled(logits: Tensor, d_head: int, scale: bool) -> Tensor:
 
 def _edge_weights(a_proj: Tensor, e_proj: Tensor, scale: bool) -> Tensor:
     """Target-edge weights beta: softmax over <Wa h_a, We e_i>."""
-    return softmax(_scaled(e_proj @ a_proj, a_proj.shape[0], scale))
+    return _softmax(_scaled(e_proj @ a_proj, a_proj.shape[0], scale))
 
 
 def _node_weights(a_proj: Tensor, n_proj: Tensor, beta: Tensor, scale: bool):
@@ -82,7 +82,7 @@ def _node_weights(a_proj: Tensor, n_proj: Tensor, beta: Tensor, scale: bool):
     which still receives softmax mass. Returns (<Wa h_a, Wi h_i>, omega).
     """
     dots = n_proj @ a_proj
-    return dots, softmax(_scaled(beta * dots, a_proj.shape[0], scale))
+    return dots, _softmax(_scaled(beta * dots, a_proj.shape[0], scale))
 
 
 def dual_attention_var(a_proj: Var, e_proj: Var, n_proj: Var, composed: Var,
@@ -140,7 +140,7 @@ def relational_attention_var(E: Var, W1: Var, b1: Var, W2: Var, b2: Var,
     Ev, W1v, W2v = E.value, W1.value, W2.value
     pre = Ev @ W1v + b1.value
     hidden = np.maximum(pre, 0.0)
-    rho = softmax((hidden @ W2v).reshape(-1) + b2.value)
+    rho = _softmax((hidden @ W2v).reshape(-1) + b2.value)
     V = values.value
 
     def vjp(g):

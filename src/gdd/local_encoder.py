@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var, as_var
-from .numeric import Tensor, as_tensor, finite_diff_grad
+from .numeric import Tensor, _softmax, as_tensor, finite_diff_grad
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -46,11 +46,14 @@ class AttentionParams:
     Wv: Tensor  # d_model x d_k
 
 
-def sigma_var(H: Var, W1, b1, W2, b2) -> Var:
-    """Learned mask width: softplus(W2 . relu(W1 . mean(H) + b1) + b2), a (1,) tensor."""
-    pooled = ad.mean(H, axis=0)
-    hidden = ad.relu(ad.matmul(pooled, as_var(W1)) + as_var(b1))
-    return ad.softplus(ad.matmul(hidden, as_var(W2)) + as_var(b2))
+def _mask_width(H: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor):
+    """softplus(W2 . relu(W1 . mean(H) + b1) + b2) and its intermediates:
+    (pooled row, W1 pre-activation, hidden, W2 logit, sigma as a (1,) array)."""
+    pooled = H.sum(axis=0) * (1.0 / H.shape[0])
+    pre = pooled @ W1 + b1
+    hidden = np.maximum(pre, 0.0)
+    z = hidden @ W2 + b2
+    return pooled, pre, hidden, z, np.logaddexp(0.0, z)
 
 
 def compute_sigma(H, params: GaussianMaskParams) -> float:
@@ -58,8 +61,8 @@ def compute_sigma(H, params: GaussianMaskParams) -> float:
     H = as_tensor(H)
     if H.ndim != 2 or H.shape[0] < 1:
         raise ValueError(f"compute_sigma expects a non-empty n x d matrix, got {H.shape}")
-    out = sigma_var(as_var(H), params.W1, params.b1, params.W2, params.b2)
-    return float(out.value[0])
+    weights = (as_tensor(w) for w in (params.W1, params.b1, params.W2, params.b2))
+    return float(_mask_width(H, *weights)[-1][0])
 
 
 def gaussian_pdf(x: float, sigma: float) -> float:
@@ -78,15 +81,14 @@ def span_distances(n: int, span: tuple[int, int]) -> np.ndarray:
     return np.maximum(np.maximum(s - j, j - e), 0).astype(np.float64)
 
 
-def mask_var(n: int, span: tuple[int, int], sigma: Var, interval: float,
-             normalize: bool = False) -> Var:
-    """Gaussian mask over token positions as a function of a (1,) sigma tensor."""
+def _gaussian_mask(n: int, span: tuple[int, int], sigma: Tensor, interval: float,
+                   normalize: bool):
+    """The mask at sampled distances x for a (1,) sigma: returns (x, bell, mask),
+    bell = exp(-x^2 / (2 sigma^2)) and mask = bell / (sigma sqrt(2 pi)), or
+    mask = bell with `normalize` (peak forced to 1)."""
     x = span_distances(n, span) * interval
-    quad = ad.div(Var(-0.5 * x * x), ad.mul(sigma, sigma))
-    bell = ad.exp(quad)
-    if normalize:
-        return bell  # peak forced to 1; the density's 1/(sigma*sqrt(2pi)) cancels
-    return ad.div(bell, ad.mul(sigma, SQRT_2PI))
+    bell = np.exp((-0.5 * x * x) / (sigma * sigma))
+    return x, bell, bell if normalize else bell / (sigma * SQRT_2PI)
 
 
 def build_gaussian_mask(n: int, span: tuple[int, int], sigma: float, interval: float,
@@ -100,7 +102,8 @@ def build_gaussian_mask(n: int, span: tuple[int, int], sigma: float, interval: f
         raise ValueError(f"build_gaussian_mask: sigma must be positive, got {sigma}")
     if interval <= 0:
         raise ValueError("build_gaussian_mask: interval must be positive")
-    return mask_var(n, span, as_var(np.array([sigma])), interval, normalize).value
+    return _gaussian_mask(n, span, np.array([sigma], dtype=np.float64), interval,
+                          normalize)[2]
 
 
 def apply_mask(mask, H) -> Tensor:
@@ -111,59 +114,99 @@ def apply_mask(mask, H) -> Tensor:
     return mask[:, None] * H
 
 
+def gaussian_mask_var(H: Var, W1: Var, b1: Var, W2: Var, b2: Var, span: tuple[int, int],
+                      interval: float, normalize: bool = False):
+    """The Gaussian mask layer as one tape node: sigma from the mean-pooled
+    rows through the relu MLP and softplus, the mask from sigma, and the
+    masked rows mask[:, None] * H. Returns (H_G Var[n, d], sigma array[1],
+    mask array[n]).
+
+    The VJP goes back by hand through the row scaling, the density
+    (dmask/dsigma = mask (x^2/sigma^3 - 1/sigma), or bell x^2/sigma^3 with
+    `normalize`), softplus' = sigmoid and the MLP; the pooled row's gradient
+    is spread over all n rows with weight 1/n.
+    """
+    Hv, W1v, W2v = H.value, W1.value, W2.value
+    n = Hv.shape[0]
+    pooled, pre, hidden, z, sigma = _mask_width(Hv, W1v, b1.value, W2v, b2.value)
+    x, bell, mask = _gaussian_mask(n, span, sigma, interval, normalize)
+
+    def vjp(g):
+        d_mask = (g * Hv).sum(axis=1)
+        x2_s3 = x * x / (sigma * sigma * sigma)
+        dmask_dsigma = bell * x2_s3 if normalize else mask * (x2_s3 - 1.0 / sigma)
+        d_z = np.dot(d_mask, dmask_dsigma) * (0.5 * (1.0 + np.tanh(0.5 * z)))
+        d_pre = W2v[:, 0] * d_z * (pre > 0.0)
+        d_pooled = W1v @ d_pre
+        return (mask[:, None] * g + d_pooled * (1.0 / n), np.outer(pooled, d_pre), d_pre,
+                np.outer(hidden, d_z), d_z)
+
+    H_G = ad.fused(mask[:, None] * Hv, (H, W1, b1, W2, b2), vjp)
+    return H_G, sigma, mask
+
+
 def attention_var(H_G: Var, Wq, Wk, Wv, variant: str = "covariance",
-                  heads: int = 1) -> tuple[Var, Var]:
-    """Self-attention over masked token rows; returns (output n x d_k, probs).
+                  heads: int = 1) -> tuple[Var, Tensor]:
+    """Self-attention over masked token rows as one tape node; returns
+    (output Var[n, d_k], probs array[n, n]).
 
     variant "covariance" subtracts the token-mean from Q and K before the
     score product; "original" scores raw projections. Both scale by
     sqrt(d_head) and softmax row-wise. With heads > 1 the projection columns
     split into equal head groups and outputs concatenate back to d_k; probs
     is then the first head's matrix (the trace keeps one n x n view).
+
+    The VJP runs each head's softmax and score product back by hand, then
+    the centering (its VJP is centering: dQ = dQc - mean(dQc)) and the three
+    projections.
     """
     if variant not in ("covariance", "original"):
         raise ValueError(f"unknown attention variant: {variant}")
-    Q = ad.matmul(H_G, as_var(Wq))
-    K = ad.matmul(H_G, as_var(Wk))
-    V = ad.matmul(H_G, as_var(Wv))
-    d_k = Q.value.shape[1]
+    H_G, Wq, Wk, Wv = as_var(H_G), as_var(Wq), as_var(Wk), as_var(Wv)
+    X = H_G.value
+    Q, K, V = X @ Wq.value, X @ Wk.value, X @ Wv.value
+    n, d_k = Q.shape
     if heads < 1 or d_k % heads != 0:
         raise ValueError(f"attention heads ({heads}) must divide d_k ({d_k})")
     width = d_k // heads
-    outs, probs0 = [], None
-    for h in range(heads):
-        cols = slice(h * width, (h + 1) * width)
-        Qh = _slice_cols(Q, cols)
-        Kh = _slice_cols(K, cols)
-        Vh = _slice_cols(V, cols)
-        if variant == "covariance":
-            Qh = Qh - ad.mean(Qh, axis=0, keepdims=True)
-            Kh = Kh - ad.mean(Kh, axis=0, keepdims=True)
-        scores = ad.mul(ad.matmul(Qh, ad.transpose(Kh)), 1.0 / math.sqrt(width))
-        P = ad.softmax(scores, axis=1)
-        if probs0 is None:
-            probs0 = P
-        outs.append(ad.matmul(P, Vh))
-    out = outs[0] if heads == 1 else ad.concat(outs, axis=1)
-    return out, probs0
+    c = 1.0 / math.sqrt(width)
+    center = variant == "covariance"
+    if center:
+        Q = Q - Q.sum(axis=0, keepdims=True) * (1.0 / n)
+        K = K - K.sum(axis=0, keepdims=True) * (1.0 / n)
+    cols = [slice(h * width, (h + 1) * width) for h in range(heads)]
+    probs = [_softmax((Q[:, sl] @ K[:, sl].T) * c, 1) for sl in cols]
+    outs = [P @ V[:, sl] for sl, P in zip(cols, probs)]
 
+    def vjp(g):
+        dQ, dK, dV = np.empty((n, d_k)), np.empty((n, d_k)), np.empty((n, d_k))
+        for sl, P in zip(cols, probs):
+            gh = g[:, sl]
+            dP = gh @ V[:, sl].T
+            dS = (dP - (dP * P).sum(1, keepdims=True)) * P * c
+            dQ[:, sl] = dS @ K[:, sl]
+            dK[:, sl] = dS.T @ Q[:, sl]
+            dV[:, sl] = P.T @ gh
+        if center:
+            dQ -= dQ.sum(axis=0, keepdims=True) * (1.0 / n)
+            dK -= dK.sum(axis=0, keepdims=True) * (1.0 / n)
+        return (dQ @ Wq.value.T + dK @ Wk.value.T + dV @ Wv.value.T,
+                X.T @ dQ, X.T @ dK, X.T @ dV)
 
-def _slice_cols(a: Var, cols: slice) -> Var:
-    if cols == slice(0, a.value.shape[1]):
-        return a
-    return ad.transpose(ad.gather_rows(ad.transpose(a), range(cols.start, cols.stop)))
+    out = outs[0] if heads == 1 else np.concatenate(outs, axis=1)
+    return ad.fused(out, (H_G, Wq, Wk, Wv), vjp), probs[0]
 
 
 def original_attention(H_G, params: AttentionParams) -> Tensor:
     """softmax(Q K^T / sqrt(d_k)) V on raw projections of H_G."""
-    out, _ = attention_var(as_var(as_tensor(H_G)), params.Wq, params.Wk, params.Wv,
+    out, _ = attention_var(as_tensor(H_G), params.Wq, params.Wk, params.Wv,
                            variant="original")
     return out.value
 
 
 def covariance_attention(H_G, params: AttentionParams) -> Tensor:
     """Same as original_attention but with token-mean-centered Q and K."""
-    out, _ = attention_var(as_var(as_tensor(H_G)), params.Wq, params.Wk, params.Wv,
+    out, _ = attention_var(as_tensor(H_G), params.Wq, params.Wk, params.Wv,
                            variant="covariance")
     return out.value
 
@@ -175,23 +218,23 @@ def local_forward_var(H: Var, span: tuple[int, int], mask_params, attn_params,
     """Full local path: sigma -> mask -> attention -> mean over aspect rows.
 
     mask_params / attn_params are (W1, b1, W2, b2) and (Wq, Wk, Wv) tuples of
-    Var or ndarray. Returns (h_local Var[d_k], trace dict).
+    Var or ndarray. Four tape nodes (three without the mask): the mask layer,
+    the attention, and the gather and mean of the aspect rows. Returns
+    (h_local Var[d_k], trace dict).
     """
-    n = H.value.shape[0]
     s, e = span
     trace = {}
     if use_mask:
-        sigma = sigma_var(H, *mask_params)
-        mask = mask_var(n, span, sigma, interval, normalize=normalize_mask)
-        H_G = ad.mul(ad.reshape(mask, (n, 1)), H)
-        trace["sigma"] = float(sigma.value[0])
-        trace["mask"] = mask.value.tolist()
+        H_G, sigma, mask = gaussian_mask_var(H, *(as_var(w) for w in mask_params), span,
+                                             interval, normalize=normalize_mask)
+        trace["sigma"] = float(sigma[0])
+        trace["mask"] = mask.tolist()
     else:
         H_G = H
         trace["sigma"] = None
         trace["mask"] = None
     out, probs = attention_var(H_G, *attn_params, variant=variant, heads=heads)
-    trace["local_attention"] = probs.value.tolist()
+    trace["local_attention"] = probs.tolist()
     h_local = ad.mean(ad.gather_rows(out, range(s, e + 1)), axis=0)
     return h_local, trace
 

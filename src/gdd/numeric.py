@@ -81,9 +81,15 @@ def softmax(v, axis: int = -1) -> Tensor:
         raise ValueError("softmax: input must have at least one axis")
     if v.shape[axis] == 0:
         raise ValueError("softmax: empty axis")
-    shifted = v - np.max(v, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return _softmax(v, axis)
+
+
+def _softmax(v: Tensor, axis: int = -1) -> Tensor:
+    """The softmax kernel without the checks, for float64 arrays that already
+    have a non-empty `axis`. It reduces through the array methods, which skip
+    the Python wrappers of np.max/np.sum and give the same bits."""
+    e = np.exp(v - v.max(axis, keepdims=True))
+    return e / e.sum(axis, keepdims=True)
 
 
 def softplus(x) -> Tensor:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,37 @@ def gc_paused():
             gc.enable()
 
 
+class TrainingDiverged(ArithmeticError):
+    """A training step produced a non-finite loss or gradient.
+
+    epoch and step (within the epoch) count from 1; tensor names the first
+    parameter, in layout order, whose gradient has a non-finite entry, or is
+    None when every entry is finite (a non-finite loss, or a gradient sum
+    that overflows).
+    """
+
+    def __init__(self, epoch: int, step: int, loss: float, tensor: str | None):
+        self.epoch, self.step, self.loss, self.tensor = epoch, step, loss, tensor
+        where = (f"first non-finite gradient: {tensor}" if tensor is not None
+                 else "every gradient entry is finite")
+        super().__init__(f"training diverged at epoch {epoch}, step {step}: "
+                         f"loss {loss}, {where}")
+
+
+def check_finite(loss: float, grads: dict[str, Tensor], params: ModelParams,
+                 epoch: int, step: int) -> None:
+    """Raise TrainingDiverged unless the loss and every gradient are finite.
+
+    The normal path costs one sum over the flat gradient buffer: a NaN or an
+    infinity in any entry makes the sum non-finite. Only then are the
+    tensors scanned, to name the first bad one.
+    """
+    if math.isfinite(loss) and math.isfinite(params.grad.sum()):
+        return
+    bad = next((name for name, g in grads.items() if not np.all(np.isfinite(g))), None)
+    raise TrainingDiverged(epoch, step, loss, bad)
+
+
 @dataclass
 class EpochLog:
     epoch: int
@@ -121,7 +153,9 @@ def train(model: Model, train_examples, dev_examples=None, *,
 
     Stops early when training accuracy reaches stop_at_train_accuracy or when
     the mean train loss fails to improve by plateau_tol for plateau_patience
-    consecutive epochs. on_epoch(EpochLog) fires after each epoch.
+    consecutive epochs. on_epoch(EpochLog) fires after each epoch. A step
+    whose loss or gradient is not finite raises TrainingDiverged before its
+    update, leaving the parameters at their last finite values.
     """
     cfg = model.config
     epochs = cfg.epochs if epochs is None else epochs
@@ -138,10 +172,11 @@ def train(model: Model, train_examples, dev_examples=None, *,
     for epoch in range(1, epochs + 1):
         order = order_rng.permutation(len(preps)) if shuffle else np.arange(len(preps))
         total = 0.0
-        for start in range(0, len(order), cfg.batch_size):
+        for step, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
             batch = [preps[i] for i in order[start:start + cfg.batch_size]]
             with gc_paused():
                 loss, grads = batch_grads(model, batch, train=True, dropout_rng=dropout_rng)
+                check_finite(loss, grads, model.params, epoch, step)
                 adam_step(model.params, grads, state, cfg.lr)
             total += loss
         log = EpochLog(epoch=epoch, train_loss=total / len(preps))

@@ -87,7 +87,7 @@ def test_covariance_attention_identity():
                                  Wv=Rng(4).uniform((6, 4)))
         _, probs = attention_var(Var(H), params.Wq, params.Wk, params.Wv,
                                  variant="covariance")
-        assert np.array_equal(probs.value, np.full((5, 5), 1.0 / 5.0))
+        assert np.array_equal(probs, np.full((5, 5), 1.0 / 5.0))
 
 
 def test_proposition_stationarity():

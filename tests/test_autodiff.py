@@ -8,6 +8,7 @@ import pytest
 from gdd import autodiff as ad
 from gdd.autodiff import Var, backward
 from gdd.dgat import dual_attention_var, relational_attention_var
+from gdd.local_encoder import attention_var, gaussian_mask_var, local_forward_var
 from gdd.numeric import Rng, circ_corr_naive, finite_diff_grad
 
 
@@ -230,3 +231,35 @@ def test_fused_relational_attention(m):
     assert np.min(np.abs(E @ W1 + b1)) > 1e-3  # central differences stay off the relu kinks
     probe = Var(Rng(8).uniform((d,), -1.0, 1.0))
     check_grad(lambda *vs: ad.matmul(relational_attention_var(*vs)[0], probe), *shapes, seed=m)
+
+
+@pytest.mark.parametrize("n, span", [(1, (0, 0)), (5, (0, 1)), (5, (4, 4)), (6, (2, 3))])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_fused_gaussian_mask(n, span, normalize):
+    d, d_hid = 6, 4
+    shapes = [(n, d), (d, d_hid), (d_hid,), (d_hid, 1), (1,)]
+    H, W1, b1 = inputs(*shapes, seed=n)[:3]
+    assert np.min(np.abs(H.mean(axis=0) @ W1 + b1)) > 1e-3  # off the relu kinks
+    probe = Var(Rng(9).uniform((n, d), -1.0, 1.0))
+    check_grad(lambda H, *w: ad.sum_(ad.mul(
+        gaussian_mask_var(H, *w, span, interval=0.5, normalize=normalize)[0], probe)),
+        *shapes, seed=n)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("variant", ["covariance", "original"])
+def test_fused_local_attention(n, heads, variant):
+    d, d_k = 6, 4
+    probe = Var(Rng(10).uniform((n, d_k), -1.0, 1.0))
+    check_grad(lambda X, *w: ad.sum_(ad.mul(attention_var(X, *w, variant, heads)[0], probe)),
+               (n, d), (d, d_k), (d, d_k), (d, d_k), seed=n)
+
+
+@pytest.mark.parametrize("n, span", [(1, (0, 0)), (5, (0, 1)), (5, (3, 4))])
+def test_local_forward_without_the_mask(n, span):
+    d, d_k = 6, 4
+    probe = Var(Rng(11).uniform((d_k,), -1.0, 1.0))
+    check_grad(lambda H, *w: ad.matmul(local_forward_var(
+        H, span, (), w, interval=0.2, use_mask=False, heads=2)[0], probe),
+        (n, d), (d, d_k), (d, d_k), (d, d_k), seed=n)

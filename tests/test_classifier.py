@@ -308,6 +308,18 @@ class TestGradcheck:
         report = gradcheck_model(model, examples[1])
         assert report.ok, report.worst()
 
+    # nor any local setting but the defaults: one covariance head, a mask, unnormalized
+    @pytest.mark.parametrize("settings", [
+        dict(attention="original", local_heads=2, normalize_mask=True),
+        dict(use_mask=False),
+    ], ids=["original-2heads-normalized", "no-mask"])
+    def test_toy_model_with_non_default_local_settings_passes(self, settings):
+        examples = generate_synthetic(seed=0, count=6)
+        model = Model.build_for_examples(ModelConfig(**settings, **TOY), examples)
+        report = gradcheck_model(model, examples[1])
+        assert set(report.per_tensor) == set(model.params.names())
+        assert report.ok, report.worst()
+
     def test_untouched_embedding_rows_zero_grad(self, toy_model):
         model, examples = toy_model
         prep = model.prepare(examples[0])

@@ -141,6 +141,21 @@ class TestTrain:
                           "--embeddings-file", str(vec_path)], capsys)
         assert code == 0
 
+    def test_divergence_exits_2_by_name_without_a_checkpoint(self, tmp_path, capsys):
+        data = tmp_path / "train.jsonl"
+        save_dataset(data, generate_synthetic(seed=0, count=20))
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("lr=1e6\nepochs=2\n")
+        out = tmp_path / "m.gdd"
+        code, stdout, err = run(["train", "--train", str(data), "--out", str(out),
+                                 "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "error: training diverged at epoch 1, step 2" in err
+        assert "embed.token" in err
+        assert "Traceback" not in err
+        assert stdout == ""  # no epoch finished
+        assert not out.exists()
+
     def test_gdd_seed_env_fallback(self, dataset, tmp_path, capsys, monkeypatch):
         args = ["train", "--train", str(dataset), "--dev", str(dataset),
                 "--out", str(tmp_path / "m.gdd"), *toy_flags()]

@@ -22,8 +22,72 @@ from gdd.local_encoder import (
     local_forward,
     local_forward_var,
     original_attention,
+    span_distances,
 )
 from gdd.numeric import Rng, finite_diff_grad, softplus
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+# Reference local encoder built from one small tape op per step, each with its
+# own VJP. The two fused nodes of gdd.local_encoder must reproduce it in
+# value, trace and gradient.
+
+def sigma_oracle(H, W1, b1, W2, b2):
+    pooled = ad.mean(H, axis=0)
+    hidden = ad.relu(ad.matmul(pooled, W1) + b1)
+    return ad.softplus(ad.matmul(hidden, W2) + b2)
+
+
+def mask_oracle(n, span, sigma, interval, normalize=False):
+    x = span_distances(n, span) * interval
+    quad = ad.div(Var(-0.5 * x * x), ad.mul(sigma, sigma))
+    bell = ad.exp(quad)
+    if normalize:
+        return bell
+    return ad.div(bell, ad.mul(sigma, SQRT_2PI))
+
+
+def _slice_cols_oracle(a, cols):
+    if cols == slice(0, a.value.shape[1]):
+        return a
+    return ad.transpose(ad.gather_rows(ad.transpose(a), range(cols.start, cols.stop)))
+
+
+def attention_oracle(H_G, Wq, Wk, Wv, variant="covariance", heads=1):
+    Q, K, V = ad.matmul(H_G, Wq), ad.matmul(H_G, Wk), ad.matmul(H_G, Wv)
+    width = Q.value.shape[1] // heads
+    outs, probs0 = [], None
+    for h in range(heads):
+        cols = slice(h * width, (h + 1) * width)
+        Qh, Kh, Vh = (_slice_cols_oracle(a, cols) for a in (Q, K, V))
+        if variant == "covariance":
+            Qh = Qh - ad.mean(Qh, axis=0, keepdims=True)
+            Kh = Kh - ad.mean(Kh, axis=0, keepdims=True)
+        scores = ad.mul(ad.matmul(Qh, ad.transpose(Kh)), 1.0 / math.sqrt(width))
+        P = ad.softmax(scores, axis=1)
+        if probs0 is None:
+            probs0 = P
+        outs.append(ad.matmul(P, Vh))
+    out = outs[0] if heads == 1 else ad.concat(outs, axis=1)
+    return out, probs0
+
+
+def local_forward_oracle(H, span, mask_params, attn_params, interval, variant,
+                         normalize_mask, use_mask, heads):
+    n = H.value.shape[0]
+    s, e = span
+    trace = {"sigma": None, "mask": None}
+    H_G = H
+    if use_mask:
+        sigma = sigma_oracle(H, *mask_params)
+        mask = mask_oracle(n, span, sigma, interval, normalize=normalize_mask)
+        H_G = ad.mul(ad.reshape(mask, (n, 1)), H)
+        trace["sigma"] = float(sigma.value[0])
+        trace["mask"] = mask.value.tolist()
+    out, probs = attention_oracle(H_G, *attn_params, variant=variant, heads=heads)
+    trace["local_attention"] = probs.value.tolist()
+    return ad.mean(ad.gather_rows(out, range(s, e + 1)), axis=0), trace
 
 
 def make_mask_params(d_model=6, d_hid=4, rng=None, zero=False):
@@ -147,7 +211,7 @@ class TestAttention:
         H = Rng(7).uniform((5, 6))
         _, probs = attention_var(Var(H), *make_attn_params().__dict__.values(),
                                  variant="original")
-        assert np.max(np.abs(probs.value.sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
     def test_two_token_hand_example(self):
         H = np.array([[1.0, 0.0], [0.0, 2.0]])
@@ -174,7 +238,7 @@ class TestAttention:
         H = np.tile(Rng(9).uniform((1, 6)), (4, 1))
         _, probs = attention_var(Var(H), *make_attn_params().__dict__.values(),
                                  variant="covariance")
-        assert np.array_equal(probs.value, np.full((4, 4), 0.25))
+        assert np.array_equal(probs, np.full((4, 4), 0.25))
 
     def test_covariance_matches_two_step_oracle(self):
         rng = Rng(10)
@@ -195,7 +259,7 @@ class TestAttention:
         out, probs = attention_var(Var(H), p.Wq, p.Wk, p.Wv,
                                    variant="covariance", heads=2)
         assert out.value.shape == (5, 4)
-        assert np.max(np.abs(probs.value.sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
@@ -244,6 +308,50 @@ class TestLocalForward:
             scale = max(np.max(np.abs(numeric)), np.max(np.abs(analytic)), 1e-6)
             rel = np.max(np.abs(analytic - numeric)) / scale
             assert rel < 1e-4, f"{name}: {rel}"
+
+
+def _close(got, want, tol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+def _run_local(local, H, span, values, probe, **kwargs):
+    """Output, trace and the gradient of H and of every parameter of
+    probe . local(H, span, ...)."""
+    leaves = [Var(H)] + [Var(v) for v in values]
+    h, trace = local(leaves[0], span, tuple(leaves[1:5]), tuple(leaves[5:]), **kwargs)
+    ad.backward(ad.matmul(h, Var(probe)))
+    grads = [np.zeros_like(v.value) if v.grad is None else v.grad for v in leaves]
+    return h.value, trace, grads
+
+
+class TestFusedNodesAgainstOracle:
+    @pytest.mark.parametrize("n, span", [(1, (0, 0)), (6, (0, 1)), (6, (5, 5)), (7, (2, 4))])
+    @pytest.mark.parametrize("variant", ["covariance", "original"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("normalize_mask, use_mask",
+                             [(False, True), (True, True), (False, False)])
+    def test_value_trace_and_every_gradient(self, n, span, variant, heads, normalize_mask,
+                                            use_mask):
+        rng = Rng(60 + n)
+        H = rng.uniform((n, 6), -1, 1)
+        shapes = [(6, 4), (4,), (4, 1), (1,), (6, 4), (6, 4), (6, 4)]
+        values = [rng.uniform(s, -1, 1) for s in shapes]
+        probe = rng.uniform((4,), -1, 1)
+        kwargs = dict(interval=0.3, variant=variant, normalize_mask=normalize_mask,
+                      use_mask=use_mask, heads=heads)
+        got, want = (_run_local(local, H, span, values, probe, **kwargs)
+                     for local in (local_forward_var, local_forward_oracle))
+        assert _close(got[0], want[0])
+        assert got[1].keys() == want[1].keys()
+        for key in want[1]:
+            if want[1][key] is None:
+                assert got[1][key] is None, key
+            else:
+                assert _close(got[1][key], want[1][key]), key
+        names = ["H", "W1", "b1", "W2", "b2", "Wq", "Wk", "Wv"]
+        for name, g, w in zip(names, got[2], want[2], strict=True):
+            assert _close(g, w), name
 
 
 class TestObjective:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gdd.numeric import (
     Rng,
+    _softmax,
     circ_corr_fft,
     circ_corr_naive,
     finite_diff_grad,
@@ -86,6 +87,13 @@ class TestSoftmax:
         base = softmax(np.array(row))
         shifted = softmax(np.array(row) + c)
         assert np.max(np.abs(base - shifted)) < 1e-12
+
+    @pytest.mark.parametrize("shape, axis", [((7,), -1), ((4, 5), 1), ((4, 5), 0)])
+    def test_kernel_is_bit_identical_to_the_np_reductions(self, shape, axis):
+        x = Rng(3).uniform(shape, -40, 40)
+        e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+        assert np.array_equal(_softmax(x, axis), e / np.sum(e, axis=axis, keepdims=True))
+        assert np.array_equal(softmax(x, axis=axis), _softmax(x, axis))
 
     def test_2d_axis(self):
         x = np.array([[0.0, math.log(3.0)], [1.0, 1.0]])

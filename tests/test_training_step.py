@@ -1,22 +1,27 @@
-"""One training step: its tape-node budget and its pause of cyclic GC."""
+"""One training step: its tape-node budget, its pause of cyclic GC and its
+check for divergence."""
 
 import gc
 
+import numpy as np
 import pytest
 
 import gdd.autodiff as ad
 import gdd.dgat as dg
+import gdd.local_encoder as le
 from gdd import training
 from gdd.data import generate_synthetic
 from gdd.model import Model, ModelConfig
-from gdd.training import AdamState, adam_step, batch_grads, train
+from gdd.training import AdamState, TrainingDiverged, adam_step, batch_grads, train
 
 TOY = dict(d_model=8, d_tag=4, d_hid=4, d_head=4, U=1, V=1, L=1)
 
-# Var constructions in one default-config step, leaves included (166 when
-# this budget was set), and inside one dual-level head.
-MAX_NODES_PER_STEP = 170
+# Var constructions in one default-config step, leaves included (131 when
+# this budget was set), inside one dual-level head and inside one call of
+# the local encoder.
+MAX_NODES_PER_STEP = 135
 MAX_NODES_PER_DUAL_HEAD = 5
+MAX_NODES_PER_LOCAL_FORWARD = 4
 
 
 def test_default_config_step_stays_within_the_node_budget(monkeypatch):
@@ -24,27 +29,37 @@ def test_default_config_step_stays_within_the_node_budget(monkeypatch):
     model = Model.build_for_examples(ModelConfig(), examples)
     prep = model.prepare(examples[0])
     assert prep.awig.num_words > 1  # the DGAT heads run
-    counts = {"nodes": 0, "dual_calls": 0, "dual_nodes": 0}
-    init, dual_head_var = ad.Var.__init__, dg.dual_head_var
+    counts = {"nodes": 0}
+    init = ad.Var.__init__
 
     def counting_init(var, *args, **kwargs):
         counts["nodes"] += 1
         init(var, *args, **kwargs)
 
-    def counting_dual_head(*args, **kwargs):
-        before = counts["nodes"]
-        result = dual_head_var(*args, **kwargs)
-        counts["dual_calls"] += 1
-        counts["dual_nodes"] += counts["nodes"] - before
-        return result
+    def counting(owner, attr):
+        counts[attr] = counts[f"{attr}_nodes"] = 0
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            before = counts["nodes"]
+            result = fn(*args, **kwargs)
+            counts[attr] += 1
+            counts[f"{attr}_nodes"] += counts["nodes"] - before
+            return result
+
+        monkeypatch.setattr(owner, attr, wrapper)
 
     monkeypatch.setattr(ad.Var, "__init__", counting_init)
-    monkeypatch.setattr(dg, "dual_head_var", counting_dual_head)
+    counting(dg, "dual_head_var")
+    counting(le, "local_forward_var")
     _, grads = batch_grads(model, [prep])
     adam_step(model.params, grads, AdamState.for_params(model.params), 1e-3)
-    assert counts["dual_calls"] == model.config.U * model.config.L
+    assert counts["dual_head_var"] == model.config.U * model.config.L
+    assert counts["local_forward_var"] == 1
     assert counts["nodes"] <= MAX_NODES_PER_STEP
-    assert counts["dual_nodes"] <= MAX_NODES_PER_DUAL_HEAD * counts["dual_calls"]
+    assert counts["dual_head_var_nodes"] <= MAX_NODES_PER_DUAL_HEAD * counts["dual_head_var"]
+    assert (counts["local_forward_var_nodes"]
+            <= MAX_NODES_PER_LOCAL_FORWARD * counts["local_forward_var"])
 
 
 @pytest.mark.parametrize("overrides", [TOY, {}], ids=["toy", "default"])
@@ -97,3 +112,15 @@ def test_a_callers_disabled_gc_stays_disabled(monkeypatch):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_divergence_is_named_at_its_step_before_the_update():
+    examples = generate_synthetic(seed=0, count=20)
+    model = Model.build_for_examples(ModelConfig(lr=1e6), examples)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+        train(model, examples, epochs=2)
+    err = info.value
+    assert (err.epoch, err.step, err.tensor) == (1, 2, "embed.token")
+    assert "training diverged at epoch 1, step 2" in str(err)
+    assert "first non-finite gradient: embed.token" in str(err)
+    assert np.all(np.isfinite(model.params.flat))  # Adam never saw the bad gradient

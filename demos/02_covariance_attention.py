@@ -14,7 +14,7 @@ them.
 import numpy as np
 
 from gdd.autodiff import Var
-from gdd.local_encoder import AttentionParams, attention_var, eval_objective
+from gdd.local_encoder import attention_var, eval_objective
 from gdd.numeric import Rng
 
 n, d_model, d_k = 6, 16, 8
@@ -36,12 +36,10 @@ for trial in range(5):
 rng = Rng(42)
 shared = rng.uniform((d_model,), -1, 1)
 H = np.tile(shared, (n, 1)) * 3.0 + rng.uniform((n, d_model), -1, 1)
-params = AttentionParams(Wq=rng.uniform((d_model, d_k), -0.5, 0.5),
-                         Wk=rng.uniform((d_model, d_k), -0.5, 0.5),
-                         Wv=rng.uniform((d_model, d_k), -0.5, 0.5))
+Wq, Wk, Wv = (rng.uniform((d_model, d_k), -0.5, 0.5) for _ in range(3))
 
 for variant in ("original", "covariance"):
-    _, probs = attention_var(Var(H), params.Wq, params.Wk, params.Wv, variant=variant)
+    _, probs = attention_var(Var(H), Wq, Wk, Wv, variant=variant)
     print(f"\n{variant} attention rows:")
     for row in probs:
         print("   " + " ".join(f"{v:6.3f}" for v in row))

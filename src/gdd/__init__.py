@@ -9,7 +9,7 @@ checked against finite differences.
 
 from .data import Example, generate_synthetic, load_dataset
 from .dep_graph import Awig, ComposedTag, DepTree, build_awig, parse_conllu
-from .embeddings import EmbeddingTable, TagVocab, Vocab
+from .embeddings import TagVocab, Vocab
 from .metrics import Metrics, evaluate, metrics_from_predictions
 from .model import Model, ModelConfig, ModelParams, Prediction
 from .numeric import Rng
@@ -21,7 +21,6 @@ __all__ = [
     "Awig",
     "ComposedTag",
     "DepTree",
-    "EmbeddingTable",
     "Example",
     "Metrics",
     "Model",

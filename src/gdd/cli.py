@@ -152,6 +152,10 @@ def cmd_inspect(args) -> int:
 def cmd_verify_proposition(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
+    if args.d < 1:
+        raise UsageError("--d must be at least 1")
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     rng = Rng(args.seed)
     trials = []
     attempts = 0

@@ -7,6 +7,11 @@ neighbors through circular correlation of projected node and edge features.
 A relational head scores neighbors purely from edge embeddings via a small
 MLP. The layer output concatenates all heads; edges are reprojected between
 layers while context-word features stay at their layer-0 values.
+
+Every function here builds tape nodes (`autodiff.Var`); each head's
+attention is one fused node over the plain-array kernels `_edge_weights`
+and `_node_weights`. A layer over an empty graph returns a zero vector and
+flags it in its trace.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var, as_var
-from .numeric import Tensor, _softmax, as_tensor
+from .numeric import Tensor, _softmax
 
 
 @dataclass
@@ -46,24 +51,6 @@ class DgatLayerParams:
     @property
     def num_heads(self) -> int:
         return len(self.dual) + len(self.rel)
-
-
-@dataclass
-class GraphBatch:
-    """One aspect's graph tensors: aspect vector, m neighbor rows, m edge rows."""
-
-    h_a: Tensor
-    H_N: Tensor
-    E: Tensor
-
-    def __post_init__(self):
-        if self.H_N.shape[0] != self.E.shape[0]:
-            raise ValueError(
-                f"neighbor/edge row mismatch: {self.H_N.shape[0]} vs {self.E.shape[0]}")
-
-    @property
-    def num_neighbors(self) -> int:
-        return self.H_N.shape[0]
 
 
 def _scaled(logits: Tensor, d_head: int, scale: bool) -> Tensor:
@@ -214,51 +201,3 @@ def global_forward_var(h_a: Var, H_N: Var, E: Var, layers: list[DgatLayerParams]
             h_a = ad.mul(h_a, keep)
         traces.append(trace)
     return h_a, traces
-
-
-# ---------------------------------------------------------------------------
-# Numpy-facing wrappers (inference/testing surface; same code path underneath).
-# ---------------------------------------------------------------------------
-
-def target_edge_attention(h_a, E, Wa, We, scale: bool = False) -> Tensor:
-    _require_nonempty(E)
-    return _edge_weights(as_tensor(h_a) @ as_tensor(Wa), as_tensor(E) @ as_tensor(We), scale)
-
-
-def target_node_attention(h_a, H_N, beta, Wa, Wi, scale: bool = False) -> Tensor:
-    _require_nonempty(H_N)
-    return _node_weights(as_tensor(h_a) @ as_tensor(Wa), as_tensor(H_N) @ as_tensor(Wi),
-                         as_tensor(beta), scale)[1]
-
-
-def dual_head(h_a, H_N, E, params: DualHeadParams, scale: bool = False) -> Tensor:
-    _require_nonempty(H_N)
-    out, _, _ = dual_head_var(as_var(as_tensor(h_a)), as_var(as_tensor(H_N)),
-                              as_var(as_tensor(E)), params, scale)
-    return out.value
-
-
-def relational_head(H_N, E, params: RelHeadParams) -> Tensor:
-    _require_nonempty(H_N)
-    out, _ = relational_head_var(as_var(as_tensor(H_N)), as_var(as_tensor(E)), params)
-    return out.value
-
-
-def relation_update(E, Wr) -> Tensor:
-    E, Wr = as_tensor(E), as_tensor(Wr)
-    if E.ndim != 2 or Wr.ndim != 2 or E.shape[1] != Wr.shape[0]:
-        raise ValueError(f"relation_update: shape mismatch {E.shape} x {Wr.shape}")
-    return relation_update_var(as_var(E), Wr).value
-
-
-def dgat_layer(batch: GraphBatch, params: DgatLayerParams, d_head: int,
-               scale: bool = False):
-    """Numpy wrapper: returns (h_a_next, E_next, trace)."""
-    h, E, trace = dgat_layer_var(as_var(batch.h_a), as_var(batch.H_N),
-                                 as_var(batch.E), params, d_head, scale)
-    return h.value, E.value, trace
-
-
-def _require_nonempty(rows) -> None:
-    if as_tensor(rows).shape[0] == 0:
-        raise ValueError("empty graph: no neighbors to attend over")

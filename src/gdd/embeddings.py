@@ -1,19 +1,21 @@
-"""Lookup tables mapping tokens, dependency tags, and hop counts to vectors.
+"""Vocabularies and id encodings for tokens, dependency tags and hop counts.
 
-The trainable token table stands in for a heavyweight contextual encoder;
-users who already have frozen per-token vectors can inject them through the
-JSONL loader below instead.
+The lookup tables themselves are model parameters (`embed.token`,
+`embed.tag`, `embed.hop`) that `Model._sentence_matrix` and
+`Model._edge_matrix` gather on the tape. The trainable token table stands
+in for a heavyweight contextual encoder; users who already have frozen
+per-token vectors can inject them through the JSONL loader below instead.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numeric import Rng, Tensor, init_uniform
+from .data import DataError
+from .numeric import Tensor
 
 PAD = 0
 UNK = 1
@@ -90,40 +92,8 @@ class TagVocab(Vocab):
         return hops - 1
 
 
-@dataclass
-class EmbeddingTable:
-    """A trainable rows x dim weight matrix addressed by integer id."""
-
-    weights: Tensor
-
-    @property
-    def rows(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
-    @classmethod
-    def init(cls, rows: int, dim: int, rng: Rng) -> "EmbeddingTable":
-        return cls(weights=init_uniform(rng, (rows, dim)))
-
-    def lookup(self, ids) -> Tensor:
-        ids = np.asarray(ids, dtype=np.intp)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.rows):
-            raise ValueError(f"embedding id out of range [0, {self.rows})")
-        return self.weights[ids]
-
-
 def token_ids(tokens: Sequence[str], vocab: Vocab) -> np.ndarray:
     return np.array([vocab.id(t) for t in tokens], dtype=np.intp)
-
-
-def embed_tokens(tokens: Sequence[str], vocab: Vocab, table: EmbeddingTable) -> Tensor:
-    """Stack one embedding row per token; OOV tokens resolve to the UNK row."""
-    if len(tokens) == 0:
-        raise ValueError("embed_tokens: empty token list")
-    return table.lookup(token_ids(tokens, vocab))
 
 
 def composed_tag_ids(path: Sequence[str], hops: int, tag_vocab: TagVocab, kappa_max: int):
@@ -143,28 +113,12 @@ def composed_tag_ids(path: Sequence[str], hops: int, tag_vocab: TagVocab, kappa_
     return np.array(slots, dtype=np.intp), TagVocab.hop_index(hops, kappa_max)
 
 
-def embed_composed_tag(
-    path: Sequence[str],
-    hops: int,
-    tag_table: EmbeddingTable,
-    hop_table: EmbeddingTable,
-    tag_vocab: TagVocab,
-    kappa_max: int,
-) -> Tensor:
-    """Fixed-width edge vector: kappa_max tag slots concatenated, then the hop row.
-
-    Width is (kappa_max + 1) * d_tag for every edge regardless of path length.
-    """
-    slots, hop_idx = composed_tag_ids(path, hops, tag_vocab, kappa_max)
-    parts = tag_table.lookup(slots).reshape(-1)
-    return np.concatenate([parts, hop_table.lookup([hop_idx]).reshape(-1)])
-
-
 def load_precomputed(path) -> dict[tuple[str, ...], Tensor]:
     """Read frozen per-token vectors from JSON Lines.
 
     Each record is {"tokens": [...], "vectors": [[...], ...]} with one vector
-    per token. Sentences are keyed by their exact token sequence.
+    per token. Sentences are keyed by their exact token sequence. A malformed
+    record raises DataError naming its file and line.
     """
     out: dict[tuple[str, ...], Tensor] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -172,19 +126,23 @@ def load_precomputed(path) -> dict[tuple[str, ...], Tensor]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {e}") from None
+                raise DataError(f"{where}: invalid JSON: {e}") from None
             if not isinstance(rec, dict) or set(rec) != {"tokens", "vectors"}:
-                raise ValueError(f"{path}:{lineno}: expected keys 'tokens' and 'vectors'")
+                raise DataError(f"{where}: expected keys 'tokens' and 'vectors'")
             tokens, vectors = rec["tokens"], rec["vectors"]
-            if len(vectors) != len(tokens):
-                raise ValueError(
-                    f"{path}:{lineno}: {len(vectors)} vectors for {len(tokens)} tokens"
-                )
-            arr = np.asarray(vectors, dtype=np.float64)
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise DataError(f"{where}: tokens must be a list of strings")
+            try:
+                arr = np.asarray(vectors, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise DataError(f"{where}: vectors must be a 2-D list of numbers") from None
             if arr.ndim != 2:
-                raise ValueError(f"{path}:{lineno}: vectors must be a 2-D list")
+                raise DataError(f"{where}: vectors must be a 2-D list of numbers")
+            if arr.shape[0] != len(tokens):
+                raise DataError(f"{where}: {arr.shape[0]} vectors for {len(tokens)} tokens")
             out[tuple(tokens)] = arr
     return out

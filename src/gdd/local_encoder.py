@@ -7,6 +7,12 @@ tokens. The masked representation then goes through self-attention whose
 query/key matrices are mean-centered first ("covariance" attention), which
 spreads the score distribution; the plain variant is kept for ablations.
 
+The encoder runs on the tape: `gaussian_mask_var` (sigma, mask and the
+masked rows, over the plain-array kernels `_mask_width` and
+`_gaussian_mask`) and `attention_var` (all heads) are one fused node each
+with a hand-derived VJP, and `local_forward_var` chains them and averages
+the aspect rows.
+
 The module also hosts a numerical diagnostic for the claim motivating the
 centering: the score-contrast objective O(theta, phi) is stationary exactly
 at the sample means of Q and K. That check never touches the training path.
@@ -26,26 +32,6 @@ from .numeric import Tensor, _softmax, as_tensor, finite_diff_grad
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass
-class GaussianMaskParams:
-    W1: Tensor  # d_model x d_hid
-    b1: Tensor  # d_hid
-    W2: Tensor  # d_hid x 1
-    b2: Tensor  # 1
-    sample_interval: float = 0.2
-
-    def __post_init__(self):
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-
-
-@dataclass
-class AttentionParams:
-    Wq: Tensor  # d_model x d_k
-    Wk: Tensor  # d_model x d_k
-    Wv: Tensor  # d_model x d_k
-
-
 def _mask_width(H: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor):
     """softplus(W2 . relu(W1 . mean(H) + b1) + b2) and its intermediates:
     (pooled row, W1 pre-activation, hidden, W2 logit, sigma as a (1,) array)."""
@@ -54,15 +40,6 @@ def _mask_width(H: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor):
     hidden = np.maximum(pre, 0.0)
     z = hidden @ W2 + b2
     return pooled, pre, hidden, z, np.logaddexp(0.0, z)
-
-
-def compute_sigma(H, params: GaussianMaskParams) -> float:
-    """Scalar sigma for one sentence; strictly positive by construction."""
-    H = as_tensor(H)
-    if H.ndim != 2 or H.shape[0] < 1:
-        raise ValueError(f"compute_sigma expects a non-empty n x d matrix, got {H.shape}")
-    weights = (as_tensor(w) for w in (params.W1, params.b1, params.W2, params.b2))
-    return float(_mask_width(H, *weights)[-1][0])
 
 
 def gaussian_pdf(x: float, sigma: float) -> float:
@@ -89,29 +66,6 @@ def _gaussian_mask(n: int, span: tuple[int, int], sigma: Tensor, interval: float
     x = span_distances(n, span) * interval
     bell = np.exp((-0.5 * x * x) / (sigma * sigma))
     return x, bell, bell if normalize else bell / (sigma * SQRT_2PI)
-
-
-def build_gaussian_mask(n: int, span: tuple[int, int], sigma: float, interval: float,
-                        normalize: bool = False) -> Tensor:
-    """Density values at sampled distances: GK(dist * interval) per token.
-
-    Aspect positions all sit at GK(0), the maximum; values decay
-    monotonically with distance from the span.
-    """
-    if sigma <= 0:
-        raise ValueError(f"build_gaussian_mask: sigma must be positive, got {sigma}")
-    if interval <= 0:
-        raise ValueError("build_gaussian_mask: interval must be positive")
-    return _gaussian_mask(n, span, np.array([sigma], dtype=np.float64), interval,
-                          normalize)[2]
-
-
-def apply_mask(mask, H) -> Tensor:
-    """Scale row j of H by mask[j]."""
-    mask, H = as_tensor(mask), as_tensor(H)
-    if mask.ndim != 1 or H.ndim != 2 or mask.shape[0] != H.shape[0]:
-        raise ValueError(f"apply_mask: length mismatch: mask {mask.shape}, H {H.shape}")
-    return mask[:, None] * H
 
 
 def gaussian_mask_var(H: Var, W1: Var, b1: Var, W2: Var, b2: Var, span: tuple[int, int],
@@ -197,20 +151,6 @@ def attention_var(H_G: Var, Wq, Wk, Wv, variant: str = "covariance",
     return ad.fused(out, (H_G, Wq, Wk, Wv), vjp), probs[0]
 
 
-def original_attention(H_G, params: AttentionParams) -> Tensor:
-    """softmax(Q K^T / sqrt(d_k)) V on raw projections of H_G."""
-    out, _ = attention_var(as_tensor(H_G), params.Wq, params.Wk, params.Wv,
-                           variant="original")
-    return out.value
-
-
-def covariance_attention(H_G, params: AttentionParams) -> Tensor:
-    """Same as original_attention but with token-mean-centered Q and K."""
-    out, _ = attention_var(as_tensor(H_G), params.Wq, params.Wk, params.Wv,
-                           variant="covariance")
-    return out.value
-
-
 def local_forward_var(H: Var, span: tuple[int, int], mask_params, attn_params,
                       interval: float, variant: str = "covariance",
                       normalize_mask: bool = False, use_mask: bool = True,
@@ -237,20 +177,6 @@ def local_forward_var(H: Var, span: tuple[int, int], mask_params, attn_params,
     trace["local_attention"] = probs.tolist()
     h_local = ad.mean(ad.gather_rows(out, range(s, e + 1)), axis=0)
     return h_local, trace
-
-
-def local_forward(H, span, mask_params: GaussianMaskParams,
-                  attn_params: AttentionParams, variant: str = "covariance",
-                  normalize_mask: bool = False) -> Tensor:
-    """Numpy-facing wrapper around local_forward_var."""
-    H = as_tensor(H)
-    out, _ = local_forward_var(
-        as_var(H), span,
-        (mask_params.W1, mask_params.b1, mask_params.W2, mask_params.b2),
-        (attn_params.Wq, attn_params.Wk, attn_params.Wv),
-        interval=mask_params.sample_interval, variant=variant,
-        normalize_mask=normalize_mask)
-    return out.value
 
 
 # ---------------------------------------------------------------------------

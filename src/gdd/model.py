@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import dgat as dg
 from . import local_encoder as le
 from .autodiff import Leaf, Var
-from .data import LABELS, Example
+from .data import LABELS, DataError, Example
 from .dep_graph import Awig, build_awig
 from .embeddings import TagVocab, Vocab, composed_tag_ids, token_ids
 from .numeric import Rng, Tensor, init_uniform
@@ -347,11 +347,12 @@ class Model:
         if self.frozen_embeddings is not None:
             key = tuple(prep.example.tokens)
             if key not in self.frozen_embeddings:
-                raise ValueError(f"no frozen embedding record for sentence: {' '.join(key)}")
+                raise DataError(f"no frozen embedding record for sentence: {' '.join(key)}")
             H = self.frozen_embeddings[key]
             if H.shape != (len(key), self.config.d_model):
-                raise ValueError(
-                    f"frozen embedding shape {H.shape} != ({len(key)}, {self.config.d_model})")
+                raise DataError(
+                    f"frozen embedding shape {H.shape} != ({len(key)}, {self.config.d_model}) "
+                    f"for sentence: {' '.join(key)}")
             return Var(H)
         return ad.gather_rows(leaves["embed.token"], prep.token_ids)
 
@@ -443,24 +444,3 @@ class Model:
             total = total + ad.mul(self.regularizer_var(leaves), self.config.l2)
         return total
 
-
-def cross_entropy(pred: Prediction, gold: int) -> float:
-    """-log P(gold), evaluated through log-sum-exp so it never hits -inf."""
-    if gold not in (0, 1, 2):
-        raise ValueError(f"gold label id must be 0, 1, or 2, got {gold}")
-    z = pred.logits
-    m = float(np.max(z))
-    return m + float(np.log(np.sum(np.exp(z - m)))) - float(z[gold])
-
-
-def loss(pred: Prediction, gold: int, params: ModelParams, l2: float) -> float:
-    """Single-example loss: cross-entropy plus l2 over weight matrices."""
-    reg = 0.0
-    if l2 > 0.0:
-        for name, t in params.items():
-            if t.ndim != 2:
-                continue
-            reg += float(np.sum(t * t))
-            if name in ("embed.token", "embed.tag"):
-                reg -= float(np.sum(t[0] * t[0]))
-    return cross_entropy(pred, gold) + l2 * reg

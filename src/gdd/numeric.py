@@ -1,9 +1,11 @@
-"""Dense float64 tensor kernels shared by every encoder.
+"""Float64 kernels, seeded randomness and the oracles the tape is checked against.
 
-Tensors are plain numpy arrays in row-major order. Public ops check shapes
-explicitly and raise ValueError naming the offending shapes; no NaN/Inf
-leaves an op unnoticed. Randomness flows through explicit Rng instances
-owned by the caller -- nothing in this package touches numpy's global RNG.
+Tensors are plain numpy arrays in row-major order. `softmax` checks its
+input; `_softmax` is the unchecked kernel that the tape's fused nodes call.
+The oracles -- `circ_corr_naive`, `circ_corr_fft` and `finite_diff_grad` --
+check their inputs, and the last two raise ValueError on a non-finite result.
+Randomness flows through explicit Rng instances owned by the caller --
+nothing in this package touches numpy's global RNG.
 """
 
 from __future__ import annotations
@@ -54,22 +56,6 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def _ensure_finite(out: Tensor, op: str) -> Tensor:
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{op}: non-finite values in result")
-    return out
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
-    return _ensure_finite(a @ b, "matmul")
-
-
 def softmax(v, axis: int = -1) -> Tensor:
     """Softmax along `axis`, computed with max-subtraction for overflow safety.
 
@@ -90,15 +76,6 @@ def _softmax(v: Tensor, axis: int = -1) -> Tensor:
     the Python wrappers of np.max/np.sum and give the same bits."""
     e = np.exp(v - v.max(axis, keepdims=True))
     return e / e.sum(axis, keepdims=True)
-
-
-def softplus(x) -> Tensor:
-    """ln(1 + e^x), evaluated stably for large |x|. Output strictly positive."""
-    return np.logaddexp(0.0, as_tensor(x))
-
-
-def relu(x) -> Tensor:
-    return np.maximum(as_tensor(x), 0.0)
 
 
 def _check_vec_pair(a: Tensor, b: Tensor, op: str) -> None:
@@ -137,7 +114,10 @@ def circ_corr_fft(a, b) -> Tensor:
     residue = float(np.max(np.abs(out.imag), initial=0.0))
     if residue >= IMAG_RESIDUE_TOL:
         raise ValueError(f"circ_corr_fft: imaginary residue {residue:.3e} exceeds tolerance")
-    return _ensure_finite(np.ascontiguousarray(out.real), "circ_corr_fft")
+    out = np.ascontiguousarray(out.real)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("circ_corr_fft: non-finite values in result")
+    return out
 
 
 def finite_diff_grad(f: Callable[[Tensor], float], x, eps: float = 1e-6) -> Tensor:

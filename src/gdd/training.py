@@ -175,8 +175,11 @@ def train(model: Model, train_examples, dev_examples=None, *,
         for step, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
             batch = [preps[i] for i in order[start:start + cfg.batch_size]]
             with gc_paused():
-                loss, grads = batch_grads(model, batch, train=True, dropout_rng=dropout_rng)
-                check_finite(loss, grads, model.params, epoch, step)
+                # check_finite names a non-finite step, so numpy need not warn first
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    loss, grads = batch_grads(model, batch, train=True,
+                                              dropout_rng=dropout_rng)
+                    check_finite(loss, grads, model.params, epoch, step)
                 adam_step(model.params, grads, state, cfg.lr)
             total += loss
         log = EpochLog(epoch=epoch, train_loss=total / len(preps))

@@ -15,14 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gdd.autodiff import Var
 from gdd.cli import main
 from gdd.data import generate_synthetic, load_dataset
 from gdd.dep_graph import build_awig
 from gdd.local_encoder import (
-    AttentionParams,
-    build_gaussian_mask,
+    attention_var,
     check_stationarity,
-    covariance_attention,
     gaussian_pdf,
 )
 from gdd.metrics import metrics_from_predictions
@@ -31,6 +30,7 @@ from gdd.numeric import Rng, circ_corr_fft, circ_corr_naive
 from gdd.training import gradcheck_model, train
 
 from test_dep_graph import contracted_shortest_paths, random_tree, replay_reachable
+from test_local_encoder import build_mask
 
 TOY = dict(d_model=8, d_tag=4, d_head=4, d_hid=4, U=1, V=1, L=1)
 
@@ -67,26 +67,19 @@ def test_covariance_attention_identity():
             rng = Rng(7000 + trial)
             n = 2 + trial % 7
             H = rng.uniform((n, 6), -2, 2)
-            params = AttentionParams(Wq=rng.uniform((6, 4), -1, 1),
-                                     Wk=rng.uniform((6, 4), -1, 1),
-                                     Wv=rng.uniform((6, 4), -1, 1))
-            Q, K, V = H @ params.Wq, H @ params.Wk, H @ params.Wv
+            params = [rng.uniform((6, 4), -1, 1) for _ in range(3)]  # Wq, Wk, Wv
+            Q, K, V = (H @ W for W in params)
             Qc, Kc = Q - Q.mean(axis=0), K - K.mean(axis=0)
             scores = Qc @ Kc.T / math.sqrt(4)
             ex = np.exp(scores - scores.max(axis=1, keepdims=True))
             expected = (ex / ex.sum(axis=1, keepdims=True)) @ V
-            actual = covariance_attention(H, params)
+            actual = attention_var(Var(H), *params, variant="covariance")[0].value
             assert np.max(np.abs(actual - expected)) < 1e-12, trial
 
         # degenerate case: identical tokens force exactly uniform rows
-        from gdd.autodiff import Var
-        from gdd.local_encoder import attention_var
-
         H = np.tile(Rng(1).uniform((1, 6)), (5, 1))
-        params = AttentionParams(Wq=Rng(2).uniform((6, 4)), Wk=Rng(3).uniform((6, 4)),
-                                 Wv=Rng(4).uniform((6, 4)))
-        _, probs = attention_var(Var(H), params.Wq, params.Wk, params.Wv,
-                                 variant="covariance")
+        params = [Rng(seed).uniform((6, 4)) for seed in (2, 3, 4)]  # Wq, Wk, Wv
+        _, probs = attention_var(Var(H), *params, variant="covariance")
         assert np.array_equal(probs, np.full((5, 5), 1.0 / 5.0))
 
 
@@ -109,7 +102,7 @@ def test_proposition_stationarity():
 
 def test_gaussian_mask_correctness():
     with criterion("Gaussian mask closed-form values and decay properties"):
-        mask = build_gaussian_mask(5, (2, 2), sigma=1.0, interval=0.2)
+        mask, _ = build_mask(5, (2, 2), sigma=1.0, interval=0.2)
         expected = np.array([0.368270, 0.391043, 0.398942, 0.391043, 0.368270])
         assert np.max(np.abs(mask - expected)) < 1e-6
 
@@ -119,8 +112,8 @@ def test_gaussian_mask_correctness():
             s = rng.integers(0, n)
             e = min(n - 1, s + rng.integers(0, 3))
             sigma = 0.05 + 5.0 * float(rng.uniform(()))
-            m = build_gaussian_mask(n, (s, e), sigma=sigma, interval=0.2)
-            peak = gaussian_pdf(0.0, sigma)
+            m, used = build_mask(n, (s, e), sigma=sigma, interval=0.2)
+            peak = gaussian_pdf(0.0, used)
             assert np.allclose(m[s:e + 1], peak), "aspect positions must share GK(0)"
             assert np.all(m <= peak + 1e-15)
             assert np.all(np.diff(m[:s + 1]) >= -1e-15), "must rise toward the span"

@@ -1,11 +1,14 @@
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import pytest
 
 from gdd.cli import main
 from gdd.data import generate_synthetic, save_dataset
+from gdd.numeric import Rng
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -53,6 +56,20 @@ def assert_json_close(actual, expected, where="$"):
         assert math.isclose(actual, expected, rel_tol=1e-9, abs_tol=1e-12), where
     else:
         assert actual == expected, where
+
+
+def write_vectors(path, examples, width=8, skip=()):
+    """One frozen-vector record per distinct sentence, except those in skip."""
+    rng = Rng(0)
+    seen = set(skip)
+    with path.open("w") as fh:
+        for ex in examples:
+            key = tuple(ex.tokens)
+            if key in seen:
+                continue
+            seen.add(key)
+            vectors = rng.uniform((len(ex.tokens), width), -1, 1).tolist()
+            fh.write(json.dumps({"tokens": ex.tokens, "vectors": vectors}) + "\n")
 
 
 class TestTrain:
@@ -119,20 +136,8 @@ class TestTrain:
         assert "no_such_option" in err
 
     def test_frozen_embeddings_file(self, dataset, tmp_path, capsys):
-        from gdd.numeric import Rng
-
-        examples = generate_synthetic(seed=3, count=9)
         vec_path = tmp_path / "vectors.jsonl"
-        rng = Rng(0)
-        seen = set()
-        with vec_path.open("w") as fh:
-            for ex in examples:
-                key = tuple(ex.tokens)
-                if key in seen:
-                    continue
-                seen.add(key)
-                vectors = rng.uniform((len(ex.tokens), 8), -1, 1).tolist()
-                fh.write(json.dumps({"tokens": ex.tokens, "vectors": vectors}) + "\n")
+        write_vectors(vec_path, generate_synthetic(seed=3, count=9))
         out = tmp_path / "m.gdd"
         code, stdout, _ = run(["train", "--train", str(dataset), "--out", str(out),
                                "--embeddings-file", str(vec_path), *toy_flags()], capsys)
@@ -147,12 +152,15 @@ class TestTrain:
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text("lr=1e6\nepochs=2\n")
         out = tmp_path / "m.gdd"
-        code, stdout, err = run(["train", "--train", str(data), "--out", str(out),
-                                 "--config", str(cfg)], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
+            code, stdout, err = run(["train", "--train", str(data), "--out", str(out),
+                                     "--config", str(cfg)], capsys)
         assert code == 2
-        assert "error: training diverged at epoch 1, step 2" in err
+        assert err.startswith("error: training diverged at epoch 1, step 2")
         assert "embed.token" in err
         assert "Traceback" not in err
+        assert err.endswith("\n") and err.count("\n") == 1  # the one error line only
         assert stdout == ""  # no epoch finished
         assert not out.exists()
 
@@ -164,6 +172,42 @@ class TestTrain:
         monkeypatch.delenv("GDD_SEED")
         _, via_flag, _ = run(args + ["--seed", "21"], capsys)
         assert via_env == via_flag
+
+
+class TestBadEmbeddingsFile:
+    """A malformed --embeddings-file is an input error: exit 2, no traceback."""
+
+    FIRST = generate_synthetic(seed=3, count=9)[0].tokens  # the dataset fixture's first
+    MESSAGES = {
+        "invalid-json": r"vectors\.jsonl:1: invalid JSON",
+        "wrong-types": r"vectors\.jsonl:1: tokens must be a list of strings",
+        "missing-sentence": "no frozen embedding record for sentence: " + " ".join(FIRST),
+        "wrong-width": r"frozen embedding shape \((\d+), 5\) != \(\1, 8\) for sentence: \w",
+    }
+
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    @pytest.mark.parametrize("case", list(MESSAGES))
+    def test_exit_2_naming_the_record(self, dataset, tmp_path, capsys, command, case):
+        vectors = tmp_path / "vectors.jsonl"
+        examples = generate_synthetic(seed=3, count=9)
+        if case == "invalid-json":
+            vectors.write_text("{broken\n")
+        elif case == "wrong-types":
+            vectors.write_text('{"tokens": 5, "vectors": 5}\n')
+        elif case == "missing-sentence":
+            write_vectors(vectors, examples, skip={tuple(self.FIRST)})
+        else:
+            write_vectors(vectors, examples, width=5)
+        out = tmp_path / "m.gdd"
+        if command == "train":
+            argv = ["train", "--train", str(dataset), "--out", str(out), *toy_flags()]
+        else:
+            run(["train", "--train", str(dataset), "--out", str(out), *toy_flags()], capsys)
+            argv = [command, "--checkpoint", str(out), "--data", str(dataset)]
+        code, stdout, err = run(argv + ["--embeddings-file", str(vectors)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert re.fullmatch(f"error: .*{self.MESSAGES[case]}.*\n", err), err
 
 
 class TestEval:
@@ -286,6 +330,14 @@ class TestVerifyProposition:
     def test_n_below_two_rejected(self, capsys):
         code, _, err = run(["verify-proposition", "--n", "1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--trials", "--d"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_trials_and_d_below_one_rejected(self, capsys, flag, value):
+        code, stdout, err = run(["verify-proposition", flag, value], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {flag} must be at least 1\n"
 
 
 class TestGradcheckCommand:

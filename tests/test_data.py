@@ -60,6 +60,14 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="aspect span"):
             load_dataset(path)
 
+    def test_empty_sentence_rejected(self, tmp_path):
+        # the model gathers one embedding row per token, so no example may be empty
+        bad = dict(GOOD_LINE, tokens=[], aspect_start=0, aspect_end=0, dep_heads=[],
+                   dep_rels=[])
+        path = write_jsonl(tmp_path / "d.jsonl", [bad])
+        with pytest.raises(DataError, match=":1: tokens: empty sentence"):
+            load_dataset(path)
+
     def test_invalid_tree(self, tmp_path):
         bad = dict(GOOD_LINE, dep_heads=[2, 1, 5, 5, 0])
         path = write_jsonl(tmp_path / "d.jsonl", [bad])

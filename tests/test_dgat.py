@@ -8,17 +8,14 @@ from gdd.autodiff import Var
 from gdd.dgat import (
     DgatLayerParams,
     DualHeadParams,
-    GraphBatch,
     RelHeadParams,
-    dgat_layer,
-    dual_head,
+    _edge_weights,
+    _node_weights,
+    dgat_layer_var,
     dual_head_var,
     global_forward_var,
-    relation_update,
-    relational_head,
+    relation_update_var,
     relational_head_var,
-    target_edge_attention,
-    target_node_attention,
 )
 from gdd.numeric import Rng, circ_corr_fft, softmax
 
@@ -60,6 +57,29 @@ def relational_head_oracle(H_N, E, p):
     return ad.matmul(rho, ad.matmul(H_N, p.Wv)), rho
 
 
+def edge_weights(h_a, E, p, scale=False):
+    """beta of the fused dual-head node's kernel."""
+    return _edge_weights(h_a @ p.Wa, E @ p.We, scale)
+
+
+def node_weights(h_a, H_N, beta, p, scale=False):
+    """omega of the fused dual-head node's kernel for a given beta."""
+    return _node_weights(h_a @ p.Wa, H_N @ p.Wi, beta, scale)[1]
+
+
+def dual_head_out(h_a, H_N, E, p):
+    return dual_head_var(Var(h_a), Var(H_N), Var(E), p)[0].value
+
+
+def rel_head_out(H_N, E, p):
+    return relational_head_var(Var(H_N), Var(E), p)[0].value
+
+
+def layer_out(h_a, H_N, E, layer):
+    h, E_next, trace = dgat_layer_var(Var(h_a), Var(H_N), Var(E), layer, d_head=4)
+    return h.value, E_next.value, trace
+
+
 def make_dual(rng, a_w=6, e_w=8, d_model=6, d_head=4):
     return DualHeadParams(Wa=rng.uniform((a_w, d_head), -0.5, 0.5),
                           We=rng.uniform((e_w, d_head), -0.5, 0.5),
@@ -85,14 +105,14 @@ class TestTargetEdgeAttention:
     def test_single_edge(self):
         rng = Rng(0)
         p = make_dual(rng)
-        beta = target_edge_attention(rng.uniform((6,)), rng.uniform((1, 8)), p.Wa, p.We)
+        beta = edge_weights(rng.uniform((6,)), rng.uniform((1, 8)), p)
         assert np.allclose(beta, [1.0])
 
     def test_identical_edges_uniform(self):
         rng = Rng(1)
         p = make_dual(rng)
         E = np.tile(rng.uniform((1, 8)), (2, 1))
-        beta = target_edge_attention(rng.uniform((6,)), E, p.Wa, p.We)
+        beta = edge_weights(rng.uniform((6,)), E, p)
         assert np.allclose(beta, [0.5, 0.5], atol=1e-15)
 
     def test_three_edge_hand_example(self):
@@ -101,13 +121,15 @@ class TestTargetEdgeAttention:
         h_a = rng.uniform((6,), -1, 1)
         E = rng.uniform((3, 8), -1, 1)
         logits = np.array([(h_a @ p.Wa) @ (E[i] @ p.We) for i in range(3)])
-        assert np.allclose(target_edge_attention(h_a, E, p.Wa, p.We),
-                           softmax(logits), atol=1e-12)
+        assert np.allclose(edge_weights(h_a, E, p), softmax(logits), atol=1e-12)
 
-    def test_empty_graph_signals(self):
-        p = make_dual(Rng(3))
-        with pytest.raises(ValueError, match="empty graph"):
-            target_edge_attention(np.zeros(6), np.zeros((0, 8)), p.Wa, p.We)
+    def test_dual_head_returns_the_kernel_weights(self):
+        rng = Rng(2)
+        p = make_dual(rng)
+        h_a, H_N, E = (rng.uniform(s, -1, 1) for s in [(6,), (3, 6), (3, 8)])
+        _, beta, omega = dual_head_var(Var(h_a), Var(H_N), Var(E), p)
+        assert np.array_equal(beta, edge_weights(h_a, E, p))
+        assert np.array_equal(omega, node_weights(h_a, H_N, beta, p))
 
 
 class TestTargetNodeAttention:
@@ -115,15 +137,13 @@ class TestTargetNodeAttention:
         rng = Rng(4)
         p = make_dual(rng)
         H_N = np.tile(rng.uniform((1, 6)), (3, 1))
-        omega = target_node_attention(rng.uniform((6,)), H_N,
-                                      np.full(3, 1 / 3), p.Wa, p.Wi)
+        omega = node_weights(rng.uniform((6,)), H_N, np.full(3, 1 / 3), p)
         assert np.allclose(omega, np.full(3, 1 / 3), atol=1e-15)
 
     def test_single_neighbor(self):
         rng = Rng(5)
         p = make_dual(rng)
-        omega = target_node_attention(rng.uniform((6,)), rng.uniform((1, 6)),
-                                      np.array([1.0]), p.Wa, p.Wi)
+        omega = node_weights(rng.uniform((6,)), rng.uniform((1, 6)), np.array([1.0]), p)
         assert np.allclose(omega, [1.0])
 
     def test_beta_multiplies_logits_never_masks(self):
@@ -135,8 +155,7 @@ class TestTargetNodeAttention:
         dots = np.array([(h_a @ p.Wa) @ (H_N[i] @ p.Wi) for i in range(2)])
         # a zero beta leaves logit 0, which still takes softmax mass
         expected = softmax(np.array([dots[0], 0.0]))
-        assert np.allclose(target_node_attention(h_a, H_N, beta, p.Wa, p.Wi),
-                           expected, atol=1e-12)
+        assert np.allclose(node_weights(h_a, H_N, beta, p), expected, atol=1e-12)
 
 
 class TestDualHead:
@@ -146,7 +165,7 @@ class TestDualHead:
         h_a = rng.uniform((6,), -1, 1)
         H_N = rng.uniform((1, 6), -1, 1)
         E = rng.uniform((1, 8), -1, 1)
-        out = dual_head(h_a, H_N, E, p)
+        out = dual_head_out(h_a, H_N, E, p)
         expected = circ_corr_fft(H_N[0] @ p.Wi, E[0] @ p.We)
         assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -161,7 +180,7 @@ class TestDualHead:
         H_N = np.zeros((1, d_head))
         H_N[0, 0] = 1.0  # projects to the impulse through Wi = I
         E = rng.uniform((1, d_head))
-        out = dual_head(h_a, H_N, E, p)
+        out = dual_head_out(h_a, H_N, E, p)
         assert np.max(np.abs(out - E[0] @ p.We)) < 1e-12
 
     def test_impulse_edge_reverses_node_operand(self):
@@ -175,7 +194,7 @@ class TestDualHead:
         H_N = rng.uniform((1, 6))
         E = np.zeros((1, d_head))
         E[0, 0] = 1.0
-        out = dual_head(h_a, H_N, E, p)
+        out = dual_head_out(h_a, H_N, E, p)
         n_proj = H_N[0] @ p.Wi
         reversed_ = n_proj[(-np.arange(d_head)) % d_head]
         assert np.max(np.abs(out - reversed_)) < 1e-12
@@ -193,7 +212,7 @@ class TestDualHead:
         expected = np.zeros(4)
         for i in range(3):
             expected += omega[i] * circ_corr_fft(H_N[i] @ p.Wi, E[i] @ p.We)
-        assert np.max(np.abs(dual_head(h_a, H_N, E, p) - expected)) < 1e-12
+        assert np.max(np.abs(dual_head_out(h_a, H_N, E, p) - expected)) < 1e-12
 
 
 class TestRelationalHead:
@@ -202,7 +221,7 @@ class TestRelationalHead:
         p = make_rel(rng)
         E = np.tile(rng.uniform((1, 8)), (4, 1))
         H_N = rng.uniform((4, 6), -1, 1)
-        out = relational_head(H_N, E, p)
+        out = rel_head_out(H_N, E, p)
         expected = np.mean(H_N @ p.Wv, axis=0)
         assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -210,7 +229,7 @@ class TestRelationalHead:
         rng = Rng(11)
         p = make_rel(rng)
         H_N = rng.uniform((1, 6))
-        out = relational_head(H_N, rng.uniform((1, 8)), p)
+        out = rel_head_out(H_N, rng.uniform((1, 8)), p)
         assert np.max(np.abs(out - H_N[0] @ p.Wv)) < 1e-12
 
     def test_two_neighbor_hand_example(self):
@@ -224,27 +243,24 @@ class TestRelationalHead:
         ])
         rho = softmax(logits)
         expected = rho[0] * (H_N[0] @ p.Wv) + rho[1] * (H_N[1] @ p.Wv)
-        assert np.max(np.abs(relational_head(H_N, E, p) - expected)) < 1e-12
+        assert np.max(np.abs(rel_head_out(H_N, E, p) - expected)) < 1e-12
 
 
 class TestRelationUpdate:
     def test_identity(self):
         E = Rng(13).uniform((3, 4))
-        assert np.array_equal(relation_update(E, np.eye(4)), E)
+        assert np.array_equal(relation_update_var(Var(E), np.eye(4)).value, E)
 
     def test_zero(self):
         E = Rng(14).uniform((3, 4))
-        assert np.array_equal(relation_update(E, np.zeros((4, 2))), np.zeros((3, 2)))
+        assert np.array_equal(relation_update_var(Var(E), np.zeros((4, 2))).value,
+                              np.zeros((3, 2)))
 
     def test_matches_matmul_oracle(self):
         rng = Rng(15)
         E = rng.uniform((5, 4), -1, 1)
         Wr = rng.uniform((4, 6), -1, 1)
-        assert np.max(np.abs(relation_update(E, Wr) - E @ Wr)) < 1e-15
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            relation_update(np.zeros((3, 4)), np.zeros((5, 2)))
+        assert np.max(np.abs(relation_update_var(Var(E), Wr).value - E @ Wr)) < 1e-15
 
 
 class TestDgatLayer:
@@ -254,10 +270,10 @@ class TestDgatLayer:
         h_a = rng.uniform((6,), -1, 1)
         H_N = rng.uniform((1, 6), -1, 1)
         E = rng.uniform((1, 8), -1, 1)
-        h_next, E_next, trace = dgat_layer(GraphBatch(h_a, H_N, E), layer, d_head=4)
+        h_next, E_next, trace = layer_out(h_a, H_N, E, layer)
         expected = np.concatenate([
-            dual_head(h_a, H_N, E, layer.dual[0]),
-            relational_head(H_N, E, layer.rel[0]),
+            dual_head_out(h_a, H_N, E, layer.dual[0]),
+            rel_head_out(H_N, E, layer.rel[0]),
         ])
         assert np.max(np.abs(h_next - expected)) < 1e-12
         assert np.max(np.abs(E_next - E @ layer.Wr)) < 1e-15
@@ -267,15 +283,13 @@ class TestDgatLayer:
         rng = Rng(17)
         layer = make_layer(rng, U=2, V=1)
         for m in (1, 3, 6):
-            h, _, _ = dgat_layer(GraphBatch(Rng(0).uniform((6,)),
-                                            Rng(1).uniform((m, 6)),
-                                            Rng(2).uniform((m, 8))), layer, d_head=4)
+            h, _, _ = layer_out(Rng(0).uniform((6,)), Rng(1).uniform((m, 6)),
+                                 Rng(2).uniform((m, 8)), layer)
             assert h.shape == (12,)
 
     def test_empty_graph_zero_vector_flagged(self):
         layer = make_layer(Rng(18))
-        h, _, trace = dgat_layer(GraphBatch(np.ones(6), np.zeros((0, 6)),
-                                            np.zeros((0, 8))), layer, d_head=4)
+        h, _, trace = layer_out(np.ones(6), np.zeros((0, 6)), np.zeros((0, 8)), layer)
         assert np.array_equal(h, np.zeros(8))
         assert trace["empty"] is True
 
@@ -287,7 +301,7 @@ class TestDgatLayer:
         E = rng.uniform((3, 8), -1, 1)
         stacked, traces = global_forward_var(Var(h_a), Var(H_N), Var(E), [layer],
                                              d_head=4)
-        single, _, _ = dgat_layer(GraphBatch(h_a, H_N, E), layer, d_head=4)
+        single, _, _ = layer_out(h_a, H_N, E, layer)
         assert np.array_equal(stacked.value, single)
         assert len(traces) == 1
 
@@ -305,8 +319,8 @@ class TestDgatLayer:
     def test_probability_vectors(self):
         rng = Rng(20)
         layer = make_layer(rng, U=2, V=2)
-        _, _, trace = dgat_layer(GraphBatch(rng.uniform((6,)), rng.uniform((5, 6)),
-                                            rng.uniform((5, 8))), layer, d_head=4)
+        _, _, trace = layer_out(rng.uniform((6,)), rng.uniform((5, 6)),
+                                 rng.uniform((5, 8)), layer)
         for coeffs in trace["beta"] + trace["omega"] + trace["rho"]:
             arr = np.array(coeffs)
             assert np.all(arr >= 0)
@@ -318,9 +332,9 @@ class TestDgatLayer:
         h_a = rng.uniform((6,), -1, 1)
         H_N = rng.uniform((5, 6), -1, 1)
         E = rng.uniform((5, 8), -1, 1)
-        base, _, _ = dgat_layer(GraphBatch(h_a, H_N, E), layer, d_head=4)
+        base, _, _ = layer_out(h_a, H_N, E, layer)
         perm = Rng(22).permutation(5)
-        shuffled, _, _ = dgat_layer(GraphBatch(h_a, H_N[perm], E[perm]), layer, d_head=4)
+        shuffled, _, _ = layer_out(h_a, H_N[perm], E[perm], layer)
         assert np.max(np.abs(base - shuffled)) < 1e-12
 
     def test_scale_logits_changes_attention(self):
@@ -328,8 +342,8 @@ class TestDgatLayer:
         p = make_dual(rng)
         h_a = rng.uniform((6,), -1, 1)
         E = rng.uniform((3, 8), -1, 1)
-        plain = target_edge_attention(h_a, E, p.Wa, p.We, scale=False)
-        scaled = target_edge_attention(h_a, E, p.Wa, p.We, scale=True)
+        plain = edge_weights(h_a, E, p, scale=False)
+        scaled = edge_weights(h_a, E, p, scale=True)
         logits = np.array([(h_a @ p.Wa) @ (E[i] @ p.We) for i in range(3)])
         assert np.allclose(scaled, softmax(logits / math.sqrt(4)), atol=1e-12)
         assert not np.allclose(plain, scaled)

@@ -3,18 +3,19 @@ import json
 import numpy as np
 import pytest
 
+from gdd import autodiff as ad
+from gdd.dep_graph import Awig
 from gdd.embeddings import (
     PAD,
     UNK,
-    EmbeddingTable,
     TagVocab,
     Vocab,
     composed_tag_ids,
-    embed_composed_tag,
-    embed_tokens,
     load_precomputed,
+    token_ids,
 )
-from gdd.numeric import Rng
+from gdd.model import Model, ModelConfig, Prepared
+from gdd.numeric import Rng, init_uniform
 
 
 @pytest.fixture
@@ -58,71 +59,81 @@ def test_hop_index_bounds():
         TagVocab.hop_index(0, 3)
 
 
+def token_rows(tokens, vocab, weights):
+    """The rows the model's sentence matrix gathers for `tokens`."""
+    return ad.gather_rows(ad.Var(weights), token_ids(tokens, vocab)).value
+
+
 class TestEmbedTokens:
     def test_single_token_shape(self, vocab):
-        table = EmbeddingTable.init(len(vocab), 6, Rng(0))
-        out = embed_tokens(["food"], vocab, table)
+        table = init_uniform(Rng(0), (len(vocab), 6))
+        out = token_rows(["food"], vocab, table)
         assert out.shape == (1, 6)
 
     def test_identical_tokens_identical_rows(self, vocab):
-        table = EmbeddingTable.init(len(vocab), 6, Rng(0))
-        out = embed_tokens(["food", "food"], vocab, table)
+        table = init_uniform(Rng(0), (len(vocab), 6))
+        out = token_rows(["food", "food"], vocab, table)
         assert np.array_equal(out[0], out[1])
 
     def test_oov_gets_unk_row(self, vocab):
-        table = EmbeddingTable.init(len(vocab), 6, Rng(0))
-        out = embed_tokens(["zzz"], vocab, table)
-        assert np.array_equal(out[0], table.weights[UNK])
+        table = init_uniform(Rng(0), (len(vocab), 6))
+        out = token_rows(["zzz"], vocab, table)
+        assert np.array_equal(out[0], table[UNK])
 
-    def test_empty_sentence(self, vocab):
-        table = EmbeddingTable.init(len(vocab), 6, Rng(0))
-        with pytest.raises(ValueError, match="empty"):
-            embed_tokens([], vocab, table)
+
+def tag_model(vocab, tag_vocab, d_tag=4, kappa_max=3):
+    config = ModelConfig(d_model=8, d_tag=d_tag, d_head=4, d_hid=4, U=1, V=1, L=1,
+                         kappa_max=kappa_max)
+    return Model.build(config, vocab, tag_vocab)
+
+
+def edge_rows(model, paths):
+    """Model._edge_matrix over one edge per composed-tag path."""
+    kappa_max = model.config.kappa_max
+    ids = [composed_tag_ids(path, len(path), model.tag_vocab, kappa_max) for path in paths]
+    m = len(paths)
+    prep = Prepared(example=None, token_ids=np.zeros(m + 1, dtype=np.intp), span=(0, 0),
+                    gold=0, awig=Awig([0], [(i + 1, i) for i in range(m)]),
+                    word_token_idx=np.arange(1, m + 1),
+                    edge_slot_ids=np.array([slots for slots, _ in ids]),
+                    edge_hop_idx=np.array([hop for _, hop in ids]))
+    leaves = {name: ad.Var(t) for name, t in model.params.items()}
+    return model._edge_matrix(prep, leaves).value
 
 
 class TestComposedTag:
-    def test_single_hop_padding(self, tag_vocab):
-        d_tag, kappa_max = 4, 3
-        tag_table = EmbeddingTable.init(len(tag_vocab), d_tag, Rng(1))
-        hop_table = EmbeddingTable.init(kappa_max, d_tag, Rng(2))
-        out = embed_composed_tag(["nsubj"], 1, tag_table, hop_table, tag_vocab, kappa_max)
+    def test_single_hop_padding(self, vocab, tag_vocab):
+        model = tag_model(vocab, tag_vocab)
+        tags, hops = model.params.get("embed.tag"), model.params.get("embed.hop")
+        out = edge_rows(model, [["nsubj"]])[0]
         expected = np.concatenate([
-            tag_table.weights[tag_vocab.id("nsubj")],
-            tag_table.weights[PAD],
-            tag_table.weights[PAD],
-            hop_table.weights[0],
+            tags[tag_vocab.id("nsubj")],
+            tags[PAD],
+            tags[PAD],
+            hops[0],
         ])
         assert np.array_equal(out, expected)
 
-    def test_two_hop_padding(self, tag_vocab):
-        d_tag, kappa_max = 4, 3
-        tag_table = EmbeddingTable.init(len(tag_vocab), d_tag, Rng(1))
-        hop_table = EmbeddingTable.init(kappa_max, d_tag, Rng(2))
-        out = embed_composed_tag(["amod", "nsubj"], 2, tag_table, hop_table,
-                                 tag_vocab, kappa_max)
+    def test_two_hop_padding(self, vocab, tag_vocab):
+        model = tag_model(vocab, tag_vocab)
+        tags, hops = model.params.get("embed.tag"), model.params.get("embed.hop")
+        out = edge_rows(model, [["amod", "nsubj"]])[0]
         expected = np.concatenate([
-            tag_table.weights[tag_vocab.id("amod")],
-            tag_table.weights[tag_vocab.id("nsubj")],
-            tag_table.weights[PAD],
-            hop_table.weights[1],
+            tags[tag_vocab.id("amod")],
+            tags[tag_vocab.id("nsubj")],
+            tags[PAD],
+            hops[1],
         ])
         assert np.array_equal(out, expected)
 
-    def test_identical_paths_identical_vectors(self, tag_vocab):
-        tag_table = EmbeddingTable.init(len(tag_vocab), 4, Rng(1))
-        hop_table = EmbeddingTable.init(3, 4, Rng(2))
-        a = embed_composed_tag(["det", "amod"], 2, tag_table, hop_table, tag_vocab, 3)
-        b = embed_composed_tag(["det", "amod"], 2, tag_table, hop_table, tag_vocab, 3)
+    def test_identical_paths_identical_vectors(self, vocab, tag_vocab):
+        a, b = edge_rows(tag_model(vocab, tag_vocab), [["det", "amod"], ["det", "amod"]])
         assert np.array_equal(a, b)
 
-    def test_width_constant_across_paths(self, tag_vocab):
-        tag_table = EmbeddingTable.init(len(tag_vocab), 4, Rng(1))
-        hop_table = EmbeddingTable.init(3, 4, Rng(2))
-        widths = {
-            embed_composed_tag(path, len(path), tag_table, hop_table, tag_vocab, 3).shape[0]
-            for path in (["det"], ["det", "amod"], ["det", "amod", "nsubj"])
-        }
-        assert widths == {(3 + 1) * 4}
+    def test_width_constant_across_paths(self, vocab, tag_vocab):
+        rows = edge_rows(tag_model(vocab, tag_vocab),
+                         [["det"], ["det", "amod"], ["det", "amod", "nsubj"]])
+        assert rows.shape == (3, (3 + 1) * 4)
 
     def test_too_many_hops(self, tag_vocab):
         with pytest.raises(ValueError, match="kappa_max"):
@@ -154,15 +165,8 @@ class TestPrecomputed:
             load_precomputed(path)
 
 
-def test_table_out_of_range():
-    table = EmbeddingTable.init(4, 3, Rng(0))
-    with pytest.raises(ValueError, match="out of range"):
-        table.lookup([4])
-
-
 def test_lookup_gradient_is_gather_sparse():
     # finite differences on rows a loss never touches must come out zero
-    from gdd import autodiff as ad
     from gdd.numeric import finite_diff_grad
 
     weights = Rng(44).uniform((5, 3), -1, 1)

@@ -8,23 +8,16 @@ from hypothesis import strategies as st
 from gdd import autodiff as ad
 from gdd.autodiff import Var
 from gdd.local_encoder import (
-    AttentionParams,
-    GaussianMaskParams,
-    apply_mask,
     attention_var,
-    build_gaussian_mask,
     check_stationarity,
-    compute_sigma,
-    covariance_attention,
     eval_objective,
     eval_objective_direct,
+    gaussian_mask_var,
     gaussian_pdf,
-    local_forward,
     local_forward_var,
-    original_attention,
     span_distances,
 )
-from gdd.numeric import Rng, finite_diff_grad, softplus
+from gdd.numeric import Rng, finite_diff_grad
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -91,26 +84,53 @@ def local_forward_oracle(H, span, mask_params, attn_params, interval, variant,
 
 
 def make_mask_params(d_model=6, d_hid=4, rng=None, zero=False):
+    """(W1, b1, W2, b2) of the mask MLP."""
     if zero:
-        return GaussianMaskParams(W1=np.zeros((d_model, d_hid)), b1=np.zeros(d_hid),
-                                  W2=np.zeros((d_hid, 1)), b2=np.zeros(1))
+        return np.zeros((d_model, d_hid)), np.zeros(d_hid), np.zeros((d_hid, 1)), np.zeros(1)
     rng = rng or Rng(0)
-    return GaussianMaskParams(
-        W1=rng.uniform((d_model, d_hid), -0.5, 0.5), b1=rng.uniform((d_hid,), -0.5, 0.5),
-        W2=rng.uniform((d_hid, 1), -0.5, 0.5), b2=rng.uniform((1,), -0.5, 0.5))
+    return (rng.uniform((d_model, d_hid), -0.5, 0.5), rng.uniform((d_hid,), -0.5, 0.5),
+            rng.uniform((d_hid, 1), -0.5, 0.5), rng.uniform((1,), -0.5, 0.5))
 
 
 def make_attn_params(d_model=6, d_k=4, rng=None):
+    """(Wq, Wk, Wv) of the attention."""
     rng = rng or Rng(1)
-    return AttentionParams(Wq=rng.uniform((d_model, d_k), -0.5, 0.5),
-                           Wk=rng.uniform((d_model, d_k), -0.5, 0.5),
-                           Wv=rng.uniform((d_model, d_k), -0.5, 0.5))
+    return tuple(rng.uniform((d_model, d_k), -0.5, 0.5) for _ in range(3))
+
+
+def mask_layer(H, span, mask_params, interval=0.2, normalize=False):
+    """gaussian_mask_var as arrays: (masked rows, sigma, mask)."""
+    H_G, sigma, mask = gaussian_mask_var(Var(H), *(Var(w) for w in mask_params), span,
+                                         interval, normalize)
+    return H_G.value, float(sigma[0]), mask
+
+
+def sigma_of(H, mask_params):
+    return mask_layer(H, (0, 0), mask_params)[1]
+
+
+def fixed_sigma_params(sigma, d_model=6, d_hid=4):
+    """Mask MLP weights whose sigma is `sigma` for every input: zero weights
+    leave softplus(b2), and b2 = log(expm1(sigma)) inverts the softplus."""
+    W1, b1, W2, _ = make_mask_params(d_model, d_hid, zero=True)
+    return W1, b1, W2, np.array([math.log(math.expm1(sigma))])
+
+
+def build_mask(n, span, sigma, interval, normalize=False):
+    """The mask of gaussian_mask_var at a fixed sigma; returns (mask, sigma used)."""
+    _, used, mask = mask_layer(np.ones((n, 6)), span, fixed_sigma_params(sigma), interval,
+                               normalize)
+    return mask, used
+
+
+def attend(H, attn_params, variant):
+    return attention_var(Var(H), *attn_params, variant=variant)[0].value
 
 
 class TestSigma:
     def test_all_zero_params(self):
         H = Rng(2).uniform((5, 6), -1, 1)
-        sigma = compute_sigma(H, make_mask_params(zero=True))
+        sigma = sigma_of(H, make_mask_params(zero=True))
         assert abs(sigma - math.log(2.0)) < 1e-12
 
     def test_strictly_positive_sweep(self):
@@ -118,13 +138,17 @@ class TestSigma:
         for i in range(1000):
             H = rng.uniform((1 + i % 7, 6), -3, 3)
             params = make_mask_params(rng=Rng(i))
-            assert compute_sigma(H, params) > 0.0
+            assert sigma_of(H, params) > 0.0
 
     def test_softplus_asymptote_b2(self):
-        params = make_mask_params(zero=True)
-        params.b2 = np.array([10.0])
-        sigma = compute_sigma(Rng(4).uniform((3, 6)), params)
+        W1, b1, W2, _ = make_mask_params(zero=True)
+        sigma = sigma_of(Rng(4).uniform((3, 6)), (W1, b1, W2, np.array([10.0])))
         assert abs(sigma - 10.0) < 1e-3
+
+    def test_fixed_sigma_weights(self):
+        for sigma in (0.05, 0.7, 1.0, 5.05):
+            used = sigma_of(Rng(4).uniform((3, 6)), fixed_sigma_params(sigma))
+            assert abs(used - sigma) <= 1e-14 * sigma
 
 
 class TestGaussianPdf:
@@ -145,99 +169,106 @@ class TestGaussianPdf:
 
 class TestMask:
     def test_derived_five_token_case(self):
-        mask = build_gaussian_mask(5, (2, 2), sigma=1.0, interval=0.2)
+        mask, _ = build_mask(5, (2, 2), sigma=1.0, interval=0.2)
         expected = [0.368270, 0.391043, 0.398942, 0.391043, 0.368270]
         assert np.max(np.abs(mask - expected)) < 1e-6
 
     def test_whole_sentence_span(self):
-        mask = build_gaussian_mask(4, (0, 3), sigma=1.5, interval=0.2)
+        mask, _ = build_mask(4, (0, 3), sigma=1.5, interval=0.2)
         assert np.allclose(mask, gaussian_pdf(0.0, 1.5))
 
     def test_monotone_decay(self):
-        mask = build_gaussian_mask(9, (4, 4), sigma=0.7, interval=0.3)
+        mask, _ = build_mask(9, (4, 4), sigma=0.7, interval=0.3)
         left, right = mask[:5], mask[4:]
         assert np.all(np.diff(left) >= 0)
         assert np.all(np.diff(right) <= 0)
 
     def test_normalized_peak_one(self):
-        mask = build_gaussian_mask(5, (2, 2), sigma=0.5, interval=0.2, normalize=True)
+        mask, _ = build_mask(5, (2, 2), sigma=0.5, interval=0.2, normalize=True)
         assert mask[2] == 1.0
         assert np.all(mask <= 1.0)
 
     def test_invalid_span(self):
         with pytest.raises(ValueError, match="span"):
-            build_gaussian_mask(5, (3, 1), sigma=1.0, interval=0.2)
+            build_mask(5, (3, 1), sigma=1.0, interval=0.2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.data(), st.floats(0.1, 5.0))
     def test_aspect_max_property(self, n, data, sigma):
         s = data.draw(st.integers(0, n - 1))
         e = data.draw(st.integers(s, n - 1))
-        mask = build_gaussian_mask(n, (s, e), sigma=sigma, interval=0.2)
-        peak = gaussian_pdf(0.0, sigma)
+        mask, used = build_mask(n, (s, e), sigma=sigma, interval=0.2)
+        peak = gaussian_pdf(0.0, used)
         assert np.allclose(mask[s:e + 1], peak)
         assert np.all(mask <= peak + 1e-15)
 
 
-class TestApplyMask:
+class TestMaskedRows:
+    """The mask layer's output scales row j of H by mask[j]."""
+
     def test_identity(self):
+        # a whole-sentence span puts every token at distance 0: a normalized
+        # mask of ones
         H = Rng(5).uniform((4, 3))
-        assert np.array_equal(apply_mask(np.ones(4), H), H)
+        H_G, _, mask = mask_layer(H, (0, 3), make_mask_params(3), normalize=True)
+        assert np.array_equal(mask, np.ones(4))
+        assert np.array_equal(H_G, H)
 
     def test_zeros(self):
+        # a tiny sigma underflows the normalized mask to 0 off the span
         H = Rng(5).uniform((4, 3))
-        assert np.array_equal(apply_mask(np.zeros(4), H), np.zeros((4, 3)))
+        H_G, _, mask = mask_layer(H, (0, 0), fixed_sigma_params(1e-3, d_model=3),
+                                  normalize=True)
+        assert np.array_equal(mask[1:], np.zeros(3))
+        assert np.array_equal(H_G[1:], np.zeros((3, 3)))
+        assert np.array_equal(H_G[0], H[0])
 
     def test_single_row_scaled(self):
         H = np.ones((3, 2))
-        out = apply_mask(np.array([1.0, 0.5, 1.0]), H)
-        assert np.array_equal(out[1], [0.5, 0.5])
+        out, _, mask = mask_layer(H, (0, 0), fixed_sigma_params(0.5, d_model=2),
+                                  normalize=True)
+        assert 0.0 < mask[1] < 1.0
+        assert np.array_equal(out[1], [mask[1], mask[1]])
         assert np.array_equal(out[0], [1.0, 1.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            apply_mask(np.ones(3), np.ones((4, 2)))
 
 
 class TestAttention:
     def test_single_token(self):
         H = Rng(6).uniform((1, 6))
         p = make_attn_params()
-        out = original_attention(H, p)
+        out = attend(H, p, "original")
         assert out.shape == (1, 4)
-        assert np.allclose(out[0], H @ p.Wv)
+        assert np.allclose(out[0], H @ p[2])
 
     def test_rows_sum_to_one(self):
         H = Rng(7).uniform((5, 6))
-        _, probs = attention_var(Var(H), *make_attn_params().__dict__.values(),
-                                 variant="original")
+        _, probs = attention_var(Var(H), *make_attn_params(), variant="original")
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
     def test_two_token_hand_example(self):
         H = np.array([[1.0, 0.0], [0.0, 2.0]])
-        p = AttentionParams(Wq=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                            Wk=np.array([[0.5, 0.0], [0.0, 0.5]]),
-                            Wv=np.array([[2.0, 0.0], [0.0, 2.0]]))
+        p = (np.array([[1.0, 0.0], [0.0, 1.0]]),  # Wq
+             np.array([[0.5, 0.0], [0.0, 0.5]]),  # Wk
+             np.array([[2.0, 0.0], [0.0, 2.0]]))  # Wv
         # manual: Q = H, K = 0.5 H, V = 2 H, scores = Q K^T / sqrt(2)
         scores = (H @ (0.5 * H).T) / math.sqrt(2.0)
         ex = np.exp(scores - scores.max(axis=1, keepdims=True))
         P = ex / ex.sum(axis=1, keepdims=True)
-        assert np.allclose(original_attention(H, p), P @ (2.0 * H), atol=1e-12)
+        assert np.allclose(attend(H, p, "original"), P @ (2.0 * H), atol=1e-12)
 
     def test_covariance_equals_original_when_zero_mean(self):
         rng = Rng(8)
         H = rng.uniform((6, 6), -1, 1)
         H -= H.mean(axis=0)  # zero-mean rows make every projection zero-mean
         p = make_attn_params()
-        assert np.max(np.abs((H @ p.Wq).mean(axis=0))) < 1e-14
-        cov = covariance_attention(H, p)
-        orig = original_attention(H, p)
+        assert np.max(np.abs((H @ p[0]).mean(axis=0))) < 1e-14
+        cov = attend(H, p, "covariance")
+        orig = attend(H, p, "original")
         assert np.max(np.abs(cov - orig)) < 1e-12
 
     def test_identical_tokens_give_uniform_rows(self):
         H = np.tile(Rng(9).uniform((1, 6)), (4, 1))
-        _, probs = attention_var(Var(H), *make_attn_params().__dict__.values(),
-                                 variant="covariance")
+        _, probs = attention_var(Var(H), *make_attn_params(), variant="covariance")
         assert np.array_equal(probs, np.full((4, 4), 0.25))
 
     def test_covariance_matches_two_step_oracle(self):
@@ -245,41 +276,43 @@ class TestAttention:
         H = rng.uniform((4, 6), -1, 1)
         p = make_attn_params(rng=Rng(11))
         # independent two-step oracle: center, then plain scaled-dot attention
-        Q, K, V = H @ p.Wq, H @ p.Wk, H @ p.Wv
+        Q, K, V = (H @ W for W in p)
         Qc = Q - Q.mean(axis=0)
         Kc = K - K.mean(axis=0)
         scores = Qc @ Kc.T / math.sqrt(Q.shape[1])
         ex = np.exp(scores - scores.max(axis=1, keepdims=True))
         expected = (ex / ex.sum(axis=1, keepdims=True)) @ V
-        assert np.max(np.abs(covariance_attention(H, p) - expected)) < 1e-12
+        assert np.max(np.abs(attend(H, p, "covariance") - expected)) < 1e-12
 
     def test_multihead_shapes_and_rows(self):
         H = Rng(12).uniform((5, 6))
         p = make_attn_params()
-        out, probs = attention_var(Var(H), p.Wq, p.Wk, p.Wv,
-                                   variant="covariance", heads=2)
+        out, probs = attention_var(Var(H), *p, variant="covariance", heads=2)
         assert out.value.shape == (5, 4)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
-            attention_var(Var(np.ones((2, 6))), *make_attn_params().__dict__.values(),
-                          variant="fancy")
+            attention_var(Var(np.ones((2, 6))), *make_attn_params(), variant="fancy")
+
+
+def local_out(H, span, mask_params, attn_params):
+    return local_forward_var(Var(H), span, mask_params, attn_params, interval=0.2)[0].value
 
 
 class TestLocalForward:
     def test_deterministic_and_shape(self):
         H = Rng(13).uniform((7, 6))
         mp, ap = make_mask_params(), make_attn_params()
-        a = local_forward(H, (2, 3), mp, ap)
-        b = local_forward(H, (2, 3), mp, ap)
+        a = local_out(H, (2, 3), mp, ap)
+        b = local_out(H, (2, 3), mp, ap)
         assert np.array_equal(a, b)
         assert a.shape == (4,)
 
     def test_output_width_independent_of_n(self):
         mp, ap = make_mask_params(), make_attn_params()
         for n in (1, 3, 9):
-            out = local_forward(Rng(n).uniform((n, 6)), (0, 0), mp, ap)
+            out = local_out(Rng(n).uniform((n, 6)), (0, 0), mp, ap)
             assert out.shape == (4,)
 
     def test_gradients_match_finite_differences(self):

@@ -1,15 +1,14 @@
 """Reverse-mode gradient tape over float64 numpy arrays.
 
-Every op is eager: it computes its value immediately and records, for each
-parent, a callback mapping the output gradient to that parent's gradient
-contribution. backward() replays the tape in reverse topological order.
-A fused node (see `fused`) computes all its parents' contributions in one
-hand-derived VJP call.
+Every op is eager: it computes its value immediately and records its
+parents and one VJP, a callback mapping the output gradient to one
+gradient contribution per parent, in order. backward() replays the tape in
+reverse topological order, calling each node's VJP once.
 A Leaf's gradient is a preallocated array that backward() adds into in
 place; an op whose parent is a Leaf may instead add its contribution into
-that array itself (touching only the rows it used) and return None.
-The ops serve the model and the reference compositions that the tests
-compare its fused nodes against; analytic gradients produced here are
+that array itself (touching only the rows it used) and return None for it.
+The model's attention and mask layers are nodes of this one kind, with
+hand-derived VJPs over many parents; analytic gradients produced here are
 validated against numeric.finite_diff_grad, never trusted blind.
 """
 
@@ -21,14 +20,16 @@ from .numeric import _softmax, as_tensor
 
 
 class Var:
-    """A tape node: a float64 array plus the gradient accumulated for it."""
+    """A tape node: a float64 array, the gradient accumulated for it, its
+    parents and its VJP (g -> one contribution per parent; None for an input)."""
 
-    __slots__ = ("value", "grad", "_parents")
+    __slots__ = ("value", "grad", "_parents", "_vjp")
 
-    def __init__(self, value, parents=()):
+    def __init__(self, value, parents=(), vjp=None):
         self.value = as_tensor(value)
         self.grad = None
         self._parents = parents
+        self._vjp = vjp
 
     @property
     def shape(self):
@@ -96,46 +97,28 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return Var(
-        a.value + b.value,
-        (
-            (a, lambda g: _unbroadcast(g, a.value.shape)),
-            (b, lambda g: _unbroadcast(g, b.value.shape)),
-        ),
-    )
+    return Var(a.value + b.value, (a, b),
+               lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
 
 
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return Var(
-        a.value - b.value,
-        (
-            (a, lambda g: _unbroadcast(g, a.value.shape)),
-            (b, lambda g: _unbroadcast(-g, b.value.shape)),
-        ),
-    )
+    return Var(a.value - b.value, (a, b),
+               lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)))
 
 
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return Var(
-        a.value * b.value,
-        (
-            (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-            (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
-        ),
-    )
+    return Var(a.value * b.value, (a, b),
+               lambda g: (_unbroadcast(g * b.value, a.value.shape),
+                          _unbroadcast(g * a.value, b.value.shape)))
 
 
 def div(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    return Var(
-        a.value / b.value,
-        (
-            (a, lambda g: _unbroadcast(g / b.value, a.value.shape)),
-            (b, lambda g: _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)),
-        ),
-    )
+    return Var(a.value / b.value, (a, b),
+               lambda g: (_unbroadcast(g / b.value, a.value.shape),
+                          _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)))
 
 
 def matmul(a, b) -> Var:
@@ -143,47 +126,42 @@ def matmul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
     av, bv = a.value, b.value
     if av.ndim == 2 and bv.ndim == 2:
-        vjp_a = lambda g: g @ bv.T
-        vjp_b = lambda g: av.T @ g
+        vjp = lambda g: (g @ bv.T, av.T @ g)
     elif av.ndim == 1 and bv.ndim == 2:
-        vjp_a = lambda g: bv @ g
-        vjp_b = lambda g: np.outer(av, g)
+        vjp = lambda g: (bv @ g, np.outer(av, g))
     elif av.ndim == 2 and bv.ndim == 1:
-        vjp_a = lambda g: np.outer(g, bv)
-        vjp_b = lambda g: av.T @ g
+        vjp = lambda g: (np.outer(g, bv), av.T @ g)
     elif av.ndim == 1 and bv.ndim == 1:
-        vjp_a = lambda g: g * bv
-        vjp_b = lambda g: g * av
+        vjp = lambda g: (g * bv, g * av)
     else:
         raise ValueError(f"matmul: unsupported ranks {av.shape} @ {bv.shape}")
-    return Var(av @ bv, ((a, vjp_a), (b, vjp_b)))
+    return Var(av @ bv, (a, b), vjp)
 
 
 def transpose(a) -> Var:
     a = as_var(a)
     if a.value.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
-    return Var(a.value.T.copy(), ((a, lambda g: g.T),))
+    return Var(a.value.T.copy(), (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape) -> Var:
     a = as_var(a)
-    return Var(a.value.reshape(shape), ((a, lambda g: g.reshape(a.value.shape)),))
+    return Var(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),))
 
 
 def concat(vs, axis: int = 0) -> Var:
-    vs = [as_var(v) for v in vs]
+    vs = tuple(as_var(v) for v in vs)
     val = np.concatenate([v.value for v in vs], axis=axis)
-    parents = []
+    slices = []
     offset = 0
     for v in vs:
         size = v.value.shape[axis]
         sl = [slice(None)] * val.ndim
         sl[axis] = slice(offset, offset + size)
-        sl = tuple(sl)
-        parents.append((v, (lambda s: lambda g: g[s].copy())(sl)))
+        slices.append(tuple(sl))
         offset += size
-    return Var(val, tuple(parents))
+    return Var(val, vs, lambda g: tuple(g[s].copy() for s in slices))
 
 
 def sum_(a, axis=None, keepdims: bool = False) -> Var:
@@ -191,12 +169,10 @@ def sum_(a, axis=None, keepdims: bool = False) -> Var:
     val = a.value.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.value.shape).copy()
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.value.shape).copy()
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.value.shape).copy(),)
 
-    return Var(np.asarray(val), ((a, vjp),))
+    return Var(np.asarray(val), (a,), vjp)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Var:
@@ -206,9 +182,9 @@ def mean(a, axis=None, keepdims: bool = False) -> Var:
 
     def vjp(g):
         gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg * scale, a.value.shape).copy()
+        return (np.broadcast_to(gg * scale, a.value.shape).copy(),)
 
-    return Var(a.value.sum(axis=axis, keepdims=keepdims) * scale, ((a, vjp),))
+    return Var(a.value.sum(axis=axis, keepdims=keepdims) * scale, (a,), vjp)
 
 
 def gather_rows(a, indices) -> Var:
@@ -221,13 +197,14 @@ def gather_rows(a, indices) -> Var:
     if isinstance(a, Leaf):
         def vjp(g):
             np.add.at(a.grad, idx, g)
+            return (None,)
     else:
         def vjp(g):
             out = np.zeros_like(a.value)
             np.add.at(out, idx, g)
-            return out
+            return (out,)
 
-    return Var(a.value[idx].copy(), ((a, vjp),))
+    return Var(a.value[idx].copy(), (a,), vjp)
 
 
 def sum_squares(a: Leaf, runs) -> Var:
@@ -241,8 +218,9 @@ def sum_squares(a: Leaf, runs) -> Var:
         scale = 2.0 * float(g)
         for lo, hi in runs:
             a.grad[lo:hi] += scale * w[lo:hi]
+        return (None,)
 
-    return Var(np.asarray(total), ((a, vjp),))
+    return Var(np.asarray(total), (a,), vjp)
 
 
 def pick(a, index: int) -> Var:
@@ -255,36 +233,32 @@ def pick(a, index: int) -> Var:
     def vjp(g):
         out = np.zeros_like(a.value)
         out[i] = g
-        return out
+        return (out,)
 
-    return Var(np.asarray(a.value[i]), ((a, vjp),))
+    return Var(np.asarray(a.value[i]), (a,), vjp)
 
 
 def relu(a) -> Var:
     a = as_var(a)
-    return Var(np.maximum(a.value, 0.0), ((a, lambda g: g * (a.value > 0.0)),))
+    return Var(np.maximum(a.value, 0.0), (a,), lambda g: (g * (a.value > 0.0),))
 
 
 def softplus(a) -> Var:
     a = as_var(a)
     sig = 0.5 * (1.0 + np.tanh(0.5 * a.value))
-    return Var(np.logaddexp(0.0, a.value), ((a, lambda g: g * sig),))
+    return Var(np.logaddexp(0.0, a.value), (a,), lambda g: (g * sig,))
 
 
 def exp(a) -> Var:
     a = as_var(a)
     val = np.exp(a.value)
-    return Var(val, ((a, lambda g: g * val),))
+    return Var(val, (a,), lambda g: (g * val,))
 
 
 def softmax(a, axis: int = -1) -> Var:
     a = as_var(a)
     p = _softmax(a.value, axis)
-
-    def vjp(g):
-        return (g - (g * p).sum(axis, keepdims=True)) * p
-
-    return Var(p, ((a, vjp),))
+    return Var(p, (a,), lambda g: ((g - (g * p).sum(axis, keepdims=True)) * p,))
 
 
 def logsumexp(a) -> Var:
@@ -296,27 +270,7 @@ def logsumexp(a) -> Var:
     e = np.exp(a.value - m)
     total = e.sum()
     p = e / total
-    return Var(np.asarray(m + np.log(total)), ((a, lambda g: g * p),))
-
-
-def fused(value, parents, vjp) -> Var:
-    """A node over several parents whose gradient contributions all come
-    from one hand-derived call: vjp(g) returns one array per parent, in
-    order. backward() asks for the parents' contributions in order, so the
-    call runs when the first is asked for, once per backward pass, and each
-    contribution is dropped as it is handed out."""
-    pending = []
-
-    def take(i):
-        def vjp_i(g):
-            if i == 0:
-                pending[:] = vjp(g)
-            contrib, pending[i] = pending[i], None
-            return contrib
-
-        return vjp_i
-
-    return Var(value, tuple((p, take(i)) for i, p in enumerate(parents)))
+    return Var(np.asarray(m + np.log(total)), (a,), lambda g: (g * p,))
 
 
 def circ_corr(a, b) -> Var:
@@ -339,7 +293,7 @@ def circ_corr(a, b) -> Var:
         return (np.fft.irfft(np.conj(fg) * fb, n=d, axis=-1),
                 np.fft.irfft(fg * fa, n=d, axis=-1))
 
-    return fused(np.fft.irfft(np.conj(fa) * fb, n=d, axis=-1), (a, b), vjp)
+    return Var(np.fft.irfft(np.conj(fa) * fb, n=d, axis=-1), (a, b), vjp)
 
 
 def backward(out: Var) -> None:
@@ -358,16 +312,15 @@ def backward(out: Var) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent, _ in node._parents:
+        for parent in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     out.grad = np.ones_like(out.value)
     for node in reversed(order):
         g = node.grad
-        if g is None:
+        if g is None or node._vjp is None:
             continue
-        for parent, vjp in node._parents:
-            contrib = vjp(g)
+        for parent, contrib in zip(node._parents, node._vjp(g)):
             if contrib is None:  # the op added into the Leaf's gradient itself
                 continue
             if isinstance(parent, Leaf):

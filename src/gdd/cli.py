@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 internal failure (including a failed check), 2
 usage or input error, or training that diverged (a configuration such as
 too large an lr; no checkpoint is written). Configuration comes from an
 optional flat key=value file plus per-key flags; flags win. GDD_SEED
-provides a seed fallback when neither source sets one.
+provides a seed fallback when neither source sets one; resolve_config reads
+it for every command that takes a seed. A closed stdout (`gdd ... | head`)
+ends the command with exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 import traceback
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import DataError, generate_synthetic, load_dataset
+from .data import DataError, generate_synthetic, load_dataset, read_text
 from .dep_graph import ParseError, build_awig, parse_conllu
 from .embeddings import load_precomputed
 from .local_encoder import check_stationarity
@@ -39,20 +41,22 @@ class UsageError(ValueError):
 def read_config_file(path) -> dict:
     """Flat key=value lines; '#' comments and blank lines ignored."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
 def resolve_config(args) -> ModelConfig:
-    """Merge config file, per-key flags, and the GDD_SEED fallback."""
+    """Merge config file, per-key flags, and the GDD_SEED fallback.
+
+    gradcheck and verify-proposition take their seed from it too, so one
+    parser reads and checks --seed and GDD_SEED on every command."""
     raw = {}
     if getattr(args, "config", None):
         raw.update(read_config_file(args.config))
@@ -108,21 +112,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
-    with open(args.conllu, "r", encoding="utf-8") as fh:
-        trees = parse_conllu(fh.read())
+    trees = parse_conllu(read_text(args.conllu))
     spans_per_sentence = []
-    with open(args.spans, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{args.spans}:{lineno}: invalid JSON: {e}") from None
-            if not isinstance(rec, dict) or "spans" not in rec:
-                raise DataError(f"{args.spans}:{lineno}: expected {{\"spans\": [[start, end], ...]}}")
-            spans_per_sentence.append(rec["spans"])
+    for lineno, line in enumerate(read_text(args.spans).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{args.spans}:{lineno}: invalid JSON: {e}") from None
+        if not isinstance(rec, dict) or "spans" not in rec:
+            raise DataError(f"{args.spans}:{lineno}: expected {{\"spans\": [[start, end], ...]}}")
+        spans_per_sentence.append(rec["spans"])
     if len(spans_per_sentence) != len(trees):
         raise DataError(f"{args.spans}: {len(spans_per_sentence)} span records for "
                         f"{len(trees)} sentences")
@@ -156,7 +158,8 @@ def cmd_verify_proposition(args) -> int:
         raise UsageError("--d must be at least 1")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
-    rng = Rng(args.seed)
+    seed = resolve_config(args).seed
+    rng = Rng(seed)
     trials = []
     attempts = 0
     while len(trials) < args.trials:
@@ -166,7 +169,7 @@ def cmd_verify_proposition(args) -> int:
         Q = rng.normal((args.n, args.d))
         K = rng.normal((args.n, args.d))
         try:
-            report = check_stationarity(Q, K, rng=Rng(args.seed + attempts))
+            report = check_stationarity(Q, K, rng=Rng(seed + attempts))
         except ValueError:
             continue  # degenerate draw; move to the next one
         trials.append(report)
@@ -188,9 +191,9 @@ def cmd_verify_proposition(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = ModelConfig(d_model=8, d_tag=4, d_head=4, d_hid=4, U=1, V=1, L=1,
-                         seed=args.seed)
-    example = generate_synthetic(seed=args.seed, count=4)[1]
+    seed = resolve_config(args).seed
+    config = ModelConfig(d_model=8, d_tag=4, d_head=4, d_hid=4, U=1, V=1, L=1, seed=seed)
+    example = generate_synthetic(seed=seed, count=4)[1]
     model = Model.build_for_examples(config, [example])
     report = gradcheck_model(model, example, tolerance=args.tolerance)
     print(json.dumps({
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-proposition",
                        help="numerically check that the score-contrast objective is "
                             "stationary at the sample means")
-    p.add_argument("--seed", type=int, default=_env_seed(0))
+    p.add_argument("--seed", help="default: GDD_SEED, else 0")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--trials", type=int, default=20)
@@ -249,23 +252,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every parameter tensor")
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=_env_seed(0))
+    p.add_argument("--seed", help="default: GDD_SEED, else 0")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
 
 
-def _env_seed(default: int) -> int:
-    try:
-        return int(os.environ.get("GDD_SEED", default))
-    except ValueError:
-        return default
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone. Point stdout at devnull so the flush at
+        # interpreter exit cannot fail again (the recipe of Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, TrainingDiverged, *INPUT_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -24,6 +24,23 @@ class DataError(ValueError):
     """A dataset record that violates the schema."""
 
 
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents, its line ends read as "\n" (as text-mode
+    open() reads them). Bytes that are not UTF-8 raise DataError naming the
+    file and the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return _universal_newlines(raw.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        lineno = _universal_newlines(raw[:e.start].decode("utf-8")).count("\n") + 1
+        raise DataError(f"{path}:{lineno}: not UTF-8 text (byte 0x{raw[e.start]:02x})") from None
+
+
 @dataclass
 class Example:
     """One (sentence, aspect) training or evaluation instance."""
@@ -105,19 +122,18 @@ def example_to_dict(ex: Example) -> dict:
 def load_dataset(path) -> list[Example]:
     """Read and validate a JSONL dataset; errors carry line numbers."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
-            try:
-                out.append(example_from_dict(rec))
-            except DataError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from None
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
+        try:
+            out.append(example_from_dict(rec))
+        except DataError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
     return out
 
 

@@ -9,8 +9,8 @@ MLP. The layer output concatenates all heads; edges are reprojected between
 layers while context-word features stay at their layer-0 values.
 
 Every function here builds tape nodes (`autodiff.Var`); each head's
-attention is one fused node over the plain-array kernels `_edge_weights`
-and `_node_weights`. A layer over an empty graph returns a zero vector and
+attention is one node, with a hand-derived VJP, over the plain-array
+kernels `_edge_weights` and `_node_weights`. A layer over an empty graph returns a zero vector and
 flags it in its trace.
 """
 
@@ -96,7 +96,7 @@ def dual_attention_var(a_proj: Var, e_proj: Var, n_proj: Var, composed: Var,
         return (Ep.T @ d_edge + Np.T @ d_dots, np.outer(d_edge, a),
                 np.outer(d_dots, a), np.outer(omega, g))
 
-    out = ad.fused(omega @ C, (a_proj, e_proj, n_proj, composed), vjp)
+    out = Var(omega @ C, (a_proj, e_proj, n_proj, composed), vjp)
     return out, beta, omega
 
 
@@ -138,7 +138,7 @@ def relational_attention_var(E: Var, W1: Var, b1: Var, W2: Var, b2: Var,
                 hidden.T @ d_logits[:, None], d_logits.sum(keepdims=True),
                 np.outer(rho, g))
 
-    return ad.fused(rho @ V, (E, W1, b1, W2, b2, values), vjp), rho
+    return Var(rho @ V, (E, W1, b1, W2, b2, values), vjp), rho
 
 
 def relational_head_var(H_N: Var, E: Var, p: RelHeadParams):

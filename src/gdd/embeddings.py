@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, read_text
 from .numeric import Tensor
 
 PAD = 0
@@ -121,28 +121,27 @@ def load_precomputed(path) -> dict[tuple[str, ...], Tensor]:
     record raises DataError naming its file and line.
     """
     out: dict[tuple[str, ...], Tensor] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{where}: invalid JSON: {e}") from None
-            if not isinstance(rec, dict) or set(rec) != {"tokens", "vectors"}:
-                raise DataError(f"{where}: expected keys 'tokens' and 'vectors'")
-            tokens, vectors = rec["tokens"], rec["vectors"]
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                raise DataError(f"{where}: tokens must be a list of strings")
-            try:
-                arr = np.asarray(vectors, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise DataError(f"{where}: vectors must be a 2-D list of numbers") from None
-            if arr.ndim != 2:
-                raise DataError(f"{where}: vectors must be a 2-D list of numbers")
-            if arr.shape[0] != len(tokens):
-                raise DataError(f"{where}: {arr.shape[0]} vectors for {len(tokens)} tokens")
-            out[tuple(tokens)] = arr
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{where}: invalid JSON: {e}") from None
+        if not isinstance(rec, dict) or set(rec) != {"tokens", "vectors"}:
+            raise DataError(f"{where}: expected keys 'tokens' and 'vectors'")
+        tokens, vectors = rec["tokens"], rec["vectors"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DataError(f"{where}: tokens must be a list of strings")
+        try:
+            arr = np.asarray(vectors, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DataError(f"{where}: vectors must be a 2-D list of numbers") from None
+        if arr.ndim != 2:
+            raise DataError(f"{where}: vectors must be a 2-D list of numbers")
+        if arr.shape[0] != len(tokens):
+            raise DataError(f"{where}: {arr.shape[0]} vectors for {len(tokens)} tokens")
+        out[tuple(tokens)] = arr
     return out

@@ -9,7 +9,7 @@ spreads the score distribution; the plain variant is kept for ablations.
 
 The encoder runs on the tape: `gaussian_mask_var` (sigma, mask and the
 masked rows, over the plain-array kernels `_mask_width` and
-`_gaussian_mask`) and `attention_var` (all heads) are one fused node each
+`_gaussian_mask`) and `attention_var` (all heads) are one tape node each
 with a hand-derived VJP, and `local_forward_var` chains them and averages
 the aspect rows.
 
@@ -95,7 +95,7 @@ def gaussian_mask_var(H: Var, W1: Var, b1: Var, W2: Var, b2: Var, span: tuple[in
         return (mask[:, None] * g + d_pooled * (1.0 / n), np.outer(pooled, d_pre), d_pre,
                 np.outer(hidden, d_z), d_z)
 
-    H_G = ad.fused(mask[:, None] * Hv, (H, W1, b1, W2, b2), vjp)
+    H_G = Var(mask[:, None] * Hv, (H, W1, b1, W2, b2), vjp)
     return H_G, sigma, mask
 
 
@@ -148,7 +148,7 @@ def attention_var(H_G: Var, Wq, Wk, Wv, variant: str = "covariance",
                 X.T @ dQ, X.T @ dK, X.T @ dV)
 
     out = outs[0] if heads == 1 else np.concatenate(outs, axis=1)
-    return ad.fused(out, (H_G, Wq, Wk, Wv), vjp), probs[0]
+    return Var(out, (H_G, Wq, Wk, Wv), vjp), probs[0]
 
 
 def local_forward_var(H: Var, span: tuple[int, int], mask_params, attn_params,

@@ -58,6 +58,8 @@ class ModelConfig:
                 raise ValueError(f"config: {name} must be positive")
         if self.U < 0 or self.V < 0 or self.U + self.V < 1:
             raise ValueError("config: need at least one attention head (U + V >= 1)")
+        if self.seed < 0:
+            raise ValueError("config: seed must be a non-negative integer")
         if self.sample_interval <= 0:
             raise ValueError("config: sample_interval must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -127,32 +129,18 @@ class ModelParams:
         self._spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}
         size = 0
         for name, shape in layout:
-            size = self._add_span(name, tuple(shape), size)
+            if name in self._spans:
+                raise ValueError(f"duplicate parameter name: {name}")
+            shape = tuple(shape)
+            stop = size + math.prod(shape)
+            self._spans[name] = (size, stop, shape)
+            size = stop
         self.flat = np.zeros(size)
         self.grad = np.zeros(size)
-        self._bind()
-
-    def _add_span(self, name: str, shape: tuple[int, ...], start: int) -> int:
-        if name in self._spans:
-            raise ValueError(f"duplicate parameter name: {name}")
-        stop = start + math.prod(shape)
-        self._spans[name] = (start, stop, shape)
-        return stop
-
-    def _bind(self) -> None:
         self._values = {name: self.flat[lo:hi].reshape(shape)
                         for name, (lo, hi, shape) in self._spans.items()}
         self._grads = {name: self.grad[lo:hi].reshape(shape)
                        for name, (lo, hi, shape) in self._spans.items()}
-
-    def add(self, name: str, tensor: Tensor) -> None:
-        """Append a tensor. Both buffers are reallocated, so views taken before
-        go stale; init_params and checkpoints allocate the whole layout at once."""
-        t = np.asarray(tensor, dtype=np.float64)
-        self._add_span(name, t.shape, self.flat.size)
-        self.flat = np.concatenate([self.flat, t.ravel()])
-        self.grad = np.zeros_like(self.flat)
-        self._bind()
 
     def get(self, name: str) -> Tensor:
         return self._values[name]
@@ -174,42 +162,17 @@ class ModelParams:
         lo, hi, _ = self._spans[name]
         return lo, hi
 
-    def leaves(self) -> "Leaves":
+    def leaves(self) -> dict[str, Leaf]:
         """Fresh tape leaves for one forward/backward pass, one per tensor.
 
         Zeroes the gradient buffer; each leaf's gradient is its view into it,
         which backward() fills in place.
         """
         self.grad.fill(0.0)
-        return Leaves({name: Leaf(t, self._grads[name]) for name, t in self._values.items()},
-                      self.flat, self.grad)
-
-    def flatten(self, tensors: dict[str, Tensor]) -> Tensor:
-        """A {name: tensor} dict over every tensor as one vector in layout order.
-        The gradient buffer itself, not a copy, when the dict holds its views."""
-        if tensors.keys() != self._values.keys():
-            raise ValueError(f"expected one tensor for each of {self.names()}, "
-                             f"got {list(tensors)}")
-        if all(tensors[name] is g for name, g in self._grads.items()):
-            return self.grad
-        for name, view in self._values.items():
-            if np.shape(tensors[name]) != view.shape:
-                raise ValueError(f"shape {np.shape(tensors[name])} != parameter shape "
-                                 f"{view.shape} for {name}")
-        return np.concatenate([np.ravel(tensors[name]) for name in self._values])
+        return {name: Leaf(t, self._grads[name]) for name, t in self._values.items()}
 
     def total_size(self) -> int:
         return self.flat.size
-
-
-class Leaves(dict):
-    """Tape leaves of one pass by tensor name, with the flat value and
-    gradient buffers that they view."""
-
-    def __init__(self, leaves: dict[str, Leaf], flat: Tensor, grad: Tensor):
-        super().__init__(leaves)
-        self.flat = flat
-        self.grad = grad
 
 
 def param_layout(config: ModelConfig, vocab_size: int,
@@ -423,15 +386,15 @@ class Model:
                           logits=logits.value.copy())
         return (pred, trace) if with_trace else pred
 
-    def regularizer_var(self, leaves: Leaves) -> Var:
+    def regularizer_var(self) -> Var:
         """Sum of squared weight-matrix entries; biases and PAD rows excluded.
 
-        One tape node over the flat buffer that `leaves` (from params.leaves())
-        view; its gradient goes straight into their gradient buffer.
+        One tape node over params.flat; its gradient goes straight into
+        params.grad, which the leaves of params.leaves() view.
         """
-        return ad.sum_squares(Leaf(leaves.flat, leaves.grad), self._l2_runs)
+        return ad.sum_squares(Leaf(self.params.flat, self.params.grad), self._l2_runs)
 
-    def batch_loss_var(self, preps, leaves: Leaves, train: bool = False,
+    def batch_loss_var(self, preps, leaves: dict[str, Var], train: bool = False,
                        dropout_rng: Rng | None = None) -> Var:
         """Summed cross-entropy over the batch plus one l2 term."""
         total = None
@@ -441,6 +404,6 @@ class Model:
             ce = ad.logsumexp(logits) - ad.pick(logits, prep.gold)
             total = ce if total is None else total + ce
         if self.config.l2 > 0.0:
-            total = total + ad.mul(self.regularizer_var(leaves), self.config.l2)
+            total = total + ad.mul(self.regularizer_var(), self.config.l2)
         return total
 

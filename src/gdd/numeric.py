@@ -1,7 +1,7 @@
 """Float64 kernels, seeded randomness and the oracles the tape is checked against.
 
 Tensors are plain numpy arrays in row-major order. `softmax` checks its
-input; `_softmax` is the unchecked kernel that the tape's fused nodes call.
+input; `_softmax` is the unchecked kernel of the tape's attention nodes.
 The oracles -- `circ_corr_naive`, `circ_corr_fft` and `finite_diff_grad` --
 check their inputs, and the last two raise ValueError on a non-finite result.
 Randomness flows through explicit Rng instances owned by the caller --

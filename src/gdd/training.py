@@ -38,23 +38,20 @@ class AdamState:
         return cls(m=np.zeros(params.total_size()), v=np.zeros(params.total_size()))
 
 
-def adam_step(params: ModelParams, grads: dict[str, Tensor], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update of every parameter, in place.
+def adam_step(params: ModelParams, state: AdamState, lr: float, beta1: float = 0.9,
+              beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One bias-corrected Adam update of every parameter from params.grad, in place.
 
-    grads needs one tensor per parameter. The update runs over the flat
-    buffers, a block at a time, with the elementwise operations, in the same
-    order, of m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-    theta = theta - lr*m_hat / (sqrt(v_hat) + eps).
+    The update runs over the flat buffers, a block at a time, with the
+    elementwise operations, in the same order, of m = b1*m + (1-b1)*g;
+    v = b2*v + (1-b2)*g*g; theta = theta - lr*m_hat / (sqrt(v_hat) + eps).
     """
-    g = params.flatten(grads)
     state.t += 1
     c1, c2 = 1 - beta1 ** state.t, 1 - beta2 ** state.t
     theta = params.flat
     for lo in range(0, theta.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, theta.size)
-        m, v, gb = state.m[lo:hi], state.v[lo:hi], g[lo:hi]
+        m, v, gb = state.m[lo:hi], state.v[lo:hi], params.grad[lo:hi]
         s, u = (a[:hi - lo] for a in state.scratch)
         m *= beta1
         np.multiply(gb, 1 - beta1, out=s)
@@ -74,10 +71,11 @@ def adam_step(params: ModelParams, grads: dict[str, Tensor], state: AdamState,
 
 def batch_grads(model: Model, preps, train: bool = True,
                 dropout_rng: Rng | None = None):
-    """Loss value and gradient dict for one batch (cross-entropy + l2 once).
+    """Loss value of one batch (cross-entropy + l2 once), with its gradient
+    left in model.params.grad, and that gradient's views by tensor name.
 
-    The gradients are views into model.params.grad, which the next call
-    zeroes and refills: copy them to keep them past the next step.
+    The next call zeroes and refills model.params.grad: copy the views to
+    keep them past the next step.
     """
     leaves = model.params.leaves()
     loss = model.batch_loss_var(preps, leaves, train=train, dropout_rng=dropout_rng)
@@ -121,17 +119,18 @@ class TrainingDiverged(ArithmeticError):
                          f"loss {loss}, {where}")
 
 
-def check_finite(loss: float, grads: dict[str, Tensor], params: ModelParams,
-                 epoch: int, step: int) -> None:
-    """Raise TrainingDiverged unless the loss and every gradient are finite.
+def check_finite(loss: float, params: ModelParams, epoch: int, step: int) -> None:
+    """Raise TrainingDiverged unless the loss and every entry of params.grad
+    are finite.
 
     The normal path costs one sum over the flat gradient buffer: a NaN or an
     infinity in any entry makes the sum non-finite. Only then are the
-    tensors scanned, to name the first bad one.
+    tensors' spans scanned, to name the first bad one.
     """
     if math.isfinite(loss) and math.isfinite(params.grad.sum()):
         return
-    bad = next((name for name, g in grads.items() if not np.all(np.isfinite(g))), None)
+    bad = next((name for name in params.names()
+                if not np.all(np.isfinite(params.grad[slice(*params.span(name))]))), None)
     raise TrainingDiverged(epoch, step, loss, bad)
 
 
@@ -177,10 +176,9 @@ def train(model: Model, train_examples, dev_examples=None, *,
             with gc_paused():
                 # check_finite names a non-finite step, so numpy need not warn first
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    loss, grads = batch_grads(model, batch, train=True,
-                                              dropout_rng=dropout_rng)
-                    check_finite(loss, grads, model.params, epoch, step)
-                adam_step(model.params, grads, state, cfg.lr)
+                    loss, _ = batch_grads(model, batch, train=True, dropout_rng=dropout_rng)
+                    check_finite(loss, model.params, epoch, step)
+                adam_step(model.params, state, cfg.lr)
             total += loss
         log = EpochLog(epoch=epoch, train_loss=total / len(preps))
         need_train_acc = track_train_accuracy or stop_at_train_accuracy is not None

@@ -194,22 +194,21 @@ def test_operator_sugar_matches_functions():
     assert np.array_equal((-a).value, np.array([-1.0, -2.0]))
 
 
-def test_fused_node_calls_its_vjp_once_per_pass_and_drops_the_results():
-    calls, handed = [], []
+def test_multi_parent_node_calls_its_vjp_once_per_pass_and_drops_the_results():
+    calls, weak = [], []
 
     def vjp(g):
         calls.append(g)
-        handed[:] = [np.full(2, float(g)), np.full(3, 2.0 * float(g))]
-        return tuple(handed)
+        contribs = (np.full(2, float(g)), np.full(3, 2.0 * float(g)))
+        weak[:] = [weakref.ref(c) for c in contribs]
+        return contribs
 
     a, b = ad.Leaf(np.ones(2), np.zeros(2)), ad.Leaf(np.ones(3), np.zeros(3))
-    out = ad.fused(np.asarray(5.0), (a, b), vjp)
-    weak = [weakref.ref(x) for x in handed]
-    handed.clear()
+    out = Var(np.asarray(5.0), (a, b), vjp)
     backward(out)
     assert len(calls) == 1
     assert np.array_equal(a.grad, np.ones(2)) and np.array_equal(b.grad, np.full(3, 2.0))
-    assert all(ref() is None for ref in weak)  # freed while the tape is still alive
+    assert len(weak) == 2 and all(ref() is None for ref in weak)  # freed, tape still alive
     backward(out)
     assert len(calls) == 2
 

@@ -86,7 +86,7 @@ def example_loss(logits, gold, params, l2):
     total = ad.logsumexp(z) - ad.pick(z, gold)
     if l2 > 0.0:
         model = Model(ModelConfig(), Vocab(), TagVocab(), params)
-        total = total + ad.mul(model.regularizer_var(params.leaves()), l2)
+        total = total + ad.mul(model.regularizer_var(), l2)
     return float(total.value)
 
 
@@ -98,13 +98,13 @@ class TestLoss:
         assert example_loss([1000.0, 0.0, 0.0], 0, ModelParams(), l2=0.0) == 0.0
 
     def test_l2_single_weight_tensor(self):
-        params = ModelParams()
-        params.add("w", np.array([[1.0, 2.0]]))
+        params = ModelParams([("w", (1, 2))])
+        params.set("w", np.array([[1.0, 2.0]]))
         assert abs(example_loss([1000.0, 0.0, 0.0], 0, params, l2=1.0) - 5.0) < 1e-12
 
     def test_biases_excluded_from_l2(self):
-        params = ModelParams()
-        params.add("b", np.array([7.0, 7.0]))
+        params = ModelParams([("b", (2,))])
+        params.set("b", np.array([7.0, 7.0]))
         assert example_loss([1000.0, 0.0, 0.0], 0, params, l2=1.0) == 0.0
 
     def test_zero_prob_gold_stays_finite(self):
@@ -117,8 +117,7 @@ class TestLoss:
         token = model.params.get("embed.token").copy()
         token[0] = 1e3  # PAD row must not contribute
         model.params.set("embed.token", token)
-        leaves = model.params.leaves()
-        reg = float(model.regularizer_var(leaves).value)
+        reg = float(model.regularizer_var().value)
         manual = 0.0
         for name, t in model.params.items():
             if t.ndim != 2:
@@ -143,7 +142,7 @@ class TestLoss:
             taped = sq if taped is None else taped + sq
         ad.backward(taped)
         leaves = model.params.leaves()
-        node = model.regularizer_var(leaves)
+        node = model.regularizer_var()
         ad.backward(node)
         want = float(taped.value)
         assert abs(float(node.value) - want) < 1e-9 * max(1.0, want)
@@ -161,26 +160,27 @@ class TestLoss:
             logits, _ = model.forward_var(prep, model.params.leaves())
             z = logits.value
             ces.append(float(np.log(np.sum(np.exp(z - z.max()))) + z.max() - z[prep.gold]))
-        reg = float(model.regularizer_var(model.params.leaves()).value)
+        reg = float(model.regularizer_var().value)
         expected = sum(ces) + model.config.l2 * reg
         assert abs(total - expected) < 1e-9
 
 
 class TestAdam:
     def test_zero_gradients_no_motion(self):
-        params = ModelParams()
-        params.add("w", np.array([[1.0, -2.0]]))
+        params = ModelParams([("w", (1, 2))])
+        params.set("w", np.array([[1.0, -2.0]]))
         state = AdamState.for_params(params)
-        adam_step(params, {"w": np.zeros((1, 2))}, state, lr=0.1)
+        adam_step(params, state, lr=0.1)
         assert np.array_equal(params.get("w"), np.array([[1.0, -2.0]]))
 
     def test_first_step_closed_form(self):
-        params = ModelParams()
-        params.add("w", np.array([1.0, 1.0, 1.0]))
+        params = ModelParams([("w", (3,))])
+        params.set("w", np.array([1.0, 1.0, 1.0]))
         g = np.array([0.3, -0.02, 5.0])
+        params.grad[:] = g
         state = AdamState.for_params(params)
         lr, eps = 0.1, 1e-8
-        adam_step(params, {"w": g}, state, lr=lr, eps=eps)
+        adam_step(params, state, lr=lr, eps=eps)
         # bias-corrected single step: delta = -lr * g / (|g| + eps)
         expected = 1.0 - lr * g / (np.abs(g) + eps)
         assert np.max(np.abs(params.get("w") - expected)) < 1e-12
@@ -188,11 +188,12 @@ class TestAdam:
 
     def test_deterministic_given_state(self):
         def run():
-            params = ModelParams()
-            params.add("w", np.array([2.0]))
+            params = ModelParams([("w", (1,))])
+            params.set("w", np.array([2.0]))
             state = AdamState.for_params(params)
             for g in ([0.5], [-0.25], [0.1]):
-                adam_step(params, {"w": np.array(g)}, state, lr=0.05)
+                params.grad[:] = g
+                adam_step(params, state, lr=0.05)
             return params.get("w")
 
         assert np.array_equal(run(), run())
@@ -211,7 +212,9 @@ class TestAdam:
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         for t in range(1, 4):
             grads = {name: rng.normal(ref[name].shape) for name in names}
-            adam_step(model.params, grads, state, lr=lr)
+            for name, g in grads.items():
+                model.params.grad[slice(*model.params.span(name))] = g.ravel()
+            adam_step(model.params, state, lr=lr)
             for name, g in grads.items():
                 m[name] = b1 * m[name] + (1 - b1) * g
                 v[name] = b2 * v[name] + (1 - b2) * g * g
@@ -223,23 +226,11 @@ class TestAdam:
     def test_batch_grads_are_views_of_the_gradient_buffer(self, toy_model):
         model, examples = toy_model
         _, grads = batch_grads(model, [model.prepare(examples[0])], train=False)
-        assert model.params.flatten(grads) is model.params.grad
-        assert all(np.shares_memory(g, model.params.grad) for g in grads.values())
-
-    def test_missing_gradient_rejected(self):
-        params = ModelParams()
-        params.add("w", np.zeros((2, 2)))
-        params.add("b", np.zeros(2))
-        state = AdamState.for_params(params)
-        with pytest.raises(ValueError, match="one tensor for each"):
-            adam_step(params, {"w": np.zeros((2, 2))}, state, lr=0.1)
-
-    def test_shape_mismatch(self):
-        params = ModelParams()
-        params.add("w", np.zeros((2, 2)))
-        state = AdamState.for_params(params)
-        with pytest.raises(ValueError, match="shape"):
-            adam_step(params, {"w": np.zeros(3)}, state, lr=0.1)
+        assert list(grads) == model.params.names()
+        for name, g in grads.items():
+            lo, hi = model.params.span(name)
+            assert np.shares_memory(g, model.params.grad[lo:hi]), name
+            assert np.array_equal(g.ravel(), model.params.grad[lo:hi]), name
 
 
 class TestMetrics:
@@ -360,9 +351,9 @@ class TestTraining:
         state = AdamState.for_params(model.params)
         losses = []
         for _ in range(10):
-            value, grads = batch_grads(model, preps, train=False)
+            value, _ = batch_grads(model, preps, train=False)
             losses.append(value)
-            adam_step(model.params, grads, state, lr=model.config.lr)
+            adam_step(model.params, state, lr=model.config.lr)
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
     def test_train_is_deterministic(self):

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from gdd.data import generate_synthetic, save_dataset
 from gdd.numeric import Rng
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHAIN_CONLLU = """\
 1\tw_root\t_\t_\t_\t_\t0\troot\t_\t_
@@ -208,6 +212,82 @@ class TestBadEmbeddingsFile:
         assert code == 2
         assert stdout == ""
         assert re.fullmatch(f"error: .*{self.MESSAGES[case]}.*\n", err), err
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 text is an input error: exit 2 naming the file
+    and line, no traceback."""
+
+    @pytest.mark.parametrize("flag", ["--train", "--config", "--embeddings-file",
+                                      "--conllu", "--spans"])
+    def test_exit_2_naming_the_file_and_line(self, dataset, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\n\xff\n")  # a blank line 1, which every reader skips
+        out = str(tmp_path / "m.gdd")
+        if flag in ("--conllu", "--spans"):
+            conllu, spans = tmp_path / "s.conllu", tmp_path / "spans.jsonl"
+            conllu.write_text(CHAIN_CONLLU)
+            spans.write_text(json.dumps({"spans": [[2, 3]]}) + "\n")
+            files = {"--conllu": str(conllu), "--spans": str(spans), flag: str(bad)}
+            argv = ["build-graph", *(x for pair in files.items() for x in pair)]
+        else:
+            files = {"--train": str(dataset), flag: str(bad)}
+            argv = ["train", "--out", out, *(x for pair in files.items() for x in pair),
+                    *toy_flags()]
+        code, stdout, err = run(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert re.fullmatch(r"error: .*bad\.txt:2: not UTF-8 text.*\n", err), err
+
+
+class TestBadSeed:
+    """A seed that is not a non-negative integer, from --seed or from GDD_SEED,
+    is a usage error naming seed on every command that takes one."""
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck", "verify-proposition"])
+    @pytest.mark.parametrize("source, value", [("flag", "-1"), ("flag", "abc"),
+                                               ("env", "-1"), ("env", "abc")])
+    def test_exit_2_naming_seed(self, dataset, tmp_path, capsys, monkeypatch, command,
+                                source, value):
+        argv = {"train": ["train", "--train", str(dataset), "--out", str(tmp_path / "m.gdd"),
+                          *toy_flags()],
+                "gradcheck": ["gradcheck"],
+                "verify-proposition": ["verify-proposition", "--trials", "1"]}[command]
+        if source == "flag":
+            argv = argv + ["--seed", value]
+        else:
+            monkeypatch.setenv("GDD_SEED", value)
+        code, stdout, err = run(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert re.fullmatch(r"error: .*\bseed\b.*\n", err), err
+        assert not (tmp_path / "m.gdd").exists()
+
+    @pytest.mark.parametrize("command", ["gradcheck", "verify-proposition"])
+    def test_gdd_seed_env_fallback(self, capsys, monkeypatch, command):
+        argv = [command] + (["--trials", "2"] if command == "verify-proposition" else [])
+        monkeypatch.setenv("GDD_SEED", "7")
+        _, via_env, _ = run(argv, capsys)
+        monkeypatch.delenv("GDD_SEED")
+        _, via_flag, _ = run(argv + ["--seed", "7"], capsys)
+        _, default, _ = run(argv, capsys)
+        assert via_env == via_flag != default
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    """`gdd gradcheck | head -c 20`: the reader is gone before gdd prints."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "gdd.cli", "gradcheck"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path})
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+    finally:
+        proc.stderr.close()
+        proc.wait(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1
 
 
 class TestEval:

@@ -21,7 +21,7 @@ from gdd.numeric import Rng, circ_corr_fft, softmax
 
 
 # Reference heads built from one small tape op per step, each with its own
-# VJP. The fused heads of gdd.dgat must reproduce them in value and gradient.
+# VJP. The heads of gdd.dgat must reproduce them in value and gradient.
 
 def _maybe_scale_oracle(logits, d_head, scale):
     return ad.mul(logits, 1.0 / math.sqrt(d_head)) if scale else logits
@@ -58,12 +58,12 @@ def relational_head_oracle(H_N, E, p):
 
 
 def edge_weights(h_a, E, p, scale=False):
-    """beta of the fused dual-head node's kernel."""
+    """beta of the dual-head attention node's kernel."""
     return _edge_weights(h_a @ p.Wa, E @ p.We, scale)
 
 
 def node_weights(h_a, H_N, beta, p, scale=False):
-    """omega of the fused dual-head node's kernel for a given beta."""
+    """omega of the dual-head attention node's kernel for a given beta."""
     return _node_weights(h_a @ p.Wa, H_N @ p.Wi, beta, scale)[1]
 
 

@@ -23,7 +23,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 # Reference local encoder built from one small tape op per step, each with its
-# own VJP. The two fused nodes of gdd.local_encoder must reproduce it in
+# own VJP. The mask and attention nodes of gdd.local_encoder must reproduce it in
 # value, trace and gradient.
 
 def sigma_oracle(H, W1, b1, W2, b2):

@@ -52,8 +52,8 @@ def test_default_config_step_stays_within_the_node_budget(monkeypatch):
     monkeypatch.setattr(ad.Var, "__init__", counting_init)
     counting(dg, "dual_head_var")
     counting(le, "local_forward_var")
-    _, grads = batch_grads(model, [prep])
-    adam_step(model.params, grads, AdamState.for_params(model.params), 1e-3)
+    batch_grads(model, [prep])
+    adam_step(model.params, AdamState.for_params(model.params), 1e-3)
     assert counts["dual_head_var"] == model.config.U * model.config.L
     assert counts["local_forward_var"] == 1
     assert counts["nodes"] <= MAX_NODES_PER_STEP

@@ -10,9 +10,17 @@ that array itself (touching only the rows it used) and return None for it.
 The model's attention and mask layers are nodes of this one kind, with
 hand-derived VJPs over many parents; analytic gradients produced here are
 validated against numeric.finite_diff_grad, never trusted blind.
+
+circ_corr runs its transforms as matrix products with two cached real DFT
+matrices per length d (K = d // 2 + 1 bins): x @ F gives the real parts of
+rfft(x), then its imaginary parts, and that layout @ Finv gives
+irfft(., n=d). At the model's widths (d_head = 16) a small GEMM costs less
+than the numpy FFT call it replaces.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -128,9 +136,9 @@ def matmul(a, b) -> Var:
     if av.ndim == 2 and bv.ndim == 2:
         vjp = lambda g: (g @ bv.T, av.T @ g)
     elif av.ndim == 1 and bv.ndim == 2:
-        vjp = lambda g: (bv @ g, np.outer(av, g))
+        vjp = lambda g: (bv @ g, av[:, None] * g)
     elif av.ndim == 2 and bv.ndim == 1:
-        vjp = lambda g: (np.outer(g, bv), av.T @ g)
+        vjp = lambda g: (g[:, None] * bv, av.T @ g)
     elif av.ndim == 1 and bv.ndim == 1:
         vjp = lambda g: (g * bv, g * av)
     else:
@@ -169,8 +177,9 @@ def sum_(a, axis=None, keepdims: bool = False) -> Var:
     val = a.value.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.value.shape).copy(),)
+        out = np.empty(a.value.shape)
+        out[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (out,)
 
     return Var(np.asarray(val), (a,), vjp)
 
@@ -181,8 +190,9 @@ def mean(a, axis=None, keepdims: bool = False) -> Var:
     scale = 1.0 / (a.value.size if axis is None else a.value.shape[axis])
 
     def vjp(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg * scale, a.value.shape).copy(),)
+        out = np.empty(a.value.shape)
+        out[...] = (g if axis is None or keepdims else np.expand_dims(g, axis)) * scale
+        return (out,)
 
     return Var(a.value.sum(axis=axis, keepdims=keepdims) * scale, (a,), vjp)
 
@@ -273,27 +283,74 @@ def logsumexp(a) -> Var:
     return Var(np.asarray(m + np.log(total)), (a,), lambda g: (g * p,))
 
 
+@functools.lru_cache(maxsize=8)
+def _real_dft(d: int):
+    """(F, Finv) for length d with K = d // 2 + 1 bins, read-only.
+
+    F (d x 2K) is [cos | -sin] of the angles 2 pi jk/d, so x @ F holds the
+    real parts of rfft(x) and then its imaginary parts. Finv (2K x d) takes
+    that layout back as irfft(., n=d) does: bin 0, and the Nyquist bin of an
+    even d, weigh 1/d, every other bin 2/d, and the imaginary parts of those
+    two bins drop out (their sine rows are zero).
+    """
+    k = np.arange(d // 2 + 1)
+    angle = (2.0 * np.pi / d) * (np.outer(np.arange(d), k) % d)  # jk reduced mod d exactly
+    cos, sin = np.cos(angle), np.sin(angle)
+    w = np.full(k.size, 2.0 / d)
+    w[0] = 1.0 / d
+    if d % 2 == 0:
+        w[-1] = 1.0 / d
+    F = np.concatenate((cos, -sin), axis=1)
+    Finv = np.concatenate((w[:, None] * cos.T, -w[:, None] * sin.T))
+    F.flags.writeable = Finv.flags.writeable = False
+    return F, Finv
+
+
 def circ_corr(a, b) -> Var:
     """Circular correlation along the last axis; 2-D operands pair row-wise.
 
-    out = irfft(conj(rfft(a)) * rfft(b)), the real-input form of
-    numeric.circ_corr_fft: real by construction, so no imaginary residue to
-    discard. Gradients are themselves circular ops, from one transform of g:
-    d/da = corr(g, b), d/db = circular convolution of g with a.
+    out = irfft(conj(A) * B, n=d) with A = rfft(a), B = rfft(b): real by
+    construction, no imaginary residue to discard (numeric.circ_corr_fft is
+    the complex-FFT oracle). The transforms are products with _real_dft's
+    matrices and the spectra stay real pairs (Re, Im): one GEMM takes the
+    stacked rows [a; b] to A and B, conj(A) * B is four real products, and
+    one GEMM takes it back. Gradients are themselves circular ops over
+    G = rfft(g): d/da = corr(g, b) = irfft(conj(G) * B) and
+    d/db = conv(g, a) = irfft(G * A), so the VJP is one GEMM of g and one
+    GEMM of both products stacked.
     """
     a, b = as_var(a), as_var(b)
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"circ_corr: shape mismatch {a.value.shape} vs {b.value.shape}")
-    d = a.value.shape[-1]
-    fa = np.fft.rfft(a.value, axis=-1)
-    fb = np.fft.rfft(b.value, axis=-1)
+    shape = a.value.shape
+    if shape != b.value.shape:
+        raise ValueError(f"circ_corr: shape mismatch {shape} vs {b.value.shape}")
+    d = shape[-1]
+    F, Finv = _real_dft(d)
+    k = F.shape[1] // 2
+    m = a.value.size // d
+    rows = np.concatenate((a.value.reshape(m, d), b.value.reshape(m, d)))
+    spectra = (rows @ F).reshape(2, m, 2, k)  # [A; B], each [real parts; imaginary parts]
+    corr = _spectral_product(spectra[0], spectra[1], np.empty((m, 2, k)), conj=True)
 
     def vjp(g):
-        fg = np.fft.rfft(g, axis=-1)
-        return (np.fft.irfft(np.conj(fg) * fb, n=d, axis=-1),
-                np.fft.irfft(fg * fa, n=d, axis=-1))
+        spec_g = (g.reshape(m, d) @ F).reshape(m, 2, k)
+        both = np.empty((2, m, 2, k))
+        _spectral_product(spec_g, spectra[1], both[0], conj=True)
+        _spectral_product(spec_g, spectra[0], both[1], conj=False)
+        grads = both.reshape(2 * m, 2 * k) @ Finv
+        return grads[:m].reshape(shape), grads[m:].reshape(shape)
 
-    return Var(np.fft.irfft(np.conj(fa) * fb, n=d, axis=-1), (a, b), vjp)
+    return Var((corr.reshape(m, 2 * k) @ Finv).reshape(shape), (a, b), vjp)
+
+
+def _spectral_product(x, y, out, conj: bool):
+    """conj(x) * y, or x * y, of spectra laid out as (rows, [Re, Im], bins),
+    written into out. conj(x) * y = (xr yr + xi yi) + i (xr yi - xi yr);
+    x * y = (xr yr - xi yi) + i (xr yi + xi yr)."""
+    straight, swapped = x * y, x * y[:, ::-1]
+    re_op, im_op = (np.add, np.subtract) if conj else (np.subtract, np.add)
+    re_op(straight[:, 0], straight[:, 1], out=out[:, 0])
+    im_op(swapped[:, 0], swapped[:, 1], out=out[:, 1])
+    return out
 
 
 def backward(out: Var) -> None:

@@ -11,6 +11,7 @@ vocabulary sizes imply.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import sys
 
@@ -51,6 +52,10 @@ def load_checkpoint(path) -> Model:
         if len(size_field) < 8:
             raise CheckpointError("truncated header length")
         (header_len,) = struct.unpack("<Q", size_field)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if header_len > left:
+            raise CheckpointError(
+                f"header length {header_len} exceeds the {left} bytes left in the file")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:

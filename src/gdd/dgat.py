@@ -9,8 +9,10 @@ MLP. The layer output concatenates all heads; edges are reprojected between
 layers while context-word features stay at their layer-0 values.
 
 Every function here builds tape nodes (`autodiff.Var`); each head's
-attention is one node, with a hand-derived VJP, over the plain-array
-kernels `_edge_weights` and `_node_weights`. A layer over an empty graph returns a zero vector and
+attention, with the projection only that head reads (the aspect's in a
+dual head, the values' in a relational head), is one node with a
+hand-derived VJP over the plain-array kernels `_edge_weights` and
+`_node_weights`. A layer over an empty graph returns a zero vector and
 flags it in its trace.
 """
 
@@ -72,17 +74,19 @@ def _node_weights(a_proj: Tensor, n_proj: Tensor, beta: Tensor, scale: bool):
     return dots, _softmax(_scaled(beta * dots, a_proj.shape[0], scale))
 
 
-def dual_attention_var(a_proj: Var, e_proj: Var, n_proj: Var, composed: Var,
+def dual_attention_var(h_a: Var, Wa: Var, e_proj: Var, n_proj: Var, composed: Var,
                        scale: bool = False):
-    """The attention of a dual-level head as one tape node: beta from the
-    edges, omega from the nodes and beta, and the omega-weighted sum of the
-    composed rows. Returns (output Var[d_head], beta, omega); the weights are
-    plain arrays.
+    """The attention of a dual-level head as one tape node: the aspect
+    projection a = h_a Wa, beta from the edges, omega from the nodes and
+    beta, and the omega-weighted sum of the composed rows. Returns
+    (output Var[d_head], beta, omega); the weights are plain arrays.
 
     The VJP runs the chain rule back through both softmaxes by hand:
-    d/d composed = omega g^T; d/d a_proj collects both logits' terms.
+    d/d composed = omega g^T; d/d a collects both logits' terms, and
+    d/d h_a = Wa d_a, d/d Wa = h_a d_a^T.
     """
-    a, Ep, Np, C = a_proj.value, e_proj.value, n_proj.value, composed.value
+    h, W, Ep, Np, C = h_a.value, Wa.value, e_proj.value, n_proj.value, composed.value
+    a = h @ W
     c = 1.0 / math.sqrt(a.shape[0]) if scale else 1.0
     beta = _edge_weights(a, Ep, scale)
     dots, omega = _node_weights(a, Np, beta, scale)
@@ -93,10 +97,11 @@ def dual_attention_var(a_proj: Var, e_proj: Var, n_proj: Var, composed: Var,
         d_beta = d_node * dots
         d_dots = d_node * beta
         d_edge = (d_beta - np.dot(d_beta, beta)) * beta * c  # d/d (Ep @ a)
-        return (Ep.T @ d_edge + Np.T @ d_dots, np.outer(d_edge, a),
-                np.outer(d_dots, a), np.outer(omega, g))
+        d_a = Ep.T @ d_edge + Np.T @ d_dots
+        return (W @ d_a, h[:, None] * d_a, d_edge[:, None] * a, d_dots[:, None] * a,
+                omega[:, None] * g)
 
-    out = Var(omega @ C, (a_proj, e_proj, n_proj, composed), vjp)
+    out = Var(omega @ C, (h_a, Wa, e_proj, n_proj, composed), vjp)
     return out, beta, omega
 
 
@@ -104,53 +109,54 @@ def dual_head_var(h_a: Var, H_N: Var, E: Var, p: DualHeadParams,
                   scale: bool = False):
     """One dual-level head: omega-weighted sum of corr(Wi h_i, We e_i) rows.
 
-    Five tape nodes: the three projections, each computed once, their
-    row-wise circular correlation, and `dual_attention_var`.
+    Four tape nodes: the edge and node projections, each computed once,
+    their row-wise circular correlation, and `dual_attention_var`, which
+    also projects the aspect.
     Returns (head output Var[d_head], beta array[m], omega array[m]).
     """
-    a_proj = ad.matmul(h_a, p.Wa)
     e_proj = ad.matmul(E, p.We)
     n_proj = ad.matmul(H_N, p.Wi)
     composed = ad.circ_corr(n_proj, e_proj)  # m x d_head, row-wise
-    return dual_attention_var(a_proj, e_proj, n_proj, composed, scale)
+    return dual_attention_var(as_var(h_a), as_var(p.Wa), e_proj, n_proj, composed, scale)
 
 
 def relational_attention_var(E: Var, W1: Var, b1: Var, W2: Var, b2: Var,
-                             values: Var):
-    """The attention of a relational head as one tape node:
-    rho = softmax(relu(E W1 + b1) W2 + b2) and the rho-weighted sum of the
-    value rows. Returns (output Var[d_head], rho array[m]).
+                             H_N: Var, Wv: Var):
+    """A relational head as one tape node: rho = softmax(relu(E W1 + b1) W2
+    + b2) and the rho-weighted sum of the value rows H_N Wv. Returns
+    (output Var[d_head], rho array[m]).
 
-    The VJP goes by hand through the softmax and the relu MLP to E, the
-    four MLP tensors and the values.
+    The VJP goes by hand through the softmax and the relu MLP to E and the
+    four MLP tensors, and through the values (d/d values = rho g^T) to H_N
+    and Wv.
     """
-    Ev, W1v, W2v = E.value, W1.value, W2.value
+    Ev, W1v, W2v, Hv, Wvv = E.value, W1.value, W2.value, H_N.value, Wv.value
     pre = Ev @ W1v + b1.value
     hidden = np.maximum(pre, 0.0)
     rho = _softmax((hidden @ W2v).reshape(-1) + b2.value)
-    V = values.value
+    V = Hv @ Wvv
 
     def vjp(g):
         d_rho = V @ g
         d_logits = (d_rho - np.dot(d_rho, rho)) * rho
-        d_pre = np.outer(d_logits, W2v[:, 0]) * (pre > 0.0)
+        d_pre = d_logits[:, None] * W2v[:, 0] * (pre > 0.0)
+        d_values = rho[:, None] * g
         return (d_pre @ W1v.T, Ev.T @ d_pre, d_pre.sum(axis=0),
                 hidden.T @ d_logits[:, None], d_logits.sum(keepdims=True),
-                np.outer(rho, g))
+                d_values @ Wvv.T, Hv.T @ d_values)
 
-    return Var(rho @ V, (E, W1, b1, W2, b2, values), vjp), rho
+    return Var(rho @ V, (E, W1, b1, W2, b2, H_N, Wv), vjp), rho
 
 
 def relational_head_var(H_N: Var, E: Var, p: RelHeadParams):
     """One relational head: neighbor weights from an edge-only MLP.
 
     rho_i = softmax(relu(e_i W1 + b1) W2 + b2); output = sum_i rho_i (Wv h_i).
-    Two tape nodes: the value projection and `relational_attention_var`.
+    One tape node, `relational_attention_var`, which also projects the values.
     Returns (head output Var[d_head], rho array[m]).
     """
-    values = ad.matmul(H_N, p.Wv)
     return relational_attention_var(as_var(E), as_var(p.W1), as_var(p.b1), as_var(p.W2),
-                                    as_var(p.b2), values)
+                                    as_var(p.b2), as_var(H_N), as_var(p.Wv))
 
 
 def relation_update_var(E: Var, Wr) -> Var:

@@ -92,8 +92,8 @@ def gaussian_mask_var(H: Var, W1: Var, b1: Var, W2: Var, b2: Var, span: tuple[in
         d_z = np.dot(d_mask, dmask_dsigma) * (0.5 * (1.0 + np.tanh(0.5 * z)))
         d_pre = W2v[:, 0] * d_z * (pre > 0.0)
         d_pooled = W1v @ d_pre
-        return (mask[:, None] * g + d_pooled * (1.0 / n), np.outer(pooled, d_pre), d_pre,
-                np.outer(hidden, d_z), d_z)
+        return (mask[:, None] * g + d_pooled * (1.0 / n), pooled[:, None] * d_pre, d_pre,
+                hidden[:, None] * d_z, d_z)
 
     H_G = Var(mask[:, None] * Hv, (H, W1, b1, W2, b2), vjp)
     return H_G, sigma, mask

@@ -154,7 +154,14 @@ def test_circ_corr_1d_and_rows():
     check_grad(lambda a, b: ad.sum_(ad.mul(ad.circ_corr(a, b), 0.7)), (3, 4), (3, 4))
 
 
-@pytest.mark.parametrize("d", [4, 5, 16, 64])
+@pytest.mark.parametrize("d", [6, 7])
+def test_circ_corr_gradient_at_even_and_odd_length(d):
+    # An even d has a Nyquist bin, which the inverse DFT weighs once; an odd d has none.
+    probe = Var(Rng(12).uniform((4, d), -1.0, 1.0))
+    check_grad(lambda a, b: ad.sum_(ad.mul(ad.circ_corr(a, b), probe)), (4, d), (4, d), seed=d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 5, 16, 17, 64])
 def test_circ_corr_matches_the_naive_oracle(d):
     rng = Rng(d)
     a, b = rng.normal((d,)), rng.normal((d,))
@@ -216,16 +223,17 @@ def test_multi_parent_node_calls_its_vjp_once_per_pass_and_drops_the_results():
 @pytest.mark.parametrize("m", [1, 5])
 @pytest.mark.parametrize("scale", [False, True])
 def test_fused_dual_attention(m, scale):
-    d = 4
+    a_w, d = 6, 4
     probe = Var(Rng(7).uniform((d,), -1.0, 1.0))
-    check_grad(lambda a, e, n, c: ad.matmul(dual_attention_var(a, e, n, c, scale)[0], probe),
-               (d,), (m, d), (m, d), (m, d), seed=m)
+    check_grad(lambda h, Wa, e, n, c: ad.matmul(dual_attention_var(h, Wa, e, n, c, scale)[0],
+                                                probe),
+               (a_w,), (a_w, d), (m, d), (m, d), (m, d), seed=m)
 
 
 @pytest.mark.parametrize("m", [1, 5])
 def test_fused_relational_attention(m):
-    e_w, d = 6, 4
-    shapes = [(m, e_w), (e_w, d), (d,), (d, 1), (1,), (m, d)]
+    e_w, d_model, d = 6, 5, 4
+    shapes = [(m, e_w), (e_w, d), (d,), (d, 1), (1,), (m, d_model), (d_model, d)]
     E, W1, b1 = inputs(*shapes, seed=m)[:3]
     assert np.min(np.abs(E @ W1 + b1)) > 1e-3  # central differences stay off the relu kinks
     probe = Var(Rng(8).uniform((d,), -1.0, 1.0))

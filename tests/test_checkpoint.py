@@ -67,6 +67,20 @@ def test_file_cut_inside_the_header_length(trained_model):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("header_len", [2**62, 3])
+def test_header_length_beyond_the_end_of_the_file(tmp_path, header_len, capsys):
+    path = tmp_path / "huge.gdd"
+    path.write_bytes(MAGIC + struct.pack("<Q", header_len) + b"{}")
+    message = f"header length {header_len} exceeds the 2 bytes left in the file"
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps(example_to_dict(generate_synthetic(seed=0, count=1)[0])) + "\n")
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_trailing_garbage(trained_model):
     _, _, path = trained_model
     path.write_bytes(path.read_bytes() + b"x")

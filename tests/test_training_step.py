@@ -16,11 +16,12 @@ from gdd.training import AdamState, TrainingDiverged, adam_step, batch_grads, tr
 
 TOY = dict(d_model=8, d_tag=4, d_hid=4, d_head=4, U=1, V=1, L=1)
 
-# Var constructions in one default-config step, leaves included (131 when
-# this budget was set), inside one dual-level head and inside one call of
-# the local encoder.
-MAX_NODES_PER_STEP = 135
-MAX_NODES_PER_DUAL_HEAD = 5
+# Var constructions in one default-config step, leaves included (119 when
+# this budget was set), inside one dual-level head, inside one relational
+# head and inside one call of the local encoder.
+MAX_NODES_PER_STEP = 123
+MAX_NODES_PER_DUAL_HEAD = 4
+MAX_NODES_PER_REL_HEAD = 1
 MAX_NODES_PER_LOCAL_FORWARD = 4
 
 
@@ -51,13 +52,17 @@ def test_default_config_step_stays_within_the_node_budget(monkeypatch):
 
     monkeypatch.setattr(ad.Var, "__init__", counting_init)
     counting(dg, "dual_head_var")
+    counting(dg, "relational_head_var")
     counting(le, "local_forward_var")
     batch_grads(model, [prep])
     adam_step(model.params, AdamState.for_params(model.params), 1e-3)
     assert counts["dual_head_var"] == model.config.U * model.config.L
+    assert counts["relational_head_var"] == model.config.V * model.config.L
     assert counts["local_forward_var"] == 1
     assert counts["nodes"] <= MAX_NODES_PER_STEP
     assert counts["dual_head_var_nodes"] <= MAX_NODES_PER_DUAL_HEAD * counts["dual_head_var"]
+    assert (counts["relational_head_var_nodes"]
+            <= MAX_NODES_PER_REL_HEAD * counts["relational_head_var"])
     assert (counts["local_forward_var_nodes"]
             <= MAX_NODES_PER_LOCAL_FORWARD * counts["local_forward_var"])
 

@@ -2,8 +2,10 @@
 
 Every op is eager: it computes its value immediately and records its
 parents and one VJP, a callback mapping the output gradient to one
-gradient contribution per parent, in order. backward() replays the tape in
-reverse topological order, calling each node's VJP once.
+gradient contribution per parent, in order. backward() sorts the op nodes
+(those with a VJP) reachable from its output and replays them in reverse
+topological order, calling each node's VJP once; inputs (leaves and
+constants) never enter the sort, they only receive contributions.
 A Leaf's gradient is a preallocated array that backward() adds into in
 place; an op whose parent is a Leaf may instead add its contribution into
 that array itself (touching only the rows it used) and return None for it.
@@ -354,9 +356,18 @@ def _spectral_product(x, y, out, conj: bool):
 
 
 def backward(out: Var) -> None:
-    """Accumulate d(out)/d(node) into .grad for every node reachable from out."""
+    """Accumulate d(out)/d(node) into .grad for every node reachable from out.
+
+    Only op nodes (those with a VJP) are sorted and replayed: a parent
+    without one, a Leaf or a constant input, never enters the search. It
+    only receives its contributions, into its preallocated array for a Leaf
+    and into a fresh or summed .grad for any other input.
+    """
     if out.value.size != 1:
         raise ValueError("backward expects a scalar output")
+    out.grad = np.ones_like(out.value)
+    if out._vjp is None:
+        return
     order = []
     seen = set()
     stack = [(out, False)]
@@ -365,19 +376,15 @@ def backward(out: Var) -> None:
         if children_done:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent._vjp is not None and parent not in seen:
                 stack.append((parent, False))
-    out.grad = np.ones_like(out.value)
     for node in reversed(order):
-        g = node.grad
-        if g is None or node._vjp is None:
-            continue
-        for parent, contrib in zip(node._parents, node._vjp(g)):
+        for parent, contrib in zip(node._parents, node._vjp(node.grad)):
             if contrib is None:  # the op added into the Leaf's gradient itself
                 continue
             if isinstance(parent, Leaf):

@@ -166,29 +166,29 @@ def relation_update_var(E: Var, Wr) -> Var:
 
 def dgat_layer_var(h_a: Var, H_N: Var, E: Var, params: DgatLayerParams,
                    d_head: int, scale: bool = False):
-    """One layer: concat(U dual heads, V relational heads) plus updated edges.
+    """One layer's heads: (concat(U dual heads, V relational heads), trace).
 
-    An empty graph (m == 0) yields a zero vector of the layer width and a
-    trace flag instead of attention coefficients.
+    The trace holds each head's attention weights as arrays. An empty graph
+    (m == 0) yields a zero vector of the layer width and a trace flag
+    instead of attention coefficients. The layer's relation update is not
+    run here: global_forward_var runs it only between layers.
     """
     m = H_N.value.shape[0]
     width = params.num_heads * d_head
     trace = {"beta": [], "omega": [], "rho": [], "empty": m == 0}
     if m == 0:
-        return Var(np.zeros(width)), E, trace
+        return Var(np.zeros(width)), trace
     outs = []
     for hp in params.dual:
         out, beta, omega = dual_head_var(h_a, H_N, E, hp, scale)
         outs.append(out)
-        trace["beta"].append(beta.tolist())
-        trace["omega"].append(omega.tolist())
+        trace["beta"].append(beta)
+        trace["omega"].append(omega)
     for rp in params.rel:
         out, rho = relational_head_var(H_N, E, rp)
         outs.append(out)
-        trace["rho"].append(rho.tolist())
-    h_next = ad.concat(outs)
-    E_next = relation_update_var(E, params.Wr)
-    return h_next, E_next, trace
+        trace["rho"].append(rho)
+    return ad.concat(outs), trace
 
 
 def global_forward_var(h_a: Var, H_N: Var, E: Var, layers: list[DgatLayerParams],
@@ -196,14 +196,19 @@ def global_forward_var(h_a: Var, H_N: Var, E: Var, layers: list[DgatLayerParams]
                        rng=None):
     """Stack of layers; aspect and edge representations evolve, nodes do not.
 
-    Dropout (training only; pass an Rng) hits the concatenated aspect vector
-    after each layer. Returns (h_a_final Var, list of per-layer traces).
+    Each layer but the last updates the edges for the next one; nothing
+    reads the last layer's edges, so its Wr is never used (nor is any Wr
+    over an empty graph). Dropout (training only; pass an Rng) hits the
+    concatenated aspect vector after each layer. Returns (h_a_final Var,
+    list of per-layer traces).
     """
     traces = []
-    for layer in layers:
-        h_a, E, trace = dgat_layer_var(h_a, H_N, E, layer, d_head, scale)
+    for i, layer in enumerate(layers):
+        h_a, trace = dgat_layer_var(h_a, H_N, E, layer, d_head, scale)
         if dropout > 0.0 and rng is not None:
             keep = (rng.uniform(h_a.value.shape) >= dropout) / (1.0 - dropout)
             h_a = ad.mul(h_a, keep)
         traces.append(trace)
+        if i + 1 < len(layers) and not trace["empty"]:
+            E = relation_update_var(E, layer.Wr)
     return h_a, traces

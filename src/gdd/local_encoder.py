@@ -160,7 +160,8 @@ def local_forward_var(H: Var, span: tuple[int, int], mask_params, attn_params,
     mask_params / attn_params are (W1, b1, W2, b2) and (Wq, Wk, Wv) tuples of
     Var or ndarray. Four tape nodes (three without the mask): the mask layer,
     the attention, and the gather and mean of the aspect rows. Returns
-    (h_local Var[d_k], trace dict).
+    (h_local Var[d_k], trace dict); the trace holds sigma as a float and the
+    mask and the (first head's) attention matrix as arrays.
     """
     s, e = span
     trace = {}
@@ -168,13 +169,13 @@ def local_forward_var(H: Var, span: tuple[int, int], mask_params, attn_params,
         H_G, sigma, mask = gaussian_mask_var(H, *(as_var(w) for w in mask_params), span,
                                              interval, normalize=normalize_mask)
         trace["sigma"] = float(sigma[0])
-        trace["mask"] = mask.tolist()
+        trace["mask"] = mask
     else:
         H_G = H
         trace["sigma"] = None
         trace["mask"] = None
     out, probs = attention_var(H_G, *attn_params, variant=variant, heads=heads)
-    trace["local_attention"] = probs.tolist()
+    trace["local_attention"] = probs
     h_local = ad.mean(ad.gather_rows(out, range(s, e + 1)), axis=0)
     return h_local, trace
 

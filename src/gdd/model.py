@@ -9,7 +9,9 @@ Class order is fixed: positive=0, neutral=1, negative=2.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +124,8 @@ class ModelParams:
 
     `flat` holds every tensor's values and `grad` every tensor's gradient,
     both in layout order. get(), items() and leaves() hand out views, so a
-    write through them is a write into the buffer.
+    write through them is a write into the buffer. The tape leaves are built
+    on first use, not here: a model loaded only to predict never needs them.
     """
 
     def __init__(self, layout=()):
@@ -141,6 +144,8 @@ class ModelParams:
                         for name, (lo, hi, shape) in self._spans.items()}
         self._grads = {name: self.grad[lo:hi].reshape(shape)
                        for name, (lo, hi, shape) in self._spans.items()}
+        self._leaves: dict[str, Leaf] | None = None
+        self._flat_leaf: Leaf | None = None
 
     def get(self, name: str) -> Tensor:
         return self._values[name]
@@ -163,13 +168,24 @@ class ModelParams:
         return lo, hi
 
     def leaves(self) -> dict[str, Leaf]:
-        """Fresh tape leaves for one forward/backward pass, one per tensor.
+        """The model's tape leaves, one per tensor, built once: every call
+        returns the same dict of the same Leaf objects.
 
-        Zeroes the gradient buffer; each leaf's gradient is its view into it,
-        which backward() fills in place.
+        Each call zeroes the gradient buffer. A leaf's value and gradient are
+        its views into flat and grad, so it always reads the current values,
+        and backward() fills grad in place.
         """
         self.grad.fill(0.0)
-        return {name: Leaf(t, self._grads[name]) for name, t in self._values.items()}
+        if self._leaves is None:
+            self._leaves = {name: Leaf(t, self._grads[name]) for name, t in self._values.items()}
+        return self._leaves
+
+    def flat_leaf(self) -> Leaf:
+        """One tape leaf over the whole flat buffer, its gradient the whole of
+        grad, built once. Unlike leaves(), it zeroes nothing."""
+        if self._flat_leaf is None:
+            self._flat_leaf = Leaf(self.flat, self.grad)
+        return self._flat_leaf
 
     def total_size(self) -> int:
         return self.flat.size
@@ -232,6 +248,32 @@ def l2_runs(params: ModelParams) -> tuple[tuple[int, int], ...]:
         else:
             runs.append((lo, hi))
     return tuple(runs)
+
+
+@functools.lru_cache(maxsize=8)
+def _dgat_getters(U: int, V: int, L: int):
+    """Per DGAT layer: one getter per dual head, taking (Wa, We, Wi) from a
+    name -> tensor dict, one per relational head, taking (Wv, W1, b1, W2,
+    b2), and the name of Wr. The names follow param_layout."""
+    def getter(prefix, fields):
+        return operator.itemgetter(*(f"{prefix}.{w}" for w in fields))
+
+    return tuple(
+        (tuple(getter(f"dgat.l{l}.dual{u}", ("Wa", "We", "Wi")) for u in range(U)),
+         tuple(getter(f"dgat.l{l}.rel{v}", ("Wv", "W1", "b1", "W2", "b2")) for v in range(V)),
+         f"dgat.l{l}.Wr")
+        for l in range(L))
+
+
+def _as_lists(trace):
+    """A trace with every array turned into nested lists, for JSON."""
+    if isinstance(trace, np.ndarray):
+        return trace.tolist()
+    if isinstance(trace, dict):
+        return {key: _as_lists(value) for key, value in trace.items()}
+    if isinstance(trace, list):
+        return [_as_lists(value) for value in trace]
+    return trace
 
 
 @dataclass
@@ -319,18 +361,12 @@ class Model:
             return Var(H)
         return ad.gather_rows(leaves["embed.token"], prep.token_ids)
 
-    def _dgat_layer_params(self, leaves: dict[str, Var], layer: int) -> dg.DgatLayerParams:
-        g = lambda name: leaves[f"dgat.l{layer}.{name}"]
-        return dg.DgatLayerParams(
-            dual=[dg.DualHeadParams(Wa=g(f"dual{u}.Wa"), We=g(f"dual{u}.We"),
-                                    Wi=g(f"dual{u}.Wi"))
-                  for u in range(self.config.U)],
-            rel=[dg.RelHeadParams(Wv=g(f"rel{v}.Wv"), W1=g(f"rel{v}.W1"),
-                                  b1=g(f"rel{v}.b1"), W2=g(f"rel{v}.W2"),
-                                  b2=g(f"rel{v}.b2"))
-                 for v in range(self.config.V)],
-            Wr=g("Wr"),
-        )
+    def _dgat_layer_params(self, leaves: dict[str, Var]) -> list[dg.DgatLayerParams]:
+        cfg = self.config
+        return [dg.DgatLayerParams(dual=[dg.DualHeadParams(*get(leaves)) for get in dual],
+                                   rel=[dg.RelHeadParams(*get(leaves)) for get in rel],
+                                   Wr=leaves[wr])
+                for dual, rel, wr in _dgat_getters(cfg.U, cfg.V, cfg.L)]
 
     def _edge_matrix(self, prep: Prepared, leaves: dict[str, Var]) -> Var:
         cfg = self.config
@@ -344,7 +380,11 @@ class Model:
 
     def forward_var(self, prep: Prepared, leaves: dict[str, Var],
                     train: bool = False, dropout_rng: Rng | None = None):
-        """Tape forward pass; returns (logits Var[3], trace dict)."""
+        """Tape forward pass; returns (logits Var[3], trace dict).
+
+        The trace holds the attention weights and the mask as arrays;
+        predict(with_trace=True) turns them into lists for JSON.
+        """
         cfg = self.config
         H = self._sentence_matrix(prep, leaves)
 
@@ -360,9 +400,8 @@ class Model:
         h_a = ad.sum_(ad.gather_rows(H, prep.awig.aspect_token_ids), axis=0)
         H_N = ad.gather_rows(H, prep.word_token_idx)
         E = self._edge_matrix(prep, leaves)
-        layers = [self._dgat_layer_params(leaves, l) for l in range(cfg.L)]
         h_global, layer_traces = dg.global_forward_var(
-            h_a, H_N, E, layers, cfg.d_head, scale=cfg.scale_logits,
+            h_a, H_N, E, self._dgat_layer_params(leaves), cfg.d_head, scale=cfg.scale_logits,
             dropout=cfg.dropout if train else 0.0, rng=dropout_rng)
 
         trace["dgat"] = {
@@ -384,15 +423,15 @@ class Model:
         probs /= probs.sum()
         pred = Prediction(probs=probs, label_id=int(np.argmax(probs)),
                           logits=logits.value.copy())
-        return (pred, trace) if with_trace else pred
+        return (pred, _as_lists(trace)) if with_trace else pred
 
     def regularizer_var(self) -> Var:
         """Sum of squared weight-matrix entries; biases and PAD rows excluded.
 
-        One tape node over params.flat; its gradient goes straight into
-        params.grad, which the leaves of params.leaves() view.
+        One tape node over params.flat_leaf(); its gradient goes straight
+        into params.grad, which the leaves of params.leaves() view.
         """
-        return ad.sum_squares(Leaf(self.params.flat, self.params.grad), self._l2_runs)
+        return ad.sum_squares(self.params.flat_leaf(), self._l2_runs)
 
     def batch_loss_var(self, preps, leaves: dict[str, Var], train: bool = False,
                        dropout_rng: Rng | None = None) -> Var:

@@ -42,12 +42,18 @@ def adam_step(params: ModelParams, state: AdamState, lr: float, beta1: float = 0
               beta2: float = 0.999, eps: float = 1e-8) -> None:
     """One bias-corrected Adam update of every parameter from params.grad, in place.
 
-    The update runs over the flat buffers, a block at a time, with the
-    elementwise operations, in the same order, of m = b1*m + (1-b1)*g;
-    v = b2*v + (1-b2)*g*g; theta = theta - lr*m_hat / (sqrt(v_hat) + eps).
+    With c1 = 1 - b1^t and c2 = 1 - b2^t, the textbook update
+    theta -= lr * (m/c1) / (sqrt(v/c2) + eps) equals
+    theta -= step * m / (sqrt(v) + eps_hat), where step = lr * sqrt(c2) / c1
+    and eps_hat = eps * sqrt(c2): the reordering of Kingma & Ba 2015, Adam,
+    section 2. The bias corrections are then two scalars, not two passes
+    over the buffers; results differ from the textbook order only by
+    rounding. The update runs over the flat buffers, a block at a time:
+    m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; then the step above.
     """
     state.t += 1
     c1, c2 = 1 - beta1 ** state.t, 1 - beta2 ** state.t
+    step, eps_hat = lr * math.sqrt(c2) / c1, eps * math.sqrt(c2)
     theta = params.flat
     for lo in range(0, theta.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, theta.size)
@@ -60,11 +66,9 @@ def adam_step(params: ModelParams, state: AdamState, lr: float, beta1: float = 0
         np.multiply(gb, 1 - beta2, out=s)
         s *= gb
         v += s
-        np.divide(m, c1, out=s)
-        np.divide(v, c2, out=u)
-        np.sqrt(u, out=u)
-        u += eps
-        s *= lr
+        np.sqrt(v, out=u)
+        u += eps_hat
+        np.multiply(m, step, out=s)
         s /= u
         theta[lo:hi] -= s
 

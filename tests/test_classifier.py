@@ -200,7 +200,9 @@ class TestAdam:
 
     def test_whole_buffer_step_equals_the_per_tensor_update(self, toy_model, monkeypatch):
         """Same arithmetic in the same order as a loop over tensors: equal bits,
-        also across block boundaries."""
+        also across block boundaries. The reference is the folded update:
+        theta -= step * m / (sqrt(v) + eps_hat), step = lr sqrt(c2) / c1,
+        eps_hat = eps sqrt(c2)."""
         monkeypatch.setattr(training, "ADAM_BLOCK", 100)
         model, _ = toy_model
         rng = Rng(8)
@@ -218,10 +220,31 @@ class TestAdam:
             for name, g in grads.items():
                 m[name] = b1 * m[name] + (1 - b1) * g
                 v[name] = b2 * v[name] + (1 - b2) * g * g
-                m_hat, v_hat = m[name] / (1 - b1 ** t), v[name] / (1 - b2 ** t)
-                ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+                step, eps_hat = lr * math.sqrt(c2) / c1, eps * math.sqrt(c2)
+                ref[name] = ref[name] - step * m[name] / (np.sqrt(v[name]) + eps_hat)
         for name in names:
             assert np.array_equal(model.params.get(name), ref[name]), name
+
+    def test_folded_steps_match_the_textbook_update(self):
+        """Ten steps against m_hat / (sqrt(v_hat) + eps) of Kingma & Ba's
+        Algorithm 1: the folding changes only rounding."""
+        rng = Rng(9)
+        params = ModelParams([("w", (40,))])
+        params.set("w", rng.normal((40,)))
+        theta = params.get("w").copy()
+        m, v = np.zeros(40), np.zeros(40)
+        state = AdamState.for_params(params)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        for t in range(1, 11):
+            g = rng.normal((40,)) * 10.0 ** rng.uniform((40,), -9, 1)
+            params.grad[:] = g
+            adam_step(params, state, lr=lr)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat, v_hat = m / (1 - b1 ** t), v / (1 - b2 ** t)
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.max(np.abs(params.get("w") - theta) / np.abs(theta)) <= 1e-13
 
     def test_batch_grads_are_views_of_the_gradient_buffer(self, toy_model):
         model, examples = toy_model

@@ -387,6 +387,16 @@ class TestInspect:
         for row in trace["local_attention"]:
             assert abs(sum(row) - 1.0) < 1e-12
 
+    def test_toy_checkpoint_output_is_pinned(self, tmp_path, capsys):
+        """The JSON of golden/toy.gdd on synthetic example 3 (seed 0), byte for
+        byte as recorded in inspect_toy.json, whatever the trace holds inside."""
+        data = tmp_path / "data.jsonl"
+        save_dataset(data, generate_synthetic(seed=0, count=15))
+        code, stdout, _ = run(["inspect", "--checkpoint", str(GOLDEN_DIR / "toy.gdd"),
+                               "--data", str(data), "--index", "3"], capsys)
+        assert code == 0
+        assert stdout.encode() == (Path(__file__).parent / "inspect_toy.json").read_bytes()
+
     def test_index_out_of_range(self, dataset, checkpoint, capsys):
         code, _, err = run(["inspect", "--checkpoint", str(checkpoint),
                             "--data", str(dataset), "--index", "99"], capsys)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gdd import autodiff as ad
+from gdd import dgat as dg
 from gdd.autodiff import Var
 from gdd.dgat import (
     DgatLayerParams,
@@ -76,8 +77,8 @@ def rel_head_out(H_N, E, p):
 
 
 def layer_out(h_a, H_N, E, layer):
-    h, E_next, trace = dgat_layer_var(Var(h_a), Var(H_N), Var(E), layer, d_head=4)
-    return h.value, E_next.value, trace
+    h, trace = dgat_layer_var(Var(h_a), Var(H_N), Var(E), layer, d_head=4)
+    return h.value, trace
 
 
 def make_dual(rng, a_w=6, e_w=8, d_model=6, d_head=4):
@@ -270,26 +271,25 @@ class TestDgatLayer:
         h_a = rng.uniform((6,), -1, 1)
         H_N = rng.uniform((1, 6), -1, 1)
         E = rng.uniform((1, 8), -1, 1)
-        h_next, E_next, trace = layer_out(h_a, H_N, E, layer)
+        h_next, trace = layer_out(h_a, H_N, E, layer)
         expected = np.concatenate([
             dual_head_out(h_a, H_N, E, layer.dual[0]),
             rel_head_out(H_N, E, layer.rel[0]),
         ])
         assert np.max(np.abs(h_next - expected)) < 1e-12
-        assert np.max(np.abs(E_next - E @ layer.Wr)) < 1e-15
         assert trace["empty"] is False
 
     def test_output_width_any_m(self):
         rng = Rng(17)
         layer = make_layer(rng, U=2, V=1)
         for m in (1, 3, 6):
-            h, _, _ = layer_out(Rng(0).uniform((6,)), Rng(1).uniform((m, 6)),
-                                 Rng(2).uniform((m, 8)), layer)
+            h, _ = layer_out(Rng(0).uniform((6,)), Rng(1).uniform((m, 6)),
+                             Rng(2).uniform((m, 8)), layer)
             assert h.shape == (12,)
 
     def test_empty_graph_zero_vector_flagged(self):
         layer = make_layer(Rng(18))
-        h, _, trace = layer_out(np.ones(6), np.zeros((0, 6)), np.zeros((0, 8)), layer)
+        h, trace = layer_out(np.ones(6), np.zeros((0, 6)), np.zeros((0, 8)), layer)
         assert np.array_equal(h, np.zeros(8))
         assert trace["empty"] is True
 
@@ -301,7 +301,7 @@ class TestDgatLayer:
         E = rng.uniform((3, 8), -1, 1)
         stacked, traces = global_forward_var(Var(h_a), Var(H_N), Var(E), [layer],
                                              d_head=4)
-        single, _, _ = layer_out(h_a, H_N, E, layer)
+        single, _ = layer_out(h_a, H_N, E, layer)
         assert np.array_equal(stacked.value, single)
         assert len(traces) == 1
 
@@ -319,12 +319,12 @@ class TestDgatLayer:
     def test_probability_vectors(self):
         rng = Rng(20)
         layer = make_layer(rng, U=2, V=2)
-        _, _, trace = layer_out(rng.uniform((6,)), rng.uniform((5, 6)),
-                                 rng.uniform((5, 8)), layer)
+        _, trace = layer_out(rng.uniform((6,)), rng.uniform((5, 6)),
+                             rng.uniform((5, 8)), layer)
         for coeffs in trace["beta"] + trace["omega"] + trace["rho"]:
-            arr = np.array(coeffs)
-            assert np.all(arr >= 0)
-            assert abs(arr.sum() - 1.0) < 1e-12
+            assert isinstance(coeffs, np.ndarray) and coeffs.shape == (5,)
+            assert np.all(coeffs >= 0)
+            assert abs(coeffs.sum() - 1.0) < 1e-12
 
     def test_neighbor_permutation_invariance(self):
         rng = Rng(21)
@@ -332,9 +332,9 @@ class TestDgatLayer:
         h_a = rng.uniform((6,), -1, 1)
         H_N = rng.uniform((5, 6), -1, 1)
         E = rng.uniform((5, 8), -1, 1)
-        base, _, _ = layer_out(h_a, H_N, E, layer)
+        base, _ = layer_out(h_a, H_N, E, layer)
         perm = Rng(22).permutation(5)
-        shuffled, _, _ = layer_out(h_a, H_N[perm], E[perm], layer)
+        shuffled, _ = layer_out(h_a, H_N[perm], E[perm], layer)
         assert np.max(np.abs(base - shuffled)) < 1e-12
 
     def test_scale_logits_changes_attention(self):
@@ -347,6 +347,69 @@ class TestDgatLayer:
         logits = np.array([(h_a @ p.Wa) @ (E[i] @ p.We) for i in range(3)])
         assert np.allclose(scaled, softmax(logits / math.sqrt(4)), atol=1e-12)
         assert not np.allclose(plain, scaled)
+
+
+def global_forward_updating_every_layer(h_a, H_N, E, layers, d_head):
+    """The layer stack as it ran when every layer, the last one included,
+    updated the edges; nothing reads the last update."""
+    traces = []
+    for layer in layers:
+        h_a, trace = dgat_layer_var(h_a, H_N, E, layer, d_head)
+        if not trace["empty"]:
+            E = relation_update_var(E, layer.Wr)
+        traces.append(trace)
+    return h_a, traces
+
+
+def _as_vars(layer):
+    return DgatLayerParams(dual=[DualHeadParams(*map(Var, vars(p).values())) for p in layer.dual],
+                           rel=[RelHeadParams(*map(Var, vars(p).values())) for p in layer.rel],
+                           Wr=Var(layer.Wr))
+
+
+class TestRelationUpdateBetweenLayersOnly:
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_runs_l_minus_1_times_with_identical_outputs_and_gradients(self, L, monkeypatch):
+        rng = Rng(30 + L)
+        layers = [make_layer(rng, a_w=6 if l == 0 else 8, e_w=8 if l == 0 else 6)
+                  for l in range(L)]
+        graph = [rng.uniform(s, -1, 1) for s in [(6,), (4, 6), (4, 8)]]
+        probe = rng.uniform((8,), -1, 1)
+
+        def run(forward):
+            inputs = [Var(v) for v in graph]
+            params = [_as_vars(layer) for layer in layers]
+            h, traces = forward(*inputs, params, d_head=4)
+            ad.backward(ad.matmul(h, Var(probe)))
+            tensors = inputs + [w for p in params for head in p.dual + p.rel
+                                for w in vars(head).values()] + [p.Wr for p in params]
+            return h.value, traces, [t.grad for t in tensors]
+
+        calls = []
+        monkeypatch.setattr(dg, "relation_update_var",
+                            lambda E, Wr: calls.append(Wr) or relation_update_var(E, Wr))
+        got = run(global_forward_var)
+        assert len(calls) == L - 1
+        want = run(global_forward_updating_every_layer)
+        assert np.array_equal(got[0], want[0])
+        for t_got, t_want in zip(got[1], want[1], strict=True):
+            for key in ("beta", "omega", "rho"):
+                for a, b in zip(t_got[key], t_want[key], strict=True):
+                    assert np.array_equal(a, b), key
+        for g, w in zip(got[2], want[2], strict=True):
+            assert (g is None and w is None) or np.array_equal(g, w)
+        assert got[2][-1] is None  # the last layer's Wr reaches no output
+
+    def test_no_update_over_an_empty_graph(self, monkeypatch):
+        rng = Rng(34)
+        layers = [make_layer(rng, a_w=6, e_w=8), make_layer(rng, a_w=8, e_w=6)]
+        calls = []
+        monkeypatch.setattr(dg, "relation_update_var", lambda *a: calls.append(a))
+        h, traces = global_forward_var(Var(np.ones(6)), Var(np.zeros((0, 6))),
+                                       Var(np.zeros((0, 8))), layers, d_head=4)
+        assert np.array_equal(h.value, np.zeros(8))
+        assert [t["empty"] for t in traces] == [True, True]
+        assert calls == []
 
 
 class TestGlobalForwardGradients:

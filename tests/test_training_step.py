@@ -1,5 +1,5 @@
-"""One training step: its tape-node budget, its pause of cyclic GC and its
-check for divergence."""
+"""One training step: its tape-node budget, the leaves it reuses, its pause
+of cyclic GC and its check for divergence."""
 
 import gc
 
@@ -10,19 +10,36 @@ import gdd.autodiff as ad
 import gdd.dgat as dg
 import gdd.local_encoder as le
 from gdd import training
+from gdd.checkpoint import load_checkpoint, save_checkpoint
 from gdd.data import generate_synthetic
 from gdd.model import Model, ModelConfig
 from gdd.training import AdamState, TrainingDiverged, adam_step, batch_grads, train
 
 TOY = dict(d_model=8, d_tag=4, d_hid=4, d_head=4, U=1, V=1, L=1)
 
-# Var constructions in one default-config step, leaves included (119 when
-# this budget was set), inside one dual-level head, inside one relational
-# head and inside one call of the local encoder.
+# Var constructions in a model's first default-config step, which builds its
+# leaves (119 when this budget was set), inside one dual-level head, inside
+# one relational head and inside one call of the local encoder.
 MAX_NODES_PER_STEP = 123
 MAX_NODES_PER_DUAL_HEAD = 4
 MAX_NODES_PER_REL_HEAD = 1
 MAX_NODES_PER_LOCAL_FORWARD = 4
+# Var constructions in a later default-config step, which reuses the leaves
+# the first one built (55 when this budget was set), with the margin above.
+MAX_NODES_PER_STEADY_STEP = 59
+
+
+def _counting_constructions(monkeypatch, cls):
+    """A dict whose "n" counts the calls of cls.__init__ (subclasses included)."""
+    counts = {"n": 0}
+    init = cls.__init__
+
+    def counting_init(obj, *args, **kwargs):
+        counts["n"] += 1
+        init(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return counts
 
 
 def test_default_config_step_stays_within_the_node_budget(monkeypatch):
@@ -30,27 +47,21 @@ def test_default_config_step_stays_within_the_node_budget(monkeypatch):
     model = Model.build_for_examples(ModelConfig(), examples)
     prep = model.prepare(examples[0])
     assert prep.awig.num_words > 1  # the DGAT heads run
-    counts = {"nodes": 0}
-    init = ad.Var.__init__
-
-    def counting_init(var, *args, **kwargs):
-        counts["nodes"] += 1
-        init(var, *args, **kwargs)
+    counts = _counting_constructions(monkeypatch, ad.Var)
 
     def counting(owner, attr):
         counts[attr] = counts[f"{attr}_nodes"] = 0
         fn = getattr(owner, attr)
 
         def wrapper(*args, **kwargs):
-            before = counts["nodes"]
+            before = counts["n"]
             result = fn(*args, **kwargs)
             counts[attr] += 1
-            counts[f"{attr}_nodes"] += counts["nodes"] - before
+            counts[f"{attr}_nodes"] += counts["n"] - before
             return result
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    monkeypatch.setattr(ad.Var, "__init__", counting_init)
     counting(dg, "dual_head_var")
     counting(dg, "relational_head_var")
     counting(le, "local_forward_var")
@@ -59,12 +70,51 @@ def test_default_config_step_stays_within_the_node_budget(monkeypatch):
     assert counts["dual_head_var"] == model.config.U * model.config.L
     assert counts["relational_head_var"] == model.config.V * model.config.L
     assert counts["local_forward_var"] == 1
-    assert counts["nodes"] <= MAX_NODES_PER_STEP
+    assert counts["n"] <= MAX_NODES_PER_STEP
     assert counts["dual_head_var_nodes"] <= MAX_NODES_PER_DUAL_HEAD * counts["dual_head_var"]
     assert (counts["relational_head_var_nodes"]
             <= MAX_NODES_PER_REL_HEAD * counts["relational_head_var"])
     assert (counts["local_forward_var_nodes"]
             <= MAX_NODES_PER_LOCAL_FORWARD * counts["local_forward_var"])
+
+
+def test_leaves_are_built_once_and_zeroed_on_every_call():
+    examples = generate_synthetic(seed=0, count=2)
+    params = Model.build_for_examples(ModelConfig(**TOY), examples).params
+    first = params.leaves()
+    objects = dict(first)
+    params.grad[:] = 1.0
+    again = params.leaves()
+    assert again is first
+    assert list(again) == params.names()
+    assert all(again[name] is leaf for name, leaf in objects.items())
+    assert not params.grad.any()
+    assert params.flat_leaf() is params.flat_leaf()
+
+
+def test_a_later_step_builds_no_leaf_and_stays_within_the_steady_budget(monkeypatch):
+    examples = generate_synthetic(seed=0, count=4)
+    model = Model.build_for_examples(ModelConfig(), examples)
+    prep = model.prepare(examples[0])
+    first_loss, _ = batch_grads(model, [prep])
+    first_grad = model.params.grad.copy()
+    leaves = _counting_constructions(monkeypatch, ad.Leaf)
+    nodes = _counting_constructions(monkeypatch, ad.Var)
+    loss, _ = batch_grads(model, [prep])
+    assert leaves["n"] == 0
+    assert nodes["n"] <= MAX_NODES_PER_STEADY_STEP
+    assert loss == first_loss
+    assert np.array_equal(model.params.grad, first_grad)
+
+
+def test_a_loaded_model_builds_no_leaf(tmp_path, monkeypatch):
+    examples = generate_synthetic(seed=0, count=2)
+    path = tmp_path / "m.gdd"
+    save_checkpoint(path, Model.build_for_examples(ModelConfig(**TOY), examples))
+    leaves = _counting_constructions(monkeypatch, ad.Leaf)
+    model = load_checkpoint(path)
+    model.predict(examples[0])
+    assert leaves["n"] == 0
 
 
 @pytest.mark.parametrize("overrides", [TOY, {}], ids=["toy", "default"])

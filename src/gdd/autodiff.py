@@ -118,7 +118,14 @@ def sub(a, b) -> Var:
 
 
 def mul(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
+    """a * b, elementwise. A plain array or number operand stays a constant:
+    it becomes no parent, so backward computes no gradient for it."""
+    if not isinstance(b, Var):
+        a, b = as_var(a), as_tensor(b)
+        return Var(a.value * b, (a,), lambda g: (_unbroadcast(g * b, a.value.shape),))
+    if not isinstance(a, Var):
+        a = as_tensor(a)
+        return Var(a * b.value, (b,), lambda g: (_unbroadcast(g * a, b.value.shape),))
     return Var(a.value * b.value, (a, b),
                lambda g: (_unbroadcast(g * b.value, a.value.shape),
                           _unbroadcast(g * a.value, b.value.shape)))

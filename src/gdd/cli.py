@@ -19,7 +19,7 @@ import sys
 import traceback
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import DataError, generate_synthetic, load_dataset, read_text
+from .data import DataError, as_index, generate_synthetic, load_dataset, read_text
 from .dep_graph import ParseError, build_awig, parse_conllu
 from .embeddings import load_precomputed
 from .local_encoder import check_stationarity
@@ -111,6 +111,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _span_pairs(spans, where: str) -> list[tuple[int, int]]:
+    """The [start, end) pairs of one spans record, as ints; a pair that is
+    not two integers is an input error naming where it was read."""
+    if not isinstance(spans, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in spans):
+        raise DataError(f"{where}: expected {{\"spans\": [[start, end], ...]}}")
+    try:
+        return [(as_index(start, "span start"), as_index(end, "span end"))
+                for start, end in spans]
+    except DataError as e:
+        raise DataError(f"{where}: {e}") from None
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{where}: malformed span: {e}") from None
+
+
 def cmd_build_graph(args) -> int:
     trees = parse_conllu(read_text(args.conllu))
     spans_per_sentence = []
@@ -124,14 +139,14 @@ def cmd_build_graph(args) -> int:
             raise DataError(f"{args.spans}:{lineno}: invalid JSON: {e}") from None
         if not isinstance(rec, dict) or "spans" not in rec:
             raise DataError(f"{args.spans}:{lineno}: expected {{\"spans\": [[start, end], ...]}}")
-        spans_per_sentence.append(rec["spans"])
+        spans_per_sentence.append(_span_pairs(rec["spans"], f"{args.spans}:{lineno}"))
     if len(spans_per_sentence) != len(trees):
         raise DataError(f"{args.spans}: {len(spans_per_sentence)} span records for "
                         f"{len(trees)} sentences")
     for sent_no, (tree, spans) in enumerate(zip(trees, spans_per_sentence), start=1):
         for start, end in spans:
             try:
-                awig = build_awig(tree, (int(start), int(end) - 1), args.kappa_max,
+                awig = build_awig(tree, (start, end - 1), args.kappa_max,
                                   drop_punct=args.drop_punct)
             except ValueError as e:
                 raise DataError(f"{args.spans}: sentence {sent_no}: {e}") from None

@@ -60,9 +60,6 @@ class Example:
     def aspect_span_inclusive(self) -> tuple[int, int]:
         return self.aspect_start, self.aspect_end - 1
 
-    def tree(self) -> DepTree:
-        return DepTree(list(self.tokens), list(self.dep_heads), list(self.dep_rels))
-
     def validate(self) -> None:
         n = len(self.tokens)
         if n == 0:
@@ -78,30 +75,56 @@ class Example:
         if self.label not in LABELS:
             raise DataError(f"label: {self.label!r} is not one of {'/'.join(LABELS)}")
         try:
-            self.tree()
+            DepTree(self.tokens, self.dep_heads, self.dep_rels)  # validates; kept nowhere
         except ParseError as e:
             raise DataError(f"dep_heads: {e}") from None
 
 
+def as_index(value, field: str) -> int:
+    """value as an int. A boolean or a fractional number is rejected, since
+    int() would read true as 1 and 4.7 as 4."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise DataError(f"{field}: {json.dumps(value)} is not an integer")
+    return int(value)
+
+
+def _list_of(items, typ) -> bool:
+    """Whether items is a list holding only objects of exactly type typ."""
+    return type(items) is list and set(map(type, items)) <= {typ}
+
+
 def example_from_dict(rec: dict) -> Example:
+    """A validated Example from one JSON record.
+
+    Lists that already hold the right types are used as they are, not
+    copied; other values are converted (str() for tokens, rels and the
+    label, int() for indices) as far as the conversion loses nothing.
+    """
     if not isinstance(rec, dict):
         raise DataError("record is not a JSON object")
-    keys = set(rec)
-    missing = REQUIRED_KEYS - keys
-    extra = keys - REQUIRED_KEYS
-    if missing:
-        raise DataError(f"missing field(s): {', '.join(sorted(missing))}")
-    if extra:
+    if rec.keys() != REQUIRED_KEYS:
+        keys = set(rec)
+        missing = REQUIRED_KEYS - keys
+        extra = keys - REQUIRED_KEYS
+        if missing:
+            raise DataError(f"missing field(s): {', '.join(sorted(missing))}")
         raise DataError(f"unknown field(s): {', '.join(sorted(extra))}")
+    tokens, label = rec["tokens"], rec["label"]
+    heads, rels = rec["dep_heads"], rec["dep_rels"]
     try:
         ex = Example(
-            tokens=[str(t) for t in rec["tokens"]],
-            aspect_start=int(rec["aspect_start"]),
-            aspect_end=int(rec["aspect_end"]),
-            label=str(rec["label"]),
-            dep_heads=[int(h) for h in rec["dep_heads"]],
-            dep_rels=[str(r) for r in rec["dep_rels"]],
+            tokens=tokens if _list_of(tokens, str) else [str(t) for t in tokens],
+            aspect_start=as_index(rec["aspect_start"], "aspect_start"),
+            aspect_end=as_index(rec["aspect_end"], "aspect_end"),
+            label=label if type(label) is str else str(label),
+            dep_heads=(heads if _list_of(heads, int)
+                       else [as_index(h, f"dep_heads[{i}]") for i, h in enumerate(heads)]),
+            dep_rels=rels if _list_of(rels, str) else [str(r) for r in rels],
         )
+    except DataError:
+        raise
     except (TypeError, ValueError) as e:
         raise DataError(f"malformed field value: {e}") from None
     ex.validate()

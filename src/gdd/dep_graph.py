@@ -38,46 +38,38 @@ class DepTree:
         return len(self.tokens)
 
     def validate(self) -> None:
+        heads = self.heads
         n = len(self.tokens)
-        if not (len(self.heads) == len(self.rels) == n):
+        if not (len(heads) == len(self.rels) == n):
             raise ParseError(
-                f"tree arrays disagree: {n} tokens, {len(self.heads)} heads, {len(self.rels)} rels"
+                f"tree arrays disagree: {n} tokens, {len(heads)} heads, {len(self.rels)} rels"
             )
         if n == 0:
             raise ParseError("empty tree")
-        for i, h in enumerate(self.heads, start=1):
+        for i, h in enumerate(heads, start=1):
             if not 0 <= h <= n:
                 raise ParseError(f"token {i}: head {h} outside [0, {n}]")
             if h == i:
                 raise ParseError(f"token {i} is its own head")
-        # Walk head chains; any revisit before reaching the root is a cycle.
-        status = [0] * (n + 1)  # 0 unvisited, 1 on current path, 2 done
-        status[0] = 2
+        # Walk each head chain, marking its tokens with the walk's start; a
+        # walk that meets its own mark before the root has gone round a cycle.
+        mark = [0] * (n + 1)
+        mark[0] = -1  # the root's parent: every walk stops there
         for start in range(1, n + 1):
-            if status[start]:
-                continue
-            path = []
             node = start
-            while status[node] == 0:
-                status[node] = 1
-                path.append(node)
-                node = self.heads[node - 1]
-            if status[node] == 1:
-                cycle = path[path.index(node):]
+            while not mark[node]:
+                mark[node] = start
+                node = heads[node - 1]
+            if mark[node] == start:
+                cycle = [node]
+                nxt = heads[node - 1]
+                while nxt != node:
+                    cycle.append(nxt)
+                    nxt = heads[nxt - 1]
                 raise ParseError(f"cycle in heads through tokens {cycle}")
-            for p in path:
-                status[p] = 2
-        roots = [i for i, h in enumerate(self.heads, start=1) if h == 0]
-        if len(roots) != 1:
-            raise ParseError(f"expected exactly one root, found {len(roots)}")
-
-    def undirected_edges(self) -> list[tuple[int, int, str]]:
-        """(child, head, rel) for every non-root attachment, 0-based indices."""
-        out = []
-        for i, (h, rel) in enumerate(zip(self.heads, self.rels)):
-            if h != 0:
-                out.append((i, h - 1, rel))
-        return out
+        roots = heads.count(0)
+        if roots != 1:
+            raise ParseError(f"expected exactly one root, found {roots}")
 
 
 def parse_conllu(text: str) -> list[DepTree]:
@@ -183,6 +175,9 @@ class Awig:
         }
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
 def build_awig(tree: DepTree, span: tuple[int, int], kappa_max: int,
                drop_punct: bool = False) -> Awig:
     """Contract the aspect span to one node and BFS outward, undirected.
@@ -192,6 +187,11 @@ def build_awig(tree: DepTree, span: tuple[int, int], kappa_max: int,
     along the BFS shortest path (ties broken by smallest token index) and the
     hop count. Tokens further than kappa_max hops are discarded. With
     drop_punct, tree edges labelled "punct" are invisible to the traversal.
+
+    One pass over heads groups each token's children. A level of the BFS
+    expands its frontier in ascending token order, so a token is claimed by
+    the smallest frontier token next to it, whatever order each token's
+    neighbours are visited in: only the frontiers are sorted.
     """
     n = len(tree)
     s, e = span
@@ -199,39 +199,47 @@ def build_awig(tree: DepTree, span: tuple[int, int], kappa_max: int,
         raise ValueError(f"invalid aspect span [{s}, {e}] for {n} tokens")
     if kappa_max < 1:
         raise ValueError("kappa_max must be at least 1")
-    aspect = set(range(s, e + 1))
-
-    adj: list[list[tuple[int, str]]] = [[] for _ in range(n)]
-    for child, head, rel in tree.undirected_edges():
-        if drop_punct and rel == "punct":
-            continue
-        adj[child].append((head, rel))
-        adj[head].append((child, rel))
-    for lst in adj:
-        lst.sort()
+    heads, rels = tree.heads, tree.rels
+    children: list[list[int]] = [[] for _ in range(n + 1)]  # by 1-based head
+    for child, h in enumerate(heads):
+        children[h].append(child)
 
     # BFS from the contracted super-node; aspect-internal edges vanish.
-    paths: dict[int, tuple[str, ...]] = {}
-    frontier = sorted(aspect)
-    visited = set(aspect)
+    # paths holds every visited token, the aspect's with the empty path; a
+    # token's own rel labels the edge to its head.
+    paths: dict[int, tuple[str, ...]] = dict.fromkeys(range(s, e + 1), ())
+    frontier = range(s, e + 1)
+    words: list[int] = []
     for _ in range(kappa_max):
         nxt = []
         for u in frontier:
-            base = paths.get(u, ())
-            for v, rel in adj[u]:
-                if v in visited:
-                    continue
-                visited.add(v)
-                paths[v] = base + (rel,)
-                nxt.append(v)
-        frontier = sorted(nxt)
-        if not frontier:
+            base = paths[u]
+            h = heads[u] - 1
+            if h >= 0 and h not in paths and not (drop_punct and rels[u] == "punct"):
+                paths[h] = base + (rels[u],)
+                nxt.append(h)
+            for v in children[u + 1]:
+                if v not in paths and not (drop_punct and rels[v] == "punct"):
+                    paths[v] = base + (rels[v],)
+                    nxt.append(v)
+        if not nxt:
             break
+        nxt.sort()
+        words += nxt
+        frontier = nxt
+    words.sort()
 
-    word_tokens = sorted(paths)
-    awig = Awig(aspect_token_ids=sorted(aspect))
-    for node_id, tok in enumerate(word_tokens):
-        awig.word_nodes.append((tok, node_id))
+    # A BFS path has hops = len(path) >= 1 by construction, so its tag's
+    # fields are set directly instead of paying ComposedTag.__post_init__'s
+    # checks. object.__setattr__, as the frozen dataclass's own __init__
+    # uses, keeps the instance's compact attribute storage: reading
+    # tag.__dict__ would give each tag a dict of its own, 64 bytes more.
+    edges = []
+    for node_id, tok in enumerate(words):
         path = paths[tok]
-        awig.edges.append((node_id, ComposedTag(path=path, hops=len(path))))
-    return awig
+        tag = _new(ComposedTag)
+        _set(tag, "path", path)
+        _set(tag, "hops", len(path))
+        edges.append((node_id, tag))
+    return Awig(aspect_token_ids=list(range(s, e + 1)),
+                word_nodes=list(zip(words, range(len(words)))), edges=edges)

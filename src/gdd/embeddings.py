@@ -10,6 +10,7 @@ per-token vectors can inject them through the JSONL loader below instead.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,22 +42,20 @@ class Vocab:
 
     @classmethod
     def from_corpus(cls, sentences: Iterable[Sequence[str]]) -> "Vocab":
+        """Ids in order of first occurrence, after the reserved ones."""
         v = cls()
-        for tokens in sentences:
-            for tok in tokens:
-                v.add(tok)
+        ids, first = v._token_to_id, len(v._id_to_token)
+        new = [t for t in dict.fromkeys(chain.from_iterable(sentences)) if t not in ids]
+        ids.update(zip(new, range(first, first + len(new))))
+        v._id_to_token += new
         return v
-
-    def add(self, token: str) -> int:
-        if token in self._token_to_id:
-            return self._token_to_id[token]
-        idx = len(self._id_to_token)
-        self._id_to_token.append(token)
-        self._token_to_id[token] = idx
-        return idx
 
     def id(self, token: str) -> int:
         return self._token_to_id.get(token, UNK)
+
+    def ids(self, tokens: Iterable[str]) -> list[int]:
+        """[self.id(t) for t in tokens], in one pass at C speed."""
+        return list(map(self._token_to_id.get, tokens, repeat(UNK)))
 
     def token(self, idx: int) -> str:
         return self._id_to_token[idx]
@@ -93,24 +92,40 @@ class TagVocab(Vocab):
 
 
 def token_ids(tokens: Sequence[str], vocab: Vocab) -> np.ndarray:
-    return np.array([vocab.id(t) for t in tokens], dtype=np.intp)
+    """The vocab ids of tokens (UNK for unseen ones), as an intp array."""
+    return np.array(vocab.ids(tokens), dtype=np.intp)
 
 
-def composed_tag_ids(path: Sequence[str], hops: int, tag_vocab: TagVocab, kappa_max: int):
-    """Resolve a composed tag to its fixed-width id encoding.
+def composed_tag_ids(tags: Iterable[tuple[Sequence[str], int]], tag_vocab: TagVocab,
+                     kappa_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve one example's composed tags, given as (path, hops) pairs, to
+    their fixed-width id encoding.
 
-    Returns (slot_ids, hop_index): kappa_max tag-table ids (path right-padded
-    with PAD_TAG) and the hop-table row. hops must not exceed kappa_max; the
-    graph builder filters deeper nodes before we get here.
+    Returns (slot_ids, hop_idx), both C-contiguous intp arrays: slot_ids
+    holds m rows of kappa_max tag-table ids (each path right-padded with
+    PAD_TAG) and hop_idx the m hop-table rows (hop k at row k-1). Each hop
+    count must equal its path length and lie in 1..kappa_max; the graph
+    builder drops deeper nodes before we get here. All m rows' tags, the
+    padding as the vocabulary's own pad token (at id PAD), are looked up in
+    one pass and become one array.
     """
-    if hops != len(path):
-        raise ValueError(f"composed tag: hop count {hops} != path length {len(path)}")
-    if hops < 1:
-        raise ValueError("composed tag: needs at least one hop")
-    if hops > kappa_max:
-        raise ValueError(f"composed tag: {hops} hops exceeds kappa_max={kappa_max}")
-    slots = [tag_vocab.id(t) for t in path] + [PAD] * (kappa_max - hops)
-    return np.array(slots, dtype=np.intp), TagVocab.hop_index(hops, kappa_max)
+    pads = [[tag_vocab.pad_token] * (kappa_max - h) for h in range(kappa_max + 1)]
+    hop_rows = [None] + [TagVocab.hop_index(h, kappa_max) for h in range(1, kappa_max + 1)]
+    names: list[str] = []
+    hop_idx: list[int] = []
+    for path, hops in tags:
+        if hops != len(path):
+            raise ValueError(f"composed tag: hop count {hops} != path length {len(path)}")
+        if hops < 1:
+            raise ValueError("composed tag: needs at least one hop")
+        if hops > kappa_max:
+            raise ValueError(f"composed tag: {hops} hops exceeds kappa_max={kappa_max}")
+        names += path
+        names += pads[hops]
+        hop_idx.append(hop_rows[hops])
+    slot_ids = np.array(tag_vocab.ids(names), dtype=np.intp)
+    slot_ids.shape = (-1, kappa_max)  # in place: a reshaped view would keep a second array
+    return slot_ids, np.array(hop_idx, dtype=np.intp)
 
 
 def load_precomputed(path) -> dict[tuple[str, ...], Tensor]:

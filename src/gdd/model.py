@@ -21,7 +21,7 @@ from . import dgat as dg
 from . import local_encoder as le
 from .autodiff import Leaf, Var
 from .data import LABELS, DataError, Example
-from .dep_graph import Awig, build_awig
+from .dep_graph import Awig, DepTree, build_awig
 from .embeddings import TagVocab, Vocab, composed_tag_ids, token_ids
 from .numeric import Rng, Tensor, init_uniform
 
@@ -289,7 +289,14 @@ class Prediction:
 
 @dataclass
 class Prepared:
-    """Everything derivable from an Example before touching parameters."""
+    """Everything derivable from an Example before touching parameters.
+
+    Model.prepare makes one per example; forward_var reads it. Its arrays
+    are C-contiguous intp arrays: token_ids has one entry per token,
+    word_token_idx one per graph word node (the token it stands for), and
+    edge m's tag-table rows and hop-table row sit in edge_slot_ids[m] and
+    edge_hop_idx[m]. An aspect with no graph words has m = 0 rows.
+    """
 
     example: Example
     token_ids: np.ndarray
@@ -328,19 +335,23 @@ class Model:
         return cls.build(config, vocab, tag_vocab)
 
     def prepare(self, example: Example) -> Prepared:
+        """The parameter-free inputs of one forward pass: token ids, the
+        aspect-word graph (one build_awig call) and its edges' tag ids.
+
+        The example's tree is validated again, since an Example built in
+        code is checked nowhere else; it shares the example's lists, as
+        nothing keeps it.
+        """
         cfg = self.config
-        awig = build_awig(example.tree(), example.aspect_span_inclusive,
-                          cfg.kappa_max, drop_punct=cfg.drop_punct)
-        m = awig.num_words
-        slots = np.zeros((m, cfg.kappa_max), dtype=np.intp)
-        hops = np.zeros(m, dtype=np.intp)
-        for node_id, tag in awig.edges:
-            slots[node_id], hops[node_id] = composed_tag_ids(
-                tag.path, tag.hops, self.tag_vocab, cfg.kappa_max)
+        span = example.aspect_span_inclusive
+        awig = build_awig(DepTree(example.tokens, example.dep_heads, example.dep_rels),
+                          span, cfg.kappa_max, drop_punct=cfg.drop_punct)
+        slots, hops = composed_tag_ids([(tag.path, tag.hops) for _, tag in awig.edges],
+                                       self.tag_vocab, cfg.kappa_max)
         return Prepared(
             example=example,
             token_ids=token_ids(example.tokens, self.vocab),
-            span=example.aspect_span_inclusive,
+            span=span,
             gold=example.label_id,
             awig=awig,
             word_token_idx=np.array([tok for tok, _ in awig.word_nodes], dtype=np.intp),
@@ -416,7 +427,12 @@ class Model:
         return logits, trace
 
     def predict(self, example: Example, with_trace: bool = False):
-        prep = self.prepare(example)
+        """Class probabilities for one example (and its trace, as lists for
+        JSON, with with_trace)."""
+        return self.predict_prepared(self.prepare(example), with_trace)
+
+    def predict_prepared(self, prep: Prepared, with_trace: bool = False):
+        """predict() on an example prepared already, e.g. once for many epochs."""
         leaves = {name: Var(t) for name, t in self.params.items()}  # forward only
         logits, trace = self.forward_var(prep, leaves)
         probs = np.exp(logits.value - np.max(logits.value))

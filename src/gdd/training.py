@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .metrics import evaluate
+from .metrics import Metrics, metrics_from_predictions
 from .model import Model, ModelParams
 from .numeric import Rng, Tensor, finite_diff_grad
 
@@ -138,6 +138,12 @@ def check_finite(loss: float, params: ModelParams, epoch: int, step: int) -> Non
     raise TrainingDiverged(epoch, step, loss, bad)
 
 
+def _evaluate_prepared(model: Model, preps) -> Metrics:
+    """metrics.evaluate over examples prepared already."""
+    return metrics_from_predictions([prep.gold for prep in preps],
+                                    [model.predict_prepared(prep).label_id for prep in preps])
+
+
 @dataclass
 class EpochLog:
     epoch: int
@@ -162,7 +168,11 @@ def train(model: Model, train_examples, dev_examples=None, *,
     """
     cfg = model.config
     epochs = cfg.epochs if epochs is None else epochs
-    preps = [model.prepare(ex) for ex in train_examples]
+    # Each set is prepared once; the tape, the accuracy passes and the dev
+    # evaluations of every epoch read the same Prepared objects.
+    with gc_paused():
+        preps = [model.prepare(ex) for ex in train_examples]
+        dev_preps = [model.prepare(ex) for ex in dev_examples] if dev_examples else []
     if not preps:
         raise ValueError("train: empty training set")
     state = AdamState.for_params(model.params)
@@ -187,9 +197,9 @@ def train(model: Model, train_examples, dev_examples=None, *,
         log = EpochLog(epoch=epoch, train_loss=total / len(preps))
         need_train_acc = track_train_accuracy or stop_at_train_accuracy is not None
         if need_train_acc:
-            log.train_accuracy = evaluate(model, train_examples).accuracy
-        if dev_examples:
-            dev = evaluate(model, dev_examples)
+            log.train_accuracy = _evaluate_prepared(model, preps).accuracy
+        if dev_preps:
+            dev = _evaluate_prepared(model, dev_preps)
             log.dev_accuracy = dev.accuracy
             log.dev_macro_f1 = dev.macro_f1
         history.append(log)

@@ -43,6 +43,16 @@ def test_sub_mul_div():
     check_grad(lambda a, b: ad.sum_(ad.div(ad.mul(a, b), b + 3.0)), (5,), (5,))
 
 
+@pytest.mark.parametrize("const", [np.array([2.0, -1.0, 0.5]), 3.0], ids=["array", "scalar"])
+def test_mul_by_a_constant_records_only_the_var(const):
+    check_grad(lambda a: ad.sum_(ad.mul(a, const) + ad.mul(const, a)), (2, 3))
+    x = Var(np.arange(6.0).reshape(2, 3))
+    for y in (ad.mul(x, const), ad.mul(const, x), x * const, -x):
+        assert y._parents == (x,)
+    backward(ad.sum_(ad.mul(x, const)))
+    assert np.array_equal(x.grad, np.broadcast_to(np.asarray(const, dtype=float), (2, 3)))
+
+
 def test_matmul_2d_2d():
     check_grad(lambda a, b: ad.sum_(ad.matmul(a, b)), (3, 4), (4, 2))
 

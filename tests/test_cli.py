@@ -340,6 +340,24 @@ class TestBuildGraph:
         assert code == 2
         assert "span" in err
 
+    @pytest.mark.parametrize("record, message", [
+        ({"spans": [1, 2]}, r'expected \{"spans": \[\[start, end\], \.\.\.\]\}'),
+        ({"spans": [[0.6, 1.9]]}, "span start: 0.6 is not an integer"),
+        ({"spans": [[2, True]]}, "span end: true is not an integer"),
+        ({"spans": [[2, 3, 4]]}, r'expected \{"spans"'),
+        ({"spans": [[None, 3]]}, "malformed span"),
+    ])
+    def test_a_span_that_is_not_two_integers_exits_2(self, tmp_path, capsys, record, message):
+        conllu = tmp_path / "s.conllu"
+        conllu.write_text(CHAIN_CONLLU)
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text("\n" + json.dumps(record) + "\n")
+        code, stdout, err = run(["build-graph", "--conllu", str(conllu),
+                                 "--spans", str(spans)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert re.fullmatch(rf"error: .*spans\.jsonl:2: {message}.*\n", err), err
+
     def test_parse_error_has_line(self, tmp_path, capsys):
         conllu = tmp_path / "s.conllu"
         conllu.write_text("1\tbroken\n")

@@ -80,6 +80,25 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=":1: malformed field"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("aspect_start", 1.9, "aspect_start: 1.9 is not an integer"),
+        ("aspect_start", True, "aspect_start: true is not an integer"),
+        ("aspect_end", False, "aspect_end: false is not an integer"),
+        ("dep_heads", [2, 4.7, 5, 5, 0], r"dep_heads\[1\]: 4.7 is not an integer"),
+        ("dep_heads", [2, 5, 5, 5, False], r"dep_heads\[4\]: false is not an integer"),
+        ("dep_heads", [2, 5, 5, 5, float("inf")], r"dep_heads\[4\]: Infinity is not an integer"),
+    ])
+    def test_booleans_and_fractions_are_not_indices(self, tmp_path, field, value, message):
+        path = write_jsonl(tmp_path / "d.jsonl", [GOOD_LINE, dict(GOOD_LINE, **{field: value})])
+        with pytest.raises(DataError, match=rf"d\.jsonl:2: {message}$"):
+            load_dataset(path)
+
+    def test_whole_floats_are_indices(self, tmp_path):
+        line = dict(GOOD_LINE, aspect_start=1.0, dep_heads=[2, 5, 5.0, 5, 0])
+        ex, = load_dataset(write_jsonl(tmp_path / "d.jsonl", [line]))
+        assert (ex.aspect_start, ex.dep_heads) == (1, [2, 5, 5, 5, 0])
+        assert type(ex.aspect_start) is int and all(type(h) is int for h in ex.dep_heads)
+
     def test_invalid_json_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps(GOOD_LINE) + "\n{broken\n")

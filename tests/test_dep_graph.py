@@ -169,6 +169,11 @@ def random_tree(rng: Rng, n: int) -> DepTree:
     return DepTree([f"t{i}" for i in range(n)], heads, rels)
 
 
+def undirected_edges(tree: DepTree) -> list[tuple[int, int, str]]:
+    """(child, head, rel) for every non-root attachment, 0-based indices."""
+    return [(i, h - 1, rel) for i, (h, rel) in enumerate(zip(tree.heads, tree.rels)) if h != 0]
+
+
 def contracted_shortest_paths(tree: DepTree, aspect: set[int]) -> dict[int, int]:
     """Floyd-Warshall distances from the contracted aspect node; oracle only."""
     n = len(tree)
@@ -181,7 +186,7 @@ def contracted_shortest_paths(tree: DepTree, aspect: set[int]) -> dict[int, int]
     def key(tok):
         return "A" if tok in aspect else tok
 
-    for child, head, _ in tree.undirected_edges():
+    for child, head, _ in undirected_edges(tree):
         a, b = key(child), key(head)
         if a == b:
             continue
@@ -202,7 +207,7 @@ def replay_reachable(tree: DepTree, aspect: set[int], path: tuple[str, ...]) -> 
     for step, tag in enumerate(path):
         nxt = set()
         for u in current:
-            for child, head, rel in tree.undirected_edges():
+            for child, head, rel in undirected_edges(tree):
                 if rel != tag:
                     continue
                 if child == u:

@@ -89,14 +89,13 @@ def tag_model(vocab, tag_vocab, d_tag=4, kappa_max=3):
 
 def edge_rows(model, paths):
     """Model._edge_matrix over one edge per composed-tag path."""
-    kappa_max = model.config.kappa_max
-    ids = [composed_tag_ids(path, len(path), model.tag_vocab, kappa_max) for path in paths]
+    slots, hops = composed_tag_ids([(path, len(path)) for path in paths], model.tag_vocab,
+                                   model.config.kappa_max)
     m = len(paths)
     prep = Prepared(example=None, token_ids=np.zeros(m + 1, dtype=np.intp), span=(0, 0),
                     gold=0, awig=Awig([0], [(i + 1, i) for i in range(m)]),
                     word_token_idx=np.arange(1, m + 1),
-                    edge_slot_ids=np.array([slots for slots, _ in ids]),
-                    edge_hop_idx=np.array([hop for _, hop in ids]))
+                    edge_slot_ids=slots, edge_hop_idx=hops)
     leaves = {name: ad.Var(t) for name, t in model.params.items()}
     return model._edge_matrix(prep, leaves).value
 
@@ -137,11 +136,26 @@ class TestComposedTag:
 
     def test_too_many_hops(self, tag_vocab):
         with pytest.raises(ValueError, match="kappa_max"):
-            composed_tag_ids(["a", "b", "c", "d"], 4, tag_vocab, 3)
+            composed_tag_ids([(["a", "b", "c", "d"], 4)], tag_vocab, 3)
 
     def test_hop_path_mismatch(self, tag_vocab):
         with pytest.raises(ValueError, match="path length"):
-            composed_tag_ids(["a", "b"], 1, tag_vocab, 3)
+            composed_tag_ids([(["a", "b"], 1)], tag_vocab, 3)
+
+    def test_zero_hops(self, tag_vocab):
+        with pytest.raises(ValueError, match="at least one hop"):
+            composed_tag_ids([([], 0)], tag_vocab, 3)
+
+    @pytest.mark.parametrize("paths", [[], [["amod"], ["det", "xcomp", "nsubj"]]])
+    def test_id_arrays_are_contiguous_intp(self, tag_vocab, paths):
+        slots, hops = composed_tag_ids([(p, len(p)) for p in paths], tag_vocab, 3)
+        assert slots.shape == (len(paths), 3) and hops.shape == (len(paths),)
+        for a in (slots, hops):
+            assert a.dtype == np.intp and a.flags.c_contiguous
+        if paths:
+            amod, det, nsubj = (tag_vocab.id(t) for t in ("amod", "det", "nsubj"))
+            assert slots.tolist() == [[amod, PAD, PAD], [det, UNK, nsubj]]
+            assert hops.tolist() == [0, 2]
 
 
 class TestPrecomputed:

@@ -1,5 +1,6 @@
 """One training step: its tape-node budget, the leaves it reuses, its pause
-of cyclic GC and its check for divergence."""
+of cyclic GC, its check for divergence, and the one preparation of each
+set that train makes."""
 
 import gc
 
@@ -9,10 +10,13 @@ import pytest
 import gdd.autodiff as ad
 import gdd.dgat as dg
 import gdd.local_encoder as le
+import gdd.model as md
 from gdd import training
 from gdd.checkpoint import load_checkpoint, save_checkpoint
 from gdd.data import generate_synthetic
+from gdd.metrics import evaluate
 from gdd.model import Model, ModelConfig
+from gdd.numeric import Rng
 from gdd.training import AdamState, TrainingDiverged, adam_step, batch_grads, train
 
 TOY = dict(d_model=8, d_tag=4, d_hid=4, d_head=4, U=1, V=1, L=1)
@@ -25,8 +29,8 @@ MAX_NODES_PER_DUAL_HEAD = 4
 MAX_NODES_PER_REL_HEAD = 1
 MAX_NODES_PER_LOCAL_FORWARD = 4
 # Var constructions in a later default-config step, which reuses the leaves
-# the first one built (55 when this budget was set), with the margin above.
-MAX_NODES_PER_STEADY_STEP = 59
+# the first one built (54 when this budget was set), with the margin above.
+MAX_NODES_PER_STEADY_STEP = 58
 
 
 def _counting_constructions(monkeypatch, cls):
@@ -107,6 +111,25 @@ def test_a_later_step_builds_no_leaf_and_stays_within_the_steady_budget(monkeypa
     assert np.array_equal(model.params.grad, first_grad)
 
 
+def test_constant_inputs_get_no_gradient(monkeypatch):
+    """The dropout keep masks and the l2 factor are multiplied in as constants."""
+    examples = generate_synthetic(seed=0, count=4)
+    model = Model.build_for_examples(ModelConfig(dropout=0.2), examples)
+    prep = model.prepare(examples[0])
+    batch_grads(model, [prep], dropout_rng=Rng(1))
+    made = []
+    init = ad.Var.__init__
+
+    def recording_init(var, *args, **kwargs):
+        made.append(var)
+        init(var, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Var, "__init__", recording_init)
+    batch_grads(model, [prep], dropout_rng=Rng(1))
+    inputs = [v for v in made if v._vjp is None and not isinstance(v, ad.Leaf)]
+    assert [v for v in inputs if v.grad is not None] == []
+
+
 def test_a_loaded_model_builds_no_leaf(tmp_path, monkeypatch):
     examples = generate_synthetic(seed=0, count=2)
     path = tmp_path / "m.gdd"
@@ -179,3 +202,24 @@ def test_divergence_is_named_at_its_step_before_the_update():
     assert "training diverged at epoch 1, step 2" in str(err)
     assert "first non-finite gradient: embed.token" in str(err)
     assert np.all(np.isfinite(model.params.flat))  # Adam never saw the bad gradient
+
+
+def test_train_prepares_each_set_once_and_scores_as_evaluate_does(monkeypatch):
+    examples = generate_synthetic(seed=2, count=9)
+    train_set, dev_set = examples[:6], examples[6:]
+    model = Model.build_for_examples(ModelConfig(**TOY), examples)
+    calls = {"n": 0}
+    build_awig = md.build_awig
+
+    def counting_build_awig(*args, **kwargs):
+        calls["n"] += 1
+        return build_awig(*args, **kwargs)
+
+    monkeypatch.setattr(md, "build_awig", counting_build_awig)
+    history = train(model, train_set, dev_set, epochs=3, track_train_accuracy=True)
+    assert len(history) == 3
+    assert calls["n"] == len(train_set) + len(dev_set)
+    dev = evaluate(model, dev_set)
+    assert history[-1].dev_accuracy == dev.accuracy
+    assert history[-1].dev_macro_f1 == dev.macro_f1
+    assert history[-1].train_accuracy == evaluate(model, train_set).accuracy

@@ -31,8 +31,9 @@ print("rels:  ", tree.rels)
 for kappa_max in (1, 2, 3):
     awig = build_awig(tree, (1, 2), kappa_max=kappa_max)
     print(f"\nkappa_max = {kappa_max}: {awig.num_words} word nodes")
-    for (tok, node_id), (_, tag) in zip(awig.word_nodes, awig.edges):
-        print(f"  aspect --[{tag.render():<22}]--> {tree.tokens[tok]!r}")
+    graph = awig.to_json_dict(tree.tokens)
+    for node, edge in zip(graph["nodes"], graph["edges"]):
+        print(f"  aspect --[{edge['tag']:<22}]--> {node['text']!r}")
 
 print("\nfull JSON for kappa_max=3:")
 print(json.dumps(build_awig(tree, (1, 2), 3).to_json_dict(tree.tokens), indent=2))

@@ -8,7 +8,7 @@ checked against finite differences.
 """
 
 from .data import Example, generate_synthetic, load_dataset
-from .dep_graph import Awig, ComposedTag, DepTree, build_awig, parse_conllu
+from .dep_graph import Awig, DepTree, build_awig, parse_conllu
 from .embeddings import TagVocab, Vocab
 from .metrics import Metrics, evaluate, metrics_from_predictions
 from .model import Model, ModelConfig, ModelParams, Prediction
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Awig",
-    "ComposedTag",
     "DepTree",
     "Example",
     "Metrics",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import traceback
@@ -127,6 +128,8 @@ def _span_pairs(spans, where: str) -> list[tuple[int, int]]:
 
 
 def cmd_build_graph(args) -> int:
+    if args.kappa_max < 1:
+        raise UsageError("--kappa-max must be at least 1")
     trees = parse_conllu(read_text(args.conllu))
     spans_per_sentence = []
     for lineno, line in enumerate(read_text(args.spans).split("\n"), start=1):
@@ -206,6 +209,8 @@ def cmd_verify_proposition(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0 < args.tolerance < math.inf:  # false for NaN too
+        raise UsageError("--tolerance must be a finite positive number")
     seed = resolve_config(args).seed
     config = ModelConfig(d_model=8, d_tag=4, d_head=4, d_hid=4, U=1, V=1, L=1, seed=seed)
     example = generate_synthetic(seed=seed, count=4)[1]

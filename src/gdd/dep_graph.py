@@ -5,12 +5,14 @@ tree is contracted (all aspect tokens become one super-node) and traversed
 breadth-first, undirected; every context word within kappa_max hops becomes
 a word node whose edge carries the composed dependency tag: the relation
 labels along the shortest path plus the hop count, rendered
-"dep1:dep2:...:depK:K".
+"dep1:dep2:...:depK:K". An Awig stores each word node as its token index
+and each edge as its path alone: a node's id is its position and a tag's
+hop count is its path's length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -85,7 +87,7 @@ def parse_conllu(text: str) -> list[DepTree]:
     rels: list[str] = []
     first_line = 0
 
-    def flush(at_line: int):
+    def flush():
         nonlocal tokens, heads, rels
         if not tokens:
             return
@@ -98,7 +100,7 @@ def parse_conllu(text: str) -> list[DepTree]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip("\n")
         if not line.strip():
-            flush(lineno)
+            flush()
             continue
         if line.startswith("#"):
             continue
@@ -117,65 +119,42 @@ def parse_conllu(text: str) -> list[DepTree]:
         tokens.append(cols[1])
         heads.append(head)
         rels.append(cols[7])
-    flush(lineno if text else 0)
+    flush()
     return trees
-
-
-@dataclass(frozen=True)
-class ComposedTag:
-    """Relation labels along the aspect-to-word path plus the hop count."""
-
-    path: tuple[str, ...]
-    hops: int
-
-    def __post_init__(self):
-        if self.hops < 1:
-            raise ValueError("composed tag needs at least one hop")
-        if self.hops != len(self.path):
-            raise ValueError(f"hop count {self.hops} != path length {len(self.path)}")
-
-    def render(self) -> str:
-        return ":".join(self.path) + f":{self.hops}"
-
-
-def compose_tag(path_tags: Sequence[str], hops: int) -> ComposedTag:
-    return ComposedTag(path=tuple(path_tags), hops=hops)
 
 
 @dataclass
 class Awig:
     """Star graph around one contracted aspect node.
 
-    word_nodes are (token_index, node_id) pairs ordered by token index; each
-    edge links the aspect node to one word node and carries a ComposedTag.
-    Aspect-source tokens never appear as word nodes.
+    Word node i stands for token words[i], in ascending token order; its
+    edge to the aspect node carries paths[i], the relation labels along the
+    path from the aspect, and its hop count is len(paths[i]). Aspect-source
+    tokens never appear as word nodes.
     """
 
     aspect_token_ids: list[int]
-    word_nodes: list[tuple[int, int]] = field(default_factory=list)
-    edges: list[tuple[int, ComposedTag]] = field(default_factory=list)
+    words: list[int]
+    paths: list[tuple[str, ...]]
 
     @property
     def num_words(self) -> int:
-        return len(self.word_nodes)
+        return len(self.words)
 
     def to_json_dict(self, tokens: Sequence[str]) -> dict:
         return {
             "aspect_tokens": list(self.aspect_token_ids),
-            "nodes": [{"token": tok, "text": tokens[tok]} for tok, _ in self.word_nodes],
+            "nodes": [{"token": tok, "text": tokens[tok]} for tok in self.words],
             "edges": [
                 {
                     "node": node_id,
-                    "path": list(tag.path),
-                    "hops": tag.hops,
-                    "tag": tag.render(),
+                    "path": list(path),
+                    "hops": len(path),
+                    "tag": ":".join(path) + f":{len(path)}",
                 }
-                for node_id, tag in self.edges
+                for node_id, path in enumerate(self.paths)
             ],
         }
-
-
-_new, _set = object.__new__, object.__setattr__
 
 
 def build_awig(tree: DepTree, span: tuple[int, int], kappa_max: int,
@@ -184,9 +163,10 @@ def build_awig(tree: DepTree, span: tuple[int, int], kappa_max: int,
 
     span is (start, end) inclusive, 0-based. Every token reached within
     kappa_max hops becomes a word node; its edge records the relation labels
-    along the BFS shortest path (ties broken by smallest token index) and the
-    hop count. Tokens further than kappa_max hops are discarded. With
-    drop_punct, tree edges labelled "punct" are invisible to the traversal.
+    along the BFS shortest path (ties broken by smallest token index), whose
+    length is the hop count. Tokens further than kappa_max hops are
+    discarded. With drop_punct, tree edges labelled "punct" are invisible to
+    the traversal.
 
     One pass over heads groups each token's children. A level of the BFS
     expands its frontier in ascending token order, so a token is claimed by
@@ -228,18 +208,5 @@ def build_awig(tree: DepTree, span: tuple[int, int], kappa_max: int,
         words += nxt
         frontier = nxt
     words.sort()
-
-    # A BFS path has hops = len(path) >= 1 by construction, so its tag's
-    # fields are set directly instead of paying ComposedTag.__post_init__'s
-    # checks. object.__setattr__, as the frozen dataclass's own __init__
-    # uses, keeps the instance's compact attribute storage: reading
-    # tag.__dict__ would give each tag a dict of its own, 64 bytes more.
-    edges = []
-    for node_id, tok in enumerate(words):
-        path = paths[tok]
-        tag = _new(ComposedTag)
-        _set(tag, "path", path)
-        _set(tag, "hops", len(path))
-        edges.append((node_id, tag))
-    return Awig(aspect_token_ids=list(range(s, e + 1)),
-                word_nodes=list(zip(words, range(len(words)))), edges=edges)
+    return Awig(aspect_token_ids=list(range(s, e + 1)), words=words,
+                paths=[paths[tok] for tok in words])

@@ -1,5 +1,8 @@
 """Vocabularies and id encodings for tokens, dependency tags and hop counts.
 
+A graph edge's composed tag arrives as its path of relation labels; its hop
+count is the path's length, so composed_tag_ids reads both from the path.
+
 The lookup tables themselves are model parameters (`embed.token`,
 `embed.tag`, `embed.hop`) that `Model._sentence_matrix` and
 `Model._edge_matrix` gather on the tape. The trainable token table stands
@@ -50,15 +53,9 @@ class Vocab:
         v._id_to_token += new
         return v
 
-    def id(self, token: str) -> int:
-        return self._token_to_id.get(token, UNK)
-
     def ids(self, tokens: Iterable[str]) -> list[int]:
-        """[self.id(t) for t in tokens], in one pass at C speed."""
+        """The id of each token (UNK for unseen ones), in one pass at C speed."""
         return list(map(self._token_to_id.get, tokens, repeat(UNK)))
-
-    def token(self, idx: int) -> str:
-        return self._id_to_token[idx]
 
     def __len__(self) -> int:
         return len(self._id_to_token)
@@ -77,18 +74,13 @@ class Vocab:
 class TagVocab(Vocab):
     """Dependency-relation-tag vocabulary: PAD_TAG=0, UNK_TAG=1, then tags.
 
-    Unseen test-time tags map to UNK_TAG. Hop counts are indexed separately:
-    hop k (1-based) lives at row k-1 of the hop table.
+    Unseen test-time tags map to UNK_TAG. Hop counts are not in it: a path
+    of k labels (k hops) reads row k-1 of the separate hop table, as
+    composed_tag_ids encodes it.
     """
 
     pad_token = PAD_TAG_TOKEN
     unk_token = UNK_TAG_TOKEN
-
-    @staticmethod
-    def hop_index(hops: int, kappa_max: int) -> int:
-        if not 1 <= hops <= kappa_max:
-            raise ValueError(f"hop count {hops} outside 1..{kappa_max}")
-        return hops - 1
 
 
 def token_ids(tokens: Sequence[str], vocab: Vocab) -> np.ndarray:
@@ -96,33 +88,30 @@ def token_ids(tokens: Sequence[str], vocab: Vocab) -> np.ndarray:
     return np.array(vocab.ids(tokens), dtype=np.intp)
 
 
-def composed_tag_ids(tags: Iterable[tuple[Sequence[str], int]], tag_vocab: TagVocab,
+def composed_tag_ids(paths: Iterable[Sequence[str]], tag_vocab: TagVocab,
                      kappa_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve one example's composed tags, given as (path, hops) pairs, to
-    their fixed-width id encoding.
+    """Resolve one example's edge paths to their composed tags' fixed-width
+    id encoding.
 
     Returns (slot_ids, hop_idx), both C-contiguous intp arrays: slot_ids
     holds m rows of kappa_max tag-table ids (each path right-padded with
-    PAD_TAG) and hop_idx the m hop-table rows (hop k at row k-1). Each hop
-    count must equal its path length and lie in 1..kappa_max; the graph
-    builder drops deeper nodes before we get here. All m rows' tags, the
-    padding as the vocabulary's own pad token (at id PAD), are looked up in
-    one pass and become one array.
+    PAD_TAG) and hop_idx the m hop-table rows (a path of k labels, k hops,
+    at row k-1). Each path must hold 1..kappa_max labels; the graph builder
+    drops deeper nodes before we get here. All m rows' tags, the padding as
+    the vocabulary's own pad token (at id PAD), are looked up in one pass
+    and become one array.
     """
     pads = [[tag_vocab.pad_token] * (kappa_max - h) for h in range(kappa_max + 1)]
-    hop_rows = [None] + [TagVocab.hop_index(h, kappa_max) for h in range(1, kappa_max + 1)]
     names: list[str] = []
     hop_idx: list[int] = []
-    for path, hops in tags:
-        if hops != len(path):
-            raise ValueError(f"composed tag: hop count {hops} != path length {len(path)}")
-        if hops < 1:
-            raise ValueError("composed tag: needs at least one hop")
-        if hops > kappa_max:
-            raise ValueError(f"composed tag: {hops} hops exceeds kappa_max={kappa_max}")
+    for path in paths:
+        hops = len(path)
+        if not 1 <= hops <= kappa_max:
+            raise ValueError("composed tag: needs at least one hop" if hops < 1 else
+                             f"composed tag: {hops} hops exceeds kappa_max={kappa_max}")
         names += path
         names += pads[hops]
-        hop_idx.append(hop_rows[hops])
+        hop_idx.append(hops - 1)
     slot_ids = np.array(tag_vocab.ids(names), dtype=np.intp)
     slot_ids.shape = (-1, kappa_max)  # in place: a reshaped view would keep a second array
     return slot_ids, np.array(hop_idx, dtype=np.intp)
@@ -133,7 +122,8 @@ def load_precomputed(path) -> dict[tuple[str, ...], Tensor]:
 
     Each record is {"tokens": [...], "vectors": [[...], ...]} with one vector
     per token. Sentences are keyed by their exact token sequence. A malformed
-    record raises DataError naming its file and line.
+    record, or one with a NaN or infinite entry (which json.loads accepts),
+    raises DataError naming its file and line.
     """
     out: dict[tuple[str, ...], Tensor] = {}
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
@@ -158,5 +148,7 @@ def load_precomputed(path) -> dict[tuple[str, ...], Tensor]:
             raise DataError(f"{where}: vectors must be a 2-D list of numbers")
         if arr.shape[0] != len(tokens):
             raise DataError(f"{where}: {arr.shape[0]} vectors for {len(tokens)} tokens")
+        if not np.isfinite(arr).all():
+            raise DataError(f"{where}: vectors must be finite")
         out[tuple(tokens)] = arr
     return out

@@ -346,15 +346,14 @@ class Model:
         span = example.aspect_span_inclusive
         awig = build_awig(DepTree(example.tokens, example.dep_heads, example.dep_rels),
                           span, cfg.kappa_max, drop_punct=cfg.drop_punct)
-        slots, hops = composed_tag_ids([(tag.path, tag.hops) for _, tag in awig.edges],
-                                       self.tag_vocab, cfg.kappa_max)
+        slots, hops = composed_tag_ids(awig.paths, self.tag_vocab, cfg.kappa_max)
         return Prepared(
             example=example,
             token_ids=token_ids(example.tokens, self.vocab),
             span=span,
             gold=example.label_id,
             awig=awig,
-            word_token_idx=np.array([tok for tok, _ in awig.word_nodes], dtype=np.intp),
+            word_token_idx=np.array(awig.words, dtype=np.intp),
             edge_slot_ids=slots,
             edge_hop_idx=hops,
         )

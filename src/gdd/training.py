@@ -156,15 +156,13 @@ class EpochLog:
 def train(model: Model, train_examples, dev_examples=None, *,
           epochs: int | None = None, shuffle: bool = True,
           track_train_accuracy: bool = False, stop_at_train_accuracy: float | None = None,
-          plateau_patience: int | None = None, plateau_tol: float = 1e-5,
           on_epoch=None) -> list[EpochLog]:
     """Per-example (or accumulated-batch) Adam training, fully seeded.
 
-    Stops early when training accuracy reaches stop_at_train_accuracy or when
-    the mean train loss fails to improve by plateau_tol for plateau_patience
-    consecutive epochs. on_epoch(EpochLog) fires after each epoch. A step
-    whose loss or gradient is not finite raises TrainingDiverged before its
-    update, leaving the parameters at their last finite values.
+    Stops early when training accuracy reaches stop_at_train_accuracy.
+    on_epoch(EpochLog) fires after each epoch. A step whose loss or gradient
+    is not finite raises TrainingDiverged before its update, leaving the
+    parameters at their last finite values.
     """
     cfg = model.config
     epochs = cfg.epochs if epochs is None else epochs
@@ -179,8 +177,6 @@ def train(model: Model, train_examples, dev_examples=None, *,
     order_rng = Rng(cfg.seed + 1)
     dropout_rng = Rng(cfg.seed + 2) if cfg.dropout > 0 else None
     history: list[EpochLog] = []
-    best_loss = np.inf
-    stale = 0
 
     for epoch in range(1, epochs + 1):
         order = order_rng.permutation(len(preps)) if shuffle else np.arange(len(preps))
@@ -209,14 +205,6 @@ def train(model: Model, train_examples, dev_examples=None, *,
                 and log.train_accuracy is not None
                 and log.train_accuracy >= stop_at_train_accuracy):
             break
-        if plateau_patience is not None:
-            if log.train_loss < best_loss - plateau_tol:
-                best_loss = log.train_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= plateau_patience:
-                    break
     return history
 
 

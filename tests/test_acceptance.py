@@ -134,16 +134,15 @@ def test_awig_fidelity_against_all_pairs_oracle():
             awig = build_awig(tree, (s, e), kappa_max)
             oracle = contracted_shortest_paths(tree, aspect)
 
-            hops = {tok: tag.hops for (tok, _), (_, tag) in
-                    zip(awig.word_nodes, awig.edges)}
+            hops = {tok: len(path) for tok, path in zip(awig.words, awig.paths)}
             for tok, dist in oracle.items():
                 if dist <= kappa_max:
                     if hops.get(tok) != dist:
                         violations += 1
                 elif tok in hops:
                     violations += 1
-            for (tok, _), (_, tag) in zip(awig.word_nodes, awig.edges):
-                if tok not in replay_reachable(tree, aspect, tag.path):
+            for tok, path in zip(awig.words, awig.paths):
+                if tok not in replay_reachable(tree, aspect, path):
                     violations += 1
         assert violations == 0, f"{violations} oracle violations"
 

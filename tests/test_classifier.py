@@ -402,9 +402,3 @@ class TestTraining:
             ModelConfig(lr=0.01, batch_size=4, **TOY), examples)
         history = train(model, examples, epochs=2)
         assert len(history) == 2
-
-    def test_plateau_early_stop(self):
-        examples = generate_synthetic(seed=2, count=4)
-        model = Model.build_for_examples(ModelConfig(lr=0.0, **TOY), examples)
-        history = train(model, examples, epochs=50, plateau_patience=3)
-        assert len(history) == 4  # no improvement possible at lr=0

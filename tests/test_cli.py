@@ -187,6 +187,7 @@ class TestBadEmbeddingsFile:
         "wrong-types": r"vectors\.jsonl:1: tokens must be a list of strings",
         "missing-sentence": "no frozen embedding record for sentence: " + " ".join(FIRST),
         "wrong-width": r"frozen embedding shape \((\d+), 5\) != \(\1, 8\) for sentence: \w",
+        "non-finite": r"vectors\.jsonl:2: vectors must be finite",
     }
 
     @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
@@ -200,6 +201,13 @@ class TestBadEmbeddingsFile:
             vectors.write_text('{"tokens": 5, "vectors": 5}\n')
         elif case == "missing-sentence":
             write_vectors(vectors, examples, skip={tuple(self.FIRST)})
+        elif case == "non-finite":
+            write_vectors(vectors, examples)
+            lines = vectors.read_text().splitlines(keepends=True)
+            record = json.loads(lines[1])
+            record["vectors"][0][0] = math.nan
+            lines[1] = json.dumps(record) + "\n"  # json writes the NaN that json.loads reads
+            vectors.write_text("".join(lines))
         else:
             write_vectors(vectors, examples, width=5)
         out = tmp_path / "m.gdd"
@@ -358,6 +366,19 @@ class TestBuildGraph:
         assert stdout == ""
         assert re.fullmatch(rf"error: .*spans\.jsonl:2: {message}.*\n", err), err
 
+    @pytest.mark.parametrize("kappa_max, conllu_text", [("0", CHAIN_CONLLU), ("-3", "")],
+                             ids=["0-chain", "-3-empty"])
+    def test_kappa_max_below_one_exits_2(self, tmp_path, capsys, kappa_max, conllu_text):
+        conllu = tmp_path / "s.conllu"
+        conllu.write_text(conllu_text)
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text(json.dumps({"spans": [[2, 3]]}) + "\n" if conllu_text else "")
+        code, stdout, err = run(["build-graph", "--conllu", str(conllu), "--spans", str(spans),
+                                 "--kappa-max", kappa_max], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: --kappa-max must be at least 1\n"
+
     def test_parse_error_has_line(self, tmp_path, capsys):
         conllu = tmp_path / "s.conllu"
         conllu.write_text("1\tbroken\n")
@@ -463,6 +484,13 @@ class TestGradcheckCommand:
         code, stdout, _ = run(["gradcheck", "--tolerance", "1e-12"], capsys)
         assert code == 1
         assert json.loads(stdout)["ok"] is False
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+    def test_tolerance_not_finite_and_positive_exits_2(self, capsys, tolerance):
+        code, stdout, err = run(["gradcheck", "--tolerance", tolerance], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: --tolerance must be a finite positive number\n"
 
 
 def test_unknown_command_exits_2(capsys):

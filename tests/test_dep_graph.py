@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from gdd.dep_graph import (
+    Awig,
     DepTree,
     ParseError,
     build_awig,
-    compose_tag,
     parse_conllu,
 )
 from gdd.numeric import Rng
@@ -90,45 +90,40 @@ class TestDepTree:
             DepTree(["a", "b"], [0], ["root"])
 
 
+def rendered_tag(path) -> str:
+    """The composed tag of a one-edge graph whose edge carries path."""
+    awig = Awig([0], [1], [tuple(path)])
+    return awig.to_json_dict(["aspect", "word"])["edges"][0]["tag"]
+
+
 class TestComposeTag:
     def test_single(self):
-        assert compose_tag(["nsubj"], 1).render() == "nsubj:1"
+        assert rendered_tag(["nsubj"]) == "nsubj:1"
 
     def test_double(self):
-        assert compose_tag(["amod", "nsubj"], 2).render() == "amod:nsubj:2"
-
-    def test_zero_hops_rejected(self):
-        with pytest.raises(ValueError, match="at least one hop"):
-            compose_tag([], 0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="path length"):
-            compose_tag(["a"], 2)
+        assert rendered_tag(["amod", "nsubj"]) == "amod:nsubj:2"
 
 
 class TestBuildAwig:
     def test_chain_paths(self):
         awig = build_awig(chain_tree(), (3, 3), kappa_max=3)
-        by_token = {tok: tag for (tok, node_id), (_, tag) in
-                    zip(awig.word_nodes, awig.edges)}
-        assert by_token[2].path == ("dep_b",)          # w2, one hop
-        assert by_token[1].path == ("dep_b", "dep_a")  # w1, two hops
-        assert by_token[0].path == ("dep_b", "dep_a", "dep_c")
+        by_token = dict(zip(awig.words, awig.paths))
+        assert by_token[2] == ("dep_b",)          # w2, one hop
+        assert by_token[1] == ("dep_b", "dep_a")  # w1, two hops
+        assert by_token[0] == ("dep_b", "dep_a", "dep_c")
 
     def test_kappa_cutoff_discards(self):
         awig = build_awig(chain_tree(), (3, 3), kappa_max=2)
-        tokens = [tok for tok, _ in awig.word_nodes]
-        assert tokens == [1, 2]
+        assert awig.words == [1, 2]
 
     def test_whole_sentence_aspect(self):
         awig = build_awig(chain_tree(), (0, 3), kappa_max=3)
         assert awig.num_words == 0
-        assert awig.edges == []
+        assert awig.words == [] and awig.paths == []
 
     def test_aspect_never_a_word_node(self):
         awig = build_awig(chain_tree(), (1, 2), kappa_max=3)
-        word_tokens = {tok for tok, _ in awig.word_nodes}
-        assert word_tokens.isdisjoint({1, 2})
+        assert set(awig.words).isdisjoint({1, 2})
 
     def test_invalid_span(self):
         with pytest.raises(ValueError, match="span"):
@@ -138,8 +133,8 @@ class TestBuildAwig:
         tree = DepTree(["nice", "food", "!"], [2, 0, 2], ["amod", "root", "punct"])
         with_punct = build_awig(tree, (1, 1), kappa_max=3)
         without = build_awig(tree, (1, 1), kappa_max=3, drop_punct=True)
-        assert {tok for tok, _ in with_punct.word_nodes} == {0, 2}
-        assert {tok for tok, _ in without.word_nodes} == {0}
+        assert with_punct.words == [0, 2]
+        assert without.words == [0]
 
     def test_deterministic_rebuild(self):
         tree = random_tree(Rng(9), 10)
@@ -232,8 +227,7 @@ class TestAwigOracles:
             awig = build_awig(tree, (s, e), kappa_max)
             oracle = contracted_shortest_paths(tree, aspect)
 
-            hops_by_token = {tok: tag.hops for (tok, _), (_, tag) in
-                             zip(awig.word_nodes, awig.edges)}
+            hops_by_token = {tok: len(path) for tok, path in zip(awig.words, awig.paths)}
             for tok, d in oracle.items():
                 if d <= kappa_max:
                     assert hops_by_token[tok] == d, (trial, tok)
@@ -248,6 +242,6 @@ class TestAwigOracles:
             s = rng.integers(0, n - 1)
             aspect = {s}
             awig = build_awig(tree, (s, s), kappa_max=3)
-            for (tok, _), (_, tag) in zip(awig.word_nodes, awig.edges):
-                reached = replay_reachable(tree, aspect, tag.path)
-                assert tok in reached, (trial, tok, tag)
+            for tok, path in zip(awig.words, awig.paths):
+                reached = replay_reachable(tree, aspect, path)
+                assert tok in reached, (trial, tok, path)

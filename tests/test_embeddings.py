@@ -29,34 +29,24 @@ def tag_vocab():
 
 
 def test_vocab_reserved_ids(vocab):
-    assert vocab.id("<pad>") == PAD
-    assert vocab.id("<unk>") == UNK
-    assert vocab.id("never-seen") == UNK
+    assert vocab.ids(["<pad>", "<unk>", "never-seen"]) == [PAD, UNK, UNK]
 
 
 def test_vocab_bijective(vocab):
-    for tok in ("great", "food", "bad"):
-        assert vocab.token(vocab.id(tok)) == tok
+    words = ["great", "food", "bad"]
+    assert [vocab.to_list()[i] for i in vocab.ids(words)] == words
 
 
 def test_vocab_roundtrip(vocab):
     clone = Vocab.from_list(vocab.to_list())
     assert clone.to_list() == vocab.to_list()
-    assert clone.id("food") == vocab.id("food")
+    assert clone.ids(["food"]) == vocab.ids(["food"])
 
 
 def test_tag_vocab_unseen_maps_to_unk(tag_vocab):
-    assert tag_vocab.id("nsubj") > UNK
-    assert tag_vocab.id("xcomp") == UNK
-
-
-def test_hop_index_bounds():
-    assert TagVocab.hop_index(1, 3) == 0
-    assert TagVocab.hop_index(3, 3) == 2
-    with pytest.raises(ValueError):
-        TagVocab.hop_index(4, 3)
-    with pytest.raises(ValueError):
-        TagVocab.hop_index(0, 3)
+    nsubj, xcomp = tag_vocab.ids(["nsubj", "xcomp"])
+    assert nsubj > UNK
+    assert xcomp == UNK
 
 
 def token_rows(tokens, vocab, weights):
@@ -89,11 +79,10 @@ def tag_model(vocab, tag_vocab, d_tag=4, kappa_max=3):
 
 def edge_rows(model, paths):
     """Model._edge_matrix over one edge per composed-tag path."""
-    slots, hops = composed_tag_ids([(path, len(path)) for path in paths], model.tag_vocab,
-                                   model.config.kappa_max)
+    slots, hops = composed_tag_ids(paths, model.tag_vocab, model.config.kappa_max)
     m = len(paths)
     prep = Prepared(example=None, token_ids=np.zeros(m + 1, dtype=np.intp), span=(0, 0),
-                    gold=0, awig=Awig([0], [(i + 1, i) for i in range(m)]),
+                    gold=0, awig=Awig([0], list(range(1, m + 1)), [tuple(p) for p in paths]),
                     word_token_idx=np.arange(1, m + 1),
                     edge_slot_ids=slots, edge_hop_idx=hops)
     leaves = {name: ad.Var(t) for name, t in model.params.items()}
@@ -105,8 +94,9 @@ class TestComposedTag:
         model = tag_model(vocab, tag_vocab)
         tags, hops = model.params.get("embed.tag"), model.params.get("embed.hop")
         out = edge_rows(model, [["nsubj"]])[0]
+        nsubj, = tag_vocab.ids(["nsubj"])
         expected = np.concatenate([
-            tags[tag_vocab.id("nsubj")],
+            tags[nsubj],
             tags[PAD],
             tags[PAD],
             hops[0],
@@ -117,9 +107,10 @@ class TestComposedTag:
         model = tag_model(vocab, tag_vocab)
         tags, hops = model.params.get("embed.tag"), model.params.get("embed.hop")
         out = edge_rows(model, [["amod", "nsubj"]])[0]
+        amod, nsubj = tag_vocab.ids(["amod", "nsubj"])
         expected = np.concatenate([
-            tags[tag_vocab.id("amod")],
-            tags[tag_vocab.id("nsubj")],
+            tags[amod],
+            tags[nsubj],
             tags[PAD],
             hops[1],
         ])
@@ -136,24 +127,20 @@ class TestComposedTag:
 
     def test_too_many_hops(self, tag_vocab):
         with pytest.raises(ValueError, match="kappa_max"):
-            composed_tag_ids([(["a", "b", "c", "d"], 4)], tag_vocab, 3)
-
-    def test_hop_path_mismatch(self, tag_vocab):
-        with pytest.raises(ValueError, match="path length"):
-            composed_tag_ids([(["a", "b"], 1)], tag_vocab, 3)
+            composed_tag_ids([["a", "b", "c", "d"]], tag_vocab, 3)
 
     def test_zero_hops(self, tag_vocab):
         with pytest.raises(ValueError, match="at least one hop"):
-            composed_tag_ids([([], 0)], tag_vocab, 3)
+            composed_tag_ids([[]], tag_vocab, 3)
 
     @pytest.mark.parametrize("paths", [[], [["amod"], ["det", "xcomp", "nsubj"]]])
     def test_id_arrays_are_contiguous_intp(self, tag_vocab, paths):
-        slots, hops = composed_tag_ids([(p, len(p)) for p in paths], tag_vocab, 3)
+        slots, hops = composed_tag_ids(paths, tag_vocab, 3)
         assert slots.shape == (len(paths), 3) and hops.shape == (len(paths),)
         for a in (slots, hops):
             assert a.dtype == np.intp and a.flags.c_contiguous
         if paths:
-            amod, det, nsubj = (tag_vocab.id(t) for t in ("amod", "det", "nsubj"))
+            amod, det, nsubj = tag_vocab.ids(["amod", "det", "nsubj"])
             assert slots.tolist() == [[amod, PAD, PAD], [det, UNK, nsubj]]
             assert hops.tolist() == [0, 2]
 
@@ -170,6 +157,14 @@ class TestPrecomputed:
         path = tmp_path / "vecs.jsonl"
         path.write_text(json.dumps({"tokens": ["a", "b"], "vectors": [[1.0]]}) + "\n")
         with pytest.raises(ValueError, match="1 vectors for 2 tokens"):
+            load_precomputed(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_vectors_rejected(self, tmp_path, value):
+        path = tmp_path / "vecs.jsonl"
+        good = json.dumps({"tokens": ["a"], "vectors": [[1.0, 2.0]]})
+        path.write_text(f'{good}\n{{"tokens": ["b"], "vectors": [[1.0, {value}]]}}\n')
+        with pytest.raises(ValueError, match=r"vecs\.jsonl:2: vectors must be finite"):
             load_precomputed(path)
 
     def test_bad_keys(self, tmp_path):

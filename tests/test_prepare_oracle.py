@@ -3,8 +3,10 @@
 `oracle_validate`, `oracle_build_awig` and `oracle_prepare` keep the
 straightforward per-edge versions of `DepTree.validate`, `build_awig` and
 `Model.prepare` that the library's faster bodies replaced: a status-walk
-over the head chains, an adjacency list sorted per node, a validated
-`ComposedTag` per edge, and tag ids encoded one edge at a time. The
+over the head chains, an adjacency list sorted per node, an explicit node
+id and hop count per edge (checked against the node's position and the
+path's length), and ids looked up in each vocabulary's own list, one edge at
+a time. The
 property tests below check that the library gives the same graphs, the same
 prepared arrays (values, dtypes, shapes and contiguity) and the same error
 messages.
@@ -15,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdd.data import Example
-from gdd.dep_graph import Awig, ComposedTag, DepTree, ParseError, build_awig
-from gdd.embeddings import PAD, TagVocab, Vocab
+from gdd.dep_graph import Awig, DepTree, ParseError, build_awig
+from gdd.embeddings import PAD, UNK, TagVocab, Vocab
 from gdd.model import Model, ModelConfig, Prepared
 from gdd.numeric import Rng
 from test_dep_graph import random_tree
@@ -92,13 +94,18 @@ def oracle_build_awig(tree, span, kappa_max, drop_punct=False) -> Awig:
         if not frontier:
             break
 
-    word_tokens = sorted(paths)
-    awig = Awig(aspect_token_ids=sorted(aspect))
-    for node_id, tok in enumerate(word_tokens):
-        awig.word_nodes.append((tok, node_id))
-        path = paths[tok]
-        awig.edges.append((node_id, ComposedTag(path=path, hops=len(path))))
-    return awig
+    word_nodes = [(tok, node_id) for node_id, tok in enumerate(sorted(paths))]
+    edges = [(node_id, paths[tok], len(paths[tok])) for tok, node_id in word_nodes]
+    for position, ((_, node_id), (edge_node, path, hops)) in enumerate(zip(word_nodes, edges)):
+        assert node_id == edge_node == position
+        assert hops == len(path)
+    return Awig(aspect_token_ids=sorted(aspect), words=[tok for tok, _ in word_nodes],
+                paths=[path for _, path, _ in edges])
+
+
+def oracle_id(vocab, token) -> int:
+    listed = vocab.to_list()
+    return listed.index(token) if token in listed else UNK
 
 
 def oracle_composed_tag_ids(path, hops, tag_vocab, kappa_max):
@@ -108,8 +115,8 @@ def oracle_composed_tag_ids(path, hops, tag_vocab, kappa_max):
         raise ValueError("composed tag: needs at least one hop")
     if hops > kappa_max:
         raise ValueError(f"composed tag: {hops} hops exceeds kappa_max={kappa_max}")
-    slots = [tag_vocab.id(t) for t in path] + [PAD] * (kappa_max - hops)
-    return np.array(slots, dtype=np.intp), TagVocab.hop_index(hops, kappa_max)
+    slots = [oracle_id(tag_vocab, t) for t in path] + [PAD] * (kappa_max - hops)
+    return np.array(slots, dtype=np.intp), hops - 1
 
 
 def oracle_prepare(model, example) -> Prepared:
@@ -123,16 +130,16 @@ def oracle_prepare(model, example) -> Prepared:
     m = awig.num_words
     slots = np.zeros((m, cfg.kappa_max), dtype=np.intp)
     hops = np.zeros(m, dtype=np.intp)
-    for node_id, tag in awig.edges:
+    for node_id, path in enumerate(awig.paths):
         slots[node_id], hops[node_id] = oracle_composed_tag_ids(
-            tag.path, tag.hops, model.tag_vocab, cfg.kappa_max)
+            path, len(path), model.tag_vocab, cfg.kappa_max)
     return Prepared(
         example=example,
-        token_ids=np.array([model.vocab.id(t) for t in example.tokens], dtype=np.intp),
+        token_ids=np.array([oracle_id(model.vocab, t) for t in example.tokens], dtype=np.intp),
         span=example.aspect_span_inclusive,
         gold=example.label_id,
         awig=awig,
-        word_token_idx=np.array([tok for tok, _ in awig.word_nodes], dtype=np.intp),
+        word_token_idx=np.array(awig.words, dtype=np.intp),
         edge_slot_ids=slots,
         edge_hop_idx=hops,
     )

@@ -6,12 +6,16 @@ gradient contribution per parent, in order. backward() sorts the op nodes
 (those with a VJP) reachable from its output and replays them in reverse
 topological order, calling each node's VJP once; inputs (leaves and
 constants) never enter the sort, they only receive contributions.
-A Leaf's gradient is a preallocated array that backward() adds into in
-place; an op whose parent is a Leaf may instead add its contribution into
-that array itself (touching only the rows it used) and return None for it.
-The model's attention and mask layers are nodes of this one kind, with
-hand-derived VJPs over many parents; analytic gradients produced here are
-validated against numeric.finite_diff_grad, never trusted blind.
+A Leaf's gradient is a preallocated array, possibly a strided view into a
+larger buffer, that backward() adds into in place; an op whose parent is a
+Leaf may instead add its contribution into that array itself (touching
+only the rows it used) and return None for it. The model's attention and
+mask layers are nodes of this one kind, with hand-derived VJPs over many
+parents, and so are the short chains it runs on every example: a sum or
+mean over a span of rows (sum_rows), row gathers laid side by side
+(gather_concat) and the cross-entropy (cross_entropy). Analytic gradients
+produced here are validated against numeric.finite_diff_grad, never
+trusted blind.
 
 circ_corr runs its transforms as matrix products with two cached real DFT
 matrices per length d (K = d // 2 + 1 bins): x @ F gives the real parts of
@@ -23,10 +27,13 @@ than the numpy FFT call it replaces.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
 from .numeric import _softmax, as_tensor
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 class Var:
@@ -36,7 +43,9 @@ class Var:
     __slots__ = ("value", "grad", "_parents", "_vjp")
 
     def __init__(self, value, parents=(), vjp=None):
-        self.value = as_tensor(value)
+        # as_tensor returns a float64 ndarray as it is; skip the call for one.
+        self.value = (value if value.__class__ is np.ndarray and value.dtype is _FLOAT64
+                      else as_tensor(value))
         self.grad = None
         self._parents = parents
         self._vjp = vjp
@@ -162,48 +171,32 @@ def transpose(a) -> Var:
     return Var(a.value.T.copy(), (a,), lambda g: (g.T,))
 
 
-def reshape(a, shape) -> Var:
-    a = as_var(a)
-    return Var(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),))
-
-
 def concat(vs, axis: int = 0) -> Var:
     vs = tuple(as_var(v) for v in vs)
-    val = np.concatenate([v.value for v in vs], axis=axis)
-    slices = []
-    offset = 0
-    for v in vs:
-        size = v.value.shape[axis]
-        sl = [slice(None)] * val.ndim
-        sl[axis] = slice(offset, offset + size)
-        slices.append(tuple(sl))
-        offset += size
-    return Var(val, vs, lambda g: tuple(g[s].copy() for s in slices))
-
-
-def sum_(a, axis=None, keepdims: bool = False) -> Var:
-    a = as_var(a)
-    val = a.value.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        out = np.empty(a.value.shape)
-        out[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (out,)
+        parts, offset = [], 0
+        for v in vs:
+            size = v.value.shape[axis]
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(offset, offset + size)
+            parts.append(g[tuple(sl)].copy())
+            offset += size
+        return tuple(parts)
 
-    return Var(np.asarray(val), (a,), vjp)
+    return Var(np.concatenate([v.value for v in vs], axis=axis), vs, vjp)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Var:
-    """sum * (1/count) as one node; its gradient is g * (1/count), broadcast."""
-    a = as_var(a)
-    scale = 1.0 / (a.value.size if axis is None else a.value.shape[axis])
-
-    def vjp(g):
-        out = np.empty(a.value.shape)
-        out[...] = (g if axis is None or keepdims else np.expand_dims(g, axis)) * scale
-        return (out,)
-
-    return Var(a.value.sum(axis=axis, keepdims=keepdims) * scale, (a,), vjp)
+def _scatter_rows(a: Var, idx: np.ndarray, g: np.ndarray):
+    """The gradient of a row gather a[idx] for output gradient g: added into a
+    Leaf's own gradient (only the gathered rows are touched; returns None),
+    otherwise into a fresh zero tensor (returned)."""
+    if isinstance(a, Leaf):
+        np.add.at(a.grad, idx, g)
+        return None
+    out = np.zeros_like(a.value)
+    np.add.at(out, idx, g)
+    return out
 
 
 def gather_rows(a, indices) -> Var:
@@ -212,18 +205,58 @@ def gather_rows(a, indices) -> Var:
     into a fresh zero tensor."""
     a = as_var(a)
     idx = np.asarray(indices, dtype=np.intp)
+    return Var(a.value.take(idx, axis=0), (a,), lambda g: (_scatter_rows(a, idx, g),))
 
-    if isinstance(a, Leaf):
-        def vjp(g):
-            np.add.at(a.grad, idx, g)
-            return (None,)
-    else:
-        def vjp(g):
-            out = np.zeros_like(a.value)
-            np.add.at(out, idx, g)
-            return (out,)
 
-    return Var(a.value[idx].copy(), (a,), vjp)
+def gather_concat(parts) -> Var:
+    """Row gathers laid side by side, as one node. parts are (table, indices)
+    pairs, indices of shape (m,) or (m, k); output row i concatenates, part
+    by part, table[indices[i, 0]], ..., table[indices[i, k - 1]]. Each
+    table's gradient scatter-adds as gather_rows' does."""
+    tables = tuple(as_var(t) for t, _ in parts)
+    idxs = tuple(np.asarray(i, dtype=np.intp) for _, i in parts)
+    blocks = [t.value.take(i, axis=0).reshape(i.shape[0], -1) for t, i in zip(tables, idxs)]
+    cols = list(itertools.pairwise(itertools.accumulate((b.shape[1] for b in blocks), initial=0)))
+
+    def vjp(g):
+        return tuple(_scatter_rows(t, i, g[:, lo:hi].reshape(i.shape + t.value.shape[1:]))
+                     for t, i, (lo, hi) in zip(tables, idxs, cols))
+
+    return Var(np.concatenate(blocks, axis=1), tables, vjp)
+
+
+def sum_rows(a, start: int, stop: int, scale: float = 1.0) -> Var:
+    """scale times the sum of rows [start, stop) of a 2-D tensor, as one node
+    (a mean with scale = 1 / (stop - start)). Its gradient is g * scale on
+    those rows and zero elsewhere."""
+    a = as_var(a)
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        out[start:stop] = g * scale
+        return (out,)
+
+    return Var(a.value[start:stop].sum(axis=0) * scale, (a,), vjp)
+
+
+def cross_entropy(logits, gold: int) -> Var:
+    """logsumexp(z) - z[gold] of a 1-D logit vector z, max-shifted for
+    stability, as one node. Its gradient is g * (softmax(z) - onehot(gold))."""
+    z = as_var(logits)
+    v = z.value
+    if v.ndim != 1:
+        raise ValueError("cross_entropy expects a 1-D tensor")
+    i = int(gold)
+    top = v.max()
+    e = np.exp(v - top)
+    total = e.sum()
+
+    def vjp(g):
+        d = g * (e / total)
+        d[i] -= g
+        return (d,)
+
+    return Var(np.asarray(top + np.log(total) - v[i]), (z,), vjp)
 
 
 def sum_squares(a: Leaf, runs) -> Var:
@@ -240,21 +273,6 @@ def sum_squares(a: Leaf, runs) -> Var:
         return (None,)
 
     return Var(np.asarray(total), (a,), vjp)
-
-
-def pick(a, index: int) -> Var:
-    """One scalar element of a 1-D tensor."""
-    a = as_var(a)
-    if a.value.ndim != 1:
-        raise ValueError("pick expects a 1-D tensor")
-    i = int(index)
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[i] = g
-        return (out,)
-
-    return Var(np.asarray(a.value[i]), (a,), vjp)
 
 
 def relu(a) -> Var:
@@ -278,18 +296,6 @@ def softmax(a, axis: int = -1) -> Var:
     a = as_var(a)
     p = _softmax(a.value, axis)
     return Var(p, (a,), lambda g: ((g - (g * p).sum(axis, keepdims=True)) * p,))
-
-
-def logsumexp(a) -> Var:
-    """log(sum(exp(a))) of a 1-D tensor, max-shifted for stability."""
-    a = as_var(a)
-    if a.value.ndim != 1:
-        raise ValueError("logsumexp expects a 1-D tensor")
-    m = np.max(a.value)
-    e = np.exp(a.value - m)
-    total = e.sum()
-    p = e / total
-    return Var(np.asarray(m + np.log(total)), (a,), lambda g: (g * p,))
 
 
 @functools.lru_cache(maxsize=8)

@@ -105,6 +105,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     examples = load_dataset(args.data)
+    if not examples:
+        raise DataError(f"{args.data}: empty dataset")
     if args.embeddings_file:
         model.frozen_embeddings = load_precomputed(args.embeddings_file)
     metrics = evaluate(model, examples)

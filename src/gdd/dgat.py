@@ -8,12 +8,14 @@ A relational head scores neighbors purely from edge embeddings via a small
 MLP. The layer output concatenates all heads; edges are reprojected between
 layers while context-word features stay at their layer-0 values.
 
-Every function here builds tape nodes (`autodiff.Var`); each head's
-attention, with the projection only that head reads (the aspect's in a
-dual head, the values' in a relational head), is one node with a
-hand-derived VJP over the plain-array kernels `_edge_weights` and
-`_node_weights`. A layer over an empty graph returns a zero vector and
-flags it in its trace.
+Every function here builds tape nodes (`autodiff.Var`). A dual head's
+attention, with the aspect projection only that head reads, is one node
+with a hand-derived VJP over the plain-array kernels `_edge_weights` and
+`_node_weights`. A layer's V relational heads are one node together: their
+weights come stacked over the heads (`RelHeads`; the model passes strided
+views of its flat buffers), so each step is one matmul or ufunc call for
+all of them. A layer over an empty graph returns a zero vector and flags
+it in its trace.
 """
 
 from __future__ import annotations
@@ -36,23 +38,29 @@ class DualHeadParams:
 
 
 @dataclass
-class RelHeadParams:
-    Wv: Tensor  # value projection, d_model x d_head
-    W1: Tensor  # edge-scoring MLP, d_edge x d_head
-    b1: Tensor
-    W2: Tensor  # d_head x 1
-    b2: Tensor  # 1
+class RelHeads:
+    """The V relational heads of one layer, each field stacked over the heads
+    (leading axis V): Vars, or plain arrays that the tape treats as constants."""
+    Wv: Tensor  # value projections, V x d_model x d_head
+    W1: Tensor  # edge-scoring MLP, V x d_edge x d_head
+    b1: Tensor  # V x d_head
+    W2: Tensor  # V x d_head x 1
+    b2: Tensor  # V x 1
+
+    @property
+    def count(self) -> int:
+        return (self.Wv.value if isinstance(self.Wv, Var) else self.Wv).shape[0]
 
 
 @dataclass
 class DgatLayerParams:
     dual: list[DualHeadParams]
-    rel: list[RelHeadParams]
+    rel: RelHeads | None  # None when the layer has no relational head
     Wr: Tensor  # relation update, d_edge x d_edge_out
 
     @property
     def num_heads(self) -> int:
-        return len(self.dual) + len(self.rel)
+        return len(self.dual) + (self.rel.count if self.rel is not None else 0)
 
 
 def _scaled(logits: Tensor, d_head: int, scale: bool) -> Tensor:
@@ -120,43 +128,47 @@ def dual_head_var(h_a: Var, H_N: Var, E: Var, p: DualHeadParams,
     return dual_attention_var(as_var(h_a), as_var(p.Wa), e_proj, n_proj, composed, scale)
 
 
-def relational_attention_var(E: Var, W1: Var, b1: Var, W2: Var, b2: Var,
-                             H_N: Var, Wv: Var):
-    """A relational head as one tape node: rho = softmax(relu(E W1 + b1) W2
-    + b2) and the rho-weighted sum of the value rows H_N Wv. Returns
-    (output Var[d_head], rho array[m]).
+def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
+    """All V relational heads of a layer as one tape node.
 
-    The VJP goes by hand through the softmax and the relu MLP to E and the
-    four MLP tensors, and through the values (d/d values = rho g^T) to H_N
-    and Wv.
+    Head v scores its neighbors from the edges alone, rho_v = softmax(relu(E
+    W1_v + b1_v) W2_v + b2_v), and returns the rho_v-weighted sum of its
+    value rows H_N Wv_v. Every step runs for all heads at once, as a matmul
+    over the stacked weights. Returns (the heads' outputs side by side,
+    Var[V * d_head]; rho, array[V, m]).
+
+    The VJP goes by hand through each softmax and relu MLP to E and the
+    MLP weights, and through the values (d/d values_v = rho_v g_v^T) to H_N
+    and Wv. E and H_N sum their heads' terms. The weights get gradients
+    only when they are Vars.
     """
-    Ev, W1v, W2v, Hv, Wvv = E.value, W1.value, W2.value, H_N.value, Wv.value
-    pre = Ev @ W1v + b1.value
+    fields = (heads.Wv, heads.W1, heads.b1, heads.W2, heads.b2)
+    trainable = isinstance(heads.Wv, Var)
+    Wv, W1, b1, W2, b2 = (w.value for w in fields) if trainable else fields
+    Ev, Hv = E.value, H_N.value
+    V, d_head = b1.shape
+    pre = np.matmul(Ev, W1) + b1[:, None, :]  # V x m x d_head
     hidden = np.maximum(pre, 0.0)
-    rho = _softmax((hidden @ W2v).reshape(-1) + b2.value)
-    V = Hv @ Wvv
+    rho = _softmax(np.matmul(hidden, W2)[:, :, 0] + b2)  # V x m
+    values = np.matmul(Hv, Wv)  # V x m x d_head
 
     def vjp(g):
-        d_rho = V @ g
-        d_logits = (d_rho - np.dot(d_rho, rho)) * rho
-        d_pre = d_logits[:, None] * W2v[:, 0] * (pre > 0.0)
-        d_values = rho[:, None] * g
-        return (d_pre @ W1v.T, Ev.T @ d_pre, d_pre.sum(axis=0),
-                hidden.T @ d_logits[:, None], d_logits.sum(keepdims=True),
-                d_values @ Wvv.T, Hv.T @ d_values)
+        g = g.reshape(V, 1, d_head)
+        d_rho = np.matmul(values, g.transpose(0, 2, 1))[:, :, 0]
+        d_logits = (d_rho - (d_rho * rho).sum(axis=1, keepdims=True)) * rho
+        d_pre = d_logits[:, :, None] * W2.transpose(0, 2, 1) * (pre > 0.0)
+        d_values = rho[:, :, None] * g
+        grads = (np.matmul(d_values, Wv.transpose(0, 2, 1)).sum(axis=0),
+                 np.matmul(d_pre, W1.transpose(0, 2, 1)).sum(axis=0))
+        if not trainable:
+            return grads
+        return grads + (np.matmul(Hv.T, d_values), np.matmul(Ev.T, d_pre), d_pre.sum(axis=1),
+                        np.matmul(hidden.transpose(0, 2, 1), d_logits[:, :, None]),
+                        d_logits.sum(axis=1, keepdims=True))
 
-    return Var(rho @ V, (E, W1, b1, W2, b2, H_N, Wv), vjp), rho
-
-
-def relational_head_var(H_N: Var, E: Var, p: RelHeadParams):
-    """One relational head: neighbor weights from an edge-only MLP.
-
-    rho_i = softmax(relu(e_i W1 + b1) W2 + b2); output = sum_i rho_i (Wv h_i).
-    One tape node, `relational_attention_var`, which also projects the values.
-    Returns (head output Var[d_head], rho array[m]).
-    """
-    return relational_attention_var(as_var(E), as_var(p.W1), as_var(p.b1), as_var(p.W2),
-                                    as_var(p.b2), as_var(H_N), as_var(p.Wv))
+    parents = (H_N, E, *fields) if trainable else (H_N, E)
+    out = np.matmul(rho[:, None, :], values).reshape(V * d_head)
+    return Var(out, parents, vjp), rho
 
 
 def relation_update_var(E: Var, Wr) -> Var:
@@ -168,7 +180,8 @@ def dgat_layer_var(h_a: Var, H_N: Var, E: Var, params: DgatLayerParams,
                    d_head: int, scale: bool = False):
     """One layer's heads: (concat(U dual heads, V relational heads), trace).
 
-    The trace holds each head's attention weights as arrays. An empty graph
+    The trace holds each head's attention weights as arrays (one rho per
+    relational head, rows of the family node's rho). An empty graph
     (m == 0) yields a zero vector of the layer width and a trace flag
     instead of attention coefficients. The layer's relation update is not
     run here: global_forward_var runs it only between layers.
@@ -184,10 +197,10 @@ def dgat_layer_var(h_a: Var, H_N: Var, E: Var, params: DgatLayerParams,
         outs.append(out)
         trace["beta"].append(beta)
         trace["omega"].append(omega)
-    for rp in params.rel:
-        out, rho = relational_head_var(H_N, E, rp)
+    if params.rel is not None:
+        out, rho = relational_head_var(H_N, E, params.rel)
         outs.append(out)
-        trace["rho"].append(rho)
+        trace["rho"].extend(rho)
     return ad.concat(outs), trace
 
 

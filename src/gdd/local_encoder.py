@@ -11,7 +11,7 @@ The encoder runs on the tape: `gaussian_mask_var` (sigma, mask and the
 masked rows, over the plain-array kernels `_mask_width` and
 `_gaussian_mask`) and `attention_var` (all heads) are one tape node each
 with a hand-derived VJP, and `local_forward_var` chains them and averages
-the aspect rows.
+the aspect rows in a third node.
 
 The module also hosts a numerical diagnostic for the claim motivating the
 centering: the score-contrast objective O(theta, phi) is stationary exactly
@@ -158,8 +158,8 @@ def local_forward_var(H: Var, span: tuple[int, int], mask_params, attn_params,
     """Full local path: sigma -> mask -> attention -> mean over aspect rows.
 
     mask_params / attn_params are (W1, b1, W2, b2) and (Wq, Wk, Wv) tuples of
-    Var or ndarray. Four tape nodes (three without the mask): the mask layer,
-    the attention, and the gather and mean of the aspect rows. Returns
+    Var or ndarray. Three tape nodes (two without the mask): the mask layer,
+    the attention, and the mean of the aspect rows. Returns
     (h_local Var[d_k], trace dict); the trace holds sigma as a float and the
     mask and the (first head's) attention matrix as arrays.
     """
@@ -176,7 +176,7 @@ def local_forward_var(H: Var, span: tuple[int, int], mask_params, attn_params,
         trace["mask"] = None
     out, probs = attention_var(H_G, *attn_params, variant=variant, heads=heads)
     trace["local_attention"] = probs
-    h_local = ad.mean(ad.gather_rows(out, range(s, e + 1)), axis=0)
+    h_local = ad.sum_rows(out, s, e + 1, scale=1.0 / (e + 1 - s))
     return h_local, trace
 
 

@@ -62,8 +62,11 @@ class ModelConfig:
             raise ValueError("config: need at least one attention head (U + V >= 1)")
         if self.seed < 0:
             raise ValueError("config: seed must be a non-negative integer")
-        if self.sample_interval <= 0:
-            raise ValueError("config: sample_interval must be positive")
+        for name in ("lr", "sample_interval"):
+            if not 0.0 < getattr(self, name) < math.inf:  # false for NaN too
+                raise ValueError(f"config: {name} must be finite and positive")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ValueError("config: l2 must be finite and non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("config: dropout must lie in [0, 1)")
         if self.attention not in ("covariance", "original"):
@@ -190,6 +193,24 @@ class ModelParams:
     def total_size(self) -> int:
         return self.flat.size
 
+    def stack(self, names) -> tuple[Tensor, Tensor]:
+        """Views of flat and of grad that stack the tensors `names` along a
+        new leading axis, with no copy. They must share one shape and sit at
+        equal spacing in the layout, as the heads of one family in a DGAT
+        layer do."""
+        spans = [self._spans[name] for name in names]
+        start, stop, shape = spans[0]
+        step = spans[1][0] - start if len(spans) > 1 else 0
+        if any(sp != (start + i * step, stop + i * step, shape) for i, sp in enumerate(spans)):
+            raise ValueError(f"cannot stack {list(names)}: unequal shapes or spacing")
+
+        def view(buf):
+            first = buf[start:stop].reshape(shape)
+            return np.lib.stride_tricks.as_strided(
+                buf[start:], (len(spans),) + shape, (step * buf.itemsize,) + first.strides)
+
+        return view(self.flat), view(self.grad)
+
 
 def param_layout(config: ModelConfig, vocab_size: int,
                  tag_vocab_size: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -250,19 +271,29 @@ def l2_runs(params: ModelParams) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-@functools.lru_cache(maxsize=8)
-def _dgat_getters(U: int, V: int, L: int):
-    """Per DGAT layer: one getter per dual head, taking (Wa, We, Wi) from a
-    name -> tensor dict, one per relational head, taking (Wv, W1, b1, W2,
-    b2), and the name of Wr. The names follow param_layout."""
-    def getter(prefix, fields):
-        return operator.itemgetter(*(f"{prefix}.{w}" for w in fields))
+REL_FIELDS = ("Wv", "W1", "b1", "W2", "b2")
 
+
+@functools.lru_cache(maxsize=8)
+def _dgat_getters(U: int, L: int):
+    """Per DGAT layer: one getter per dual head, taking (Wa, We, Wi) from a
+    name -> tensor dict, and the name of Wr. The names follow param_layout."""
     return tuple(
-        (tuple(getter(f"dgat.l{l}.dual{u}", ("Wa", "We", "Wi")) for u in range(U)),
-         tuple(getter(f"dgat.l{l}.rel{v}", ("Wv", "W1", "b1", "W2", "b2")) for v in range(V)),
+        (tuple(operator.itemgetter(*(f"dgat.l{l}.dual{u}.{w}" for w in ("Wa", "We", "Wi")))
+               for u in range(U)),
          f"dgat.l{l}.Wr")
         for l in range(L))
+
+
+def rel_head_stacks(params: ModelParams, config: ModelConfig):
+    """Per DGAT layer, the (values, grads) view pairs of ModelParams.stack
+    for each field of REL_FIELDS over the layer's V relational heads; an
+    empty list when V = 0. The heads of a layer sit at equal spacing in
+    param_layout, so these are strided views, and checkpoints and the
+    layout stay per head."""
+    return [[params.stack([f"dgat.l{l}.rel{v}.{w}" for v in range(config.V)])
+             for w in REL_FIELDS] if config.V else []
+            for l in range(config.L)]
 
 
 def _as_lists(trace):
@@ -320,6 +351,7 @@ class Model:
         self.params = params
         self.frozen_embeddings = frozen_embeddings
         self._l2_runs = l2_runs(params)
+        self._rel_heads: dict[bool, list[dg.RelHeads | None]] = {}
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: Vocab, tag_vocab: TagVocab,
@@ -371,22 +403,36 @@ class Model:
             return Var(H)
         return ad.gather_rows(leaves["embed.token"], prep.token_ids)
 
+    def _rel_heads_of(self, leaves: dict[str, Var]) -> list[dg.RelHeads | None]:
+        """Each DGAT layer's relational heads, built once per kind. When
+        `leaves` are tape Leafs (a pass that backward() will read), every
+        field is a Leaf over the strided views of rel_head_stacks, so the
+        gradient lands in params.grad; otherwise the fields are the plain
+        views, constants of the tape."""
+        cfg = self.config
+        trainable = cfg.V > 0 and isinstance(leaves["dgat.l0.rel0.Wv"], Leaf)
+        heads = self._rel_heads.get(trainable)
+        if heads is None:
+            heads = self._rel_heads[trainable] = [
+                dg.RelHeads(*(Leaf(v, g) if trainable else v for v, g in fields))
+                if fields else None
+                for fields in rel_head_stacks(self.params, cfg)]
+        return heads
+
     def _dgat_layer_params(self, leaves: dict[str, Var]) -> list[dg.DgatLayerParams]:
         cfg = self.config
         return [dg.DgatLayerParams(dual=[dg.DualHeadParams(*get(leaves)) for get in dual],
-                                   rel=[dg.RelHeadParams(*get(leaves)) for get in rel],
-                                   Wr=leaves[wr])
-                for dual, rel, wr in _dgat_getters(cfg.U, cfg.V, cfg.L)]
+                                   rel=rel, Wr=leaves[wr])
+                for (dual, wr), rel in zip(_dgat_getters(cfg.U, cfg.L),
+                                           self._rel_heads_of(leaves))]
 
     def _edge_matrix(self, prep: Prepared, leaves: dict[str, Var]) -> Var:
-        cfg = self.config
-        m = prep.awig.num_words
-        if m == 0:
-            return Var(np.zeros((0, cfg.d_edge0)))
-        tag_rows = ad.gather_rows(leaves["embed.tag"], prep.edge_slot_ids.reshape(-1))
-        path_part = ad.reshape(tag_rows, (m, cfg.kappa_max * cfg.d_tag))
-        hop_part = ad.gather_rows(leaves["embed.hop"], prep.edge_hop_idx)
-        return ad.concat([path_part, hop_part], axis=1)
+        """The layer-0 edge rows, one node: row i sets the tag-table rows of
+        edge i's path side by side, then its hop-table row."""
+        if prep.awig.num_words == 0:
+            return Var(np.zeros((0, self.config.d_edge0)))
+        return ad.gather_concat(((leaves["embed.tag"], prep.edge_slot_ids),
+                                 (leaves["embed.hop"], prep.edge_hop_idx)))
 
     def forward_var(self, prep: Prepared, leaves: dict[str, Var],
                     train: bool = False, dropout_rng: Rng | None = None):
@@ -407,7 +453,8 @@ class Model:
             normalize_mask=cfg.normalize_mask, use_mask=cfg.use_mask,
             heads=cfg.local_heads)
 
-        h_a = ad.sum_(ad.gather_rows(H, prep.awig.aspect_token_ids), axis=0)
+        s, e = prep.span
+        h_a = ad.sum_rows(H, s, e + 1)
         H_N = ad.gather_rows(H, prep.word_token_idx)
         E = self._edge_matrix(prep, leaves)
         h_global, layer_traces = dg.global_forward_var(
@@ -434,7 +481,7 @@ class Model:
         """predict() on an example prepared already, e.g. once for many epochs."""
         leaves = {name: Var(t) for name, t in self.params.items()}  # forward only
         logits, trace = self.forward_var(prep, leaves)
-        probs = np.exp(logits.value - np.max(logits.value))
+        probs = np.exp(logits.value - logits.value.max())
         probs /= probs.sum()
         pred = Prediction(probs=probs, label_id=int(np.argmax(probs)),
                           logits=logits.value.copy())
@@ -455,7 +502,7 @@ class Model:
         for prep in preps:
             logits, _ = self.forward_var(prep, leaves, train=train,
                                          dropout_rng=dropout_rng)
-            ce = ad.logsumexp(logits) - ad.pick(logits, prep.gold)
+            ce = ad.cross_entropy(logits, prep.gold)
             total = ce if total is None else total + ce
         if self.config.l2 > 0.0:
             total = total + ad.mul(self.regularizer_var(), self.config.l2)

@@ -72,10 +72,11 @@ def softmax(v, axis: int = -1) -> Tensor:
 
 def _softmax(v: Tensor, axis: int = -1) -> Tensor:
     """The softmax kernel without the checks, for float64 arrays that already
-    have a non-empty `axis`. It reduces through the array methods, which skip
-    the Python wrappers of np.max/np.sum and give the same bits."""
-    e = np.exp(v - v.max(axis, keepdims=True))
-    return e / e.sum(axis, keepdims=True)
+    have a non-empty `axis`. It reduces through the ufuncs' own reduce
+    methods, which skip the Python wrappers of np.max/np.sum (and of the
+    array methods) and give the same bits."""
+    e = np.exp(v - np.maximum.reduce(v, axis, keepdims=True))
+    return e / np.add.reduce(e, axis, keepdims=True)
 
 
 def _check_vec_pair(a: Tensor, b: Tensor, op: str) -> None:

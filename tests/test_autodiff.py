@@ -7,9 +7,11 @@ import pytest
 
 from gdd import autodiff as ad
 from gdd.autodiff import Var, backward
-from gdd.dgat import dual_attention_var, relational_attention_var
+from gdd.dgat import RelHeads, dual_attention_var, relational_head_var
 from gdd.local_encoder import attention_var, gaussian_mask_var, local_forward_var
 from gdd.numeric import Rng, circ_corr_naive, finite_diff_grad
+
+from oracles import logsumexp, mean, pick, reshape, sum_
 
 
 def inputs(*shapes, seed=0):
@@ -36,33 +38,33 @@ def check_grad(build, *shapes, seed=0, tol=1e-7):
 
 
 def test_add_broadcast():
-    check_grad(lambda a, b: ad.sum_(ad.mul(a + b, a + b)), (3, 4), (4,))
+    check_grad(lambda a, b: sum_(ad.mul(a + b, a + b)), (3, 4), (4,))
 
 
 def test_sub_mul_div():
-    check_grad(lambda a, b: ad.sum_(ad.div(ad.mul(a, b), b + 3.0)), (5,), (5,))
+    check_grad(lambda a, b: sum_(ad.div(ad.mul(a, b), b + 3.0)), (5,), (5,))
 
 
 @pytest.mark.parametrize("const", [np.array([2.0, -1.0, 0.5]), 3.0], ids=["array", "scalar"])
 def test_mul_by_a_constant_records_only_the_var(const):
-    check_grad(lambda a: ad.sum_(ad.mul(a, const) + ad.mul(const, a)), (2, 3))
+    check_grad(lambda a: sum_(ad.mul(a, const) + ad.mul(const, a)), (2, 3))
     x = Var(np.arange(6.0).reshape(2, 3))
     for y in (ad.mul(x, const), ad.mul(const, x), x * const, -x):
         assert y._parents == (x,)
-    backward(ad.sum_(ad.mul(x, const)))
+    backward(sum_(ad.mul(x, const)))
     assert np.array_equal(x.grad, np.broadcast_to(np.asarray(const, dtype=float), (2, 3)))
 
 
 def test_matmul_2d_2d():
-    check_grad(lambda a, b: ad.sum_(ad.matmul(a, b)), (3, 4), (4, 2))
+    check_grad(lambda a, b: sum_(ad.matmul(a, b)), (3, 4), (4, 2))
 
 
 def test_matmul_1d_2d():
-    check_grad(lambda a, b: ad.sum_(ad.matmul(a, b)), (4,), (4, 3))
+    check_grad(lambda a, b: sum_(ad.matmul(a, b)), (4,), (4, 3))
 
 
 def test_matmul_2d_1d():
-    check_grad(lambda a, b: ad.sum_(ad.matmul(a, b)), (3, 4), (4,))
+    check_grad(lambda a, b: sum_(ad.matmul(a, b)), (3, 4), (4,))
 
 
 def test_matmul_1d_1d():
@@ -70,23 +72,23 @@ def test_matmul_1d_1d():
 
 
 def test_transpose_reshape():
-    check_grad(lambda a: ad.sum_(ad.mul(ad.transpose(a), ad.transpose(a))), (3, 5))
-    check_grad(lambda a: ad.sum_(ad.mul(ad.reshape(a, (6,)), 2.0)), (2, 3))
+    check_grad(lambda a: sum_(ad.mul(ad.transpose(a), ad.transpose(a))), (3, 5))
+    check_grad(lambda a: sum_(ad.mul(reshape(a, (6,)), 2.0)), (2, 3))
 
 
 def test_concat_axis0_and_axis1():
-    check_grad(lambda a, b: ad.sum_(ad.mul(ad.concat([a, b]), 3.0)), (3,), (4,))
-    check_grad(lambda a, b: ad.sum_(ad.mul(ad.concat([a, b], axis=1),
+    check_grad(lambda a, b: sum_(ad.mul(ad.concat([a, b]), 3.0)), (3,), (4,))
+    check_grad(lambda a, b: sum_(ad.mul(ad.concat([a, b], axis=1),
                                            ad.concat([a, b], axis=1))), (2, 3), (2, 2))
 
 
 def test_sum_mean_axes():
-    check_grad(lambda a: ad.sum_(ad.mul(ad.sum_(a, axis=0), ad.sum_(a, axis=0))), (4, 3))
-    check_grad(lambda a: ad.sum_(ad.mul(ad.mean(a, axis=1, keepdims=True), a)), (4, 3))
+    check_grad(lambda a: sum_(ad.mul(sum_(a, axis=0), sum_(a, axis=0))), (4, 3))
+    check_grad(lambda a: sum_(ad.mul(mean(a, axis=1, keepdims=True), a)), (4, 3))
 
 
 def test_gather_rows_repeated_indices():
-    check_grad(lambda a: ad.sum_(ad.mul(ad.gather_rows(a, [0, 2, 2, 1]), 1.5)), (4, 3))
+    check_grad(lambda a: sum_(ad.mul(ad.gather_rows(a, [0, 2, 2, 1]), 1.5)), (4, 3))
 
 
 def test_gather_rows_from_a_leaf_scatters_only_touched_rows():
@@ -98,18 +100,18 @@ def test_gather_rows_from_a_leaf_scatters_only_touched_rows():
     dense = np.zeros_like(table)
     np.add.at(dense, idx, g)
     leaf = ad.Leaf(table, prior.copy())
-    backward(ad.sum_(ad.mul(ad.gather_rows(leaf, idx), Var(g))))
+    backward(sum_(ad.mul(ad.gather_rows(leaf, idx), Var(g))))
     assert np.max(np.abs(leaf.grad - (prior + dense))) < 1e-15 * np.max(np.abs(prior + dense))
     assert np.array_equal(leaf.grad[[2, 4]], prior[[2, 4]])
     plain = Var(table)
-    backward(ad.sum_(ad.mul(ad.gather_rows(plain, idx), Var(g))))
+    backward(sum_(ad.mul(ad.gather_rows(plain, idx), Var(g))))
     assert np.array_equal(plain.grad, dense)
 
 
 def test_leaf_gradient_accumulates_in_place():
     buffer = np.zeros(6)
     a = ad.Leaf(np.arange(6.0).reshape(2, 3), buffer.reshape(2, 3))
-    backward(ad.sum_(ad.mul(a, a)) + ad.sum_(a))
+    backward(sum_(ad.mul(a, a)) + sum_(a))
     assert np.array_equal(buffer, 2 * np.arange(6.0) + 1)
 
 
@@ -128,47 +130,47 @@ def test_sum_squares_over_runs():
 
 def test_gather_rows_untouched_rows_get_zero_grad():
     a = Var(np.arange(12.0).reshape(4, 3))
-    out = ad.sum_(ad.gather_rows(a, [1, 1]))
+    out = sum_(ad.gather_rows(a, [1, 1]))
     backward(out)
     assert np.array_equal(a.grad[0], np.zeros(3))
     assert np.array_equal(a.grad[1], np.full(3, 2.0))
 
 
 def test_pick():
-    check_grad(lambda a: ad.mul(ad.pick(a, 2), ad.pick(a, 0)), (5,))
+    check_grad(lambda a: ad.mul(pick(a, 2), pick(a, 0)), (5,))
 
 
 def test_relu_softplus_exp():
-    check_grad(lambda a: ad.sum_(ad.relu(a)), (7,), seed=3)
-    check_grad(lambda a: ad.sum_(ad.softplus(a)), (7,))
-    check_grad(lambda a: ad.sum_(ad.exp(a)), (5,))
+    check_grad(lambda a: sum_(ad.relu(a)), (7,), seed=3)
+    check_grad(lambda a: sum_(ad.softplus(a)), (7,))
+    check_grad(lambda a: sum_(ad.exp(a)), (5,))
 
 
 def test_softmax_rows():
-    check_grad(lambda a: ad.sum_(ad.mul(ad.softmax(a, axis=1),
+    check_grad(lambda a: sum_(ad.mul(ad.softmax(a, axis=1),
                                         np.arange(12.0).reshape(3, 4))), (3, 4))
 
 
 def test_logsumexp():
-    check_grad(lambda a: ad.logsumexp(a), (6,))
+    check_grad(lambda a: logsumexp(a), (6,))
 
 
 def test_logsumexp_matches_numpy():
     v = np.array([1.0, 2.0, 3.0])
-    out = ad.logsumexp(Var(v))
+    out = logsumexp(Var(v))
     assert abs(float(out.value) - np.log(np.sum(np.exp(v)))) < 1e-12
 
 
 def test_circ_corr_1d_and_rows():
-    check_grad(lambda a, b: ad.sum_(ad.circ_corr(a, b)), (5,), (5,))
-    check_grad(lambda a, b: ad.sum_(ad.mul(ad.circ_corr(a, b), 0.7)), (3, 4), (3, 4))
+    check_grad(lambda a, b: sum_(ad.circ_corr(a, b)), (5,), (5,))
+    check_grad(lambda a, b: sum_(ad.mul(ad.circ_corr(a, b), 0.7)), (3, 4), (3, 4))
 
 
 @pytest.mark.parametrize("d", [6, 7])
 def test_circ_corr_gradient_at_even_and_odd_length(d):
     # An even d has a Nyquist bin, which the inverse DFT weighs once; an odd d has none.
     probe = Var(Rng(12).uniform((4, d), -1.0, 1.0))
-    check_grad(lambda a, b: ad.sum_(ad.mul(ad.circ_corr(a, b), probe)), (4, d), (4, d), seed=d)
+    check_grad(lambda a, b: sum_(ad.mul(ad.circ_corr(a, b), probe)), (4, d), (4, d), seed=d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 5, 16, 17, 64])
@@ -193,7 +195,7 @@ def test_circ_corr_shape_mismatch():
 def test_shared_subexpression_accumulates():
     x = Var(np.array([2.0]))
     y = ad.mul(x, x) + ad.mul(x, 3.0)  # x^2 + 3x -> grad 2x + 3 = 7
-    backward(ad.sum_(y))
+    backward(sum_(y))
     assert abs(x.grad[0] - 7.0) < 1e-12
 
 
@@ -241,13 +243,84 @@ def test_fused_dual_attention(m, scale):
 
 
 @pytest.mark.parametrize("m", [1, 5])
-def test_fused_relational_attention(m):
+@pytest.mark.parametrize("V", [1, 3])
+def test_fused_relational_heads(m, V):
     e_w, d_model, d = 6, 5, 4
-    shapes = [(m, e_w), (e_w, d), (d,), (d, 1), (1,), (m, d_model), (d_model, d)]
-    E, W1, b1 = inputs(*shapes, seed=m)[:3]
-    assert np.min(np.abs(E @ W1 + b1)) > 1e-3  # central differences stay off the relu kinks
-    probe = Var(Rng(8).uniform((d,), -1.0, 1.0))
-    check_grad(lambda *vs: ad.matmul(relational_attention_var(*vs)[0], probe), *shapes, seed=m)
+    shapes = [(m, d_model), (m, e_w), (V, d_model, d), (V, e_w, d), (V, d), (V, d, 1), (V, 1)]
+    _, E, _, W1, b1 = inputs(*shapes, seed=m)[:5]
+    assert np.min(np.abs(np.matmul(E, W1) + b1[:, None])) > 1e-3  # off the relu kinks
+    probe = Var(Rng(8).uniform((V * d,), -1.0, 1.0))
+    check_grad(lambda H, E, *w: ad.matmul(relational_head_var(H, E, RelHeads(*w))[0], probe),
+               *shapes, seed=m)
+
+
+def test_relational_heads_with_constant_weights_record_only_the_graph():
+    rng = Rng(13)
+    weights = [rng.uniform(s, -1.0, 1.0) for s in [(2, 5, 4), (2, 6, 4), (2, 4), (2, 4, 1), (2, 1)]]
+    H_N, E = Var(rng.uniform((3, 5), -1.0, 1.0)), Var(rng.uniform((3, 6), -1.0, 1.0))
+    out, rho = relational_head_var(H_N, E, RelHeads(*weights))
+    assert out._parents == (H_N, E)
+    taped, taped_rho = relational_head_var(H_N, E, RelHeads(*map(Var, weights)))
+    assert np.array_equal(out.value, taped.value) and np.array_equal(rho, taped_rho)
+    probe = Var(rng.uniform((8,), -1.0, 1.0))
+    backward(ad.matmul(out, probe))
+    grads = H_N.grad.copy(), E.grad.copy()
+    H_N.grad = E.grad = None
+    backward(ad.matmul(taped, probe))
+    assert np.array_equal(grads[0], H_N.grad) and np.array_equal(grads[1], E.grad)
+
+
+@pytest.mark.parametrize("n, start, stop", [(1, 0, 1), (5, 0, 2), (5, 4, 5), (6, 1, 6)])
+def test_sum_rows(n, start, stop):
+    probe = Var(Rng(14).uniform((3,), -1.0, 1.0))
+    for scale in (1.0, 1.0 / (stop - start)):
+        check_grad(lambda a: ad.matmul(ad.sum_rows(a, start, stop, scale), probe), (n, 3),
+                   seed=n)
+    a = Var(Rng(15).uniform((n, 3), -1.0, 1.0))
+    rows = ad.gather_rows(a, range(start, stop))
+    assert np.array_equal(ad.sum_rows(a, start, stop).value, sum_(rows, axis=0).value)
+    assert np.array_equal(ad.sum_rows(a, start, stop, 1.0 / (stop - start)).value,
+                          mean(rows, axis=0).value)
+
+
+def test_gather_concat():
+    slots = np.array([[0, 2], [3, 3], [1, 0]])  # rows repeat within and across edges
+    hops = np.array([1, 0, 1])
+    probe = Var(Rng(16).uniform((3, 2 * 3 + 2), -1.0, 1.0))
+    check_grad(lambda tag, hop: sum_(ad.mul(ad.gather_concat(((tag, slots), (hop, hops))),
+                                            probe)), (4, 3), (2, 2))
+    tag, hop = inputs((4, 3), (2, 2))
+    rows = ad.concat([reshape(ad.gather_rows(Var(tag), slots.reshape(-1)), (3, 6)),
+                      ad.gather_rows(Var(hop), hops)], axis=1)
+    assert np.array_equal(ad.gather_concat(((tag, slots), (hop, hops))).value, rows.value)
+
+
+def test_gather_concat_adds_into_leaf_gradients():
+    rng = Rng(17)
+    tag, hop = rng.normal((4, 3)), rng.normal((2, 2))
+    prior_tag, prior_hop = rng.normal((4, 3)), rng.normal((2, 2))
+    slots, hops = np.array([[0, 2], [2, 2]]), np.array([1, 1])
+    g = rng.normal((2, 8))
+    leaves = ad.Leaf(tag, prior_tag.copy()), ad.Leaf(hop, prior_hop.copy())
+    out = ad.gather_concat(((leaves[0], slots), (leaves[1], hops)))
+    backward(sum_(ad.mul(out, Var(g))))
+    dense_tag, dense_hop = np.zeros((4, 3)), np.zeros((2, 2))
+    np.add.at(dense_tag, slots.reshape(-1), g[:, :6].reshape(4, 3))
+    np.add.at(dense_hop, hops, g[:, 6:])
+    assert np.allclose(leaves[0].grad, prior_tag + dense_tag, rtol=0, atol=1e-15)
+    assert np.allclose(leaves[1].grad, prior_hop + dense_hop, rtol=0, atol=1e-15)
+    assert np.array_equal(leaves[0].grad[[1, 3]], prior_tag[[1, 3]])  # rows not gathered
+    assert np.array_equal(leaves[1].grad[0], prior_hop[0])
+
+
+@pytest.mark.parametrize("gold", [0, 2])
+def test_cross_entropy(gold):
+    check_grad(lambda z: ad.cross_entropy(z, gold), (3,), seed=gold)
+    z = Var(np.array([1.0, -2.0, 0.5]))
+    want = logsumexp(z) - pick(z, gold)
+    assert ad.cross_entropy(z, gold).value == want.value
+    with pytest.raises(ValueError, match="1-D"):
+        ad.cross_entropy(Var(np.zeros((1, 3))), 0)
 
 
 @pytest.mark.parametrize("n, span", [(1, (0, 0)), (5, (0, 1)), (5, (4, 4)), (6, (2, 3))])
@@ -258,7 +331,7 @@ def test_fused_gaussian_mask(n, span, normalize):
     H, W1, b1 = inputs(*shapes, seed=n)[:3]
     assert np.min(np.abs(H.mean(axis=0) @ W1 + b1)) > 1e-3  # off the relu kinks
     probe = Var(Rng(9).uniform((n, d), -1.0, 1.0))
-    check_grad(lambda H, *w: ad.sum_(ad.mul(
+    check_grad(lambda H, *w: sum_(ad.mul(
         gaussian_mask_var(H, *w, span, interval=0.5, normalize=normalize)[0], probe)),
         *shapes, seed=n)
 
@@ -269,7 +342,7 @@ def test_fused_gaussian_mask(n, span, normalize):
 def test_fused_local_attention(n, heads, variant):
     d, d_k = 6, 4
     probe = Var(Rng(10).uniform((n, d_k), -1.0, 1.0))
-    check_grad(lambda X, *w: ad.sum_(ad.mul(attention_var(X, *w, variant, heads)[0], probe)),
+    check_grad(lambda X, *w: sum_(ad.mul(attention_var(X, *w, variant, heads)[0], probe)),
                (n, d), (d, d_k), (d, d_k), (d, d_k), seed=n)
 
 

@@ -169,6 +169,16 @@ def test_invalid_config_in_header(trained_model):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key, value", [("lr", -0.01), ("lr", float("nan")),
+                                        ("l2", -1.0), ("l2", float("inf")),
+                                        ("sample_interval", float("nan"))])
+def test_bad_rate_or_interval_in_header(trained_model, key, value):
+    _, _, path = trained_model
+    _edit_header(path, lambda h: h["config"].__setitem__(key, value))
+    with pytest.raises(CheckpointError, match=f"bad config in header: config: {key} must be"):
+        load_checkpoint(path)
+
+
 def _set(key, value):
     return lambda h: h.__setitem__(key, value)
 

@@ -12,6 +12,8 @@ from gdd import training
 from gdd.numeric import Rng
 from gdd.training import AdamState, adam_step, batch_grads, gradcheck_model, train
 
+from oracles import sum_
+
 TOY = dict(d_model=8, d_tag=4, d_head=4, d_hid=4, U=1, V=1, L=1)
 
 
@@ -79,11 +81,26 @@ class TestForward:
             model.predict(ex)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("lr", 0.0), ("lr", -0.01), ("lr", math.nan), ("lr", math.inf),
+        ("l2", -1.0), ("l2", math.nan), ("l2", math.inf),
+        ("sample_interval", 0.0), ("sample_interval", math.nan), ("sample_interval", math.inf),
+    ])
+    def test_rates_and_interval_must_be_finite_and_in_range(self, key, value):
+        with pytest.raises(ValueError, match=f"config: {key} must be"):
+            ModelConfig(**{key: value})
+
+    def test_edges_of_the_valid_ranges(self):
+        config = ModelConfig(lr=1e-300, l2=0.0, sample_interval=1e-300)
+        assert (config.lr, config.l2, config.sample_interval) == (1e-300, 0.0, 1e-300)
+
+
 def example_loss(logits, gold, params, l2):
-    """One example's term of Model.batch_loss_var: logsumexp(z) - z[gold],
-    plus l2 times Model.regularizer_var over `params`."""
+    """One example's term of Model.batch_loss_var: cross_entropy(z, gold) =
+    logsumexp(z) - z[gold], plus l2 times Model.regularizer_var over `params`."""
     z = ad.Var(np.asarray(logits, dtype=np.float64))
-    total = ad.logsumexp(z) - ad.pick(z, gold)
+    total = ad.cross_entropy(z, gold)
     if l2 > 0.0:
         model = Model(ModelConfig(), Vocab(), TagVocab(), params)
         total = total + ad.mul(model.regularizer_var(), l2)
@@ -135,10 +152,10 @@ class TestLoss:
         for name, leaf in plain.items():
             if leaf.value.ndim != 2:
                 continue
-            sq = ad.sum_(ad.mul(leaf, leaf))
+            sq = sum_(ad.mul(leaf, leaf))
             if name in ("embed.token", "embed.tag"):
                 row0 = ad.gather_rows(leaf, [0])
-                sq = sq - ad.sum_(ad.mul(row0, row0))
+                sq = sq - sum_(ad.mul(row0, row0))
             taped = sq if taped is None else taped + sq
         ad.backward(taped)
         leaves = model.params.leaves()
@@ -325,6 +342,16 @@ class TestGradcheck:
     def test_toy_model_with_non_default_local_settings_passes(self, settings):
         examples = generate_synthetic(seed=0, count=6)
         model = Model.build_for_examples(ModelConfig(**settings, **TOY), examples)
+        report = gradcheck_model(model, examples[1])
+        assert set(report.per_tensor) == set(model.params.names())
+        assert report.ok, report.worst()
+
+    # a single head family (U = 0 or V = 0), at two layers
+    @pytest.mark.parametrize("heads", [dict(U=0, V=2), dict(U=2, V=0)],
+                             ids=["relational-only", "dual-only"])
+    def test_toy_model_with_one_head_family_passes(self, heads):
+        examples = generate_synthetic(seed=0, count=6)
+        model = Model.build_for_examples(ModelConfig(**{**TOY, **heads, "L": 2}), examples)
         report = gradcheck_model(model, examples[1])
         assert set(report.per_tensor) == set(model.params.names())
         assert report.ok, report.worst()

@@ -139,6 +139,31 @@ class TestTrain:
         assert code == 2
         assert "no_such_option" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", "-0.01"), ("lr", "0"), ("lr", "nan"), ("lr", "inf"),
+        ("l2", "-1"), ("l2", "nan"), ("l2", "inf"),
+        ("sample_interval", "nan"), ("sample_interval", "inf"), ("sample_interval", "0"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_rate_or_interval_exits_2_naming_the_key(self, dataset, tmp_path, capsys,
+                                                         key, value, source):
+        out = tmp_path / "m.gdd"
+        flags = toy_flags()
+        if f"--{key}" in flags:  # a flag would win over the file's value
+            at = flags.index(f"--{key}")
+            del flags[at:at + 2]
+        args = ["train", "--train", str(dataset), "--out", str(out), *flags]
+        if source == "flag":
+            args += [f"--{key}", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            args += ["--config", str(cfg)]
+        code, stdout, err = run(args, capsys)
+        assert code == 2
+        assert err.startswith(f"error: config: {key} must be") and err.count("\n") == 1
+        assert stdout == "" and not out.exists()
+
     def test_frozen_embeddings_file(self, dataset, tmp_path, capsys):
         vec_path = tmp_path / "vectors.jsonl"
         write_vectors(vec_path, generate_synthetic(seed=3, count=9))
@@ -306,6 +331,15 @@ class TestEval:
                             "--data", str(dataset)], capsys)
         assert code == 2
         assert "magic" in err
+
+    def test_empty_data_file_exits_2_naming_it(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, stdout, err = run(["eval", "--checkpoint", str(GOLDEN_DIR / "toy.gdd"),
+                                 "--data", str(empty)], capsys)
+        assert code == 2
+        assert err == f"error: {empty}: empty dataset\n"
+        assert stdout == ""
 
     def test_eval_deterministic(self, dataset, tmp_path, capsys):
         out = tmp_path / "m.gdd"

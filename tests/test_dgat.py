@@ -5,11 +5,12 @@ import pytest
 
 from gdd import autodiff as ad
 from gdd import dgat as dg
-from gdd.autodiff import Var
+from gdd.autodiff import Leaf, Var
+from gdd.data import generate_synthetic
 from gdd.dgat import (
     DgatLayerParams,
     DualHeadParams,
-    RelHeadParams,
+    RelHeads,
     _edge_weights,
     _node_weights,
     dgat_layer_var,
@@ -18,7 +19,10 @@ from gdd.dgat import (
     relation_update_var,
     relational_head_var,
 )
+from gdd.model import REL_FIELDS, Model, ModelConfig, rel_head_stacks
 from gdd.numeric import Rng, circ_corr_fft, softmax
+
+from oracles import reshape
 
 
 # Reference heads built from one small tape op per step, each with its own
@@ -52,10 +56,16 @@ def dual_head_oracle(h_a, H_N, E, p, scale=False):
 
 
 def relational_head_oracle(H_N, E, p):
+    """One relational head; p holds that head's own (unstacked) tensors."""
     hidden = ad.relu(ad.matmul(E, p.W1) + p.b1)
-    logits = ad.reshape(ad.matmul(hidden, p.W2), (-1,)) + p.b2
+    logits = reshape(ad.matmul(hidden, p.W2), (-1,)) + p.b2
     rho = ad.softmax(logits, axis=-1)
     return ad.matmul(rho, ad.matmul(H_N, p.Wv)), rho
+
+
+def one_head(heads, v):
+    """Head v of a RelHeads stack, its fields indexed out of the stack."""
+    return RelHeads(*(w[v] for w in vars(heads).values()))
 
 
 def edge_weights(h_a, E, p, scale=False):
@@ -87,18 +97,18 @@ def make_dual(rng, a_w=6, e_w=8, d_model=6, d_head=4):
                           Wi=rng.uniform((d_model, d_head), -0.5, 0.5))
 
 
-def make_rel(rng, e_w=8, d_model=6, d_head=4):
-    return RelHeadParams(Wv=rng.uniform((d_model, d_head), -0.5, 0.5),
-                         W1=rng.uniform((e_w, d_head), -0.5, 0.5),
-                         b1=rng.uniform((d_head,), -0.5, 0.5),
-                         W2=rng.uniform((d_head, 1), -0.5, 0.5),
-                         b2=rng.uniform((1,), -0.5, 0.5))
+def make_rel(rng, e_w=8, d_model=6, d_head=4, V=1):
+    """V relational heads, drawn head by head and stacked field by field."""
+    drawn = [[rng.uniform(s, -0.5, 0.5)
+              for s in [(d_model, d_head), (e_w, d_head), (d_head,), (d_head, 1), (1,)]]
+             for _ in range(V)]
+    return RelHeads(*(np.stack(field) for field in zip(*drawn)))
 
 
 def make_layer(rng, a_w=6, e_w=8, d_model=6, d_head=4, U=1, V=1, e_out=6):
     return DgatLayerParams(
         dual=[make_dual(rng, a_w, e_w, d_model, d_head) for _ in range(U)],
-        rel=[make_rel(rng, e_w, d_model, d_head) for _ in range(V)],
+        rel=make_rel(rng, e_w, d_model, d_head, V) if V else None,
         Wr=rng.uniform((e_w, e_out), -0.5, 0.5))
 
 
@@ -223,7 +233,7 @@ class TestRelationalHead:
         E = np.tile(rng.uniform((1, 8)), (4, 1))
         H_N = rng.uniform((4, 6), -1, 1)
         out = rel_head_out(H_N, E, p)
-        expected = np.mean(H_N @ p.Wv, axis=0)
+        expected = np.mean(H_N @ p.Wv[0], axis=0)
         assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_single_neighbor(self):
@@ -231,11 +241,12 @@ class TestRelationalHead:
         p = make_rel(rng)
         H_N = rng.uniform((1, 6))
         out = rel_head_out(H_N, rng.uniform((1, 8)), p)
-        assert np.max(np.abs(out - H_N[0] @ p.Wv)) < 1e-12
+        assert np.max(np.abs(out - H_N[0] @ p.Wv[0])) < 1e-12
 
     def test_two_neighbor_hand_example(self):
         rng = Rng(12)
-        p = make_rel(rng)
+        stack = make_rel(rng)
+        p = one_head(stack, 0)
         H_N = rng.uniform((2, 6), -1, 1)
         E = rng.uniform((2, 8), -1, 1)
         logits = np.array([
@@ -244,7 +255,7 @@ class TestRelationalHead:
         ])
         rho = softmax(logits)
         expected = rho[0] * (H_N[0] @ p.Wv) + rho[1] * (H_N[1] @ p.Wv)
-        assert np.max(np.abs(rel_head_out(H_N, E, p) - expected)) < 1e-12
+        assert np.max(np.abs(rel_head_out(H_N, E, stack) - expected)) < 1e-12
 
 
 class TestRelationUpdate:
@@ -274,7 +285,7 @@ class TestDgatLayer:
         h_next, trace = layer_out(h_a, H_N, E, layer)
         expected = np.concatenate([
             dual_head_out(h_a, H_N, E, layer.dual[0]),
-            rel_head_out(H_N, E, layer.rel[0]),
+            rel_head_out(H_N, E, layer.rel),
         ])
         assert np.max(np.abs(h_next - expected)) < 1e-12
         assert trace["empty"] is False
@@ -363,7 +374,7 @@ def global_forward_updating_every_layer(h_a, H_N, E, layers, d_head):
 
 def _as_vars(layer):
     return DgatLayerParams(dual=[DualHeadParams(*map(Var, vars(p).values())) for p in layer.dual],
-                           rel=[RelHeadParams(*map(Var, vars(p).values())) for p in layer.rel],
+                           rel=RelHeads(*map(Var, vars(layer.rel).values())),
                            Wr=Var(layer.Wr))
 
 
@@ -381,8 +392,8 @@ class TestRelationUpdateBetweenLayersOnly:
             params = [_as_vars(layer) for layer in layers]
             h, traces = forward(*inputs, params, d_head=4)
             ad.backward(ad.matmul(h, Var(probe)))
-            tensors = inputs + [w for p in params for head in p.dual + p.rel
-                                for w in vars(head).values()] + [p.Wr for p in params]
+            tensors = inputs + [w for p in params for heads in p.dual + [p.rel]
+                                for w in vars(heads).values()] + [p.Wr for p in params]
             return h.value, traces, [t.grad for t in tensors]
 
         calls = []
@@ -423,14 +434,14 @@ class TestGlobalForwardGradients:
         probe = rng.uniform((8,), -1, 1)
 
         names = ["Wa", "We", "Wi", "Wv", "W1", "b1", "W2", "b2", "Wr"]
-        shapes = [(6, 4), (8, 4), (6, 4), (6, 4), (8, 4), (4,), (4, 1), (1,), (8, 6)]
+        shapes = [(6, 4), (8, 4), (6, 4), (1, 6, 4), (1, 8, 4), (1, 4), (1, 4, 1), (1, 1), (8, 6)]
         values = [rng.uniform(s, -0.5, 0.5) for s in shapes]
 
         def run(vals):
             leaves = [Var(v) for v in vals]
             layer = DgatLayerParams(
                 dual=[DualHeadParams(*leaves[0:3])],
-                rel=[RelHeadParams(*leaves[3:8])],
+                rel=RelHeads(*leaves[3:8]),
                 Wr=leaves[8])
             h, _ = global_forward_var(Var(h_a_val), Var(H_N_val), Var(E_val),
                                       [layer], d_head=4)
@@ -484,14 +495,79 @@ class TestFusedHeadsAgainstOracle:
             assert _close(g, w), name
 
     @pytest.mark.parametrize("m", [1, 5])
-    def test_relational_head_value_and_every_gradient(self, m):
-        rng = Rng(50 + m)
+    @pytest.mark.parametrize("V", [1, 2, 3])
+    def test_relational_family_value_every_rho_and_every_gradient(self, m, V):
+        """The family node against V per-head oracles: the outputs side by
+        side, each head's rho, and every input gradient (H_N and E sum their
+        heads' terms; a weight stack holds each head's own gradient)."""
+        rng = Rng(50 + 10 * V + m)
         graph = [rng.uniform(s, -1, 1) for s in [(m, 6), (m, 8)]]
-        params = [rng.uniform(s, -1, 1) for s in [(6, 4), (8, 4), (4,), (4, 1), (1,)]]
-        probe = rng.uniform((4,), -1, 1)
-        got, want = (_run_head(head, graph, RelHeadParams, params, probe)
-                     for head in (relational_head_var, relational_head_oracle))
-        assert _close(got[0], want[0]) and _close(got[1][0], want[1][0])
-        names = ["H_N", "E", "Wv", "W1", "b1", "W2", "b2"]
-        for name, g, w in zip(names, got[2], want[2], strict=True):
-            assert _close(g, w), name
+        stacks = [rng.uniform((V,) + s, -1, 1) for s in [(6, 4), (8, 4), (4,), (4, 1), (1,)]]
+        probe = Var(rng.uniform((V * 4,), -1, 1))
+        inputs, weights = [Var(x) for x in graph], [Var(w) for w in stacks]
+        out, rho = relational_head_var(*inputs, RelHeads(*weights))
+        ad.backward(ad.matmul(out, probe))
+        o_inputs = [Var(x) for x in graph]
+        o_weights = [[Var(w[v]) for w in stacks] for v in range(V)]
+        o_outs, o_rhos = zip(*(relational_head_oracle(*o_inputs, RelHeads(*o_weights[v]))
+                               for v in range(V)))
+        o_out = ad.concat(o_outs)
+        ad.backward(ad.matmul(o_out, probe))
+        assert _close(out.value, o_out.value)
+        assert rho.shape == (V, m)
+        for v in range(V):
+            assert _close(rho[v], o_rhos[v].value), v
+        for name, x, o in zip(["H_N", "E"], inputs, o_inputs, strict=True):
+            assert _close(x.grad, o.grad), name
+        for i, name in enumerate(REL_FIELDS):
+            want = np.stack([o_weights[v][i].grad for v in range(V)])
+            assert _close(weights[i].grad, want), name
+
+
+class TestRelHeadStacks:
+    """The model's relational-head stacks are strided views of params.flat and
+    params.grad: head v's slice is that head's own tensor, and a gradient
+    through it lands in that head's span of params.grad and nowhere else."""
+
+    CONFIG = ModelConfig(d_model=8, d_tag=4, d_hid=4, d_head=4, U=1, V=3, L=2)
+
+    def test_head_views_and_gradient_spans(self):
+        config, d = self.CONFIG, self.CONFIG.d_head
+        model = Model.build_for_examples(config, generate_synthetic(seed=0, count=2))
+        params = model.params
+        for l, fields in enumerate(rel_head_stacks(params, config)):
+            rng = Rng(60 + l)
+            graph = [rng.uniform(s, -1, 1) for s in [(4, config.d_model),
+                                                      (4, config.edge_width(l))]]
+            heads = RelHeads(*(Leaf(values, grads) for values, grads in fields))
+            for v in range(config.V):
+                names = [f"dgat.l{l}.rel{v}.{w}" for w in REL_FIELDS]
+                for (values, grads), name in zip(fields, names, strict=True):
+                    assert np.shares_memory(values, params.flat)
+                    assert np.shares_memory(grads, params.grad)
+                    assert np.array_equal(values[v], params.get(name)), name
+                probe = np.zeros(config.V * d)
+                probe[v * d:(v + 1) * d] = rng.uniform((d,), -1, 1)
+                params.grad.fill(0.0)
+                out, _ = relational_head_var(*(Var(x) for x in graph), heads)
+                ad.backward(ad.matmul(out, Var(probe)))
+                inside = np.zeros(params.total_size(), dtype=bool)
+                for name in names:
+                    lo, hi = params.span(name)
+                    inside[lo:hi] = True
+                assert params.grad[inside].any()
+                assert not params.grad[~inside].any(), (l, v)
+                oracle = [Var(params.get(name).copy()) for name in names]
+                o_out, _ = relational_head_oracle(*(Var(x) for x in graph), RelHeads(*oracle))
+                ad.backward(ad.matmul(o_out, Var(probe[v * d:(v + 1) * d])))
+                for name, w in zip(names, oracle, strict=True):
+                    lo, hi = params.span(name)
+                    assert _close(params.grad[lo:hi].reshape(w.value.shape), w.grad), name
+
+    def test_unequal_tensors_do_not_stack(self):
+        params = Model.build_for_examples(
+            self.CONFIG, generate_synthetic(seed=0, count=2)).params
+        with pytest.raises(ValueError, match="cannot stack"):
+            params.stack(["dgat.l0.rel0.Wv", "dgat.l0.rel0.W1"])
+        with pytest.raises(ValueError, match="cannot stack"):
+            params.stack(["dgat.l0.rel0.Wv", "dgat.l0.rel1.Wv", "dgat.l1.rel0.Wv"])

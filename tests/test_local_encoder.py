@@ -19,6 +19,8 @@ from gdd.local_encoder import (
 )
 from gdd.numeric import Rng, finite_diff_grad
 
+from oracles import mean, reshape
+
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -27,7 +29,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # value, trace and gradient.
 
 def sigma_oracle(H, W1, b1, W2, b2):
-    pooled = ad.mean(H, axis=0)
+    pooled = mean(H, axis=0)
     hidden = ad.relu(ad.matmul(pooled, W1) + b1)
     return ad.softplus(ad.matmul(hidden, W2) + b2)
 
@@ -55,8 +57,8 @@ def attention_oracle(H_G, Wq, Wk, Wv, variant="covariance", heads=1):
         cols = slice(h * width, (h + 1) * width)
         Qh, Kh, Vh = (_slice_cols_oracle(a, cols) for a in (Q, K, V))
         if variant == "covariance":
-            Qh = Qh - ad.mean(Qh, axis=0, keepdims=True)
-            Kh = Kh - ad.mean(Kh, axis=0, keepdims=True)
+            Qh = Qh - mean(Qh, axis=0, keepdims=True)
+            Kh = Kh - mean(Kh, axis=0, keepdims=True)
         scores = ad.mul(ad.matmul(Qh, ad.transpose(Kh)), 1.0 / math.sqrt(width))
         P = ad.softmax(scores, axis=1)
         if probs0 is None:
@@ -75,12 +77,12 @@ def local_forward_oracle(H, span, mask_params, attn_params, interval, variant,
     if use_mask:
         sigma = sigma_oracle(H, *mask_params)
         mask = mask_oracle(n, span, sigma, interval, normalize=normalize_mask)
-        H_G = ad.mul(ad.reshape(mask, (n, 1)), H)
+        H_G = ad.mul(reshape(mask, (n, 1)), H)
         trace["sigma"] = float(sigma.value[0])
         trace["mask"] = mask.value
     out, probs = attention_oracle(H_G, *attn_params, variant=variant, heads=heads)
     trace["local_attention"] = probs.value
-    return ad.mean(ad.gather_rows(out, range(s, e + 1)), axis=0), trace
+    return mean(ad.gather_rows(out, range(s, e + 1)), axis=0), trace
 
 
 def make_mask_params(d_model=6, d_hid=4, rng=None, zero=False):

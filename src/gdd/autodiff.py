@@ -33,9 +33,6 @@ import numpy as np
 
 from .numeric import _softmax, as_tensor
 
-_FLOAT64 = np.dtype(np.float64)
-
-
 class Var:
     """A tape node: a float64 array, the gradient accumulated for it, its
     parents and its VJP (g -> one contribution per parent; None for an input)."""
@@ -43,9 +40,7 @@ class Var:
     __slots__ = ("value", "grad", "_parents", "_vjp")
 
     def __init__(self, value, parents=(), vjp=None):
-        # as_tensor returns a float64 ndarray as it is; skip the call for one.
-        self.value = (value if value.__class__ is np.ndarray and value.dtype is _FLOAT64
-                      else as_tensor(value))
+        self.value = as_tensor(value)
         self.grad = None
         self._parents = parents
         self._vjp = vjp
@@ -173,18 +168,16 @@ def transpose(a) -> Var:
 
 def concat(vs, axis: int = 0) -> Var:
     vs = tuple(as_var(v) for v in vs)
-
-    def vjp(g):
-        parts, offset = [], 0
-        for v in vs:
-            size = v.value.shape[axis]
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offset, offset + size)
-            parts.append(g[tuple(sl)].copy())
-            offset += size
-        return tuple(parts)
-
-    return Var(np.concatenate([v.value for v in vs], axis=axis), vs, vjp)
+    val = np.concatenate([v.value for v in vs], axis=axis)
+    slices = []
+    offset = 0
+    for v in vs:
+        size = v.value.shape[axis]
+        sl = [slice(None)] * val.ndim
+        sl[axis] = slice(offset, offset + size)
+        slices.append(tuple(sl))
+        offset += size
+    return Var(val, vs, lambda g: tuple(g[s].copy() for s in slices))
 
 
 def _scatter_rows(a: Var, idx: np.ndarray, g: np.ndarray):

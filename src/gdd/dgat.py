@@ -40,7 +40,7 @@ class DualHeadParams:
 @dataclass
 class RelHeads:
     """The V relational heads of one layer, each field stacked over the heads
-    (leading axis V): Vars, or plain arrays that the tape treats as constants."""
+    (leading axis V)."""
     Wv: Tensor  # value projections, V x d_model x d_head
     W1: Tensor  # edge-scoring MLP, V x d_edge x d_head
     b1: Tensor  # V x d_head
@@ -49,7 +49,7 @@ class RelHeads:
 
     @property
     def count(self) -> int:
-        return (self.Wv.value if isinstance(self.Wv, Var) else self.Wv).shape[0]
+        return self.Wv.shape[0]
 
 
 @dataclass
@@ -139,12 +139,10 @@ def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
 
     The VJP goes by hand through each softmax and relu MLP to E and the
     MLP weights, and through the values (d/d values_v = rho_v g_v^T) to H_N
-    and Wv. E and H_N sum their heads' terms. The weights get gradients
-    only when they are Vars.
+    and Wv. E and H_N sum their heads' terms.
     """
-    fields = (heads.Wv, heads.W1, heads.b1, heads.W2, heads.b2)
-    trainable = isinstance(heads.Wv, Var)
-    Wv, W1, b1, W2, b2 = (w.value for w in fields) if trainable else fields
+    fields = tuple(as_var(w) for w in (heads.Wv, heads.W1, heads.b1, heads.W2, heads.b2))
+    Wv, W1, b1, W2, b2 = (w.value for w in fields)
     Ev, Hv = E.value, H_N.value
     V, d_head = b1.shape
     pre = np.matmul(Ev, W1) + b1[:, None, :]  # V x m x d_head
@@ -158,17 +156,14 @@ def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
         d_logits = (d_rho - (d_rho * rho).sum(axis=1, keepdims=True)) * rho
         d_pre = d_logits[:, :, None] * W2.transpose(0, 2, 1) * (pre > 0.0)
         d_values = rho[:, :, None] * g
-        grads = (np.matmul(d_values, Wv.transpose(0, 2, 1)).sum(axis=0),
-                 np.matmul(d_pre, W1.transpose(0, 2, 1)).sum(axis=0))
-        if not trainable:
-            return grads
-        return grads + (np.matmul(Hv.T, d_values), np.matmul(Ev.T, d_pre), d_pre.sum(axis=1),
-                        np.matmul(hidden.transpose(0, 2, 1), d_logits[:, :, None]),
-                        d_logits.sum(axis=1, keepdims=True))
+        return (np.matmul(d_values, Wv.transpose(0, 2, 1)).sum(axis=0),
+                np.matmul(d_pre, W1.transpose(0, 2, 1)).sum(axis=0),
+                np.matmul(Hv.T, d_values), np.matmul(Ev.T, d_pre), d_pre.sum(axis=1),
+                np.matmul(hidden.transpose(0, 2, 1), d_logits[:, :, None]),
+                d_logits.sum(axis=1, keepdims=True))
 
-    parents = (H_N, E, *fields) if trainable else (H_N, E)
     out = np.matmul(rho[:, None, :], values).reshape(V * d_head)
-    return Var(out, parents, vjp), rho
+    return Var(out, (H_N, E, *fields), vjp), rho
 
 
 def relation_update_var(E: Var, Wr) -> Var:

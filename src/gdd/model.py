@@ -285,14 +285,16 @@ def _dgat_getters(U: int, L: int):
         for l in range(L))
 
 
-def rel_head_stacks(params: ModelParams, config: ModelConfig):
-    """Per DGAT layer, the (values, grads) view pairs of ModelParams.stack
-    for each field of REL_FIELDS over the layer's V relational heads; an
-    empty list when V = 0. The heads of a layer sit at equal spacing in
-    param_layout, so these are strided views, and checkpoints and the
-    layout stay per head."""
-    return [[params.stack([f"dgat.l{l}.rel{v}.{w}" for v in range(config.V)])
-             for w in REL_FIELDS] if config.V else []
+def rel_head_stacks(params: ModelParams, config: ModelConfig,
+                    field=Leaf) -> list[dg.RelHeads | None]:
+    """Per DGAT layer, its V relational heads as one dg.RelHeads (None when
+    V = 0). Each field is field(values, grads) over the ModelParams.stack
+    views of that field across the layer's heads: by default a Leaf, which
+    a forward reads from params.flat and backward() adds into params.grad.
+    The heads of a layer sit at equal spacing in param_layout, so these are
+    strided views, and checkpoints and the layout stay per head."""
+    return [dg.RelHeads(*(field(*params.stack([f"dgat.l{l}.rel{v}.{w}" for v in range(config.V)]))
+                          for w in REL_FIELDS)) if config.V else None
             for l in range(config.L)]
 
 
@@ -351,7 +353,10 @@ class Model:
         self.params = params
         self.frozen_embeddings = frozen_embeddings
         self._l2_runs = l2_runs(params)
-        self._rel_heads: dict[bool, list[dg.RelHeads | None]] = {}
+        # rel_head_stacks of Leafs and of plain views, each built on first use:
+        # a model loaded only to predict builds no Leaf
+        self._rel_leaves: list[dg.RelHeads | None] | None = None
+        self._rel_values: list[dg.RelHeads | None] | None = None
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: Vocab, tag_vocab: TagVocab,
@@ -403,28 +408,12 @@ class Model:
             return Var(H)
         return ad.gather_rows(leaves["embed.token"], prep.token_ids)
 
-    def _rel_heads_of(self, leaves: dict[str, Var]) -> list[dg.RelHeads | None]:
-        """Each DGAT layer's relational heads, built once per kind. When
-        `leaves` are tape Leafs (a pass that backward() will read), every
-        field is a Leaf over the strided views of rel_head_stacks, so the
-        gradient lands in params.grad; otherwise the fields are the plain
-        views, constants of the tape."""
-        cfg = self.config
-        trainable = cfg.V > 0 and isinstance(leaves["dgat.l0.rel0.Wv"], Leaf)
-        heads = self._rel_heads.get(trainable)
-        if heads is None:
-            heads = self._rel_heads[trainable] = [
-                dg.RelHeads(*(Leaf(v, g) if trainable else v for v, g in fields))
-                if fields else None
-                for fields in rel_head_stacks(self.params, cfg)]
-        return heads
-
-    def _dgat_layer_params(self, leaves: dict[str, Var]) -> list[dg.DgatLayerParams]:
+    def _dgat_layer_params(self, leaves: dict[str, Var],
+                           rel_heads: list[dg.RelHeads | None]) -> list[dg.DgatLayerParams]:
         cfg = self.config
         return [dg.DgatLayerParams(dual=[dg.DualHeadParams(*get(leaves)) for get in dual],
                                    rel=rel, Wr=leaves[wr])
-                for (dual, wr), rel in zip(_dgat_getters(cfg.U, cfg.L),
-                                           self._rel_heads_of(leaves))]
+                for (dual, wr), rel in zip(_dgat_getters(cfg.U, cfg.L), rel_heads)]
 
     def _edge_matrix(self, prep: Prepared, leaves: dict[str, Var]) -> Var:
         """The layer-0 edge rows, one node: row i sets the tag-table rows of
@@ -435,13 +424,22 @@ class Model:
                                  (leaves["embed.hop"], prep.edge_hop_idx)))
 
     def forward_var(self, prep: Prepared, leaves: dict[str, Var],
-                    train: bool = False, dropout_rng: Rng | None = None):
+                    train: bool = False, dropout_rng: Rng | None = None,
+                    rel_heads: list[dg.RelHeads | None] | None = None):
         """Tape forward pass; returns (logits Var[3], trace dict).
 
-        The trace holds the attention weights and the mask as arrays;
-        predict(with_trace=True) turns them into lists for JSON.
+        Every weight comes from `leaves` except the relational heads', which,
+        as regularizer_var's, always read the model's own buffers: by default
+        Leafs over params.flat and params.grad (rel_head_stacks), which a
+        pass that backward() reads needs; predict_prepared passes the plain
+        views instead. The trace holds the attention weights and the mask as
+        arrays; predict(with_trace=True) turns them into lists for JSON.
         """
         cfg = self.config
+        if rel_heads is None:
+            if self._rel_leaves is None:
+                self._rel_leaves = rel_head_stacks(self.params, cfg)
+            rel_heads = self._rel_leaves
         H = self._sentence_matrix(prep, leaves)
 
         h_local, trace = le.local_forward_var(
@@ -458,8 +456,8 @@ class Model:
         H_N = ad.gather_rows(H, prep.word_token_idx)
         E = self._edge_matrix(prep, leaves)
         h_global, layer_traces = dg.global_forward_var(
-            h_a, H_N, E, self._dgat_layer_params(leaves), cfg.d_head, scale=cfg.scale_logits,
-            dropout=cfg.dropout if train else 0.0, rng=dropout_rng)
+            h_a, H_N, E, self._dgat_layer_params(leaves, rel_heads), cfg.d_head,
+            scale=cfg.scale_logits, dropout=cfg.dropout if train else 0.0, rng=dropout_rng)
 
         trace["dgat"] = {
             "beta": [t["beta"] for t in layer_traces],
@@ -480,7 +478,10 @@ class Model:
     def predict_prepared(self, prep: Prepared, with_trace: bool = False):
         """predict() on an example prepared already, e.g. once for many epochs."""
         leaves = {name: Var(t) for name, t in self.params.items()}  # forward only
-        logits, trace = self.forward_var(prep, leaves)
+        if self._rel_values is None:
+            self._rel_values = rel_head_stacks(self.params, self.config,
+                                               lambda values, grads: values)
+        logits, trace = self.forward_var(prep, leaves, rel_heads=self._rel_values)
         probs = np.exp(logits.value - logits.value.max())
         probs /= probs.sum()
         pred = Prediction(probs=probs, label_id=int(np.argmax(probs)),

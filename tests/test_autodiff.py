@@ -254,22 +254,6 @@ def test_fused_relational_heads(m, V):
                *shapes, seed=m)
 
 
-def test_relational_heads_with_constant_weights_record_only_the_graph():
-    rng = Rng(13)
-    weights = [rng.uniform(s, -1.0, 1.0) for s in [(2, 5, 4), (2, 6, 4), (2, 4), (2, 4, 1), (2, 1)]]
-    H_N, E = Var(rng.uniform((3, 5), -1.0, 1.0)), Var(rng.uniform((3, 6), -1.0, 1.0))
-    out, rho = relational_head_var(H_N, E, RelHeads(*weights))
-    assert out._parents == (H_N, E)
-    taped, taped_rho = relational_head_var(H_N, E, RelHeads(*map(Var, weights)))
-    assert np.array_equal(out.value, taped.value) and np.array_equal(rho, taped_rho)
-    probe = Var(rng.uniform((8,), -1.0, 1.0))
-    backward(ad.matmul(out, probe))
-    grads = H_N.grad.copy(), E.grad.copy()
-    H_N.grad = E.grad = None
-    backward(ad.matmul(taped, probe))
-    assert np.array_equal(grads[0], H_N.grad) and np.array_equal(grads[1], E.grad)
-
-
 @pytest.mark.parametrize("n, start, stop", [(1, 0, 1), (5, 0, 2), (5, 4, 5), (6, 1, 6)])
 def test_sum_rows(n, start, stop):
     probe = Var(Rng(14).uniform((3,), -1.0, 1.0))

@@ -525,9 +525,10 @@ class TestFusedHeadsAgainstOracle:
 
 
 class TestRelHeadStacks:
-    """The model's relational-head stacks are strided views of params.flat and
-    params.grad: head v's slice is that head's own tensor, and a gradient
-    through it lands in that head's span of params.grad and nowhere else."""
+    """The model's relational heads are Leafs over strided views of
+    params.flat and params.grad: head v's slice is that head's own tensor,
+    and a gradient through it lands in that head's span of params.grad and
+    nowhere else."""
 
     CONFIG = ModelConfig(d_model=8, d_tag=4, d_hid=4, d_head=4, U=1, V=3, L=2)
 
@@ -535,17 +536,17 @@ class TestRelHeadStacks:
         config, d = self.CONFIG, self.CONFIG.d_head
         model = Model.build_for_examples(config, generate_synthetic(seed=0, count=2))
         params = model.params
-        for l, fields in enumerate(rel_head_stacks(params, config)):
+        for l, heads in enumerate(rel_head_stacks(params, config)):
             rng = Rng(60 + l)
             graph = [rng.uniform(s, -1, 1) for s in [(4, config.d_model),
                                                       (4, config.edge_width(l))]]
-            heads = RelHeads(*(Leaf(values, grads) for values, grads in fields))
             for v in range(config.V):
                 names = [f"dgat.l{l}.rel{v}.{w}" for w in REL_FIELDS]
-                for (values, grads), name in zip(fields, names, strict=True):
-                    assert np.shares_memory(values, params.flat)
-                    assert np.shares_memory(grads, params.grad)
-                    assert np.array_equal(values[v], params.get(name)), name
+                for leaf, name in zip(vars(heads).values(), names, strict=True):
+                    assert isinstance(leaf, Leaf)
+                    assert np.shares_memory(leaf.value, params.flat)
+                    assert np.shares_memory(leaf.grad, params.grad)
+                    assert np.array_equal(leaf.value[v], params.get(name)), name
                 probe = np.zeros(config.V * d)
                 probe[v * d:(v + 1) * d] = rng.uniform((d,), -1, 1)
                 params.grad.fill(0.0)

@@ -18,10 +18,12 @@ produced here are validated against numeric.finite_diff_grad, never
 trusted blind.
 
 circ_corr runs its transforms as matrix products with two cached real DFT
-matrices per length d (K = d // 2 + 1 bins): x @ F gives the real parts of
-rfft(x), then its imaginary parts, and that layout @ Finv gives
-irfft(., n=d). At the model's widths (d_head = 16) a small GEMM costs less
-than the numpy FFT call it replaces.
+matrices per length d (K = d // 2 + 1 bins), their columns interleaved bin
+by bin: x @ F is [Re X0, Im X0, Re X1, Im X1, ...] for X = rfft(x), so its
+.view(np.complex128) is rfft(x) and each spectral product is one complex
+multiply, and the float64 view of a spectrum @ Finv gives irfft(., n=d).
+At the model's widths (d_head = 16) a small GEMM costs less than the numpy
+FFT call it replaces.
 """
 
 from __future__ import annotations
@@ -295,11 +297,13 @@ def softmax(a, axis: int = -1) -> Var:
 def _real_dft(d: int):
     """(F, Finv) for length d with K = d // 2 + 1 bins, read-only.
 
-    F (d x 2K) is [cos | -sin] of the angles 2 pi jk/d, so x @ F holds the
-    real parts of rfft(x) and then its imaginary parts. Finv (2K x d) takes
-    that layout back as irfft(., n=d) does: bin 0, and the Nyquist bin of an
-    even d, weigh 1/d, every other bin 2/d, and the imaginary parts of those
-    two bins drop out (their sine rows are zero).
+    F (d x 2K) interleaves the columns cos and -sin of the angles 2 pi jk/d,
+    bin by bin, so row x @ F is [Re X0, Im X0, Re X1, ...] for X = rfft(x)
+    and its .view(np.complex128) is rfft(x) itself. Finv (2K x d) takes
+    that layout, the float64 view of a complex spectrum, back as
+    irfft(., n=d) does: bin 0, and the Nyquist bin of an even d, weigh 1/d,
+    every other bin 2/d, and the imaginary parts of those two bins drop out
+    (their sine rows are zero).
     """
     k = np.arange(d // 2 + 1)
     angle = (2.0 * np.pi / d) * (np.outer(np.arange(d), k) % d)  # jk reduced mod d exactly
@@ -308,8 +312,8 @@ def _real_dft(d: int):
     w[0] = 1.0 / d
     if d % 2 == 0:
         w[-1] = 1.0 / d
-    F = np.concatenate((cos, -sin), axis=1)
-    Finv = np.concatenate((w[:, None] * cos.T, -w[:, None] * sin.T))
+    F = np.stack((cos, -sin), axis=2).reshape(d, 2 * k.size)
+    Finv = np.stack((w[:, None] * cos.T, -w[:, None] * sin.T), axis=1).reshape(2 * k.size, d)
     F.flags.writeable = Finv.flags.writeable = False
     return F, Finv
 
@@ -320,12 +324,13 @@ def circ_corr(a, b) -> Var:
     out = irfft(conj(A) * B, n=d) with A = rfft(a), B = rfft(b): real by
     construction, no imaginary residue to discard (numeric.circ_corr_fft is
     the complex-FFT oracle). The transforms are products with _real_dft's
-    matrices and the spectra stay real pairs (Re, Im): one GEMM takes the
-    stacked rows [a; b] to A and B, conj(A) * B is four real products, and
-    one GEMM takes it back. Gradients are themselves circular ops over
-    G = rfft(g): d/da = corr(g, b) = irfft(conj(G) * B) and
-    d/db = conv(g, a) = irfft(G * A), so the VJP is one GEMM of g and one
-    GEMM of both products stacked.
+    matrices, whose interleaved layout makes a GEMM's output rows complex
+    spectra under .view(np.complex128): one GEMM takes the stacked rows
+    [a; b] to A and B, conj(A) * B is one complex multiply, and one GEMM of
+    its float64 view takes it back. Gradients are themselves circular ops
+    over G = rfft(g): d/da = corr(g, b) = irfft(conj(G) * B) and
+    d/db = conv(g, a) = irfft(G * A), so the VJP is one GEMM of g, two
+    complex multiplies and one GEMM of both products stacked.
     """
     a, b = as_var(a), as_var(b)
     shape = a.value.shape
@@ -333,32 +338,20 @@ def circ_corr(a, b) -> Var:
         raise ValueError(f"circ_corr: shape mismatch {shape} vs {b.value.shape}")
     d = shape[-1]
     F, Finv = _real_dft(d)
-    k = F.shape[1] // 2
     m = a.value.size // d
     rows = np.concatenate((a.value.reshape(m, d), b.value.reshape(m, d)))
-    spectra = (rows @ F).reshape(2, m, 2, k)  # [A; B], each [real parts; imaginary parts]
-    corr = _spectral_product(spectra[0], spectra[1], np.empty((m, 2, k)), conj=True)
+    spectra = (rows @ F).view(np.complex128)  # [A; B], 2m x K
+    A, B = spectra[:m], spectra[m:]
 
     def vjp(g):
-        spec_g = (g.reshape(m, d) @ F).reshape(m, 2, k)
-        both = np.empty((2, m, 2, k))
-        _spectral_product(spec_g, spectra[1], both[0], conj=True)
-        _spectral_product(spec_g, spectra[0], both[1], conj=False)
-        grads = both.reshape(2 * m, 2 * k) @ Finv
+        G = (g.reshape(m, d) @ F).view(np.complex128)
+        both = np.empty((2 * m, A.shape[1]), np.complex128)
+        np.multiply(G.conj(), B, out=both[:m])
+        np.multiply(G, A, out=both[m:])
+        grads = both.view(np.float64) @ Finv
         return grads[:m].reshape(shape), grads[m:].reshape(shape)
 
-    return Var((corr.reshape(m, 2 * k) @ Finv).reshape(shape), (a, b), vjp)
-
-
-def _spectral_product(x, y, out, conj: bool):
-    """conj(x) * y, or x * y, of spectra laid out as (rows, [Re, Im], bins),
-    written into out. conj(x) * y = (xr yr + xi yi) + i (xr yi - xi yr);
-    x * y = (xr yr - xi yi) + i (xr yi + xi yr)."""
-    straight, swapped = x * y, x * y[:, ::-1]
-    re_op, im_op = (np.add, np.subtract) if conj else (np.subtract, np.add)
-    re_op(straight[:, 0], straight[:, 1], out=out[:, 0])
-    im_op(swapped[:, 0], swapped[:, 1], out=out[:, 1])
-    return out
+    return Var(((A.conj() * B).view(np.float64) @ Finv).reshape(shape), (a, b), vjp)
 
 
 def backward(out: Var) -> None:

@@ -16,6 +16,15 @@ weights come stacked over the heads (`RelHeads`; the model passes strided
 views of its flat buffers), so each step is one matmul or ufunc call for
 all of them. A layer over an empty graph returns a zero vector and flags
 it in its trace.
+
+The paper's relational scoring MLP ends in an output bias b2, one scalar
+per head added to every logit of that head's softmax. softmax(z + b2)
+equals softmax(z) in exact arithmetic, so b2 changes no output and its
+true gradient is zero. The model still stores it (param_layout, the GDD1
+checkpoint bytes), as it stores the last layer's unread Wr, but no head
+reads it: it is not a field of `RelHeads`, so its gradient is exactly 0
+rather than rounding noise, and a finite difference over it is exactly 0
+too.
 """
 
 from __future__ import annotations
@@ -45,7 +54,6 @@ class RelHeads:
     W1: Tensor  # edge-scoring MLP, V x d_edge x d_head
     b1: Tensor  # V x d_head
     W2: Tensor  # V x d_head x 1
-    b2: Tensor  # V x 1
 
     @property
     def count(self) -> int:
@@ -132,22 +140,23 @@ def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
     """All V relational heads of a layer as one tape node.
 
     Head v scores its neighbors from the edges alone, rho_v = softmax(relu(E
-    W1_v + b1_v) W2_v + b2_v), and returns the rho_v-weighted sum of its
-    value rows H_N Wv_v. Every step runs for all heads at once, as a matmul
-    over the stacked weights. Returns (the heads' outputs side by side,
-    Var[V * d_head]; rho, array[V, m]).
+    W1_v + b1_v) W2_v), and returns the rho_v-weighted sum of its value rows
+    H_N Wv_v. (The paper's MLP also adds a bias b2_v to every logit; it
+    is not read, see the module docstring.) Every step runs for all heads
+    at once, as a matmul over the stacked weights. Returns (the heads'
+    outputs side by side, Var[V * d_head]; rho, array[V, m]).
 
     The VJP goes by hand through each softmax and relu MLP to E and the
     MLP weights, and through the values (d/d values_v = rho_v g_v^T) to H_N
     and Wv. E and H_N sum their heads' terms.
     """
-    fields = tuple(as_var(w) for w in (heads.Wv, heads.W1, heads.b1, heads.W2, heads.b2))
-    Wv, W1, b1, W2, b2 = (w.value for w in fields)
+    fields = tuple(as_var(w) for w in (heads.Wv, heads.W1, heads.b1, heads.W2))
+    Wv, W1, b1, W2 = (w.value for w in fields)
     Ev, Hv = E.value, H_N.value
     V, d_head = b1.shape
     pre = np.matmul(Ev, W1) + b1[:, None, :]  # V x m x d_head
     hidden = np.maximum(pre, 0.0)
-    rho = _softmax(np.matmul(hidden, W2)[:, :, 0] + b2)  # V x m
+    rho = _softmax(np.matmul(hidden, W2)[:, :, 0])  # V x m
     values = np.matmul(Hv, Wv)  # V x m x d_head
 
     def vjp(g):
@@ -159,8 +168,7 @@ def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
         return (np.matmul(d_values, Wv.transpose(0, 2, 1)).sum(axis=0),
                 np.matmul(d_pre, W1.transpose(0, 2, 1)).sum(axis=0),
                 np.matmul(Hv.T, d_values), np.matmul(Ev.T, d_pre), d_pre.sum(axis=1),
-                np.matmul(hidden.transpose(0, 2, 1), d_logits[:, :, None]),
-                d_logits.sum(axis=1, keepdims=True))
+                np.matmul(hidden.transpose(0, 2, 1), d_logits[:, :, None]))
 
     out = np.matmul(rho[:, None, :], values).reshape(V * d_head)
     return Var(out, (H_N, E, *fields), vjp), rho

@@ -271,7 +271,7 @@ def l2_runs(params: ModelParams) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-REL_FIELDS = ("Wv", "W1", "b1", "W2", "b2")
+REL_FIELDS = ("Wv", "W1", "b1", "W2")  # b2, a softmax shift, is stored but never read
 
 
 @functools.lru_cache(maxsize=8)
@@ -353,10 +353,12 @@ class Model:
         self.params = params
         self.frozen_embeddings = frozen_embeddings
         self._l2_runs = l2_runs(params)
-        # rel_head_stacks of Leafs and of plain views, each built on first use:
-        # a model loaded only to predict builds no Leaf
+        # rel_head_stacks of Leafs and of plain views, and predict's parameter
+        # nodes, each built on first use: a model loaded only to predict
+        # builds no Leaf
         self._rel_leaves: list[dg.RelHeads | None] | None = None
         self._rel_values: list[dg.RelHeads | None] | None = None
+        self._param_vars: dict[str, Var] | None = None
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: Vocab, tag_vocab: TagVocab,
@@ -476,12 +478,17 @@ class Model:
         return self.predict_prepared(self.prepare(example), with_trace)
 
     def predict_prepared(self, prep: Prepared, with_trace: bool = False):
-        """predict() on an example prepared already, e.g. once for many epochs."""
-        leaves = {name: Var(t) for name, t in self.params.items()}  # forward only
-        if self._rel_values is None:
+        """predict() on an example prepared already, e.g. once for many epochs.
+
+        The forward reads one Var per parameter tensor, built on the first
+        call and kept: each wraps its view of params.flat, so it sees every
+        update made in place (adam_step, ModelParams.set).
+        """
+        if self._param_vars is None:
+            self._param_vars = {name: Var(t) for name, t in self.params.items()}
             self._rel_values = rel_head_stacks(self.params, self.config,
                                                lambda values, grads: values)
-        logits, trace = self.forward_var(prep, leaves, rel_heads=self._rel_values)
+        logits, trace = self.forward_var(prep, self._param_vars, rel_heads=self._rel_values)
         probs = np.exp(logits.value - logits.value.max())
         probs /= probs.sum()
         pred = Prediction(probs=probs, label_id=int(np.argmax(probs)),

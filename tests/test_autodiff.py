@@ -187,6 +187,20 @@ def test_circ_corr_matches_the_naive_oracle(d):
         assert np.max(np.abs(rows[i] - circ_corr_naive(A[i], B[i]))) < 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 17])
+def test_real_dft_interleaved_layout(d):
+    """x @ F viewed as complex128 is rfft(x), and the float64 view of a
+    complex spectrum S times Finv is irfft(S, n=d); both matrices are read-only."""
+    F, Finv = ad._real_dft(d)
+    rng = Rng(d)
+    x = rng.uniform((4, d), -1.0, 1.0)
+    assert np.max(np.abs((x @ F).view(np.complex128) - np.fft.rfft(x))) < 1e-12
+    S = np.fft.rfft(rng.uniform((4, d), -1.0, 1.0))
+    S[:, 0] += 0.3j  # an imaginary part that irfft drops, as Finv must too
+    assert np.max(np.abs(S.view(np.float64) @ Finv - np.fft.irfft(S, n=d))) < 1e-12
+    assert not F.flags.writeable and not Finv.flags.writeable
+
+
 def test_circ_corr_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         ad.circ_corr(Var(np.zeros(3)), Var(np.zeros(4)))
@@ -246,7 +260,7 @@ def test_fused_dual_attention(m, scale):
 @pytest.mark.parametrize("V", [1, 3])
 def test_fused_relational_heads(m, V):
     e_w, d_model, d = 6, 5, 4
-    shapes = [(m, d_model), (m, e_w), (V, d_model, d), (V, e_w, d), (V, d), (V, d, 1), (V, 1)]
+    shapes = [(m, d_model), (m, e_w), (V, d_model, d), (V, e_w, d), (V, d), (V, d, 1)]
     _, E, _, W1, b1 = inputs(*shapes, seed=m)[:5]
     assert np.min(np.abs(np.matmul(E, W1) + b1[:, None])) > 1e-3  # off the relu kinks
     probe = Var(Rng(8).uniform((V * d,), -1.0, 1.0))

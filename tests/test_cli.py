@@ -514,6 +514,15 @@ class TestGradcheckCommand:
         assert "dgat.l0.dual0.We" in report["tensors"]
         assert len(report["tensors"]) == 21
 
+    @pytest.mark.parametrize("seed", ["3", "12"])
+    def test_the_unread_output_bias_reads_exactly_zero(self, capsys, seed):
+        """dgat.l0.rel0.b2 only shifts a softmax, so the heads do not read it:
+        its analytic gradient and its finite difference are both exactly 0.
+        These two seeds read rounding noise there when the heads added it."""
+        code, stdout, _ = run(["gradcheck", "--seed", seed], capsys)
+        assert code == 0
+        assert json.loads(stdout)["tensors"]["dgat.l0.rel0.b2"] == 0.0
+
     def test_tolerance_flag_respected(self, capsys):
         code, stdout, _ = run(["gradcheck", "--tolerance", "1e-12"], capsys)
         assert code == 1

@@ -21,6 +21,7 @@ from gdd.dgat import (
 )
 from gdd.model import REL_FIELDS, Model, ModelConfig, rel_head_stacks
 from gdd.numeric import Rng, circ_corr_fft, softmax
+from gdd.training import batch_grads
 
 from oracles import reshape
 
@@ -55,10 +56,12 @@ def dual_head_oracle(h_a, H_N, E, p, scale=False):
     return ad.matmul(omega, composed), beta, omega
 
 
-def relational_head_oracle(H_N, E, p):
-    """One relational head; p holds that head's own (unstacked) tensors."""
+def relational_head_oracle(H_N, E, p, b2):
+    """One relational head as the paper writes it, its output bias b2 added
+    to every logit; p holds that head's own (unstacked) tensors. The heads
+    of gdd.dgat do not read b2, a softmax shift, and must match this."""
     hidden = ad.relu(ad.matmul(E, p.W1) + p.b1)
-    logits = reshape(ad.matmul(hidden, p.W2), (-1,)) + p.b2
+    logits = reshape(ad.matmul(hidden, p.W2), (-1,)) + b2
     rho = ad.softmax(logits, axis=-1)
     return ad.matmul(rho, ad.matmul(H_N, p.Wv)), rho
 
@@ -97,12 +100,18 @@ def make_dual(rng, a_w=6, e_w=8, d_model=6, d_head=4):
                           Wi=rng.uniform((d_model, d_head), -0.5, 0.5))
 
 
-def make_rel(rng, e_w=8, d_model=6, d_head=4, V=1):
-    """V relational heads, drawn head by head and stacked field by field."""
+def make_rel_with_b2(rng, e_w=8, d_model=6, d_head=4, V=1):
+    """V relational heads, drawn head by head and stacked field by field,
+    and their output biases b2 (V x 1), which the heads do not read."""
     drawn = [[rng.uniform(s, -0.5, 0.5)
               for s in [(d_model, d_head), (e_w, d_head), (d_head,), (d_head, 1), (1,)]]
              for _ in range(V)]
-    return RelHeads(*(np.stack(field) for field in zip(*drawn)))
+    *fields, b2 = (np.stack(field) for field in zip(*drawn))
+    return RelHeads(*fields), b2
+
+
+def make_rel(rng, e_w=8, d_model=6, d_head=4, V=1):
+    return make_rel_with_b2(rng, e_w, d_model, d_head, V)[0]
 
 
 def make_layer(rng, a_w=6, e_w=8, d_model=6, d_head=4, U=1, V=1, e_out=6):
@@ -245,12 +254,12 @@ class TestRelationalHead:
 
     def test_two_neighbor_hand_example(self):
         rng = Rng(12)
-        stack = make_rel(rng)
+        stack, b2 = make_rel_with_b2(rng)
         p = one_head(stack, 0)
         H_N = rng.uniform((2, 6), -1, 1)
         E = rng.uniform((2, 8), -1, 1)
         logits = np.array([
-            float((np.maximum(E[i] @ p.W1 + p.b1, 0.0) @ p.W2 + p.b2)[0])
+            float((np.maximum(E[i] @ p.W1 + p.b1, 0.0) @ p.W2 + b2[0])[0])
             for i in range(2)
         ])
         rho = softmax(logits)
@@ -433,16 +442,16 @@ class TestGlobalForwardGradients:
         E_val = rng.uniform((4, 8), -1, 1)
         probe = rng.uniform((8,), -1, 1)
 
-        names = ["Wa", "We", "Wi", "Wv", "W1", "b1", "W2", "b2", "Wr"]
-        shapes = [(6, 4), (8, 4), (6, 4), (1, 6, 4), (1, 8, 4), (1, 4), (1, 4, 1), (1, 1), (8, 6)]
+        names = ["Wa", "We", "Wi", "Wv", "W1", "b1", "W2", "Wr"]
+        shapes = [(6, 4), (8, 4), (6, 4), (1, 6, 4), (1, 8, 4), (1, 4), (1, 4, 1), (8, 6)]
         values = [rng.uniform(s, -0.5, 0.5) for s in shapes]
 
         def run(vals):
             leaves = [Var(v) for v in vals]
             layer = DgatLayerParams(
                 dual=[DualHeadParams(*leaves[0:3])],
-                rel=RelHeads(*leaves[3:8]),
-                Wr=leaves[8])
+                rel=RelHeads(*leaves[3:7]),
+                Wr=leaves[7])
             h, _ = global_forward_var(Var(h_a_val), Var(H_N_val), Var(E_val),
                                       [layer], d_head=4)
             return ad.matmul(h, Var(probe)), leaves
@@ -499,17 +508,20 @@ class TestFusedHeadsAgainstOracle:
     def test_relational_family_value_every_rho_and_every_gradient(self, m, V):
         """The family node against V per-head oracles: the outputs side by
         side, each head's rho, and every input gradient (H_N and E sum their
-        heads' terms; a weight stack holds each head's own gradient)."""
+        heads' terms; a weight stack holds each head's own gradient). The
+        oracles add their b2; the family does not read it, and matching
+        shows that the shift changes nothing."""
         rng = Rng(50 + 10 * V + m)
         graph = [rng.uniform(s, -1, 1) for s in [(m, 6), (m, 8)]]
-        stacks = [rng.uniform((V,) + s, -1, 1) for s in [(6, 4), (8, 4), (4,), (4, 1), (1,)]]
+        *stacks, b2 = [rng.uniform((V,) + s, -1, 1) for s in [(6, 4), (8, 4), (4,), (4, 1), (1,)]]
         probe = Var(rng.uniform((V * 4,), -1, 1))
         inputs, weights = [Var(x) for x in graph], [Var(w) for w in stacks]
         out, rho = relational_head_var(*inputs, RelHeads(*weights))
         ad.backward(ad.matmul(out, probe))
         o_inputs = [Var(x) for x in graph]
         o_weights = [[Var(w[v]) for w in stacks] for v in range(V)]
-        o_outs, o_rhos = zip(*(relational_head_oracle(*o_inputs, RelHeads(*o_weights[v]))
+        o_b2 = [Var(b2[v]) for v in range(V)]
+        o_outs, o_rhos = zip(*(relational_head_oracle(*o_inputs, RelHeads(*o_weights[v]), o_b2[v])
                                for v in range(V)))
         o_out = ad.concat(o_outs)
         ad.backward(ad.matmul(o_out, probe))
@@ -522,6 +534,8 @@ class TestFusedHeadsAgainstOracle:
         for i, name in enumerate(REL_FIELDS):
             want = np.stack([o_weights[v][i].grad for v in range(V)])
             assert _close(weights[i].grad, want), name
+        for v in range(V):  # the oracle's own b2 gradient is rounding noise around 0
+            assert np.max(np.abs(o_b2[v].grad)) <= 1e-12, v
 
 
 class TestRelHeadStacks:
@@ -559,7 +573,8 @@ class TestRelHeadStacks:
                 assert params.grad[inside].any()
                 assert not params.grad[~inside].any(), (l, v)
                 oracle = [Var(params.get(name).copy()) for name in names]
-                o_out, _ = relational_head_oracle(*(Var(x) for x in graph), RelHeads(*oracle))
+                b2 = Var(params.get(f"dgat.l{l}.rel{v}.b2").copy())
+                o_out, _ = relational_head_oracle(*(Var(x) for x in graph), RelHeads(*oracle), b2)
                 ad.backward(ad.matmul(o_out, Var(probe[v * d:(v + 1) * d])))
                 for name, w in zip(names, oracle, strict=True):
                     lo, hi = params.span(name)
@@ -572,3 +587,43 @@ class TestRelHeadStacks:
             params.stack(["dgat.l0.rel0.Wv", "dgat.l0.rel0.W1"])
         with pytest.raises(ValueError, match="cannot stack"):
             params.stack(["dgat.l0.rel0.Wv", "dgat.l0.rel1.Wv", "dgat.l1.rel0.Wv"])
+
+
+class TestUnreadOutputBias:
+    """dgat.l*.rel*.b2 only shifts every logit of a softmax. The model stores
+    it and never reads it, so no loss, gradient or prediction depends on it,
+    and its own gradient is exactly zero."""
+
+    def _run(self, model, preps):
+        loss, grads = batch_grads(model, preps)
+        probs = [model.predict_prepared(prep).probs for prep in preps]
+        return loss, {name: g.copy() for name, g in grads.items()}, probs
+
+    def _setup(self):
+        config = ModelConfig()
+        examples = generate_synthetic(seed=7, count=4)
+        model = Model.build_for_examples(config, examples)
+        names = [f"dgat.l{l}.rel{v}.b2" for l in range(config.L) for v in range(config.V)]
+        return model, [model.prepare(ex) for ex in examples], names
+
+    def test_random_values_change_no_loss_gradient_or_prediction(self):
+        model, preps, names = self._setup()
+        loss, grads, probs = self._run(model, preps)
+        rng = Rng(70)
+        for name in names:
+            model.params.set(name, rng.uniform((1,), -5.0, 5.0))
+        loss_b, grads_b, probs_b = self._run(model, preps)
+        assert loss_b == loss
+        for name, g in grads.items():
+            assert np.array_equal(grads_b[name], g), name
+        for p, q in zip(probs, probs_b, strict=True):
+            assert np.array_equal(p, q)
+
+    def test_gradient_span_is_exactly_zero(self):
+        model, preps, names = self._setup()
+        batch_grads(model, preps)
+        params = model.params
+        for name in names:
+            lo, hi = params.span(name)
+            assert not params.grad[lo:hi].any(), name
+        assert np.count_nonzero(params.grad) > params.total_size() // 2

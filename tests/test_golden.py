@@ -9,9 +9,10 @@ The relative error of a record (the loss, the probabilities, all gradients,
 or all parameters after a training run) is its largest absolute difference
 over its largest recorded entry. It is taken over the whole record, not per
 tensor: the relation heads' output biases (dgat.l*.rel*.b2) shift every
-logit of a softmax, so their true gradient is zero, and their recorded
-gradients and trained values are rounding noise of ~1e-16 that any change
-in summation order redraws.
+logit of a softmax, so their true gradient is zero. The recorded gradients
+and trained values of b2 are rounding noise of ~1e-16 from when the heads
+added it; the heads no longer read b2, so they now compute exactly 0 and
+leave b2 at its initial value, within that noise of the record.
 
 Regenerate (only when a change of results is intended) with
 

@@ -1,8 +1,13 @@
 """One training step: its tape-node budget, the leaves it reuses, its pause
-of cyclic GC, its check for divergence, and the one preparation of each
-set that train makes."""
+of cyclic GC, its check for divergence, its independence of the BLAS
+thread count, and the one preparation of each set that train makes; and
+the parameter nodes predict reuses."""
 
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +145,75 @@ def test_a_loaded_model_builds_no_leaf(tmp_path, monkeypatch):
     model = load_checkpoint(path)
     model.predict(examples[0])
     assert leaves["n"] == 0
+
+
+def test_predict_wraps_the_parameters_once(monkeypatch):
+    """A model's first predict builds one Var per parameter tensor outside
+    the forward pass; later predicts build none there, and none builds a Leaf."""
+    examples = generate_synthetic(seed=0, count=2)
+    model = Model.build_for_examples(ModelConfig(), examples)
+    nodes = _counting_constructions(monkeypatch, ad.Var)
+    leaves = _counting_constructions(monkeypatch, ad.Leaf)
+    inside = {"n": 0}
+    forward_var = Model.forward_var
+
+    def counting_forward_var(self, *args, **kwargs):
+        before = nodes["n"]
+        try:
+            return forward_var(self, *args, **kwargs)
+        finally:
+            inside["n"] += nodes["n"] - before
+
+    monkeypatch.setattr(Model, "forward_var", counting_forward_var)
+    outside = []
+    for example in (examples[0], examples[1], examples[0]):
+        nodes["n"] = inside["n"] = 0
+        model.predict(example)
+        assert inside["n"] > 0
+        outside.append(nodes["n"] - inside["n"])
+    assert outside == [len(model.params.names()), 0, 0]
+    assert leaves["n"] == 0
+
+
+def test_a_predict_after_an_update_reads_the_new_weights():
+    examples = generate_synthetic(seed=0, count=4)
+    model = Model.build_for_examples(ModelConfig(), examples)
+    before = model.predict(examples[1]).probs  # builds the cached parameter nodes
+    batch_grads(model, [model.prepare(ex) for ex in examples])
+    adam_step(model.params, AdamState.for_params(model.params), lr=0.01)
+    after = model.predict(examples[1]).probs
+    copy = md.ModelParams(md.param_layout(model.config, len(model.vocab), len(model.tag_vocab)))
+    copy.flat[...] = model.params.flat
+    fresh = Model(model.config, model.vocab, model.tag_vocab, copy).predict(examples[1]).probs
+    assert np.array_equal(after, fresh)
+    assert not np.array_equal(after, before)
+
+
+_STEPS = """
+import sys
+from gdd.data import generate_synthetic
+from gdd.model import Model, ModelConfig
+from gdd.training import train
+examples = generate_synthetic(seed=5, count=6)
+model = Model.build_for_examples(ModelConfig(), examples)
+train(model, examples, epochs=1)
+open(sys.argv[1], "wb").write(model.params.flat.tobytes())
+"""
+
+
+def test_training_is_bit_identical_across_blas_thread_counts(tmp_path):
+    """A few default-config steps end in the same parameter bytes with one
+    and with two OpenBLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    flat = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"flat-{threads}.bin"
+        subprocess.run([sys.executable, "-c", _STEPS, str(out)], check=True, timeout=300,
+                       env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
+        flat[threads] = out.read_bytes()
+    assert len(flat["1"]) > 0
+    assert flat["1"] == flat["2"]
 
 
 @pytest.mark.parametrize("overrides", [TOY, {}], ids=["toy", "default"])

@@ -11,6 +11,7 @@ vocabulary sizes imply.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import sys
@@ -65,8 +66,8 @@ def load_checkpoint(path) -> Model:
             config = ModelConfig.from_dict(header["config"])
         except ValueError as e:
             raise CheckpointError(f"bad config in header: {e}") from None
-        vocab = Vocab.from_list(header["vocab"])
-        tag_vocab = TagVocab.from_list(header["tag_vocab"])
+        vocab = _vocab(Vocab, header, "vocab")
+        tag_vocab = _vocab(TagVocab, header, "tag_vocab")
         layout = param_layout(config, len(vocab), len(tag_vocab))
         _check_manifest(header["params"], layout)
         params = ModelParams(layout)
@@ -79,7 +80,22 @@ def load_checkpoint(path) -> Model:
             params.flat.byteswap(inplace=True)
         if fh.read(1):
             raise CheckpointError("trailing bytes after parameter data")
+    # One sum tests every entry, as training.check_finite does; a sum that
+    # overflows over finite entries finds no culprit and loads.
+    with np.errstate(over="ignore"):
+        total = params.flat.sum()
+    if not math.isfinite(total):
+        bad = params.first_non_finite(params.flat)
+        if bad is not None:
+            raise CheckpointError(f"non-finite value in parameter {bad}")
     return Model(config, vocab, tag_vocab, params)
+
+
+def _vocab(cls, header: dict, key: str) -> Vocab:
+    try:
+        return cls.from_list(header[key])
+    except ValueError as e:
+        raise CheckpointError(f"header field {key!r}: {e}") from None
 
 
 def _check_header_types(header) -> None:

@@ -95,6 +95,14 @@ def _list_of(items, typ) -> bool:
     return type(items) is list and set(map(type, items)) <= {typ}
 
 
+def _array(items, field: str) -> list:
+    """items, which must be a JSON array: a string or an object would
+    otherwise be read as its characters or its keys."""
+    if type(items) is not list:
+        raise DataError(f"{field}: expected a JSON array, got {json.dumps(items)[:40]}")
+    return items
+
+
 def example_from_dict(rec: dict) -> Example:
     """A validated Example from one JSON record.
 
@@ -115,13 +123,14 @@ def example_from_dict(rec: dict) -> Example:
     heads, rels = rec["dep_heads"], rec["dep_rels"]
     try:
         ex = Example(
-            tokens=tokens if _list_of(tokens, str) else [str(t) for t in tokens],
+            tokens=tokens if _list_of(tokens, str) else [str(t) for t in _array(tokens, "tokens")],
             aspect_start=as_index(rec["aspect_start"], "aspect_start"),
             aspect_end=as_index(rec["aspect_end"], "aspect_end"),
             label=label if type(label) is str else str(label),
             dep_heads=(heads if _list_of(heads, int)
-                       else [as_index(h, f"dep_heads[{i}]") for i, h in enumerate(heads)]),
-            dep_rels=rels if _list_of(rels, str) else [str(r) for r in rels],
+                       else [as_index(h, f"dep_heads[{i}]")
+                             for i, h in enumerate(_array(heads, "dep_heads"))]),
+            dep_rels=rels if _list_of(rels, str) else [str(r) for r in _array(rels, "dep_rels")],
         )
     except DataError:
         raise

@@ -65,9 +65,18 @@ class Vocab:
 
     @classmethod
     def from_list(cls, tokens: list[str]) -> "Vocab":
+        """The vocab whose id i is tokens[i], as to_list() gives it. The list
+        must start with the two reserved tokens and list no token twice;
+        ValueError otherwise."""
         v = cls.__new__(cls)
         v._id_to_token = list(tokens)
         v._token_to_id = {t: i for i, t in enumerate(tokens)}
+        if v._id_to_token[:2] != [cls.pad_token, cls.unk_token]:
+            raise ValueError(f"must start with the reserved tokens {cls.pad_token!r}, "
+                             f"{cls.unk_token!r}")
+        if len(v._token_to_id) != len(v._id_to_token):
+            twice = next(t for i, t in enumerate(tokens) if v._token_to_id[t] != i)
+            raise ValueError(f"token {twice!r} listed twice")
         return v
 
 

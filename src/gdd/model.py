@@ -128,7 +128,8 @@ class ModelParams:
     `flat` holds every tensor's values and `grad` every tensor's gradient,
     both in layout order. get(), items() and leaves() hand out views, so a
     write through them is a write into the buffer. The tape leaves are built
-    on first use, not here: a model loaded only to predict never needs them.
+    on first use, not here, and every forward pass reads the same ones,
+    predict's as well as training's.
     """
 
     def __init__(self, layout=()):
@@ -174,21 +175,27 @@ class ModelParams:
         """The model's tape leaves, one per tensor, built once: every call
         returns the same dict of the same Leaf objects.
 
-        Each call zeroes the gradient buffer. A leaf's value and gradient are
-        its views into flat and grad, so it always reads the current values,
-        and backward() fills grad in place.
+        A leaf's value and gradient are its views into flat and grad, so it
+        always reads the current values, and backward() adds into grad in
+        place. Nothing here zeroes grad: a pass that runs backward() does so
+        first, and a forward alone leaves grad as it was.
         """
-        self.grad.fill(0.0)
         if self._leaves is None:
             self._leaves = {name: Leaf(t, self._grads[name]) for name, t in self._values.items()}
         return self._leaves
 
     def flat_leaf(self) -> Leaf:
         """One tape leaf over the whole flat buffer, its gradient the whole of
-        grad, built once. Unlike leaves(), it zeroes nothing."""
+        grad, built once."""
         if self._flat_leaf is None:
             self._flat_leaf = Leaf(self.flat, self.grad)
         return self._flat_leaf
+
+    def first_non_finite(self, buf: Tensor) -> str | None:
+        """The first tensor, in layout order, whose span of buf (flat or
+        grad) holds a NaN or an infinity; None when every entry is finite."""
+        return next((name for name, (lo, hi, _) in self._spans.items()
+                     if not np.all(np.isfinite(buf[lo:hi]))), None)
 
     def total_size(self) -> int:
         return self.flat.size
@@ -285,15 +292,14 @@ def _dgat_getters(U: int, L: int):
         for l in range(L))
 
 
-def rel_head_stacks(params: ModelParams, config: ModelConfig,
-                    field=Leaf) -> list[dg.RelHeads | None]:
+def rel_head_stacks(params: ModelParams, config: ModelConfig) -> list[dg.RelHeads | None]:
     """Per DGAT layer, its V relational heads as one dg.RelHeads (None when
-    V = 0). Each field is field(values, grads) over the ModelParams.stack
-    views of that field across the layer's heads: by default a Leaf, which
-    a forward reads from params.flat and backward() adds into params.grad.
-    The heads of a layer sit at equal spacing in param_layout, so these are
-    strided views, and checkpoints and the layout stay per head."""
-    return [dg.RelHeads(*(field(*params.stack([f"dgat.l{l}.rel{v}.{w}" for v in range(config.V)]))
+    V = 0). Each field is a Leaf over the ModelParams.stack views of that
+    field across the layer's heads, which a forward reads from params.flat
+    and backward() adds into params.grad. The heads of a layer sit at equal
+    spacing in param_layout, so these are strided views, and checkpoints and
+    the layout stay per head."""
+    return [dg.RelHeads(*(Leaf(*params.stack([f"dgat.l{l}.rel{v}.{w}" for v in range(config.V)]))
                           for w in REL_FIELDS)) if config.V else None
             for l in range(config.L)]
 
@@ -353,12 +359,9 @@ class Model:
         self.params = params
         self.frozen_embeddings = frozen_embeddings
         self._l2_runs = l2_runs(params)
-        # rel_head_stacks of Leafs and of plain views, and predict's parameter
-        # nodes, each built on first use: a model loaded only to predict
-        # builds no Leaf
+        # the relational stacks, built by the first forward pass, training's
+        # or predict's, like params.leaves()
         self._rel_leaves: list[dg.RelHeads | None] | None = None
-        self._rel_values: list[dg.RelHeads | None] | None = None
-        self._param_vars: dict[str, Var] | None = None
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: Vocab, tag_vocab: TagVocab,
@@ -410,12 +413,11 @@ class Model:
             return Var(H)
         return ad.gather_rows(leaves["embed.token"], prep.token_ids)
 
-    def _dgat_layer_params(self, leaves: dict[str, Var],
-                           rel_heads: list[dg.RelHeads | None]) -> list[dg.DgatLayerParams]:
+    def _dgat_layer_params(self, leaves: dict[str, Var]) -> list[dg.DgatLayerParams]:
         cfg = self.config
         return [dg.DgatLayerParams(dual=[dg.DualHeadParams(*get(leaves)) for get in dual],
                                    rel=rel, Wr=leaves[wr])
-                for (dual, wr), rel in zip(_dgat_getters(cfg.U, cfg.L), rel_heads)]
+                for (dual, wr), rel in zip(_dgat_getters(cfg.U, cfg.L), self._rel_leaves)]
 
     def _edge_matrix(self, prep: Prepared, leaves: dict[str, Var]) -> Var:
         """The layer-0 edge rows, one node: row i sets the tag-table rows of
@@ -426,22 +428,18 @@ class Model:
                                  (leaves["embed.hop"], prep.edge_hop_idx)))
 
     def forward_var(self, prep: Prepared, leaves: dict[str, Var],
-                    train: bool = False, dropout_rng: Rng | None = None,
-                    rel_heads: list[dg.RelHeads | None] | None = None):
+                    train: bool = False, dropout_rng: Rng | None = None):
         """Tape forward pass; returns (logits Var[3], trace dict).
 
         Every weight comes from `leaves` except the relational heads', which,
-        as regularizer_var's, always read the model's own buffers: by default
-        Leafs over params.flat and params.grad (rel_head_stacks), which a
-        pass that backward() reads needs; predict_prepared passes the plain
-        views instead. The trace holds the attention weights and the mask as
-        arrays; predict(with_trace=True) turns them into lists for JSON.
+        as regularizer_var's, always read the model's own buffers: Leafs over
+        params.flat and params.grad (rel_head_stacks), built on the first
+        call. The trace holds the attention weights and the mask as arrays;
+        predict(with_trace=True) turns them into lists for JSON.
         """
         cfg = self.config
-        if rel_heads is None:
-            if self._rel_leaves is None:
-                self._rel_leaves = rel_head_stacks(self.params, cfg)
-            rel_heads = self._rel_leaves
+        if self._rel_leaves is None:
+            self._rel_leaves = rel_head_stacks(self.params, cfg)
         H = self._sentence_matrix(prep, leaves)
 
         h_local, trace = le.local_forward_var(
@@ -458,7 +456,7 @@ class Model:
         H_N = ad.gather_rows(H, prep.word_token_idx)
         E = self._edge_matrix(prep, leaves)
         h_global, layer_traces = dg.global_forward_var(
-            h_a, H_N, E, self._dgat_layer_params(leaves, rel_heads), cfg.d_head,
+            h_a, H_N, E, self._dgat_layer_params(leaves), cfg.d_head,
             scale=cfg.scale_logits, dropout=cfg.dropout if train else 0.0, rng=dropout_rng)
 
         trace["dgat"] = {
@@ -480,15 +478,12 @@ class Model:
     def predict_prepared(self, prep: Prepared, with_trace: bool = False):
         """predict() on an example prepared already, e.g. once for many epochs.
 
-        The forward reads one Var per parameter tensor, built on the first
-        call and kept: each wraps its view of params.flat, so it sees every
-        update made in place (adam_step, ModelParams.set).
+        The forward reads the tape leaves that training reads (params.leaves()
+        and the relational stacks), so it sees every update made in place
+        (adam_step, ModelParams.set). It runs no backward(), so params.grad
+        is left as it was.
         """
-        if self._param_vars is None:
-            self._param_vars = {name: Var(t) for name, t in self.params.items()}
-            self._rel_values = rel_head_stacks(self.params, self.config,
-                                               lambda values, grads: values)
-        logits, trace = self.forward_var(prep, self._param_vars, rel_heads=self._rel_values)
+        logits, trace = self.forward_var(prep, self.params.leaves())
         probs = np.exp(logits.value - logits.value.max())
         probs /= probs.sum()
         pred = Prediction(probs=probs, label_id=int(np.argmax(probs)),
@@ -503,9 +498,11 @@ class Model:
         """
         return ad.sum_squares(self.params.flat_leaf(), self._l2_runs)
 
-    def batch_loss_var(self, preps, leaves: dict[str, Var], train: bool = False,
+    def batch_loss_var(self, preps, train: bool = False,
                        dropout_rng: Rng | None = None) -> Var:
-        """Summed cross-entropy over the batch plus one l2 term."""
+        """Summed cross-entropy over the batch plus one l2 term, over the
+        model's tape leaves."""
+        leaves = self.params.leaves()
         total = None
         for prep in preps:
             logits, _ = self.forward_var(prep, leaves, train=train,

@@ -78,13 +78,13 @@ def batch_grads(model: Model, preps, train: bool = True,
     """Loss value of one batch (cross-entropy + l2 once), with its gradient
     left in model.params.grad, and that gradient's views by tensor name.
 
-    The next call zeroes and refills model.params.grad: copy the views to
-    keep them past the next step.
+    Each call zeroes model.params.grad before backward() refills it: copy
+    the views to keep them past the next step.
     """
-    leaves = model.params.leaves()
-    loss = model.batch_loss_var(preps, leaves, train=train, dropout_rng=dropout_rng)
+    model.params.grad.fill(0.0)
+    loss = model.batch_loss_var(preps, train=train, dropout_rng=dropout_rng)
     ad.backward(loss)
-    return float(loss.value), {name: leaf.grad for name, leaf in leaves.items()}
+    return float(loss.value), {name: leaf.grad for name, leaf in model.params.leaves().items()}
 
 
 @contextlib.contextmanager
@@ -133,9 +133,7 @@ def check_finite(loss: float, params: ModelParams, epoch: int, step: int) -> Non
     """
     if math.isfinite(loss) and math.isfinite(params.grad.sum()):
         return
-    bad = next((name for name in params.names()
-                if not np.all(np.isfinite(params.grad[slice(*params.span(name))]))), None)
-    raise TrainingDiverged(epoch, step, loss, bad)
+    raise TrainingDiverged(epoch, step, loss, params.first_non_finite(params.grad))
 
 
 def _evaluate_prepared(model: Model, preps) -> Metrics:
@@ -236,9 +234,9 @@ def gradcheck_model(model: Model, example, eps: float = 1e-6,
         raise ValueError("gradcheck requires dropout == 0")
     params = model.params
     prep = model.prepare(example)
-    leaves = params.leaves()
-    ad.backward(model.batch_loss_var([prep], leaves))
-    analytic_grads = {name: leaf.grad.copy() for name, leaf in leaves.items()}
+    params.grad.fill(0.0)
+    ad.backward(model.batch_loss_var([prep]))
+    analytic_grads = {name: leaf.grad.copy() for name, leaf in params.leaves().items()}
 
     report: dict[str, float] = {}
     for name, view in params.items():
@@ -250,7 +248,7 @@ def gradcheck_model(model: Model, example, eps: float = 1e-6,
 
         def f(candidate):
             view[...] = candidate  # a write into params.flat
-            return float(model.batch_loss_var([prep], params.leaves()).value)
+            return float(model.batch_loss_var([prep]).value)
 
         try:
             numeric = finite_diff_grad(f, original, eps)

@@ -1,6 +1,8 @@
 import json
+import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from gdd.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpo
 from gdd.cli import main
 from gdd.data import example_to_dict, generate_synthetic
 from gdd.metrics import evaluate
-from gdd.model import Model, ModelConfig
+from gdd.model import Model, ModelConfig, param_layout
 
 TOY = dict(d_model=8, d_tag=4, d_head=4, d_hid=4, U=1, V=1, L=1)
 
@@ -222,3 +224,87 @@ def test_header_that_is_not_an_object(trained_model):
     _write(path, [1, 2], b"")
     with pytest.raises(CheckpointError, match="JSON object"):
         load_checkpoint(path)
+
+
+def _eval_exit_code(path, examples) -> int:
+    data = path.parent / "data.jsonl"
+    data.write_text("".join(json.dumps(example_to_dict(ex)) + "\n" for ex in examples))
+    return main(["eval", "--checkpoint", str(path), "--data", str(data)])
+
+
+def _write_vocabs(path, edit):
+    """Rewrite a checkpoint after edit(header) changes its vocabularies; its
+    manifest and data (zeros) are sized to the new vocabularies, so that
+    they pass every check but the one on the lists themselves."""
+    model = load_checkpoint(path)
+    header = {"config": model.config.to_dict(), "vocab": model.vocab.to_list(),
+              "tag_vocab": model.tag_vocab.to_list()}
+    edit(header)
+    layout = param_layout(model.config, len(header["vocab"]), len(header["tag_vocab"]))
+    header["params"] = [{"name": n, "shape": list(shape)} for n, shape in layout]
+    _write(path, header, bytes(8 * sum(math.prod(shape) for _, shape in layout)))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("vocab", []), "'vocab': must start with the reserved tokens '<pad>', '<unk>'"),
+    (_set("tag_vocab", []),
+     "'tag_vocab': must start with the reserved tokens '<pad-tag>', '<unk-tag>'"),
+    (lambda h: h["vocab"].reverse(), "'vocab': must start with the reserved tokens"),
+    (lambda h: h["tag_vocab"].pop(0), "'tag_vocab': must start with the reserved tokens"),
+    (lambda h: h["vocab"].append("<unk>"), "'vocab': token '<unk>' listed twice"),
+    (lambda h: h["tag_vocab"].insert(3, "<unk-tag>"), "'tag_vocab': token '<unk-tag>' listed twice"),
+], ids=["vocab-empty", "tag-vocab-empty", "vocab-reversed", "tag-vocab-no-pad",
+        "vocab-repeat", "tag-vocab-repeat"])
+def test_vocabularies_must_be_well_formed(trained_model, edit, message, capsys):
+    """An empty vocabulary would load and crash the first eval; a repeated
+    token would be remapped to its last id."""
+    _, examples, path = trained_model
+    _write_vocabs(path, edit)
+    with pytest.raises(CheckpointError, match=re.escape(f"header field {message}")):
+        load_checkpoint(path)
+    assert _eval_exit_code(path, examples) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, index, value", [
+    ("out.b", 0, float("nan")),
+    ("embed.tag", -1, float("inf")),
+    ("dgat.l0.Wr", 5, -float("inf")),
+])
+def test_non_finite_data_is_named(trained_model, name, index, value, capsys):
+    """A NaN output bias would load, and argmax over NaN logits would give
+    one label for every example."""
+    _, examples, path = trained_model
+
+    def edit(tensors):
+        for n, t in tensors:
+            if n == name:
+                t.flat[index] = value
+        return tensors
+
+    _rewrite(path, edit)
+    message = f"non-finite value in parameter {name}"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(path)
+    assert _eval_exit_code(path, examples) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_finite_data_whose_sum_overflows_loads(trained_model):
+    _, _, path = trained_model
+
+    def edit(tensors):
+        for n, t in tensors:
+            if n == "out.W":
+                t.flat[:2] = 1e308
+        return tensors
+
+    _rewrite(path, edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nor does it warn of the overflow
+        loaded = load_checkpoint(path)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(loaded.params.flat.sum())
+    assert np.all(loaded.params.get("out.W").flat[:2] == 1e308)

@@ -159,6 +159,7 @@ class TestLoss:
             taped = sq if taped is None else taped + sq
         ad.backward(taped)
         leaves = model.params.leaves()
+        model.params.grad.fill(0.0)
         node = model.regularizer_var()
         ad.backward(node)
         want = float(taped.value)
@@ -171,7 +172,7 @@ class TestLoss:
     def test_batch_loss_additivity(self, toy_model):
         model, examples = toy_model
         preps = [model.prepare(ex) for ex in examples[:3]]
-        total = float(model.batch_loss_var(preps, model.params.leaves()).value)
+        total = float(model.batch_loss_var(preps).value)
         ces = []
         for prep in preps:
             logits, _ = model.forward_var(prep, model.params.leaves())
@@ -360,7 +361,8 @@ class TestGradcheck:
         model, examples = toy_model
         prep = model.prepare(examples[0])
         leaves = model.params.leaves()
-        loss_var = model.batch_loss_var([prep], leaves)
+        model.params.grad.fill(0.0)
+        loss_var = model.batch_loss_var([prep])
         ad.backward(loss_var)
         grad = leaves["embed.token"].grad
         used = set(prep.token_ids.tolist())
@@ -377,7 +379,8 @@ class TestGradcheck:
         model = Model.build_for_examples(ModelConfig(l2=0.0, **TOY), examples)
         prep = model.prepare(examples[0])
         leaves = model.params.leaves()
-        ad.backward(model.batch_loss_var([prep], leaves))
+        model.params.grad.fill(0.0)
+        ad.backward(model.batch_loss_var([prep]))
         grad = leaves["embed.token"].grad
         used = set(prep.token_ids.tolist())
         for row in range(grad.shape[0]):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -339,6 +340,25 @@ class TestEval:
                                  "--data", str(empty)], capsys)
         assert code == 2
         assert err == f"error: {empty}: empty dataset\n"
+        assert stdout == ""
+
+    def test_checkpoint_with_an_empty_vocab_exits_2(self, dataset, tmp_path, capsys):
+        """The toy checkpoint with its vocab emptied and embed.token (the first
+        tensor) cut to 0 rows: the manifest matches, the vocab does not."""
+        raw = (GOLDEN_DIR / "toy.gdd").read_bytes()
+        (n,) = struct.unpack("<Q", raw[4:12])
+        header = json.loads(raw[12:12 + n])
+        token = header["params"][0]
+        assert token["name"] == "embed.token"
+        body = raw[12 + n + 8 * math.prod(token["shape"]):]
+        header["vocab"], token["shape"][0] = [], 0
+        blob = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "empty-vocab.gdd"
+        bad.write_bytes(raw[:4] + struct.pack("<Q", len(blob)) + blob + body)
+        code, stdout, err = run(["eval", "--checkpoint", str(bad), "--data", str(dataset)], capsys)
+        assert code == 2
+        assert err == ("error: header field 'vocab': must start with the reserved tokens "
+                       "'<pad>', '<unk>'\n")
         assert stdout == ""
 
     def test_eval_deterministic(self, dataset, tmp_path, capsys):

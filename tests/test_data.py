@@ -81,6 +81,19 @@ class TestLoadDataset:
             load_dataset(path)
 
     @pytest.mark.parametrize("field, value, message", [
+        ("tokens", "abcde", 'tokens: expected a JSON array, got "abcde"'),
+        ("dep_heads", "25550", 'dep_heads: expected a JSON array, got "25550"'),
+        ("dep_rels", {"det": 0, "nsubj": 0, "cop": 0, "advmod": 0, "root": 0},
+         r'dep_rels: expected a JSON array, got \{"det": 0, '),
+    ], ids=["tokens", "dep_heads", "dep_rels"])
+    def test_list_fields_must_be_arrays(self, tmp_path, field, value, message):
+        """A string or an object of the right length would otherwise be read
+        as its characters or its keys."""
+        path = write_jsonl(tmp_path / "d.jsonl", [GOOD_LINE, dict(GOOD_LINE, **{field: value})])
+        with pytest.raises(DataError, match=rf"d\.jsonl:2: {message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field, value, message", [
         ("aspect_start", 1.9, "aspect_start: 1.9 is not an integer"),
         ("aspect_start", True, "aspect_start: true is not an integer"),
         ("aspect_end", False, "aspect_end: false is not an integer"),

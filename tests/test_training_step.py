@@ -1,7 +1,7 @@
 """One training step: its tape-node budget, the leaves it reuses, its pause
 of cyclic GC, its check for divergence, its independence of the BLAS
 thread count, and the one preparation of each set that train makes; and
-the parameter nodes predict reuses."""
+the training leaves that predict reads."""
 
 import gc
 import os
@@ -38,6 +38,9 @@ MAX_NODES_PER_LOCAL_FORWARD = 3
 # Var constructions in a later default-config step, which reuses the leaves
 # the first one built (43 when this budget was set), with the margin above.
 MAX_NODES_PER_STEADY_STEP = 47
+# Var constructions in a later default-config predict, which reads the same
+# leaves (39 when this budget was set), with the margin above.
+MAX_NODES_PER_STEADY_PREDICT = 43
 
 
 def _counting_constructions(monkeypatch, cls):
@@ -89,17 +92,15 @@ def test_default_config_step_stays_within_the_node_budget(monkeypatch):
             <= MAX_NODES_PER_LOCAL_FORWARD * counts["local_forward_var"])
 
 
-def test_leaves_are_built_once_and_zeroed_on_every_call():
+def test_leaves_are_built_once():
     examples = generate_synthetic(seed=0, count=2)
     params = Model.build_for_examples(ModelConfig(**TOY), examples).params
     first = params.leaves()
     objects = dict(first)
-    params.grad[:] = 1.0
     again = params.leaves()
     assert again is first
     assert list(again) == params.names()
     assert all(again[name] is leaf for name, leaf in objects.items())
-    assert not params.grad.any()
     assert params.flat_leaf() is params.flat_leaf()
 
 
@@ -109,6 +110,7 @@ def test_a_later_step_builds_no_leaf_and_stays_within_the_steady_budget(monkeypa
     prep = model.prepare(examples[0])
     first_loss, _ = batch_grads(model, [prep])
     first_grad = model.params.grad.copy()
+    model.params.grad[:] = 1.0  # batch_grads zeroes what the last step left
     leaves = _counting_constructions(monkeypatch, ad.Leaf)
     nodes = _counting_constructions(monkeypatch, ad.Var)
     loss, _ = batch_grads(model, [prep])
@@ -137,42 +139,53 @@ def test_constant_inputs_get_no_gradient(monkeypatch):
     assert [v for v in inputs if v.grad is not None] == []
 
 
-def test_a_loaded_model_builds_no_leaf(tmp_path, monkeypatch):
-    examples = generate_synthetic(seed=0, count=2)
+def test_predict_leaves_the_gradient_buffer_as_it_was(tmp_path):
+    """Predict reads the Leafs that backward() adds into, but runs no
+    backward(): params.grad keeps its bytes, on a trained model (the last
+    step's gradient) and on a loaded one (zeros)."""
+    examples = generate_synthetic(seed=0, count=4)
+    trained = Model.build_for_examples(ModelConfig(**TOY), examples)
+    train(trained, examples, epochs=1)
     path = tmp_path / "m.gdd"
-    save_checkpoint(path, Model.build_for_examples(ModelConfig(**TOY), examples))
-    leaves = _counting_constructions(monkeypatch, ad.Leaf)
-    model = load_checkpoint(path)
-    model.predict(examples[0])
-    assert leaves["n"] == 0
+    save_checkpoint(path, trained)
+    for model in (trained, load_checkpoint(path)):
+        before = model.params.grad.tobytes()
+        for example in examples:
+            model.predict(example)
+        assert model.params.grad.tobytes() == before
+    assert trained.params.grad.any()
 
 
-def test_predict_wraps_the_parameters_once(monkeypatch):
-    """A model's first predict builds one Var per parameter tensor outside
-    the forward pass; later predicts build none there, and none builds a Leaf."""
+def test_predict_reads_the_training_leaves(monkeypatch):
+    """A model's first predict builds one Leaf per parameter tensor outside
+    the forward pass, params.leaves() itself, and later predicts build none
+    there; a later predict stays within its node budget."""
     examples = generate_synthetic(seed=0, count=2)
     model = Model.build_for_examples(ModelConfig(), examples)
     nodes = _counting_constructions(monkeypatch, ad.Var)
-    leaves = _counting_constructions(monkeypatch, ad.Leaf)
     inside = {"n": 0}
+    passed = []
     forward_var = Model.forward_var
 
-    def counting_forward_var(self, *args, **kwargs):
+    def counting_forward_var(self, prep, leaves, *args, **kwargs):
+        passed.append(leaves)
         before = nodes["n"]
         try:
-            return forward_var(self, *args, **kwargs)
+            return forward_var(self, prep, leaves, *args, **kwargs)
         finally:
             inside["n"] += nodes["n"] - before
 
     monkeypatch.setattr(Model, "forward_var", counting_forward_var)
-    outside = []
+    outside, total = [], []
     for example in (examples[0], examples[1], examples[0]):
         nodes["n"] = inside["n"] = 0
         model.predict(example)
         assert inside["n"] > 0
         outside.append(nodes["n"] - inside["n"])
+        total.append(nodes["n"])
     assert outside == [len(model.params.names()), 0, 0]
-    assert leaves["n"] == 0
+    assert all(leaves is model.params.leaves() for leaves in passed)
+    assert max(total[1:]) <= MAX_NODES_PER_STEADY_PREDICT
 
 
 def test_a_predict_after_an_update_reads_the_new_weights():

@@ -318,29 +318,29 @@ def _real_dft(d: int):
     return F, Finv
 
 
-def circ_corr(a, b) -> Var:
-    """Circular correlation along the last axis; 2-D operands pair row-wise.
+def circ_corr(pair) -> Var:
+    """Circular correlation of pair[0] with pair[1] along the last axis.
 
-    out = irfft(conj(A) * B, n=d) with A = rfft(a), B = rfft(b): real by
-    construction, no imaginary residue to discard (numeric.circ_corr_fft is
-    the complex-FFT oracle). The transforms are products with _real_dft's
-    matrices, whose interleaved layout makes a GEMM's output rows complex
-    spectra under .view(np.complex128): one GEMM takes the stacked rows
-    [a; b] to A and B, conj(A) * B is one complex multiply, and one GEMM of
-    its float64 view takes it back. Gradients are themselves circular ops
-    over G = rfft(g): d/da = corr(g, b) = irfft(conj(G) * B) and
-    d/db = conv(g, a) = irfft(G * A), so the VJP is one GEMM of g, two
-    complex multiplies and one GEMM of both products stacked.
+    pair is one (2, ..., d) operand; out (..., d) = irfft(conj(A) * B, n=d)
+    with A, B the rffts of pair[0], pair[1]: real by construction, no
+    imaginary residue to discard (numeric.circ_corr_fft is the complex-FFT
+    oracle). The transforms are products with _real_dft's matrices, whose
+    interleaved layout makes a GEMM's output rows complex spectra under
+    .view(np.complex128): one GEMM of the pair's rows, read as they lie,
+    gives A and B, conj(A) * B is one complex multiply, and one GEMM of its
+    float64 view takes it back. Over G = rfft(g) the gradient is d/d pair[0]
+    = irfft(conj(G) * B) and d/d pair[1] = irfft(G * A): one GEMM of g, two
+    complex multiplies and one GEMM of both products, the pair's one
+    (2, ..., d) contribution.
     """
-    a, b = as_var(a), as_var(b)
-    shape = a.value.shape
-    if shape != b.value.shape:
-        raise ValueError(f"circ_corr: shape mismatch {shape} vs {b.value.shape}")
+    pair = as_var(pair)
+    shape = pair.value.shape
+    if len(shape) < 2 or shape[0] != 2:
+        raise ValueError(f"circ_corr: expected a (2, ..., d) pair, got shape {shape}")
     d = shape[-1]
     F, Finv = _real_dft(d)
-    m = a.value.size // d
-    rows = np.concatenate((a.value.reshape(m, d), b.value.reshape(m, d)))
-    spectra = (rows @ F).view(np.complex128)  # [A; B], 2m x K
+    m = pair.value.size // (2 * d)
+    spectra = (pair.value.reshape(2 * m, d) @ F).view(np.complex128)  # [A; B], 2m x K
     A, B = spectra[:m], spectra[m:]
 
     def vjp(g):
@@ -348,10 +348,9 @@ def circ_corr(a, b) -> Var:
         both = np.empty((2 * m, A.shape[1]), np.complex128)
         np.multiply(G.conj(), B, out=both[:m])
         np.multiply(G, A, out=both[m:])
-        grads = both.view(np.float64) @ Finv
-        return grads[:m].reshape(shape), grads[m:].reshape(shape)
+        return ((both.view(np.float64) @ Finv).reshape(shape),)
 
-    return Var(((A.conj() * B).view(np.float64) @ Finv).reshape(shape), (a, b), vjp)
+    return Var(((A.conj() * B).view(np.float64) @ Finv).reshape(shape[1:]), (pair,), vjp)
 
 
 def backward(out: Var) -> None:

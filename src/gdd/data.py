@@ -103,6 +103,14 @@ def _array(items, field: str) -> list:
     return items
 
 
+def _text(item, field: str) -> str:
+    """item, a string or a number, as a string: an array, an object, null or
+    a boolean would otherwise load as its Python repr."""
+    if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+        raise DataError(f"{field}: expected a string, got {json.dumps(item)[:40]}")
+    return str(item)
+
+
 def example_from_dict(rec: dict) -> Example:
     """A validated Example from one JSON record.
 
@@ -123,14 +131,16 @@ def example_from_dict(rec: dict) -> Example:
     heads, rels = rec["dep_heads"], rec["dep_rels"]
     try:
         ex = Example(
-            tokens=tokens if _list_of(tokens, str) else [str(t) for t in _array(tokens, "tokens")],
+            tokens=(tokens if _list_of(tokens, str)
+                    else [_text(t, f"tokens[{i}]") for i, t in enumerate(_array(tokens, "tokens"))]),
             aspect_start=as_index(rec["aspect_start"], "aspect_start"),
             aspect_end=as_index(rec["aspect_end"], "aspect_end"),
             label=label if type(label) is str else str(label),
             dep_heads=(heads if _list_of(heads, int)
                        else [as_index(h, f"dep_heads[{i}]")
                              for i, h in enumerate(_array(heads, "dep_heads"))]),
-            dep_rels=rels if _list_of(rels, str) else [str(r) for r in _array(rels, "dep_rels")],
+            dep_rels=(rels if _list_of(rels, str)
+                      else [_text(r, f"dep_rels[{i}]") for i, r in enumerate(_array(rels, "dep_rels"))]),
         )
     except DataError:
         raise

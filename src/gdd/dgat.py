@@ -8,14 +8,15 @@ A relational head scores neighbors purely from edge embeddings via a small
 MLP. The layer output concatenates all heads; edges are reprojected between
 layers while context-word features stay at their layer-0 values.
 
-Every function here builds tape nodes (`autodiff.Var`). A dual head's
-attention, with the aspect projection only that head reads, is one node
-with a hand-derived VJP over the plain-array kernels `_edge_weights` and
-`_node_weights`. A layer's V relational heads are one node together: their
-weights come stacked over the heads (`RelHeads`; the model passes strided
-views of its flat buffers), so each step is one matmul or ufunc call for
-all of them. A layer over an empty graph returns a zero vector and flags
-it in its trace.
+Every function here builds tape nodes (`autodiff.Var`). A dual head's own
+work is two nodes: its node and edge projections as one stacked pair, and
+their row-wise circular correlation. The attention of a layer's U dual
+heads is one node, with a hand-derived VJP over the plain-array kernels
+`_edge_weights` and `_node_weights`, and so are its V relational heads.
+Each family's weights come stacked over its heads (`DgatLayerParams.Wa`,
+`RelHeads`; the model passes strided views of its flat buffers), so each
+step is one matmul or ufunc call for all of them. A layer over an empty
+graph returns a zero vector and flags it in its trace.
 
 The paper's relational scoring MLP ends in an output bias b2, one scalar
 per head added to every logit of that head's softmax. softmax(z + b2)
@@ -41,7 +42,6 @@ from .numeric import Tensor, _softmax
 
 @dataclass
 class DualHeadParams:
-    Wa: Tensor  # aspect projection, a_width x d_head
     We: Tensor  # edge projection, d_edge x d_head
     Wi: Tensor  # node projection, d_model x d_head
 
@@ -63,6 +63,7 @@ class RelHeads:
 @dataclass
 class DgatLayerParams:
     dual: list[DualHeadParams]
+    Wa: Tensor | None  # the dual heads' aspect projections, U x a_width x d_head
     rel: RelHeads | None  # None when the layer has no relational head
     Wr: Tensor  # relation update, d_edge x d_edge_out
 
@@ -75,65 +76,84 @@ def _scaled(logits: Tensor, d_head: int, scale: bool) -> Tensor:
     return logits * (1.0 / math.sqrt(d_head)) if scale else logits
 
 
-def _edge_weights(a_proj: Tensor, e_proj: Tensor, scale: bool) -> Tensor:
-    """Target-edge weights beta: softmax over <Wa h_a, We e_i>."""
-    return _softmax(_scaled(e_proj @ a_proj, a_proj.shape[0], scale))
+def _edge_weights(logits: Tensor, d_head: int, scale: bool) -> Tensor:
+    """Target-edge weights beta: softmax over the logits <Wa h_a, We e_i>."""
+    return _softmax(_scaled(logits, d_head, scale))
 
 
-def _node_weights(a_proj: Tensor, n_proj: Tensor, beta: Tensor, scale: bool):
-    """Target-node weights omega: softmax of beta_i * <Wa h_a, Wi h_i>.
+def _node_weights(dots: Tensor, beta: Tensor, d_head: int, scale: bool) -> Tensor:
+    """Target-node weights omega: softmax of beta_i * dots_i, the dots being
+    <Wa h_a, Wi h_i>.
 
     beta multiplies the logit, it never masks: a zero beta_i leaves logit 0,
-    which still receives softmax mass. Returns (<Wa h_a, Wi h_i>, omega).
+    which still receives softmax mass.
     """
-    dots = n_proj @ a_proj
-    return dots, _softmax(_scaled(beta * dots, a_proj.shape[0], scale))
+    return _softmax(_scaled(beta * dots, d_head, scale))
 
 
-def dual_attention_var(h_a: Var, Wa: Var, e_proj: Var, n_proj: Var, composed: Var,
-                       scale: bool = False):
-    """The attention of a dual-level head as one tape node: the aspect
-    projection a = h_a Wa, beta from the edges, omega from the nodes and
-    beta, and the omega-weighted sum of the composed rows. Returns
-    (output Var[d_head], beta, omega); the weights are plain arrays.
+def dual_head_var(H_N: Var, E: Var, p: DualHeadParams):
+    """One dual-level head's projections and their composition, two nodes.
 
-    The VJP runs the chain rule back through both softmaxes by hand:
-    d/d composed = omega g^T; d/d a collects both logits' terms, and
-    d/d h_a = Wa d_a, d/d Wa = h_a d_a^T.
+    The first is the pair [H_N Wi; E We], stacked as (2, m, d_head), whose
+    VJP does the four GEMMs of the two products; the second is
+    ad.circ_corr(pair), whose row i is corr(Wi h_i, We e_i). Returns (pair,
+    composed); dual_attention_var weighs them for all of a layer's heads.
     """
-    h, W, Ep, Np, C = h_a.value, Wa.value, e_proj.value, n_proj.value, composed.value
-    a = h @ W
-    c = 1.0 / math.sqrt(a.shape[0]) if scale else 1.0
-    beta = _edge_weights(a, Ep, scale)
-    dots, omega = _node_weights(a, Np, beta, scale)
+    Wi, We = as_var(p.Wi), as_var(p.We)
+    Hv, Ev, wi, we = H_N.value, E.value, Wi.value, We.value
+    value = np.empty((2, Hv.shape[0], wi.shape[1]))
+    np.matmul(Hv, wi, out=value[0])
+    np.matmul(Ev, we, out=value[1])
 
     def vjp(g):
-        d_omega = C @ g
-        d_node = (d_omega - np.dot(d_omega, omega)) * omega * c  # d/d (beta * dots)
-        d_beta = d_node * dots
-        d_dots = d_node * beta
-        d_edge = (d_beta - np.dot(d_beta, beta)) * beta * c  # d/d (Ep @ a)
-        d_a = Ep.T @ d_edge + Np.T @ d_dots
-        return (W @ d_a, h[:, None] * d_a, d_edge[:, None] * a, d_dots[:, None] * a,
-                omega[:, None] * g)
+        return g[0] @ wi.T, g[1] @ we.T, Hv.T @ g[0], Ev.T @ g[1]
 
-    out = Var(omega @ C, (h_a, Wa, e_proj, n_proj, composed), vjp)
-    return out, beta, omega
+    pair = Var(value, (H_N, E, Wi, We), vjp)
+    return pair, ad.circ_corr(pair)
 
 
-def dual_head_var(h_a: Var, H_N: Var, E: Var, p: DualHeadParams,
-                  scale: bool = False):
-    """One dual-level head: omega-weighted sum of corr(Wi h_i, We e_i) rows.
+def dual_attention_var(h_a: Var, Wa, pairs, composeds, scale: bool = False):
+    """The attention of a layer's U dual-level heads as one tape node.
 
-    Four tape nodes: the edge and node projections, each computed once,
-    their row-wise circular correlation, and `dual_attention_var`, which
-    also projects the aspect.
-    Returns (head output Var[d_head], beta array[m], omega array[m]).
+    Wa stacks the heads' aspect projections, so a = h_a Wa is U x d_head.
+    One batched matmul of the stacked pairs (U x 2m x d_head, see
+    dual_head_var) with a gives each head's node logits <a_u, Wi h_i> and
+    edge logits <a_u, We e_i>; beta is the softmax of the edge logits
+    (target-edge), omega that of beta times the node logits (target-node),
+    and head u outputs the omega_u-weighted sum of its composed rows.
+    Returns (the heads' outputs side by side, Var[U * d_head]; beta, omega,
+    arrays U x m). The VJP runs back through both softmaxes by hand to
+    d_logits; then d/d pair_u = d_logits_u a_u^T, d_a_u = pair_u^T d_logits_u,
+    d/d h_a = sum_u Wa_u d_a_u and d/d composed_u = omega_u g_u^T.
     """
-    e_proj = ad.matmul(E, p.We)
-    n_proj = ad.matmul(H_N, p.Wi)
-    composed = ad.circ_corr(n_proj, e_proj)  # m x d_head, row-wise
-    return dual_attention_var(as_var(h_a), as_var(p.Wa), e_proj, n_proj, composed, scale)
+    Wa = as_var(Wa)
+    h, W = h_a.value, Wa.value
+    U, _, d = W.shape
+    m = composeds[0].value.shape[0]
+    P = np.concatenate([p.value for p in pairs]).reshape(U, 2 * m, d)
+    C = np.concatenate([c.value for c in composeds]).reshape(U, m, d)
+    a = np.matmul(h, W)  # U x d
+    logits = np.matmul(P, a[:, :, None])[:, :, 0]  # U x 2m: node logits, then edge logits
+    dots = logits[:, :m]
+    beta = _edge_weights(logits[:, m:], d, scale)
+    omega = _node_weights(dots, beta, d, scale)
+    c = 1.0 / math.sqrt(d) if scale else 1.0
+
+    def vjp(g):
+        g = g.reshape(U, d)
+        d_omega = np.matmul(C, g[:, :, None])[:, :, 0]
+        d_node = (d_omega - (d_omega * omega).sum(axis=1, keepdims=True)) * omega * c
+        d_beta = d_node * dots
+        d_logits = np.empty((U, 2 * m))
+        np.multiply(d_node, beta, out=d_logits[:, :m])  # d/d dots
+        d_logits[:, m:] = (d_beta - (d_beta * beta).sum(axis=1, keepdims=True)) * beta * c
+        d_a = np.matmul(d_logits[:, None, :], P)[:, 0, :]
+        d_pairs = (d_logits[:, :, None] * a[:, None, :]).reshape(U, 2, m, d)
+        return (np.matmul(W, d_a[:, :, None])[:, :, 0].sum(axis=0),
+                h[:, None] * d_a[:, None, :], *d_pairs, *(omega[:, :, None] * g[:, None, :]))
+
+    out = np.matmul(omega[:, None, :], C).reshape(U * d)
+    return Var(out, (h_a, Wa, *pairs, *composeds), vjp), beta, omega
 
 
 def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
@@ -195,11 +215,12 @@ def dgat_layer_var(h_a: Var, H_N: Var, E: Var, params: DgatLayerParams,
     if m == 0:
         return Var(np.zeros(width)), trace
     outs = []
-    for hp in params.dual:
-        out, beta, omega = dual_head_var(h_a, H_N, E, hp, scale)
+    if params.dual:
+        pairs, composeds = zip(*(dual_head_var(H_N, E, hp) for hp in params.dual))
+        out, beta, omega = dual_attention_var(h_a, params.Wa, pairs, composeds, scale)
         outs.append(out)
-        trace["beta"].append(beta)
-        trace["omega"].append(omega)
+        trace["beta"].extend(beta)
+        trace["omega"].extend(omega)
     if params.rel is not None:
         out, rho = relational_head_var(H_N, E, params.rel)
         outs.append(out)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,36 +259,7 @@ def init_params(config: ModelConfig, vocab_size: int, tag_vocab_size: int,
     return p
 
 
-def l2_runs(params: ModelParams) -> tuple[tuple[int, int], ...]:
-    """The [start, stop) ranges of params.flat that the l2 term covers: every
-    2-D tensor except the PAD rows (row 0) of the token and tag tables.
-    Adjacent ranges are merged."""
-    runs: list[tuple[int, int]] = []
-    for name, t in params.items():
-        if t.ndim != 2:
-            continue
-        lo, hi = params.span(name)
-        if name in ("embed.token", "embed.tag"):
-            lo += t.shape[1]
-        if runs and runs[-1][1] == lo:
-            runs[-1] = (runs[-1][0], hi)
-        else:
-            runs.append((lo, hi))
-    return tuple(runs)
-
-
 REL_FIELDS = ("Wv", "W1", "b1", "W2")  # b2, a softmax shift, is stored but never read
-
-
-@functools.lru_cache(maxsize=8)
-def _dgat_getters(U: int, L: int):
-    """Per DGAT layer: one getter per dual head, taking (Wa, We, Wi) from a
-    name -> tensor dict, and the name of Wr. The names follow param_layout."""
-    return tuple(
-        (tuple(operator.itemgetter(*(f"dgat.l{l}.dual{u}.{w}" for w in ("Wa", "We", "Wi")))
-               for u in range(U)),
-         f"dgat.l{l}.Wr")
-        for l in range(L))
 
 
 def rel_head_stacks(params: ModelParams, config: ModelConfig) -> list[dg.RelHeads | None]:
@@ -302,6 +272,21 @@ def rel_head_stacks(params: ModelParams, config: ModelConfig) -> list[dg.RelHead
     return [dg.RelHeads(*(Leaf(*params.stack([f"dgat.l{l}.rel{v}.{w}" for v in range(config.V)]))
                           for w in REL_FIELDS)) if config.V else None
             for l in range(config.L)]
+
+
+def dgat_layer_params(params: ModelParams, config: ModelConfig) -> list[dg.DgatLayerParams]:
+    """Per DGAT layer, the tensors its forward reads: each dual head's We and
+    Wi and the layer's Wr as params.leaves(), and the stacks over the
+    layer's heads, which sit at equal spacing in param_layout, as Leafs over
+    ModelParams.stack views: the dual heads' Wa (None when U = 0) and the
+    relational fields (rel_head_stacks)."""
+    leaves, U = params.leaves(), config.U
+    return [dg.DgatLayerParams(
+        dual=[dg.DualHeadParams(leaves[f"dgat.l{l}.dual{u}.We"], leaves[f"dgat.l{l}.dual{u}.Wi"])
+              for u in range(U)],
+        Wa=Leaf(*params.stack([f"dgat.l{l}.dual{u}.Wa" for u in range(U)])) if U else None,
+        rel=rel, Wr=leaves[f"dgat.l{l}.Wr"])
+        for l, rel in enumerate(rel_head_stacks(params, config))]
 
 
 def _as_lists(trace):
@@ -358,10 +343,9 @@ class Model:
         self.tag_vocab = tag_vocab
         self.params = params
         self.frozen_embeddings = frozen_embeddings
-        self._l2_runs = l2_runs(params)
-        # the relational stacks, built by the first forward pass, training's
-        # or predict's, like params.leaves()
-        self._rel_leaves: list[dg.RelHeads | None] | None = None
+        # the DGAT layers' parameters, built by the first forward pass,
+        # training's or predict's, like params.leaves()
+        self._layers: list[dg.DgatLayerParams] | None = None
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: Vocab, tag_vocab: TagVocab,
@@ -413,12 +397,6 @@ class Model:
             return Var(H)
         return ad.gather_rows(leaves["embed.token"], prep.token_ids)
 
-    def _dgat_layer_params(self, leaves: dict[str, Var]) -> list[dg.DgatLayerParams]:
-        cfg = self.config
-        return [dg.DgatLayerParams(dual=[dg.DualHeadParams(*get(leaves)) for get in dual],
-                                   rel=rel, Wr=leaves[wr])
-                for (dual, wr), rel in zip(_dgat_getters(cfg.U, cfg.L), self._rel_leaves)]
-
     def _edge_matrix(self, prep: Prepared, leaves: dict[str, Var]) -> Var:
         """The layer-0 edge rows, one node: row i sets the tag-table rows of
         edge i's path side by side, then its hop-table row."""
@@ -431,15 +409,16 @@ class Model:
                     train: bool = False, dropout_rng: Rng | None = None):
         """Tape forward pass; returns (logits Var[3], trace dict).
 
-        Every weight comes from `leaves` except the relational heads', which,
-        as regularizer_var's, always read the model's own buffers: Leafs over
-        params.flat and params.grad (rel_head_stacks), built on the first
-        call. The trace holds the attention weights and the mask as arrays;
-        predict(with_trace=True) turns them into lists for JSON.
+        Every weight comes from `leaves` except the DGAT layers', which, as
+        regularizer_var's, always read the model's own buffers: the list of
+        dgat_layer_params, built on the first call (its Wa and relational
+        stacks are Leafs over params.flat and params.grad) and read by every
+        later one. The trace holds the attention weights and the mask as
+        arrays; predict(with_trace=True) turns them into lists for JSON.
         """
         cfg = self.config
-        if self._rel_leaves is None:
-            self._rel_leaves = rel_head_stacks(self.params, cfg)
+        if self._layers is None:
+            self._layers = dgat_layer_params(self.params, cfg)
         H = self._sentence_matrix(prep, leaves)
 
         h_local, trace = le.local_forward_var(
@@ -456,7 +435,7 @@ class Model:
         H_N = ad.gather_rows(H, prep.word_token_idx)
         E = self._edge_matrix(prep, leaves)
         h_global, layer_traces = dg.global_forward_var(
-            h_a, H_N, E, self._dgat_layer_params(leaves), cfg.d_head,
+            h_a, H_N, E, self._layers, cfg.d_head,
             scale=cfg.scale_logits, dropout=cfg.dropout if train else 0.0, rng=dropout_rng)
 
         trace["dgat"] = {
@@ -497,6 +476,25 @@ class Model:
         into params.grad, which the leaves of params.leaves() view.
         """
         return ad.sum_squares(self.params.flat_leaf(), self._l2_runs)
+
+    @functools.cached_property
+    def _l2_runs(self) -> tuple[tuple[int, int], ...]:
+        """The [start, stop) ranges of params.flat that the l2 term covers:
+        every 2-D tensor except the PAD rows (row 0) of the token and tag
+        tables, adjacent ranges merged. Computed by the first regularizer_var
+        call, so a model loaded only to predict never computes them."""
+        runs: list[tuple[int, int]] = []
+        for name, t in self.params.items():
+            if t.ndim != 2:
+                continue
+            lo, hi = self.params.span(name)
+            if name in ("embed.token", "embed.tag"):
+                lo += t.shape[1]
+            if runs and runs[-1][1] == lo:
+                runs[-1] = (runs[-1][0], hi)
+            else:
+                runs.append((lo, hi))
+        return tuple(runs)
 
     def batch_loss_var(self, preps, train: bool = False,
                        dropout_rng: Rng | None = None) -> Var:

@@ -17,6 +17,12 @@ def reshape(a, shape) -> Var:
     return Var(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),))
 
 
+def stack(vs) -> Var:
+    """Tensors of one shape stacked along a new leading axis."""
+    vs = tuple(as_var(v) for v in vs)
+    return Var(np.stack([v.value for v in vs]), vs, lambda g: tuple(g))
+
+
 def sum_(a, axis=None, keepdims: bool = False) -> Var:
     a = as_var(a)
     val = a.value.sum(axis=axis, keepdims=keepdims)

@@ -162,26 +162,26 @@ def test_logsumexp_matches_numpy():
 
 
 def test_circ_corr_1d_and_rows():
-    check_grad(lambda a, b: sum_(ad.circ_corr(a, b)), (5,), (5,))
-    check_grad(lambda a, b: sum_(ad.mul(ad.circ_corr(a, b), 0.7)), (3, 4), (3, 4))
+    check_grad(lambda pair: sum_(ad.circ_corr(pair)), (2, 5))
+    check_grad(lambda pair: sum_(ad.mul(ad.circ_corr(pair), 0.7)), (2, 3, 4))
 
 
 @pytest.mark.parametrize("d", [6, 7])
 def test_circ_corr_gradient_at_even_and_odd_length(d):
     # An even d has a Nyquist bin, which the inverse DFT weighs once; an odd d has none.
     probe = Var(Rng(12).uniform((4, d), -1.0, 1.0))
-    check_grad(lambda a, b: sum_(ad.mul(ad.circ_corr(a, b), probe)), (4, d), (4, d), seed=d)
+    check_grad(lambda pair: sum_(ad.mul(ad.circ_corr(pair), probe)), (2, 4, d), seed=d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 5, 16, 17, 64])
 def test_circ_corr_matches_the_naive_oracle(d):
     rng = Rng(d)
     a, b = rng.normal((d,)), rng.normal((d,))
-    out = ad.circ_corr(Var(a), Var(b)).value
+    out = ad.circ_corr(Var(np.stack((a, b)))).value
     assert out.shape == (d,)
     assert np.max(np.abs(out - circ_corr_naive(a, b))) < 1e-12
     A, B = rng.normal((3, d)), rng.normal((3, d))
-    rows = ad.circ_corr(Var(A), Var(B)).value
+    rows = ad.circ_corr(Var(np.stack((A, B)))).value
     assert rows.shape == (3, d)
     for i in range(3):
         assert np.max(np.abs(rows[i] - circ_corr_naive(A[i], B[i]))) < 1e-12
@@ -202,8 +202,11 @@ def test_real_dft_interleaved_layout(d):
 
 
 def test_circ_corr_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        ad.circ_corr(Var(np.zeros(3)), Var(np.zeros(4)))
+    """The operand must be one (2, ..., d) pair: a leading axis other than 2,
+    or a pair of scalars, is refused."""
+    for shape in [(3, 4), (1, 4), (3, 2, 4), (2,)]:
+        with pytest.raises(ValueError, match=r"expected a \(2, \.\.\., d\) pair"):
+            ad.circ_corr(Var(np.zeros(shape)))
 
 
 def test_shared_subexpression_accumulates():
@@ -249,11 +252,11 @@ def test_multi_parent_node_calls_its_vjp_once_per_pass_and_drops_the_results():
 @pytest.mark.parametrize("m", [1, 5])
 @pytest.mark.parametrize("scale", [False, True])
 def test_fused_dual_attention(m, scale):
-    a_w, d = 6, 4
-    probe = Var(Rng(7).uniform((d,), -1.0, 1.0))
-    check_grad(lambda h, Wa, e, n, c: ad.matmul(dual_attention_var(h, Wa, e, n, c, scale)[0],
-                                                probe),
-               (a_w,), (a_w, d), (m, d), (m, d), (m, d), seed=m)
+    U, a_w, d = 2, 6, 4
+    probe = Var(Rng(7).uniform((U * d,), -1.0, 1.0))
+    check_grad(lambda h, Wa, *rows: ad.matmul(
+                   dual_attention_var(h, Wa, rows[:U], rows[U:], scale)[0], probe),
+               (a_w,), (U, a_w, d), *[(2, m, d)] * U, *[(m, d)] * U, seed=m)
 
 
 @pytest.mark.parametrize("m", [1, 5])

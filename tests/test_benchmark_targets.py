@@ -54,3 +54,22 @@ def test_every_target_is_called_by_train_predict_and_evaluate(tracer_module):
         evaluate(model, examples)
     idle = sorted({span for _, _, span in tracer_module.TARGETS if not tracer.get(span).calls})
     assert idle == []
+
+
+def test_a_predict_runs_every_dual_head_and_its_correlation(tracer_module):
+    """Mirrors perfbench/test_tracer.py::test_predict_spans_nest_and_count_nodes,
+    which tier-1 does not collect: a default-config predict calls
+    dgat.dual_head_var and autodiff.circ_corr U * L times each, more nodes
+    are built under dual_head_var than under circ_corr, which builds some,
+    and every node but the per-tensor leaves is built inside forward_var."""
+    examples = generate_synthetic(seed=4, count=2)
+    config = ModelConfig()
+    model = Model.build_for_examples(config, examples)
+    span = {attr: name for _, attr, name in tracer_module.TARGETS}
+    tracer = tracer_module.Tracer()
+    with tracer.active():
+        model.predict(examples[0])
+    dual, corr = tracer.get(span["dual_head_var"]), tracer.get(span["circ_corr"])
+    assert dual.calls == corr.calls == config.U * config.L
+    assert dual.nodes > corr.nodes > 0
+    assert tracer.get(span["forward_var"]).nodes == tracer.nodes - len(model.params.names())

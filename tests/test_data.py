@@ -93,6 +93,25 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=rf"d\.jsonl:2: {message}"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field", ["tokens", "dep_rels"])
+    def test_list_items_must_be_strings_or_numbers(self, tmp_path, field):
+        """An array, an object, null or a boolean item would otherwise load
+        as its Python repr (["staff"] as "['staff']", null as "None")."""
+        for item, shown in [(["staff"], r'\["staff"\]'), ({"r": 1}, r'\{"r": 1\}'),
+                            (None, "null"), (True, "true")]:
+            items = list(GOOD_LINE[field])
+            items[2] = item
+            path = write_jsonl(tmp_path / "d.jsonl", [GOOD_LINE, dict(GOOD_LINE, **{field: items})])
+            with pytest.raises(DataError, match=rf"d\.jsonl:2: {field}\[2\]: expected a string, "
+                                                rf"got {shown}$"):
+                load_dataset(path)
+
+    def test_numbers_in_string_lists_load_as_their_text(self, tmp_path):
+        line = dict(GOOD_LINE, tokens=["the", 7, 2.5] + GOOD_LINE["tokens"][3:],
+                    dep_rels=[1] + GOOD_LINE["dep_rels"][1:])
+        ex, = load_dataset(write_jsonl(tmp_path / "d.jsonl", [line]))
+        assert ex.tokens[:3] == ["the", "7", "2.5"] and ex.dep_rels[0] == "1"
+
     @pytest.mark.parametrize("field, value, message", [
         ("aspect_start", 1.9, "aspect_start: 1.9 is not an integer"),
         ("aspect_start", True, "aspect_start: true is not an integer"),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gdd.dgat import (
     _edge_weights,
     _node_weights,
     dgat_layer_var,
+    dual_attention_var,
     dual_head_var,
     global_forward_var,
     relation_update_var,
@@ -23,11 +25,21 @@ from gdd.model import REL_FIELDS, Model, ModelConfig, rel_head_stacks
 from gdd.numeric import Rng, circ_corr_fft, softmax
 from gdd.training import batch_grads
 
-from oracles import reshape
+from oracles import reshape, stack
 
 
 # Reference heads built from one small tape op per step, each with its own
 # VJP. The heads of gdd.dgat must reproduce them in value and gradient.
+
+@dataclass
+class DualHead:
+    """One dual-level head's own tensors, as the oracles read them. The
+    library keeps We and Wi per head (DualHeadParams) and stacks a layer's
+    Wa over its heads (DgatLayerParams.Wa)."""
+    Wa: np.ndarray  # a_width x d_head
+    We: np.ndarray  # d_edge x d_head
+    Wi: np.ndarray  # d_model x d_head
+
 
 def _maybe_scale_oracle(logits, d_head, scale):
     return ad.mul(logits, 1.0 / math.sqrt(d_head)) if scale else logits
@@ -52,7 +64,7 @@ def dual_head_oracle(h_a, H_N, E, p, scale=False):
     omega = target_node_attention_oracle(h_a, H_N, beta, p.Wa, p.Wi, scale)
     n_proj = ad.matmul(H_N, p.Wi)
     e_proj = ad.matmul(E, p.We)
-    composed = ad.circ_corr(n_proj, e_proj)
+    composed = ad.circ_corr(stack([n_proj, e_proj]))
     return ad.matmul(omega, composed), beta, omega
 
 
@@ -72,17 +84,37 @@ def one_head(heads, v):
 
 
 def edge_weights(h_a, E, p, scale=False):
-    """beta of the dual-head attention node's kernel."""
-    return _edge_weights(h_a @ p.Wa, E @ p.We, scale)
+    """beta of the dual attention node's kernel for one head p."""
+    return _edge_weights((E @ p.We) @ (h_a @ p.Wa), p.Wa.shape[1], scale)
 
 
 def node_weights(h_a, H_N, beta, p, scale=False):
-    """omega of the dual-head attention node's kernel for a given beta."""
-    return _node_weights(h_a @ p.Wa, H_N @ p.Wi, beta, scale)[1]
+    """omega of the dual attention node's kernel for one head p and a given beta."""
+    return _node_weights((H_N @ p.Wi) @ (h_a @ p.Wa), beta, p.Wa.shape[1], scale)
+
+
+def dual_family_var(h_a, H_N, E, Wa, heads, scale=False):
+    """A layer's dual heads as the library runs them: dual_head_var per head
+    (DualHeadParams), then one dual_attention_var node with the Wa stack."""
+    pairs, composeds = zip(*(dual_head_var(H_N, E, p) for p in heads))
+    return dual_attention_var(h_a, Wa, pairs, composeds, scale)
+
+
+def one_dual_head_var(h_a, H_N, E, p, scale=False):
+    """One DualHead p through the library, its Wa a stack of one head.
+    Returns (output, beta, omega), the weights as arrays of length m."""
+    out, beta, omega = dual_family_var(h_a, H_N, E, reshape(p.Wa, (1,) + p.Wa.shape),
+                                       [DualHeadParams(p.We, p.Wi)], scale)
+    return out, beta[0], omega[0]
+
+
+def one_dual(layer, u):
+    """Dual head u of a DgatLayerParams as a DualHead."""
+    return DualHead(layer.Wa[u], layer.dual[u].We, layer.dual[u].Wi)
 
 
 def dual_head_out(h_a, H_N, E, p):
-    return dual_head_var(Var(h_a), Var(H_N), Var(E), p)[0].value
+    return one_dual_head_var(Var(h_a), Var(H_N), Var(E), p)[0].value
 
 
 def rel_head_out(H_N, E, p):
@@ -95,9 +127,9 @@ def layer_out(h_a, H_N, E, layer):
 
 
 def make_dual(rng, a_w=6, e_w=8, d_model=6, d_head=4):
-    return DualHeadParams(Wa=rng.uniform((a_w, d_head), -0.5, 0.5),
-                          We=rng.uniform((e_w, d_head), -0.5, 0.5),
-                          Wi=rng.uniform((d_model, d_head), -0.5, 0.5))
+    return DualHead(Wa=rng.uniform((a_w, d_head), -0.5, 0.5),
+                    We=rng.uniform((e_w, d_head), -0.5, 0.5),
+                    Wi=rng.uniform((d_model, d_head), -0.5, 0.5))
 
 
 def make_rel_with_b2(rng, e_w=8, d_model=6, d_head=4, V=1):
@@ -115,8 +147,10 @@ def make_rel(rng, e_w=8, d_model=6, d_head=4, V=1):
 
 
 def make_layer(rng, a_w=6, e_w=8, d_model=6, d_head=4, U=1, V=1, e_out=6):
+    heads = [make_dual(rng, a_w, e_w, d_model, d_head) for _ in range(U)]
     return DgatLayerParams(
-        dual=[make_dual(rng, a_w, e_w, d_model, d_head) for _ in range(U)],
+        dual=[DualHeadParams(h.We, h.Wi) for h in heads],
+        Wa=np.stack([h.Wa for h in heads]) if U else None,
         rel=make_rel(rng, e_w, d_model, d_head, V) if V else None,
         Wr=rng.uniform((e_w, e_out), -0.5, 0.5))
 
@@ -147,9 +181,12 @@ class TestTargetEdgeAttention:
         rng = Rng(2)
         p = make_dual(rng)
         h_a, H_N, E = (rng.uniform(s, -1, 1) for s in [(6,), (3, 6), (3, 8)])
-        _, beta, omega = dual_head_var(Var(h_a), Var(H_N), Var(E), p)
-        assert np.array_equal(beta, edge_weights(h_a, E, p))
-        assert np.array_equal(omega, node_weights(h_a, H_N, beta, p))
+        _, beta, omega = one_dual_head_var(Var(h_a), Var(H_N), Var(E), p)
+        # the node takes its node logits, then its edge logits, from one
+        # product of the stacked projection rows with h_a Wa
+        logits = np.concatenate((H_N @ p.Wi, E @ p.We)) @ (h_a @ p.Wa)
+        assert np.array_equal(beta, _edge_weights(logits[3:], 4, False))
+        assert np.array_equal(omega, _node_weights(logits[:3], beta, 4, False))
 
 
 class TestTargetNodeAttention:
@@ -194,8 +231,8 @@ class TestDualHead:
         # operand, which is the node side of the composition
         rng = Rng(8)
         d_head = 4
-        p = DualHeadParams(Wa=rng.uniform((6, d_head)), We=rng.uniform((d_head, d_head)),
-                           Wi=np.eye(d_head))
+        p = DualHead(Wa=rng.uniform((6, d_head)), We=rng.uniform((d_head, d_head)),
+                     Wi=np.eye(d_head))
         h_a = rng.uniform((6,))
         H_N = np.zeros((1, d_head))
         H_N[0, 0] = 1.0  # projects to the impulse through Wi = I
@@ -208,8 +245,8 @@ class TestDualHead:
         # index-reversed (out[k] = a[(d-k) % d]); operand order matters
         rng = Rng(8)
         d_head = 4
-        p = DualHeadParams(Wa=rng.uniform((6, d_head)), We=np.eye(d_head),
-                           Wi=rng.uniform((6, d_head)))
+        p = DualHead(Wa=rng.uniform((6, d_head)), We=np.eye(d_head),
+                     Wi=rng.uniform((6, d_head)))
         h_a = rng.uniform((6,))
         H_N = rng.uniform((1, 6))
         E = np.zeros((1, d_head))
@@ -293,7 +330,7 @@ class TestDgatLayer:
         E = rng.uniform((1, 8), -1, 1)
         h_next, trace = layer_out(h_a, H_N, E, layer)
         expected = np.concatenate([
-            dual_head_out(h_a, H_N, E, layer.dual[0]),
+            dual_head_out(h_a, H_N, E, one_dual(layer, 0)),
             rel_head_out(H_N, E, layer.rel),
         ])
         assert np.max(np.abs(h_next - expected)) < 1e-12
@@ -383,7 +420,7 @@ def global_forward_updating_every_layer(h_a, H_N, E, layers, d_head):
 
 def _as_vars(layer):
     return DgatLayerParams(dual=[DualHeadParams(*map(Var, vars(p).values())) for p in layer.dual],
-                           rel=RelHeads(*map(Var, vars(layer.rel).values())),
+                           Wa=Var(layer.Wa), rel=RelHeads(*map(Var, vars(layer.rel).values())),
                            Wr=Var(layer.Wr))
 
 
@@ -401,8 +438,9 @@ class TestRelationUpdateBetweenLayersOnly:
             params = [_as_vars(layer) for layer in layers]
             h, traces = forward(*inputs, params, d_head=4)
             ad.backward(ad.matmul(h, Var(probe)))
-            tensors = inputs + [w for p in params for heads in p.dual + [p.rel]
-                                for w in vars(heads).values()] + [p.Wr for p in params]
+            tensors = (inputs + [w for p in params for heads in p.dual + [p.rel]
+                                 for w in vars(heads).values()]
+                       + [p.Wa for p in params] + [p.Wr for p in params])
             return h.value, traces, [t.grad for t in tensors]
 
         calls = []
@@ -443,13 +481,14 @@ class TestGlobalForwardGradients:
         probe = rng.uniform((8,), -1, 1)
 
         names = ["Wa", "We", "Wi", "Wv", "W1", "b1", "W2", "Wr"]
-        shapes = [(6, 4), (8, 4), (6, 4), (1, 6, 4), (1, 8, 4), (1, 4), (1, 4, 1), (8, 6)]
+        shapes = [(1, 6, 4), (8, 4), (6, 4), (1, 6, 4), (1, 8, 4), (1, 4), (1, 4, 1), (8, 6)]
         values = [rng.uniform(s, -0.5, 0.5) for s in shapes]
 
         def run(vals):
             leaves = [Var(v) for v in vals]
             layer = DgatLayerParams(
-                dual=[DualHeadParams(*leaves[0:3])],
+                dual=[DualHeadParams(*leaves[1:3])],
+                Wa=leaves[0],
                 rel=RelHeads(*leaves[3:7]),
                 Wr=leaves[7])
             h, _ = global_forward_var(Var(h_a_val), Var(H_N_val), Var(E_val),
@@ -494,14 +533,44 @@ class TestFusedHeadsAgainstOracle:
         graph = [rng.uniform(s, -1, 1) for s in [(6,), (m, 6), (m, 8)]]
         params = [rng.uniform(s, -1, 1) for s in [(6, 4), (8, 4), (6, 4)]]
         probe = rng.uniform((4,), -1, 1)
-        got, want = (_run_head(lambda *a: head(*a, scale=scale), graph, DualHeadParams,
+        got, want = (_run_head(lambda *a: head(*a, scale=scale), graph, DualHead,
                                params, probe)
-                     for head in (dual_head_var, dual_head_oracle))
+                     for head in (one_dual_head_var, dual_head_oracle))
         assert _close(got[0], want[0])
         for g, w in zip(got[1], want[1], strict=True):  # beta, omega
             assert _close(g, w)
         for name, g, w in zip(["h_a", "H_N", "E", "Wa", "We", "Wi"], got[2], want[2], strict=True):
             assert _close(g, w), name
+
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("U", [1, 3])
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_dual_family_value_every_weight_and_every_gradient(self, scale, U, m):
+        """The layer's dual attention node, over its U dual_head_var calls,
+        against U per-head oracles: the outputs side by side, each head's
+        beta and omega, and every input gradient (h_a, H_N and E sum their
+        heads' terms; the Wa stack holds each head's own gradient)."""
+        rng = Rng(80 + 10 * U + m)
+        graph = [rng.uniform(s, -1, 1) for s in [(6,), (m, 6), (m, 8)]]
+        heads = [[rng.uniform(s, -1, 1) for s in [(6, 4), (8, 4), (6, 4)]] for _ in range(U)]
+        probe = Var(rng.uniform((U * 4,), -1, 1))
+        inputs, Wa = [Var(x) for x in graph], Var(np.stack([h[0] for h in heads]))
+        own = [DualHeadParams(Var(We), Var(Wi)) for _, We, Wi in heads]
+        out, beta, omega = dual_family_var(*inputs, Wa, own, scale)
+        ad.backward(ad.matmul(out, probe))
+        o_inputs, o_heads = [Var(x) for x in graph], [DualHead(*map(Var, h)) for h in heads]
+        o_outs, o_betas, o_omegas = zip(*(dual_head_oracle(*o_inputs, p, scale) for p in o_heads))
+        o_out = ad.concat(o_outs)
+        ad.backward(ad.matmul(o_out, probe))
+        assert _close(out.value, o_out.value)
+        assert beta.shape == omega.shape == (U, m)
+        for u in range(U):
+            assert _close(beta[u], o_betas[u].value) and _close(omega[u], o_omegas[u].value), u
+        for name, x, o in zip(["h_a", "H_N", "E"], inputs, o_inputs, strict=True):
+            assert _close(x.grad, o.grad), name
+        assert _close(Wa.grad, np.stack([p.Wa.grad for p in o_heads])), "Wa"
+        for u, (p, o) in enumerate(zip(own, o_heads, strict=True)):
+            assert _close(p.We.grad, o.We.grad) and _close(p.Wi.grad, o.Wi.grad), u
 
     @pytest.mark.parametrize("m", [1, 5])
     @pytest.mark.parametrize("V", [1, 2, 3])

@@ -27,20 +27,20 @@ from gdd.training import AdamState, TrainingDiverged, adam_step, batch_grads, tr
 TOY = dict(d_model=8, d_tag=4, d_hid=4, d_head=4, U=1, V=1, L=1)
 
 # Var constructions in a model's first default-config step, which builds its
-# leaves (116 when this budget was set: 62 tensors, 10 relational-head
-# stacks, the flat buffer and 43 op nodes), with a margin of 4; inside one
-# dual-level head, inside one call for a layer's relational heads, and
-# inside one call of the local encoder.
-MAX_NODES_PER_STEP = 120
-MAX_NODES_PER_DUAL_HEAD = 4
+# leaves (106 when this budget was set: 62 tensors, 8 relational-head and 2
+# Wa stacks, the flat buffer and 33 op nodes), with a margin of 4; inside one dual-level head
+# (its projection pair and their correlation), inside one call for a
+# layer's relational heads, and inside one call of the local encoder.
+MAX_NODES_PER_STEP = 110
+MAX_NODES_PER_DUAL_HEAD = 2
 MAX_NODES_PER_REL_HEADS = 1
 MAX_NODES_PER_LOCAL_FORWARD = 3
 # Var constructions in a later default-config step, which reuses the leaves
-# the first one built (43 when this budget was set), with the margin above.
-MAX_NODES_PER_STEADY_STEP = 47
+# the first one built (33 when this budget was set), with the margin above.
+MAX_NODES_PER_STEADY_STEP = 37
 # Var constructions in a later default-config predict, which reads the same
-# leaves (39 when this budget was set), with the margin above.
-MAX_NODES_PER_STEADY_PREDICT = 43
+# leaves (29 when this budget was set), with the margin above.
+MAX_NODES_PER_STEADY_PREDICT = 33
 
 
 def _counting_constructions(monkeypatch, cls):

@@ -6,16 +6,33 @@ gradient contribution per parent, in order. backward() sorts the op nodes
 (those with a VJP) reachable from its output and replays them in reverse
 topological order, calling each node's VJP once; inputs (leaves and
 constants) never enter the sort, they only receive contributions.
+
+A contribution comes in one of three kinds:
+- an array (or number) of the parent's shape;
+- None, when the op added it into a Leaf's gradient itself (sum_squares);
+- the factors of a weight or embedding gradient, whose minibatch sum is a
+  sum of per-example products: a pair (X^T, G) stands for the product
+  X^T @ G (X of shape (..., rows, a) and G of (..., rows, b), with numpy's
+  matmul broadcasting over leading head axes, so one X may serve a stack
+  of heads; a single row makes it an outer product), and a Scatter
+  (idx, rows) stands for rows scatter-added into the table rows idx.
+backward() multiplies factors out at once when the parent is not a Leaf.
 A Leaf's gradient is a preallocated array, possibly a strided view into a
-larger buffer, that backward() adds into in place; an op whose parent is a
-Leaf may instead add its contribution into that array itself (touching
-only the rows it used) and return None for it. The model's attention and
-mask layers are nodes of this one kind, with hand-derived VJPs over many
-parents, and so are the short chains it runs on every example: a sum or
-mean over a span of rows (sum_rows), row gathers laid side by side
-(gather_concat) and the cross-entropy (cross_entropy). Analytic gradients
-produced here are validated against numeric.finite_diff_grad, never
-trusted blind.
+larger buffer. A Leaf that the sort found one edge into (as every weight
+at batch 1) adds its one contribution into that array as it arrives. A
+Leaf with several (one per example of a minibatch) collects them while
+the replay runs and adds them once it ends, each kind reduced: one GEMM
+over the concatenated rows of all the pairs, one flat 1-D np.add.at over
+all the Scatters (in the order of the 2-D scatters it replaces, so with
+the same result bits) and one add of the sum of the arrays. Nothing stays
+pending once backward() returns.
+
+The model's attention and mask layers are nodes of this one kind, with
+hand-derived VJPs over many parents, and so are the short chains it runs on
+every example: a sum or mean over a span of rows (sum_rows), row gathers
+laid side by side (gather_concat) and the cross-entropy (cross_entropy).
+Analytic gradients produced here are validated against
+numeric.finite_diff_grad, never trusted blind.
 
 circ_corr runs its transforms as matrix products with two cached real DFT
 matrices per length d (K = d // 2 + 1 bins), their columns interleaved bin
@@ -33,7 +50,12 @@ import itertools
 
 import numpy as np
 
-from .numeric import _softmax, as_tensor
+from .numeric import as_tensor
+
+# sum_squares' VJP scales the weights through a scratch of this many entries
+# (256 KB) at a time, never a buffer-sized temporary.
+L2_BLOCK = 1 << 15
+
 
 class Var:
     """A tape node: a float64 array, the gradient accumulated for it, its
@@ -59,29 +81,6 @@ class Var:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Leaf(Var):
     """A tape input whose gradient accumulates in place into `grad`, a
@@ -96,6 +95,84 @@ class Leaf(Var):
 
 def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
+
+
+def _product(Xt: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Xt @ G; with one row, the outer product, by a cheaper multiply."""
+    return Xt * G if Xt.shape[-1] == 1 else Xt @ G
+
+
+class Scatter:
+    """The contribution of a row gather table[idx], kept as its factors:
+    rows (idx.shape + the table's row shape) scatter-added into the rows
+    idx, which may repeat."""
+
+    __slots__ = ("idx", "rows")
+
+    def __init__(self, idx: np.ndarray, rows: np.ndarray):
+        self.idx, self.rows = idx, rows
+
+    def dense(self, shape) -> np.ndarray:
+        out = np.zeros(shape)
+        np.add.at(out, self.idx, self.rows)
+        return out
+
+
+def _add_into(grad: np.ndarray, c) -> None:
+    """grad += c. A 3-D gradient is a stack of heads, such as a strided
+    ModelParams.stack view: it takes c head by head, as numpy adds into each
+    contiguous head block several times faster than into the strided whole."""
+    if grad.ndim == 3:
+        for head, x in zip(grad, c):
+            head += x
+    else:
+        grad += c
+
+
+def _apply(grad: np.ndarray, c) -> None:
+    """Add one contribution of any kind into a Leaf's gradient."""
+    if type(c) is tuple:
+        _add_into(grad, _product(*c))
+    elif type(c) is Scatter:
+        np.add.at(grad, c.idx, c.rows)
+    else:
+        _add_into(grad, c)
+
+
+def _scatter_into(grad: np.ndarray, scatters: list) -> None:
+    """Add Scatters into a table's gradient with one 1-D np.add.at over the
+    flat table: entry j of row r is flat entry r * width + j, listed row by
+    row in the order of idx, so every entry receives its terms in the order
+    that 2-D np.add.at calls, one per Scatter, would add them."""
+    if not grad.flags.c_contiguous:  # no flat view to add into
+        for s in scatters:
+            np.add.at(grad, s.idx, s.rows)
+        return
+    width = grad[0].size
+    idx = np.concatenate([s.idx.reshape(-1) for s in scatters])
+    rows = np.concatenate([s.rows.reshape(-1) for s in scatters])
+    np.add.at(grad.reshape(-1), (idx[:, None] * width + np.arange(width)).reshape(-1), rows)
+
+
+def _reduce_into(grad: np.ndarray, contribs: list) -> None:
+    """Add a Leaf's several contributions into its gradient, grouped by kind:
+    the pairs (X_k^T, G_k) concatenated along the axis that their product
+    sums over (the rows of X_k and G_k), so that their sum is one product;
+    the Scatters through _scatter_into; the plain arrays summed before one
+    add."""
+    products, scatters, arrays = [], [], []
+    for c in contribs:
+        (products if type(c) is tuple else scatters if type(c) is Scatter else arrays).append(c)
+    if products:
+        _add_into(grad, np.concatenate([Xt for Xt, _ in products], axis=-1)
+                  @ np.concatenate([G for _, G in products], axis=-2))
+    if scatters:
+        _scatter_into(grad, scatters)
+    if arrays:
+        total = arrays[0] + arrays[1] if len(arrays) > 1 else arrays[0]
+        for c in arrays[2:]:
+            total += c
+        _add_into(grad, total)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -117,12 +194,6 @@ def add(a, b) -> Var:
                lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
 
 
-def sub(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    return Var(a.value - b.value, (a, b),
-               lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)))
-
-
 def mul(a, b) -> Var:
     """a * b, elementwise. A plain array or number operand stays a constant:
     it becomes no parent, so backward computes no gradient for it."""
@@ -137,21 +208,16 @@ def mul(a, b) -> Var:
                           _unbroadcast(g * a.value, b.value.shape)))
 
 
-def div(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    return Var(a.value / b.value, (a, b),
-               lambda g: (_unbroadcast(g / b.value, a.value.shape),
-                          _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)))
-
-
 def matmul(a, b) -> Var:
-    """Matrix/vector product following numpy @ semantics for ndim in {1, 2}."""
+    """Matrix/vector product following numpy @ semantics for ndim in {1, 2}.
+    A matrix b receives its gradient as factors: (a^T, g) for a matrix a,
+    and the outer product (a[:, None], g[None]) for a vector a."""
     a, b = as_var(a), as_var(b)
     av, bv = a.value, b.value
     if av.ndim == 2 and bv.ndim == 2:
-        vjp = lambda g: (g @ bv.T, av.T @ g)
+        vjp = lambda g: (g @ bv.T, (av.T, g))
     elif av.ndim == 1 and bv.ndim == 2:
-        vjp = lambda g: (bv @ g, av[:, None] * g)
+        vjp = lambda g: (bv @ g, (av[:, None], g[None, :]))
     elif av.ndim == 2 and bv.ndim == 1:
         vjp = lambda g: (g[:, None] * bv, av.T @ g)
     elif av.ndim == 1 and bv.ndim == 1:
@@ -159,13 +225,6 @@ def matmul(a, b) -> Var:
     else:
         raise ValueError(f"matmul: unsupported ranks {av.shape} @ {bv.shape}")
     return Var(av @ bv, (a, b), vjp)
-
-
-def transpose(a) -> Var:
-    a = as_var(a)
-    if a.value.ndim != 2:
-        raise ValueError("transpose expects a 2-D tensor")
-    return Var(a.value.T.copy(), (a,), lambda g: (g.T,))
 
 
 def concat(vs, axis: int = 0) -> Var:
@@ -182,39 +241,26 @@ def concat(vs, axis: int = 0) -> Var:
     return Var(val, vs, lambda g: tuple(g[s].copy() for s in slices))
 
 
-def _scatter_rows(a: Var, idx: np.ndarray, g: np.ndarray):
-    """The gradient of a row gather a[idx] for output gradient g: added into a
-    Leaf's own gradient (only the gathered rows are touched; returns None),
-    otherwise into a fresh zero tensor (returned)."""
-    if isinstance(a, Leaf):
-        np.add.at(a.grad, idx, g)
-        return None
-    out = np.zeros_like(a.value)
-    np.add.at(out, idx, g)
-    return out
-
-
 def gather_rows(a, indices) -> Var:
-    """Index along the first axis; rows may repeat. Gradient scatter-adds:
-    into a Leaf's own gradient (touching only the gathered rows), otherwise
-    into a fresh zero tensor."""
+    """Index along the first axis; rows may repeat. Its gradient is the
+    Scatter of the output gradient into the gathered rows."""
     a = as_var(a)
     idx = np.asarray(indices, dtype=np.intp)
-    return Var(a.value.take(idx, axis=0), (a,), lambda g: (_scatter_rows(a, idx, g),))
+    return Var(a.value.take(idx, axis=0), (a,), lambda g: (Scatter(idx, g),))
 
 
 def gather_concat(parts) -> Var:
     """Row gathers laid side by side, as one node. parts are (table, indices)
     pairs, indices of shape (m,) or (m, k); output row i concatenates, part
     by part, table[indices[i, 0]], ..., table[indices[i, k - 1]]. Each
-    table's gradient scatter-adds as gather_rows' does."""
+    table's gradient is a Scatter, as gather_rows' is."""
     tables = tuple(as_var(t) for t, _ in parts)
     idxs = tuple(np.asarray(i, dtype=np.intp) for _, i in parts)
     blocks = [t.value.take(i, axis=0).reshape(i.shape[0], -1) for t, i in zip(tables, idxs)]
     cols = list(itertools.pairwise(itertools.accumulate((b.shape[1] for b in blocks), initial=0)))
 
     def vjp(g):
-        return tuple(_scatter_rows(t, i, g[:, lo:hi].reshape(i.shape + t.value.shape[1:]))
+        return tuple(Scatter(i, g[:, lo:hi].reshape(i.shape + t.value.shape[1:]))
                      for t, i, (lo, hi) in zip(tables, idxs, cols))
 
     return Var(np.concatenate(blocks, axis=1), tables, vjp)
@@ -254,43 +300,42 @@ def cross_entropy(logits, gold: int) -> Var:
     return Var(np.asarray(top + np.log(total) - v[i]), (z,), vjp)
 
 
+@functools.lru_cache(maxsize=8)
+def _between(runs: tuple) -> np.ndarray:
+    """The indices between consecutive ranges of sorted, disjoint runs,
+    read-only."""
+    gaps = np.array([i for (_, stop), (start, _) in itertools.pairwise(runs)
+                     for i in range(stop, start)], dtype=np.intp)
+    gaps.flags.writeable = False
+    return gaps
+
+
 def sum_squares(a: Leaf, runs) -> Var:
     """Sum of squares of a 1-D Leaf's entries over the index ranges `runs`
-    ((start, stop) pairs). Its gradient, 2*g*a on those ranges, is added into
-    the Leaf's own gradient."""
+    ((start, stop) pairs, sorted and disjoint). Its gradient, 2*g*a on those
+    ranges, is added into the Leaf's own gradient in one pass from the first
+    range's start to the last one's stop, through one scratch array of at
+    most L2_BLOCK entries a block at a time, so no temporary is larger than
+    that; the entries between the ranges are saved before the pass and put
+    back after it. Each entry of a range is scaled, then added, as its own
+    expression would do it, and no other entry moves."""
     w = a.value
+    runs = tuple(runs)
     total = sum(float(np.dot(w[lo:hi], w[lo:hi])) for lo, hi in runs)
+    lo, hi = (runs[0][0], runs[-1][1]) if runs else (0, 0)
+    gaps = _between(runs)
 
     def vjp(g):
         scale = 2.0 * float(g)
-        for lo, hi in runs:
-            a.grad[lo:hi] += scale * w[lo:hi]
+        saved = a.grad[gaps]
+        scratch = np.empty(min(L2_BLOCK, hi - lo))
+        for start in range(lo, hi, L2_BLOCK):
+            stop = min(start + L2_BLOCK, hi)
+            a.grad[start:stop] += np.multiply(w[start:stop], scale, out=scratch[:stop - start])
+        a.grad[gaps] = saved
         return (None,)
 
     return Var(np.asarray(total), (a,), vjp)
-
-
-def relu(a) -> Var:
-    a = as_var(a)
-    return Var(np.maximum(a.value, 0.0), (a,), lambda g: (g * (a.value > 0.0),))
-
-
-def softplus(a) -> Var:
-    a = as_var(a)
-    sig = 0.5 * (1.0 + np.tanh(0.5 * a.value))
-    return Var(np.logaddexp(0.0, a.value), (a,), lambda g: (g * sig,))
-
-
-def exp(a) -> Var:
-    a = as_var(a)
-    val = np.exp(a.value)
-    return Var(val, (a,), lambda g: (g * val,))
-
-
-def softmax(a, axis: int = -1) -> Var:
-    a = as_var(a)
-    p = _softmax(a.value, axis)
-    return Var(p, (a,), lambda g: ((g - (g * p).sum(axis, keepdims=True)) * p,))
 
 
 @functools.lru_cache(maxsize=8)
@@ -358,8 +403,11 @@ def backward(out: Var) -> None:
 
     Only op nodes (those with a VJP) are sorted and replayed: a parent
     without one, a Leaf or a constant input, never enters the search. It
-    only receives its contributions, into its preallocated array for a Leaf
-    and into a fresh or summed .grad for any other input.
+    only receives its contributions: any other input into a fresh or summed
+    .grad as they arrive, with factors multiplied out; a Leaf into its
+    preallocated array, at once when the sort found one edge into it, and
+    otherwise reduced across all of its contributions once the replay ends
+    (see the module docstring).
     """
     if out.value.size != 1:
         raise ValueError("backward expects a scalar output")
@@ -368,6 +416,7 @@ def backward(out: Var) -> None:
         return
     order = []
     seen = set()
+    fan_in: dict[Leaf, int] = {}  # edges into each Leaf: the contributions it will get
     stack = [(out, False)]
     while stack:
         node, children_done = stack.pop()
@@ -379,13 +428,29 @@ def backward(out: Var) -> None:
         seen.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if parent._vjp is not None and parent not in seen:
-                stack.append((parent, False))
+            if parent._vjp is not None:
+                if parent not in seen:
+                    stack.append((parent, False))
+            elif isinstance(parent, Leaf):
+                fan_in[parent] = fan_in.get(parent, 0) + 1
+    pending: dict[Leaf, list] = {}
     for node in reversed(order):
         for parent, contrib in zip(node._parents, node._vjp(node.grad)):
             if contrib is None:  # the op added into the Leaf's gradient itself
                 continue
             if isinstance(parent, Leaf):
-                parent.grad += contrib
-            else:
-                parent.grad = contrib if parent.grad is None else parent.grad + contrib
+                if fan_in[parent] == 1:
+                    _apply(parent.grad, contrib)
+                elif parent in pending:
+                    pending[parent].append(contrib)
+                else:
+                    pending[parent] = [contrib]
+                continue
+            if not isinstance(contrib, np.ndarray):
+                if type(contrib) is tuple:
+                    contrib = _product(*contrib)
+                elif type(contrib) is Scatter:
+                    contrib = contrib.dense(parent.value.shape)
+            parent.grad = contrib if parent.grad is None else parent.grad + contrib
+    for leaf, contribs in pending.items():
+        _reduce_into(leaf.grad, contribs)

@@ -1,17 +1,20 @@
 """Command-line surface: train, eval, build-graph, inspect, verify-proposition, gradcheck.
 
 Exit codes: 0 success, 1 internal failure (including a failed check), 2
-usage or input error, or training that diverged (a configuration such as
-too large an lr; no checkpoint is written). Configuration comes from an
-optional flat key=value file plus per-key flags; flags win. GDD_SEED
-provides a seed fallback when neither source sets one; resolve_config reads
-it for every command that takes a seed. A closed stdout (`gdd ... | head`)
-ends the command with exit 1 and nothing on stderr.
+usage or input error, training that diverged (a configuration such as
+too large an lr; no checkpoint is written), or a forward pass that is not
+finite (eval and inspect name the record's file and line). Configuration
+comes from an optional flat key=value file plus per-key flags; flags win.
+GDD_SEED provides a seed fallback when neither source sets one;
+resolve_config reads it for every command that takes a seed. A closed
+stdout (`gdd ... | head`) ends the command with exit 1 and nothing on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -19,13 +22,15 @@ import os
 import sys
 import traceback
 
+import numpy as np
+
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import DataError, as_index, generate_synthetic, load_dataset, read_text
+from .data import DataError, as_index, generate_synthetic, load_dataset, load_numbered, read_text
 from .dep_graph import ParseError, build_awig, parse_conllu
 from .embeddings import load_precomputed
 from .local_encoder import check_stationarity
 from .metrics import evaluate
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, NonFiniteForward
 from .numeric import Rng
 from .training import EpochLog, TrainingDiverged, gradcheck_model, train
 
@@ -102,14 +107,30 @@ def cmd_train(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def forward_passes(path, numbered):
+    """The block's forward passes over the examples of `numbered`, the
+    (line number, Example) pairs read from `path`, under one np.errstate
+    that silences numpy's floating-point warnings; a pass that is not finite
+    raises a DataError naming the record's line and the first non-finite
+    quantity instead."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            yield
+        except NonFiniteForward as e:
+            lineno = next(n for n, ex in numbered if ex is e.example)
+            raise DataError(f"{path}:{lineno}: {e}") from None
+
+
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    examples = load_dataset(args.data)
-    if not examples:
+    numbered = load_numbered(args.data)
+    if not numbered:
         raise DataError(f"{args.data}: empty dataset")
     if args.embeddings_file:
         model.frozen_embeddings = load_precomputed(args.embeddings_file)
-    metrics = evaluate(model, examples)
+    with forward_passes(args.data, numbered):
+        metrics = evaluate(model, [ex for _, ex in numbered])
     print(json.dumps(metrics.to_dict()))
     return 0
 
@@ -161,12 +182,13 @@ def cmd_build_graph(args) -> int:
 
 def cmd_inspect(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    examples = load_dataset(args.data)
-    if not 0 <= args.index < len(examples):
-        raise DataError(f"--index {args.index} out of range for {len(examples)} examples")
+    numbered = load_numbered(args.data)
+    if not 0 <= args.index < len(numbered):
+        raise DataError(f"--index {args.index} out of range for {len(numbered)} examples")
     if args.embeddings_file:
         model.frozen_embeddings = load_precomputed(args.embeddings_file)
-    _, trace = model.predict(examples[args.index], with_trace=True)
+    with forward_passes(args.data, numbered):
+        _, trace = model.predict(numbered[args.index][1], with_trace=True)
     print(json.dumps(trace))
     return 0
 
@@ -291,7 +313,7 @@ def main(argv=None) -> int:
         # interpreter exit cannot fail again (the recipe of Python's signal docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (UsageError, TrainingDiverged, *INPUT_ERRORS) as e:
+    except (UsageError, TrainingDiverged, NonFiniteForward, *INPUT_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

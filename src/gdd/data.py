@@ -161,8 +161,9 @@ def example_to_dict(ex: Example) -> dict:
     }
 
 
-def load_dataset(path) -> list[Example]:
-    """Read and validate a JSONL dataset; errors carry line numbers."""
+def load_numbered(path) -> list[tuple[int, Example]]:
+    """Read and validate a JSONL dataset into (line number, Example) pairs,
+    one per line that is not blank; errors carry line numbers."""
     out = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
@@ -173,10 +174,15 @@ def load_dataset(path) -> list[Example]:
         except json.JSONDecodeError as e:
             raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
         try:
-            out.append(example_from_dict(rec))
+            out.append((lineno, example_from_dict(rec)))
         except DataError as e:
             raise DataError(f"{path}:{lineno}: {e}") from None
     return out
+
+
+def load_dataset(path) -> list[Example]:
+    """Read and validate a JSONL dataset; errors carry line numbers."""
+    return [ex for _, ex in load_numbered(path)]
 
 
 def save_dataset(path, examples) -> None:

@@ -95,7 +95,8 @@ def dual_head_var(H_N: Var, E: Var, p: DualHeadParams):
     """One dual-level head's projections and their composition, two nodes.
 
     The first is the pair [H_N Wi; E We], stacked as (2, m, d_head), whose
-    VJP does the four GEMMs of the two products; the second is
+    VJP does the two GEMMs to H_N and E and hands Wi and We their gradients
+    as factors, (H_N^T, g[0]) and (E^T, g[1]) (see autodiff); the second is
     ad.circ_corr(pair), whose row i is corr(Wi h_i, We e_i). Returns (pair,
     composed); dual_attention_var weighs them for all of a layer's heads.
     """
@@ -106,7 +107,7 @@ def dual_head_var(H_N: Var, E: Var, p: DualHeadParams):
     np.matmul(Ev, we, out=value[1])
 
     def vjp(g):
-        return g[0] @ wi.T, g[1] @ we.T, Hv.T @ g[0], Ev.T @ g[1]
+        return g[0] @ wi.T, g[1] @ we.T, (Hv.T, g[0]), (Ev.T, g[1])
 
     pair = Var(value, (H_N, E, Wi, We), vjp)
     return pair, ad.circ_corr(pair)
@@ -124,7 +125,9 @@ def dual_attention_var(h_a: Var, Wa, pairs, composeds, scale: bool = False):
     Returns (the heads' outputs side by side, Var[U * d_head]; beta, omega,
     arrays U x m). The VJP runs back through both softmaxes by hand to
     d_logits; then d/d pair_u = d_logits_u a_u^T, d_a_u = pair_u^T d_logits_u,
-    d/d h_a = sum_u Wa_u d_a_u and d/d composed_u = omega_u g_u^T.
+    d/d h_a = sum_u Wa_u d_a_u and d/d composed_u = omega_u g_u^T. The Wa
+    stack's gradient, the outer products h_a d_a_u^T, goes out as the
+    factors (h_a as a column, d_a) for all heads at once.
     """
     Wa = as_var(Wa)
     h, W = h_a.value, Wa.value
@@ -150,7 +153,8 @@ def dual_attention_var(h_a: Var, Wa, pairs, composeds, scale: bool = False):
         d_a = np.matmul(d_logits[:, None, :], P)[:, 0, :]
         d_pairs = (d_logits[:, :, None] * a[:, None, :]).reshape(U, 2, m, d)
         return (np.matmul(W, d_a[:, :, None])[:, :, 0].sum(axis=0),
-                h[:, None] * d_a[:, None, :], *d_pairs, *(omega[:, :, None] * g[:, None, :]))
+                (h[:, None], d_a[:, None, :]), *d_pairs,
+                *(omega[:, :, None] * g[:, None, :]))
 
     out = np.matmul(omega[:, None, :], C).reshape(U * d)
     return Var(out, (h_a, Wa, *pairs, *composeds), vjp), beta, omega
@@ -168,7 +172,9 @@ def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
 
     The VJP goes by hand through each softmax and relu MLP to E and the
     MLP weights, and through the values (d/d values_v = rho_v g_v^T) to H_N
-    and Wv. E and H_N sum their heads' terms.
+    and Wv. E and H_N sum their heads' terms. The Wv, W1 and W2 stacks get
+    their gradients as head-batched factors: (H_N^T, d_values) and (E^T,
+    d_pre) over one shared X, (hidden_v^T, d_logits_v) per head.
     """
     fields = tuple(as_var(w) for w in (heads.Wv, heads.W1, heads.b1, heads.W2))
     Wv, W1, b1, W2 = (w.value for w in fields)
@@ -187,8 +193,8 @@ def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
         d_values = rho[:, :, None] * g
         return (np.matmul(d_values, Wv.transpose(0, 2, 1)).sum(axis=0),
                 np.matmul(d_pre, W1.transpose(0, 2, 1)).sum(axis=0),
-                np.matmul(Hv.T, d_values), np.matmul(Ev.T, d_pre), d_pre.sum(axis=1),
-                np.matmul(hidden.transpose(0, 2, 1), d_logits[:, :, None]))
+                (Hv.T, d_values), (Ev.T, d_pre), d_pre.sum(axis=1),
+                (hidden.transpose(0, 2, 1), d_logits[:, :, None]))
 
     out = np.matmul(rho[:, None, :], values).reshape(V * d_head)
     return Var(out, (H_N, E, *fields), vjp), rho

@@ -78,7 +78,8 @@ def gaussian_mask_var(H: Var, W1: Var, b1: Var, W2: Var, b2: Var, span: tuple[in
     The VJP goes back by hand through the row scaling, the density
     (dmask/dsigma = mask (x^2/sigma^3 - 1/sigma), or bell x^2/sigma^3 with
     `normalize`), softplus' = sigmoid and the MLP; the pooled row's gradient
-    is spread over all n rows with weight 1/n.
+    is spread over all n rows with weight 1/n. W1 and W2 get their outer
+    products as factors (see autodiff).
     """
     Hv, W1v, W2v = H.value, W1.value, W2.value
     n = Hv.shape[0]
@@ -92,8 +93,8 @@ def gaussian_mask_var(H: Var, W1: Var, b1: Var, W2: Var, b2: Var, span: tuple[in
         d_z = np.dot(d_mask, dmask_dsigma) * (0.5 * (1.0 + np.tanh(0.5 * z)))
         d_pre = W2v[:, 0] * d_z * (pre > 0.0)
         d_pooled = W1v @ d_pre
-        return (mask[:, None] * g + d_pooled * (1.0 / n), pooled[:, None] * d_pre, d_pre,
-                hidden[:, None] * d_z, d_z)
+        return (mask[:, None] * g + d_pooled * (1.0 / n),
+                (pooled[:, None], d_pre[None, :]), d_pre, (hidden[:, None], d_z[None, :]), d_z)
 
     H_G = Var(mask[:, None] * Hv, (H, W1, b1, W2, b2), vjp)
     return H_G, sigma, mask
@@ -112,7 +113,8 @@ def attention_var(H_G: Var, Wq, Wk, Wv, variant: str = "covariance",
 
     The VJP runs each head's softmax and score product back by hand, then
     the centering (its VJP is centering: dQ = dQc - mean(dQc)) and the three
-    projections.
+    projections; Wq, Wk and Wv get their gradients as the factors
+    (H_G^T, dQ), (H_G^T, dK) and (H_G^T, dV) (see autodiff).
     """
     if variant not in ("covariance", "original"):
         raise ValueError(f"unknown attention variant: {variant}")
@@ -145,7 +147,7 @@ def attention_var(H_G: Var, Wq, Wk, Wv, variant: str = "covariance",
             dQ -= dQ.sum(axis=0, keepdims=True) * (1.0 / n)
             dK -= dK.sum(axis=0, keepdims=True) * (1.0 / n)
         return (dQ @ Wq.value.T + dK @ Wk.value.T + dV @ Wv.value.T,
-                X.T @ dQ, X.T @ dK, X.T @ dV)
+                (X.T, dQ), (X.T, dK), (X.T, dV))
 
     out = outs[0] if heads == 1 else np.concatenate(outs, axis=1)
     return Var(out, (H_G, Wq, Wk, Wv), vjp), probs[0]

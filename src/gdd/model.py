@@ -300,6 +300,34 @@ def _as_lists(trace):
     return trace
 
 
+class NonFiniteForward(ArithmeticError):
+    """A forward pass whose logits are not all finite.
+
+    example is the Example it ran on; quantity names the first quantity of
+    the pass, in forward order, that is not finite: sigma (also when it is
+    0, which the mask divides by), the mask, the local attention, a DGAT
+    layer's beta, omega or rho, or the logits.
+    """
+
+    def __init__(self, example: Example, quantity: str):
+        self.example, self.quantity = example, quantity
+        super().__init__(f"non-finite forward pass, first at {quantity}")
+
+
+def _first_non_finite(trace) -> str:
+    """The first quantity of a forward pass's trace, in forward order, that
+    is not finite (see NonFiniteForward); the logits when no other is."""
+    sigma = trace["sigma"]
+    if sigma is not None and not 0.0 < sigma < math.inf:
+        return f"sigma ({sigma})"
+    named = [("mask", trace["mask"]), ("local attention", trace["local_attention"])]
+    layers = trace["dgat"]
+    for l, weights in enumerate(zip(layers["beta"], layers["omega"], layers["rho"])):
+        named += [(f"DGAT layer {l} {key}", w) for key, w in zip(("beta", "omega", "rho"), weights)]
+    return next((name for name, v in named if v is not None and not np.all(np.isfinite(v))),
+                "logits")
+
+
 @dataclass
 class Prediction:
     probs: Tensor  # over (positive, neutral, negative)
@@ -460,9 +488,13 @@ class Model:
         The forward reads the tape leaves that training reads (params.leaves()
         and the relational stacks), so it sees every update made in place
         (adam_step, ModelParams.set). It runs no backward(), so params.grad
-        is left as it was.
+        is left as it was. Logits that are not all finite raise
+        NonFiniteForward, naming the first quantity of the pass that is not;
+        numpy's own floating-point warnings are the caller's to silence.
         """
         logits, trace = self.forward_var(prep, self.params.leaves())
+        if not np.isfinite(logits.value).all():
+            raise NonFiniteForward(prep.example, _first_non_finite(trace))
         probs = np.exp(logits.value - logits.value.max())
         probs /= probs.sum()
         pred = Prediction(probs=probs, label_id=int(np.argmax(probs)),

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from gdd.autodiff import Var, as_var
+from gdd.autodiff import Var, _unbroadcast, as_var
+from gdd.numeric import _softmax
 
 
 def reshape(a, shape) -> Var:
@@ -73,3 +74,46 @@ def logsumexp(a) -> Var:
     total = e.sum()
     p = e / total
     return Var(np.asarray(m + np.log(total)), (a,), lambda g: (g * p,))
+
+
+def sub(a, b) -> Var:
+    a, b = as_var(a), as_var(b)
+    return Var(a.value - b.value, (a, b),
+               lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)))
+
+
+def div(a, b) -> Var:
+    a, b = as_var(a), as_var(b)
+    return Var(a.value / b.value, (a, b),
+               lambda g: (_unbroadcast(g / b.value, a.value.shape),
+                          _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)))
+
+
+def transpose(a) -> Var:
+    a = as_var(a)
+    if a.value.ndim != 2:
+        raise ValueError("transpose expects a 2-D tensor")
+    return Var(a.value.T.copy(), (a,), lambda g: (g.T,))
+
+
+def relu(a) -> Var:
+    a = as_var(a)
+    return Var(np.maximum(a.value, 0.0), (a,), lambda g: (g * (a.value > 0.0),))
+
+
+def softplus(a) -> Var:
+    a = as_var(a)
+    sig = 0.5 * (1.0 + np.tanh(0.5 * a.value))
+    return Var(np.logaddexp(0.0, a.value), (a,), lambda g: (g * sig,))
+
+
+def exp(a) -> Var:
+    a = as_var(a)
+    val = np.exp(a.value)
+    return Var(val, (a,), lambda g: (g * val,))
+
+
+def softmax(a, axis: int = -1) -> Var:
+    a = as_var(a)
+    p = _softmax(a.value, axis)
+    return Var(p, (a,), lambda g: ((g - (g * p).sum(axis, keepdims=True)) * p,))

@@ -7,12 +7,12 @@ import gdd.autodiff as ad
 from gdd.data import Example, generate_synthetic
 from gdd.embeddings import TagVocab, Vocab
 from gdd.metrics import evaluate, metrics_from_predictions
-from gdd.model import Model, ModelConfig, ModelParams
+from gdd.model import Model, ModelConfig, ModelParams, NonFiniteForward
 from gdd import training
 from gdd.numeric import Rng
 from gdd.training import AdamState, adam_step, batch_grads, gradcheck_model, train
 
-from oracles import sum_
+from oracles import sub, sum_
 
 TOY = dict(d_model=8, d_tag=4, d_head=4, d_hid=4, U=1, V=1, L=1)
 
@@ -79,6 +79,22 @@ class TestForward:
         model.frozen_embeddings = {tuple(ex.tokens): np.zeros((len(ex.tokens), 5))}
         with pytest.raises(ValueError, match="shape"):
             model.predict(ex)
+
+    @pytest.mark.parametrize("tensor, value, quantity", [
+        ("local.mask.b2", -800.0, "sigma (0.0)"),  # softplus(-800) is 0.0: the mask is 0/0
+        ("local.attn.Wq", np.inf, "local attention"),
+        ("dgat.l0.dual0.Wa", np.nan, "DGAT layer 0 beta"),
+        ("dgat.l0.rel0.W2", np.nan, "DGAT layer 0 rho"),
+        ("out.b", np.inf, "logits"),
+    ])
+    def test_a_non_finite_forward_names_its_first_non_finite_quantity(self, toy_model, tensor,
+                                                                      value, quantity):
+        model, examples = toy_model
+        model.params.get(tensor)[...] = value
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteForward) as err:
+            model.predict(examples[0])
+        assert err.value.quantity == quantity
+        assert err.value.example is examples[0]
 
 
 class TestConfig:
@@ -155,7 +171,7 @@ class TestLoss:
             sq = sum_(ad.mul(leaf, leaf))
             if name in ("embed.token", "embed.tag"):
                 row0 = ad.gather_rows(leaf, [0])
-                sq = sq - sum_(ad.mul(row0, row0))
+                sq = sub(sq, sum_(ad.mul(row0, row0)))
             taped = sq if taped is None else taped + sq
         ad.backward(taped)
         leaves = model.params.leaves()

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
+from gdd.checkpoint import load_checkpoint, save_checkpoint
 from gdd.cli import main
 from gdd.data import generate_synthetic, save_dataset
 from gdd.numeric import Rng
@@ -322,6 +325,50 @@ def test_closed_stdout_exits_1_without_a_traceback():
         proc.wait(timeout=120)
     assert err == b""
     assert proc.returncode == 1
+
+
+@pytest.fixture
+def zero_sigma(tmp_path):
+    """golden/toy.gdd with local.mask.b2 = -800, every entry finite: sigma =
+    softplus(-800) is 0.0 and the mask 0/0. Five synthetic records follow
+    two blank lines, so record i sits on line i + 3."""
+    model = load_checkpoint(GOLDEN_DIR / "toy.gdd")
+    model.params.set("local.mask.b2", np.array([-800.0]))
+    checkpoint = tmp_path / "zero-sigma.gdd"
+    save_checkpoint(checkpoint, model)
+    data = tmp_path / "data.jsonl"
+    save_dataset(data, generate_synthetic(seed=0, count=5))
+    data.write_text("\n\n" + data.read_text())
+    return checkpoint, data
+
+
+@pytest.mark.parametrize("command, line", [(["eval"], 3), (["inspect", "--index", "2"], 5)],
+                         ids=["eval", "inspect"])
+def test_a_non_finite_forward_exits_2_naming_the_record_and_sigma(zero_sigma, capsys,
+                                                                   command, line):
+    checkpoint, data = zero_sigma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        code, stdout, err = run([command[0], "--checkpoint", str(checkpoint), "--data", str(data),
+                                 *command[1:]], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {data}:{line}: non-finite forward pass, first at sigma (0.0)\n"
+
+
+def test_a_non_finite_forward_names_its_line_when_the_data_is_a_pipe(zero_sigma):
+    """`gdd eval --data /dev/stdin < pipe`: the data can be read only once,
+    so the line number must come from that one read."""
+    checkpoint, data = zero_sigma
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "gdd.cli", "eval", "--checkpoint",
+                           str(checkpoint), "--data", "/dev/stdin"],
+                          input=data.read_bytes(), capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.stderr.decode() == (
+        "error: /dev/stdin:3: non-finite forward pass, first at sigma (0.0)\n")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
 
 
 class TestEval:

@@ -25,7 +25,8 @@ from gdd.model import REL_FIELDS, Model, ModelConfig, rel_head_stacks
 from gdd.numeric import Rng, circ_corr_fft, softmax
 from gdd.training import batch_grads
 
-from oracles import reshape, stack
+from oracles import relu, reshape, stack
+from oracles import softmax as tape_softmax
 
 
 # Reference heads built from one small tape op per step, each with its own
@@ -49,14 +50,14 @@ def target_edge_attention_oracle(h_a, E, Wa, We, scale=False):
     a_proj = ad.matmul(h_a, Wa)
     e_proj = ad.matmul(E, We)
     logits = ad.matmul(e_proj, a_proj)
-    return ad.softmax(_maybe_scale_oracle(logits, a_proj.value.shape[0], scale), axis=-1)
+    return tape_softmax(_maybe_scale_oracle(logits, a_proj.value.shape[0], scale), axis=-1)
 
 
 def target_node_attention_oracle(h_a, H_N, beta, Wa, Wi, scale=False):
     a_proj = ad.matmul(h_a, Wa)
     n_proj = ad.matmul(H_N, Wi)
     logits = ad.mul(beta, ad.matmul(n_proj, a_proj))
-    return ad.softmax(_maybe_scale_oracle(logits, a_proj.value.shape[0], scale), axis=-1)
+    return tape_softmax(_maybe_scale_oracle(logits, a_proj.value.shape[0], scale), axis=-1)
 
 
 def dual_head_oracle(h_a, H_N, E, p, scale=False):
@@ -72,9 +73,9 @@ def relational_head_oracle(H_N, E, p, b2):
     """One relational head as the paper writes it, its output bias b2 added
     to every logit; p holds that head's own (unstacked) tensors. The heads
     of gdd.dgat do not read b2, a softmax shift, and must match this."""
-    hidden = ad.relu(ad.matmul(E, p.W1) + p.b1)
+    hidden = relu(ad.matmul(E, p.W1) + p.b1)
     logits = reshape(ad.matmul(hidden, p.W2), (-1,)) + b2
-    rho = ad.softmax(logits, axis=-1)
+    rho = tape_softmax(logits, axis=-1)
     return ad.matmul(rho, ad.matmul(H_N, p.Wv)), rho
 
 

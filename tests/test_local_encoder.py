@@ -19,7 +19,7 @@ from gdd.local_encoder import (
 )
 from gdd.numeric import Rng, finite_diff_grad
 
-from oracles import mean, reshape
+from oracles import div, exp, mean, relu, reshape, softmax, softplus, sub, transpose
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -30,23 +30,23 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def sigma_oracle(H, W1, b1, W2, b2):
     pooled = mean(H, axis=0)
-    hidden = ad.relu(ad.matmul(pooled, W1) + b1)
-    return ad.softplus(ad.matmul(hidden, W2) + b2)
+    hidden = relu(ad.matmul(pooled, W1) + b1)
+    return softplus(ad.matmul(hidden, W2) + b2)
 
 
 def mask_oracle(n, span, sigma, interval, normalize=False):
     x = span_distances(n, span) * interval
-    quad = ad.div(Var(-0.5 * x * x), ad.mul(sigma, sigma))
-    bell = ad.exp(quad)
+    quad = div(Var(-0.5 * x * x), ad.mul(sigma, sigma))
+    bell = exp(quad)
     if normalize:
         return bell
-    return ad.div(bell, ad.mul(sigma, SQRT_2PI))
+    return div(bell, ad.mul(sigma, SQRT_2PI))
 
 
 def _slice_cols_oracle(a, cols):
     if cols == slice(0, a.value.shape[1]):
         return a
-    return ad.transpose(ad.gather_rows(ad.transpose(a), range(cols.start, cols.stop)))
+    return transpose(ad.gather_rows(transpose(a), range(cols.start, cols.stop)))
 
 
 def attention_oracle(H_G, Wq, Wk, Wv, variant="covariance", heads=1):
@@ -57,10 +57,10 @@ def attention_oracle(H_G, Wq, Wk, Wv, variant="covariance", heads=1):
         cols = slice(h * width, (h + 1) * width)
         Qh, Kh, Vh = (_slice_cols_oracle(a, cols) for a in (Q, K, V))
         if variant == "covariance":
-            Qh = Qh - mean(Qh, axis=0, keepdims=True)
-            Kh = Kh - mean(Kh, axis=0, keepdims=True)
-        scores = ad.mul(ad.matmul(Qh, ad.transpose(Kh)), 1.0 / math.sqrt(width))
-        P = ad.softmax(scores, axis=1)
+            Qh = sub(Qh, mean(Qh, axis=0, keepdims=True))
+            Kh = sub(Kh, mean(Kh, axis=0, keepdims=True))
+        scores = ad.mul(ad.matmul(Qh, transpose(Kh)), 1.0 / math.sqrt(width))
+        P = softmax(scores, axis=1)
         if probs0 is None:
             probs0 = P
         outs.append(ad.matmul(P, Vh))

@@ -91,6 +91,8 @@ def cmd_train(args) -> int:
     if not examples:
         raise DataError(f"{args.train}: empty training set")
     dev = load_dataset(args.dev) if args.dev else None
+    if dev == []:
+        raise DataError(f"{args.dev}: empty dataset")
     model = Model.build_for_examples(config, examples)
     if args.embeddings_file:
         model.frozen_embeddings = load_precomputed(args.embeddings_file)

@@ -9,6 +9,7 @@ exercised without any external corpus.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .dep_graph import DepTree, ParseError
@@ -111,12 +112,26 @@ def _text(item, field: str) -> str:
     return str(item)
 
 
+def _interned(items, field: str) -> list[str]:
+    """items, a JSON array of strings (or numbers, read as their text), with
+    every string interned: in place when items holds only strings already,
+    so the list is not copied."""
+    if _list_of(items, str):
+        items[:] = map(sys.intern, items)
+        return items
+    return [sys.intern(_text(t, f"{field}[{i}]")) for i, t in enumerate(_array(items, field))]
+
+
 def example_from_dict(rec: dict) -> Example:
     """A validated Example from one JSON record.
 
     Lists that already hold the right types are used as they are, not
     copied; other values are converted (str() for tokens, rels and the
     label, int() for indices) as far as the conversion loses nothing.
+    Every token, relation and label string is interned (sys.intern), in
+    place in a list used as it is, so each distinct string is one object
+    shared by every record, every loaded file and the vocabularies built
+    from them.
     """
     if not isinstance(rec, dict):
         raise DataError("record is not a JSON object")
@@ -131,16 +146,14 @@ def example_from_dict(rec: dict) -> Example:
     heads, rels = rec["dep_heads"], rec["dep_rels"]
     try:
         ex = Example(
-            tokens=(tokens if _list_of(tokens, str)
-                    else [_text(t, f"tokens[{i}]") for i, t in enumerate(_array(tokens, "tokens"))]),
+            tokens=_interned(tokens, "tokens"),
             aspect_start=as_index(rec["aspect_start"], "aspect_start"),
             aspect_end=as_index(rec["aspect_end"], "aspect_end"),
-            label=label if type(label) is str else str(label),
+            label=sys.intern(label if type(label) is str else str(label)),
             dep_heads=(heads if _list_of(heads, int)
                        else [as_index(h, f"dep_heads[{i}]")
                              for i, h in enumerate(_array(heads, "dep_heads"))]),
-            dep_rels=(rels if _list_of(rels, str)
-                      else [_text(r, f"dep_rels[{i}]") for i, r in enumerate(_array(rels, "dep_rels"))]),
+            dep_rels=_interned(rels, "dep_rels"),
         )
     except DataError:
         raise

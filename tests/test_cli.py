@@ -105,6 +105,16 @@ class TestTrain:
         record = json.loads(stdout.strip().splitlines()[-1])
         assert set(record) == {"epoch", "train_loss", "dev_acc", "dev_macro_f1"}
 
+    def test_empty_dev_file_exits_2_naming_it(self, dataset, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        out = tmp_path / "m.gdd"
+        code, stdout, err = run(["train", "--train", str(dataset), "--dev", str(empty),
+                                 "--out", str(out), *toy_flags()], capsys)
+        assert code == 2
+        assert err == f"error: {empty}: empty dataset\n"
+        assert stdout == "" and not out.exists()
+
     def test_same_seed_byte_identical_logs(self, dataset, tmp_path, capsys):
         args = ["train", "--train", str(dataset), "--dev", str(dataset),
                 "--out", str(tmp_path / "m.gdd"), *toy_flags(seed="11")]

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +25,16 @@ GOOD_LINE = {
 }
 
 
+CORPUS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+
 def write_jsonl(path, records):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     return path
+
+
+def _strings(ex):
+    return [*ex.tokens, *ex.dep_rels, ex.label]
 
 
 class TestLoadDataset:
@@ -143,6 +153,40 @@ class TestLoadDataset:
         save_dataset(path, examples)
         loaded = load_dataset(path)
         assert [example_to_dict(e) for e in loaded] == [example_to_dict(e) for e in examples]
+
+
+class TestInterning:
+    """Each distinct token, relation and label string is one object, shared
+    by every record and every loaded file; json.loads alone makes a new one
+    per occurrence."""
+
+    def test_equal_strings_are_one_object_across_records_and_files(self, tmp_path):
+        first = load_dataset(write_jsonl(tmp_path / "a.jsonl", [GOOD_LINE, GOOD_LINE]))
+        second = load_dataset(write_jsonl(tmp_path / "b.jsonl", [GOOD_LINE]))
+        a, b, c = (_strings(ex) for ex in first + second)
+        assert all(x is y is z for x, y, z in zip(a, b, c))
+
+    def test_converted_items_are_interned_too(self, tmp_path):
+        as_text = dict(GOOD_LINE, tokens=["the", "staff", "was", "1234", "rude"])
+        as_number = dict(GOOD_LINE, tokens=["the", "staff", "was", 1234, "rude"])
+        typed, converted = load_dataset(write_jsonl(tmp_path / "d.jsonl", [as_text, as_number]))
+        assert converted.tokens[3] == "1234"
+        assert all(x is y for x, y in zip(_strings(typed), _strings(converted)))
+
+    def test_a_loaded_semeval_shaped_record_keeps_under_2000_bytes(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("_perfbench_corpus", CORPUS_PY)
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        path = tmp_path / "semeval.jsonl"
+        corpus.write_jsonl(path, corpus.semeval_records(4, 3000))
+        tracemalloc.start()
+        try:
+            examples = load_dataset(path)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(examples) == 3000
+        assert kept / len(examples) <= 2000
 
 
 class TestSyntheticGenerator:

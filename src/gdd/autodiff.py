@@ -368,8 +368,8 @@ def circ_corr(pair) -> Var:
 
     pair is one (2, ..., d) operand; out (..., d) = irfft(conj(A) * B, n=d)
     with A, B the rffts of pair[0], pair[1]: real by construction, no
-    imaginary residue to discard (numeric.circ_corr_fft is the complex-FFT
-    oracle). The transforms are products with _real_dft's matrices, whose
+    imaginary residue to discard (the tests check it against a naive O(d^2)
+    sum and a complex-FFT oracle). The transforms are products with _real_dft's matrices, whose
     interleaved layout makes a GEMM's output rows complex spectra under
     .view(np.complex128): one GEMM of the pair's rows, read as they lie,
     gives A and B, conj(A) * B is one complex multiply, and one GEMM of its

@@ -3,12 +3,12 @@
 Exit codes: 0 success, 1 internal failure (including a failed check), 2
 usage or input error, training that diverged (a configuration such as
 too large an lr; no checkpoint is written), or a forward pass that is not
-finite (eval and inspect name the record's file and line). Configuration
-comes from an optional flat key=value file plus per-key flags; flags win.
-GDD_SEED provides a seed fallback when neither source sets one;
-resolve_config reads it for every command that takes a seed. A closed
-stdout (`gdd ... | head`) ends the command with exit 1 and nothing on
-stderr.
+finite or whose sentence has no usable frozen vectors (named by the
+record's file and line). Configuration comes from an optional flat
+key=value file plus per-key flags; flags win. GDD_SEED provides a seed
+fallback when neither source sets one; resolve_config reads it for every
+command that takes a seed. A closed stdout (`gdd ... | head`) ends the
+command with exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ import traceback
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import DataError, as_index, generate_synthetic, load_dataset, load_numbered, read_text
+from .data import DataError, as_index, generate_synthetic, load_numbered, read_text
 from .dep_graph import ParseError, build_awig, parse_conllu
 from .embeddings import load_precomputed
 from .local_encoder import check_stationarity
 from .metrics import evaluate
-from .model import Model, ModelConfig, NonFiniteForward
+from .model import FrozenEmbeddingError, Model, ModelConfig, NonFiniteForward
 from .numeric import Rng
 from .training import EpochLog, TrainingDiverged, gradcheck_model, train
 
@@ -87,12 +87,13 @@ def add_config_flags(sub) -> None:
 
 def cmd_train(args) -> int:
     config = resolve_config(args)
-    examples = load_dataset(args.train)
-    if not examples:
+    train_set = load_numbered(args.train)
+    if not train_set:
         raise DataError(f"{args.train}: empty training set")
-    dev = load_dataset(args.dev) if args.dev else None
-    if dev == []:
+    dev_set = load_numbered(args.dev) if args.dev else []
+    if args.dev and not dev_set:
         raise DataError(f"{args.dev}: empty dataset")
+    examples = [ex for _, ex in train_set]
     model = Model.build_for_examples(config, examples)
     if args.embeddings_file:
         model.frozen_embeddings = load_precomputed(args.embeddings_file)
@@ -104,23 +105,26 @@ def cmd_train(args) -> int:
             record["dev_macro_f1"] = log.dev_macro_f1
         print(json.dumps(record), flush=True)
 
-    train(model, examples, dev_examples=dev, on_epoch=emit)
+    with forward_passes((args.train, train_set), (args.dev, dev_set)):
+        train(model, examples, dev_examples=[ex for _, ex in dev_set], on_epoch=emit)
     save_checkpoint(args.out, model)
     return 0
 
 
 @contextlib.contextmanager
-def forward_passes(path, numbered):
-    """The block's forward passes over the examples of `numbered`, the
-    (line number, Example) pairs read from `path`, under one np.errstate
-    that silences numpy's floating-point warnings; a pass that is not finite
-    raises a DataError naming the record's line and the first non-finite
-    quantity instead."""
+def forward_passes(*sources):
+    """The block's forward passes over the examples of `sources`, each a
+    (path, numbered) pair of a file and the (line number, Example) pairs read
+    from it, under one np.errstate that silences numpy's floating-point
+    warnings. A pass that is not finite (naming the first non-finite
+    quantity), or whose sentence has no frozen vectors of the model's width,
+    raises a DataError naming the record's file and line instead."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
             yield
-        except NonFiniteForward as e:
-            lineno = next(n for n, ex in numbered if ex is e.example)
+        except (NonFiniteForward, FrozenEmbeddingError) as e:
+            path, lineno = next((path, n) for path, numbered in sources
+                                for n, ex in numbered if ex is e.example)
             raise DataError(f"{path}:{lineno}: {e}") from None
 
 
@@ -131,7 +135,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"{args.data}: empty dataset")
     if args.embeddings_file:
         model.frozen_embeddings = load_precomputed(args.embeddings_file)
-    with forward_passes(args.data, numbered):
+    with forward_passes((args.data, numbered)):
         metrics = evaluate(model, [ex for _, ex in numbered])
     print(json.dumps(metrics.to_dict()))
     return 0
@@ -189,7 +193,7 @@ def cmd_inspect(args) -> int:
         raise DataError(f"--index {args.index} out of range for {len(numbered)} examples")
     if args.embeddings_file:
         model.frozen_embeddings = load_precomputed(args.embeddings_file)
-    with forward_passes(args.data, numbered):
+    with forward_passes((args.data, numbered)):
         _, trace = model.predict(numbered[args.index][1], with_trace=True)
     print(json.dumps(trace))
     return 0

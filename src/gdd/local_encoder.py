@@ -16,6 +16,9 @@ the aspect rows in a third node.
 The module also hosts a numerical diagnostic for the claim motivating the
 centering: the score-contrast objective O(theta, phi) is stationary exactly
 at the sample means of Q and K. That check never touches the training path.
+Each computation here has one implementation; the elementary references the
+tests compare against (the scalar Gaussian density, the quadruple-sum form of
+O) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -40,13 +43,6 @@ def _mask_width(H: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor):
     hidden = np.maximum(pre, 0.0)
     z = hidden @ W2 + b2
     return pooled, pre, hidden, z, np.logaddexp(0.0, z)
-
-
-def gaussian_pdf(x: float, sigma: float) -> float:
-    """Zero-mean Gaussian density at x."""
-    if sigma <= 0:
-        raise ValueError(f"gaussian_pdf: sigma must be positive, got {sigma}")
-    return math.exp(-0.5 * (x / sigma) ** 2) / (sigma * SQRT_2PI)
 
 
 def span_distances(n: int, span: tuple[int, int]) -> np.ndarray:
@@ -221,35 +217,6 @@ def eval_objective(theta, phi, Q, K) -> float:
     Phi = _pairwise_scatter(K)
     Omega = _pairwise_scatter(Q)
     return _contrast_half(Q, theta, Phi) + _contrast_half(K, phi, Omega)
-
-
-def eval_objective_direct(theta, phi, Q, K) -> float:
-    """Brute-force quadruple-sum form of the objective; test oracle only."""
-    theta, phi = as_tensor(theta), as_tensor(phi)
-    Q, K = as_tensor(Q), as_tensor(K)
-    dq = Q - theta
-    dk = K - phi
-    n = Q.shape[0]
-
-    num1 = 0.0
-    for j in range(n):
-        for xi in range(n):
-            for eta in range(n):
-                num1 += (np.dot(dq[j], dk[xi]) - np.dot(dq[j], dk[eta])) ** 2
-    den1 = sum(np.dot(dq[j], dq[j]) for j in range(n)) * sum(
-        np.dot(K[a] - K[b], K[a] - K[b]) for a in range(n) for b in range(n))
-
-    num2 = 0.0
-    for xi in range(n):
-        for j in range(n):
-            for p in range(n):
-                num2 += (np.dot(dk[xi], dq[j]) - np.dot(dk[xi], dq[p])) ** 2
-    den2 = sum(np.dot(dk[xi], dk[xi]) for xi in range(n)) * sum(
-        np.dot(Q[a] - Q[b], Q[a] - Q[b]) for a in range(n) for b in range(n))
-
-    if den1 == 0.0 or den2 == 0.0:
-        raise ValueError("degenerate objective")
-    return num1 / den1 + num2 / den2
 
 
 @dataclass

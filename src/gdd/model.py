@@ -102,23 +102,28 @@ class ModelConfig:
 
 
 def _coerce(key: str, raw, typ):
+    """raw as a value of type typ. A string, from a flag or a config file, is
+    parsed. Any other value, from a checkpoint header, is never converted to
+    another kind: a number is not a boolean, a boolean is not a number, and
+    an int key takes whole numbers only, as data.as_index does."""
     if typ in ("bool", bool):
         if isinstance(raw, bool):
             return raw
-        text = str(raw).strip().lower()
+        text = raw.strip().lower() if isinstance(raw, str) else None
         if text in ("true", "1", "yes"):
             return True
         if text in ("false", "0", "no"):
             return False
         raise ValueError(f"config: {key} expects a boolean, got {raw!r}")
+    is_int = typ in ("int", int)
+    if not is_int and typ not in ("float", float):
+        return str(raw)
     try:
-        if typ in ("int", int):
-            return int(raw)
-        if typ in ("float", float):
-            return float(raw)
+        if isinstance(raw, bool) or (is_int and isinstance(raw, float) and not raw.is_integer()):
+            raise ValueError(raw)
+        return int(raw) if is_int else float(raw)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"config: {key} expects a number ({typ}), got {raw!r}") from None
-    return str(raw)
 
 
 class ModelParams:
@@ -314,6 +319,16 @@ class NonFiniteForward(ArithmeticError):
         super().__init__(f"non-finite forward pass, first at {quantity}")
 
 
+class FrozenEmbeddingError(DataError):
+    """A sentence that has no frozen-vector record, or one whose shape is not
+    (tokens, d_model). example is the Example whose forward pass read it, so
+    that a caller can name where the example came from."""
+
+    def __init__(self, example: Example, message: str):
+        self.example = example
+        super().__init__(message)
+
+
 def _first_non_finite(trace) -> str:
     """The first quantity of a forward pass's trace, in forward order, that
     is not finite (see NonFiniteForward); the logits when no other is."""
@@ -416,10 +431,12 @@ class Model:
         if self.frozen_embeddings is not None:
             key = tuple(prep.example.tokens)
             if key not in self.frozen_embeddings:
-                raise DataError(f"no frozen embedding record for sentence: {' '.join(key)}")
+                raise FrozenEmbeddingError(
+                    prep.example, f"no frozen embedding record for sentence: {' '.join(key)}")
             H = self.frozen_embeddings[key]
             if H.shape != (len(key), self.config.d_model):
-                raise DataError(
+                raise FrozenEmbeddingError(
+                    prep.example,
                     f"frozen embedding shape {H.shape} != ({len(key)}, {self.config.d_model}) "
                     f"for sentence: {' '.join(key)}")
             return Var(H)

@@ -1,11 +1,11 @@
-"""Float64 kernels, seeded randomness and the oracles the tape is checked against.
+"""Float64 kernels, seeded randomness and the finite-difference oracle.
 
-Tensors are plain numpy arrays in row-major order. `softmax` checks its
-input; `_softmax` is the unchecked kernel of the tape's attention nodes.
-The oracles -- `circ_corr_naive`, `circ_corr_fft` and `finite_diff_grad` --
-check their inputs, and the last two raise ValueError on a non-finite result.
-Randomness flows through explicit Rng instances owned by the caller --
-nothing in this package touches numpy's global RNG.
+Tensors are plain numpy arrays in row-major order. `_softmax` is the
+unchecked kernel of the tape's attention nodes. `finite_diff_grad`, the
+oracle every analytic gradient is checked against (`gdd gradcheck` and the
+stationarity diagnostic run it), raises ValueError on a non-finite
+objective. Randomness flows through explicit Rng instances owned by the
+caller -- nothing in this package touches numpy's global RNG.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from typing import Callable
 import numpy as np
 
 Tensor = np.ndarray
-
-IMAG_RESIDUE_TOL = 1e-9
 
 
 def as_tensor(x) -> Tensor:
@@ -56,20 +54,6 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def softmax(v, axis: int = -1) -> Tensor:
-    """Softmax along `axis`, computed with max-subtraction for overflow safety.
-
-    Each slice along the reduced axis sums to 1; the result is invariant to
-    adding a constant to the input slice.
-    """
-    v = as_tensor(v)
-    if v.ndim == 0:
-        raise ValueError("softmax: input must have at least one axis")
-    if v.shape[axis] == 0:
-        raise ValueError("softmax: empty axis")
-    return _softmax(v, axis)
-
-
 def _softmax(v: Tensor, axis: int = -1) -> Tensor:
     """The softmax kernel without the checks, for float64 arrays that already
     have a non-empty `axis`. It reduces through the ufuncs' own reduce
@@ -77,48 +61,6 @@ def _softmax(v: Tensor, axis: int = -1) -> Tensor:
     array methods) and give the same bits."""
     e = np.exp(v - np.maximum.reduce(v, axis, keepdims=True))
     return e / np.add.reduce(e, axis, keepdims=True)
-
-
-def _check_vec_pair(a: Tensor, b: Tensor, op: str) -> None:
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError(f"{op} expects 1-D operands, got shapes {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"{op}: length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[0] < 1:
-        raise ValueError(f"{op}: operands must be non-empty")
-
-
-def circ_corr_naive(a, b) -> Tensor:
-    """Direct O(d^2) circular correlation: out[k] = sum_i a[i] * b[(i+k) % d].
-
-    Reference oracle for circ_corr_fft; kept deliberately elementary.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    _check_vec_pair(a, b, "circ_corr_naive")
-    d = a.shape[0]
-    out = np.empty(d)
-    for k in range(d):
-        out[k] = np.dot(a, np.roll(b, -k))
-    return out
-
-
-def circ_corr_fft(a, b) -> Tensor:
-    """Circular correlation via FFT: ifft(conj(fft(a)) * fft(b)).
-
-    Works for arbitrary lengths (mixed-radix transform underneath; no padding).
-    The imaginary residue of the inverse transform must stay below 1e-9 and
-    is discarded.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    _check_vec_pair(a, b, "circ_corr_fft")
-    out = np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(b))
-    residue = float(np.max(np.abs(out.imag), initial=0.0))
-    if residue >= IMAG_RESIDUE_TOL:
-        raise ValueError(f"circ_corr_fft: imaginary residue {residue:.3e} exceeds tolerance")
-    out = np.ascontiguousarray(out.real)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("circ_corr_fft: non-finite values in result")
-    return out
 
 
 def finite_diff_grad(f: Callable[[Tensor], float], x, eps: float = 1e-6) -> Tensor:

@@ -19,16 +19,13 @@ from gdd.autodiff import Var
 from gdd.cli import main
 from gdd.data import generate_synthetic, load_dataset
 from gdd.dep_graph import build_awig
-from gdd.local_encoder import (
-    attention_var,
-    check_stationarity,
-    gaussian_pdf,
-)
+from gdd.local_encoder import attention_var, check_stationarity
 from gdd.metrics import metrics_from_predictions
 from gdd.model import Model, ModelConfig
-from gdd.numeric import Rng, circ_corr_fft, circ_corr_naive
+from gdd.numeric import Rng
 from gdd.training import gradcheck_model, train
 
+from oracles import circ_corr_fft, circ_corr_naive, gaussian_pdf
 from test_dep_graph import contracted_shortest_paths, random_tree, replay_reachable
 from test_local_encoder import build_mask
 

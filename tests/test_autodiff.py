@@ -9,10 +9,10 @@ from gdd import autodiff as ad
 from gdd.autodiff import Var, backward
 from gdd.dgat import RelHeads, dual_attention_var, relational_head_var
 from gdd.local_encoder import attention_var, gaussian_mask_var, local_forward_var
-from gdd.numeric import Rng, circ_corr_naive, finite_diff_grad
+from gdd.numeric import Rng, finite_diff_grad
 
-from oracles import (div, exp, logsumexp, mean, pick, relu, reshape, softmax, softplus, sub,
-                     sum_, transpose)
+from oracles import (circ_corr_naive, div, exp, logsumexp, mean, pick, relu, reshape, softmax,
+                     softplus, sub, sum_, transpose)
 
 
 def inputs(*shapes, seed=0):

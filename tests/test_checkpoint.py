@@ -181,6 +181,16 @@ def test_bad_rate_or_interval_in_header(trained_model, key, value):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key, value, expected", [("d_model", 8.0, 8), ("d_model", "8", 8),
+                                                  ("lr", 1, 1.0), ("lr", "0.5", 0.5),
+                                                  ("use_mask", "false", False)])
+def test_header_whole_numbers_and_strings_still_load(trained_model, key, value, expected):
+    _, _, path = trained_model
+    _edit_header(path, lambda h: h["config"].__setitem__(key, value))
+    loaded = getattr(load_checkpoint(path).config, key)
+    assert loaded == expected and type(loaded) is type(expected)
+
+
 def _set(key, value):
     return lambda h: h.__setitem__(key, value)
 
@@ -192,6 +202,12 @@ def _set(key, value):
     (lambda h: h["config"].__setitem__("lr", None), "lr"),
     (lambda h: h["config"].__setitem__("d_head", "x"), "d_head"),
     (lambda h: h["config"].__setitem__("d_hid", float("inf")), "d_hid"),
+    # int() would read 8.9 as 8, float() true as 1.0 and the flag parser 1 as true
+    (lambda h: h["config"].__setitem__("d_model", 8.9), "bad config in header: config: d_model"),
+    (lambda h: h["config"].__setitem__("kappa_max", 3.2),
+     "bad config in header: config: kappa_max"),
+    (lambda h: h["config"].__setitem__("lr", True), "bad config in header: config: lr"),
+    (lambda h: h["config"].__setitem__("use_mask", 1), "bad config in header: config: use_mask"),
     (_set("vocab", 5), "vocab"),
     (lambda h: h["vocab"].__setitem__(2, 7), "vocab"),
     (_set("tag_vocab", "x"), "tag_vocab"),
@@ -204,7 +220,8 @@ def _set(key, value):
     (lambda h: h["params"][1].__setitem__("shape", "ab"), "embed.tag"),
     (lambda h: h["params"][1].__setitem__("shape", 8), "manifest entry 1"),
 ], ids=["config-list", "config-null", "config-value-list", "config-value-null",
-        "config-value-str", "config-value-inf", "vocab-int", "vocab-entry-int", "tag-vocab-str",
+        "config-value-str", "config-value-inf", "config-int-fraction", "config-kappa-fraction",
+        "config-float-bool", "config-bool-int", "vocab-int", "vocab-entry-int", "tag-vocab-str",
         "tag-vocab-entry-null", "params-int", "params-object", "entry-name-list",
         "entry-name-int", "entry-shape-float", "entry-shape-str", "entry-shape-int"])
 def test_header_field_of_the_wrong_json_type(trained_model, edit, field, capsys):

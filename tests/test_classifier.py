@@ -373,6 +373,28 @@ class TestGradcheck:
         assert set(report.per_tensor) == set(model.params.names())
         assert report.ok, report.worst()
 
+    def test_a_sign_flipped_circ_corr_vjp_fails_on_the_dual_head(self, toy_model, monkeypatch):
+        """The check can fail, and names the right tensors: with the gradient
+        that circ_corr hands back negated (its forward as it is), the dual
+        head's projections fail, and no tensor that the correlation's
+        gradient does not reach does."""
+        model, examples = toy_model
+        circ_corr = ad.circ_corr
+
+        def flipped(pair):
+            out = circ_corr(pair)
+            vjp = out._vjp
+            out._vjp = lambda g: tuple(-c for c in vjp(g))
+            return out
+
+        monkeypatch.setattr(ad, "circ_corr", flipped)
+        report = gradcheck_model(model, examples[1])
+        failing = {name for name, err in report.per_tensor.items() if not err < report.tolerance}
+        assert not report.ok
+        assert {"dgat.l0.dual0.We", "dgat.l0.dual0.Wi"} <= failing
+        assert not {name for name in failing
+                    if name.startswith(("local.", "out.", "dgat.l0.rel0."))}, failing
+
     def test_untouched_embedding_rows_zero_grad(self, toy_model):
         model, examples = toy_model
         prep = model.prepare(examples[0])

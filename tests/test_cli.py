@@ -261,6 +261,60 @@ class TestBadEmbeddingsFile:
         assert re.fullmatch(f"error: .*{self.MESSAGES[case]}.*\n", err), err
 
 
+class TestFrozenRecordLocation:
+    """A sentence with no frozen-vector record, or one of the wrong width, is
+    an input error naming the data file and the line of the record whose
+    forward pass needed it."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    @pytest.mark.parametrize("case", ["missing-sentence", "wrong-width"])
+    def test_exit_2_naming_the_data_line(self, tmp_path, capsys, command, case):
+        examples = generate_synthetic(seed=3, count=9)
+        bad = examples[3].tokens
+        data = tmp_path / "data.jsonl"
+        save_dataset(data, examples)
+        data.write_text("\n" + data.read_text())  # a blank line 1: record i is on line i + 2
+        vectors = tmp_path / "vectors.jsonl"
+        write_vectors(vectors, examples, skip={tuple(bad)})
+        if case == "wrong-width":
+            with vectors.open("a") as fh:
+                fh.write(json.dumps({"tokens": bad, "vectors": [[0.5] * 5] * len(bad)}) + "\n")
+        lines = {i + 2 for i, ex in enumerate(examples) if ex.tokens == bad}
+        out = tmp_path / "m.gdd"
+        if command == "train":
+            argv = ["train", "--train", str(data), "--out", str(out), *toy_flags()]
+        else:
+            run(["train", "--train", str(data), "--out", str(out), *toy_flags()], capsys)
+            argv = [command, "--checkpoint", str(out), "--data", str(data)]
+            argv += ["--index", "3"] if command == "inspect" else []
+        code, stdout, err = run(argv + ["--embeddings-file", str(vectors)], capsys)
+        assert code == 2
+        assert stdout == ""
+        m = re.fullmatch(rf"error: {re.escape(str(data))}:(\d+): (.*)\n", err)
+        assert m and int(m.group(1)) in lines, err
+        assert m.group(2).startswith("no frozen embedding record" if case == "missing-sentence"
+                                     else "frozen embedding shape (")
+
+    def test_a_dev_record_names_the_dev_file(self, dataset, tmp_path, capsys):
+        train_examples = generate_synthetic(seed=3, count=9)
+        dev_examples = generate_synthetic(seed=11, count=3)
+        missing = dev_examples[1].tokens
+        assert all(ex.tokens != missing for ex in train_examples)
+        dev = tmp_path / "dev.jsonl"
+        save_dataset(dev, dev_examples)
+        vectors = tmp_path / "vectors.jsonl"
+        write_vectors(vectors, train_examples + dev_examples, skip={tuple(missing)})
+        lines = {i + 1 for i, ex in enumerate(dev_examples) if ex.tokens == missing}
+        code, stdout, err = run(["train", "--train", str(dataset), "--dev", str(dev),
+                                 "--out", str(tmp_path / "m.gdd"), "--embeddings-file",
+                                 str(vectors), *toy_flags()], capsys)
+        assert code == 2
+        assert stdout == ""  # the first epoch's dev pass fails before its line is printed
+        m = re.fullmatch(rf"error: {re.escape(str(dev))}:(\d+): no frozen embedding record .*\n",
+                         err)
+        assert m and int(m.group(1)) in lines, err
+
+
 class TestNonUtf8Input:
     """A file that is not UTF-8 text is an input error: exit 2 naming the file
     and line, no traceback."""

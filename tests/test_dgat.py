@@ -22,10 +22,11 @@ from gdd.dgat import (
     relational_head_var,
 )
 from gdd.model import REL_FIELDS, Model, ModelConfig, rel_head_stacks
-from gdd.numeric import Rng, circ_corr_fft, softmax
+from gdd.numeric import Rng
 from gdd.training import batch_grads
 
-from oracles import relu, reshape, stack
+from oracles import array_softmax as softmax
+from oracles import circ_corr_fft, relu, reshape, stack
 from oracles import softmax as tape_softmax
 
 

@@ -11,15 +11,14 @@ from gdd.local_encoder import (
     attention_var,
     check_stationarity,
     eval_objective,
-    eval_objective_direct,
     gaussian_mask_var,
-    gaussian_pdf,
     local_forward_var,
     span_distances,
 )
 from gdd.numeric import Rng, finite_diff_grad
 
-from oracles import div, exp, mean, relu, reshape, softmax, softplus, sub, transpose
+from oracles import (div, eval_objective_direct, exp, gaussian_pdf, mean, relu, reshape,
+                     softmax, softplus, sub, transpose)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 

@@ -25,7 +25,7 @@ import traceback
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import DataError, as_index, generate_synthetic, load_numbered, read_text
+from .data import DataError, as_index, generate_synthetic, load_numbered, read_jsonl, read_text
 from .dep_graph import ParseError, build_awig, parse_conllu
 from .embeddings import load_precomputed
 from .local_encoder import check_stationarity
@@ -141,47 +141,40 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _span_pairs(spans, where: str) -> list[tuple[int, int]]:
-    """The [start, end) pairs of one spans record, as ints; a pair that is
-    not two integers is an input error naming where it was read."""
+def _span_pairs(rec) -> list[tuple[int, int]]:
+    """The [start, end) pairs of one spans record, as ints; a record that is
+    not {"spans": [[start, end], ...]} of integers is a DataError."""
+    spans = rec.get("spans") if isinstance(rec, dict) else None
     if not isinstance(spans, list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in spans):
-        raise DataError(f"{where}: expected {{\"spans\": [[start, end], ...]}}")
+        raise DataError("expected {\"spans\": [[start, end], ...]}")
     try:
         return [(as_index(start, "span start"), as_index(end, "span end"))
                 for start, end in spans]
-    except DataError as e:
-        raise DataError(f"{where}: {e}") from None
+    except DataError:
+        raise
     except (TypeError, ValueError) as e:
-        raise DataError(f"{where}: malformed span: {e}") from None
+        raise DataError(f"malformed span: {e}") from None
 
 
 def cmd_build_graph(args) -> int:
     if args.kappa_max < 1:
         raise UsageError("--kappa-max must be at least 1")
-    trees = parse_conllu(read_text(args.conllu))
-    spans_per_sentence = []
-    for lineno, line in enumerate(read_text(args.spans).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{args.spans}:{lineno}: invalid JSON: {e}") from None
-        if not isinstance(rec, dict) or "spans" not in rec:
-            raise DataError(f"{args.spans}:{lineno}: expected {{\"spans\": [[start, end], ...]}}")
-        spans_per_sentence.append(_span_pairs(rec["spans"], f"{args.spans}:{lineno}"))
+    try:
+        trees = parse_conllu(read_text(args.conllu))
+    except ParseError as e:
+        raise DataError(f"{args.conllu}: {e}") from None
+    spans_per_sentence = read_jsonl(args.spans, _span_pairs)
     if len(spans_per_sentence) != len(trees):
         raise DataError(f"{args.spans}: {len(spans_per_sentence)} span records for "
                         f"{len(trees)} sentences")
-    for sent_no, (tree, spans) in enumerate(zip(trees, spans_per_sentence), start=1):
+    for sent_no, (tree, (lineno, spans)) in enumerate(zip(trees, spans_per_sentence), start=1):
         for start, end in spans:
             try:
                 awig = build_awig(tree, (start, end - 1), args.kappa_max,
                                   drop_punct=args.drop_punct)
             except ValueError as e:
-                raise DataError(f"{args.spans}: sentence {sent_no}: {e}") from None
+                raise DataError(f"{args.spans}:{lineno}: sentence {sent_no}: {e}") from None
             print(json.dumps(awig.to_json_dict(tree.tokens)))
     return 0
 

@@ -174,23 +174,28 @@ def example_to_dict(ex: Example) -> dict:
     }
 
 
-def load_numbered(path) -> list[tuple[int, Example]]:
-    """Read and validate a JSONL dataset into (line number, Example) pairs,
-    one per line that is not blank; errors carry line numbers."""
+def read_jsonl(path, parse) -> list[tuple[int, object]]:
+    """(line number, parse(record)) for each line of the JSON Lines file at
+    path that is not blank, the file read once (read_text). Invalid JSON, or
+    a DataError raised by parse, becomes DataError "<path>:<line>: ..."."""
     out = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            rec = json.loads(line)
+            out.append((lineno, parse(json.loads(line))))
         except json.JSONDecodeError as e:
             raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
-        try:
-            out.append((lineno, example_from_dict(rec)))
         except DataError as e:
             raise DataError(f"{path}:{lineno}: {e}") from None
     return out
+
+
+def load_numbered(path) -> list[tuple[int, Example]]:
+    """Read and validate a JSONL dataset into (line number, Example) pairs,
+    one per line that is not blank; errors carry line numbers."""
+    return read_jsonl(path, example_from_dict)
 
 
 def load_dataset(path) -> list[Example]:

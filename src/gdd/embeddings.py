@@ -12,13 +12,12 @@ per-token vectors can inject them through the JSONL loader below instead.
 
 from __future__ import annotations
 
-import json
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import DataError, read_text
+from .data import DataError, read_jsonl
 from .numeric import Tensor
 
 PAD = 0
@@ -126,38 +125,48 @@ def composed_tag_ids(paths: Iterable[Sequence[str]], tag_vocab: TagVocab,
     return slot_ids, np.array(hop_idx, dtype=np.intp)
 
 
+def _vector_record(rec) -> tuple[tuple[str, ...], Tensor]:
+    """One frozen-vector record's (tokens, vectors); DataError if malformed.
+    Vector entries must be JSON numbers, since np.asarray would read true as
+    1.0 and "1.5" as 1.5."""
+    if not isinstance(rec, dict) or set(rec) != {"tokens", "vectors"}:
+        raise DataError("expected keys 'tokens' and 'vectors'")
+    tokens, vectors = rec["tokens"], rec["vectors"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise DataError("tokens must be a list of strings")
+    if type(vectors) is not list or not vectors or not all(
+            type(row) is list and set(map(type, row)) <= {int, float} for row in vectors):
+        raise DataError("vectors must be a 2-D list of numbers")
+    try:
+        arr = np.asarray(vectors, dtype=np.float64)
+    except ValueError:  # rows of different lengths
+        raise DataError("vectors must be a 2-D list of numbers") from None
+    except OverflowError:  # an integer beyond the float64 range
+        raise DataError("vectors must be finite") from None
+    if arr.shape[0] != len(tokens):
+        raise DataError(f"{arr.shape[0]} vectors for {len(tokens)} tokens")
+    if not np.isfinite(arr).all():
+        raise DataError("vectors must be finite")
+    return tuple(tokens), arr
+
+
 def load_precomputed(path) -> dict[tuple[str, ...], Tensor]:
     """Read frozen per-token vectors from JSON Lines.
 
     Each record is {"tokens": [...], "vectors": [[...], ...]} with one vector
-    per token. Sentences are keyed by their exact token sequence. A malformed
-    record, or one with a NaN or infinite entry (which json.loads accepts),
-    raises DataError naming its file and line.
+    per token, every entry a finite JSON number (not a boolean or a string).
+    Sentences are keyed by their exact token sequence. A sentence may repeat
+    (a converter may write one record per aspect) only with equal vectors. A
+    malformed record, a NaN or infinite entry (which json.loads accepts), or
+    a repeat with other vectors raises DataError naming its file and line
+    (and, for a repeat, the line of the sentence's first record).
     """
-    out: dict[tuple[str, ...], Tensor] = {}
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{where}: invalid JSON: {e}") from None
-        if not isinstance(rec, dict) or set(rec) != {"tokens", "vectors"}:
-            raise DataError(f"{where}: expected keys 'tokens' and 'vectors'")
-        tokens, vectors = rec["tokens"], rec["vectors"]
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise DataError(f"{where}: tokens must be a list of strings")
-        try:
-            arr = np.asarray(vectors, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise DataError(f"{where}: vectors must be a 2-D list of numbers") from None
-        if arr.ndim != 2:
-            raise DataError(f"{where}: vectors must be a 2-D list of numbers")
-        if arr.shape[0] != len(tokens):
-            raise DataError(f"{where}: {arr.shape[0]} vectors for {len(tokens)} tokens")
-        if not np.isfinite(arr).all():
-            raise DataError(f"{where}: vectors must be finite")
-        out[tuple(tokens)] = arr
-    return out
+    table: dict[tuple[str, ...], Tensor] = {}
+    first_line: dict[tuple[str, ...], int] = {}
+    for lineno, (tokens, arr) in read_jsonl(path, _vector_record):
+        kept = table.setdefault(tokens, arr)
+        first = first_line.setdefault(tokens, lineno)
+        if kept is not arr and not np.array_equal(kept, arr):
+            raise DataError(f"{path}:{lineno}: sentence repeats line {first} "
+                            "with other vectors")
+    return table

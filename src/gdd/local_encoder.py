@@ -103,11 +103,12 @@ def attention_var(H_G: Var, Wq, Wk, Wv, variant: str = "covariance",
 
     variant "covariance" subtracts the token-mean from Q and K before the
     score product; "original" scores raw projections. Both scale by
-    sqrt(d_head) and softmax row-wise. With heads > 1 the projection columns
-    split into equal head groups and outputs concatenate back to d_k; probs
-    is then the first head's matrix (the trace keeps one n x n view).
+    sqrt(d_head) and softmax row-wise. The projection columns split into
+    `heads` equal groups that run as one (heads, n, width) stack, and the
+    outputs concatenate back to d_k; probs is the first head's matrix (the
+    trace keeps one n x n view).
 
-    The VJP runs each head's softmax and score product back by hand, then
+    The VJP runs the stacked softmax and score products back by hand, then
     the centering (its VJP is centering: dQ = dQc - mean(dQc)) and the three
     projections; Wq, Wk and Wv get their gradients as the factors
     (H_G^T, dQ), (H_G^T, dK) and (H_G^T, dV) (see autodiff).
@@ -126,27 +127,23 @@ def attention_var(H_G: Var, Wq, Wk, Wv, variant: str = "covariance",
     if center:
         Q = Q - Q.sum(axis=0, keepdims=True) * (1.0 / n)
         K = K - K.sum(axis=0, keepdims=True) * (1.0 / n)
-    cols = [slice(h * width, (h + 1) * width) for h in range(heads)]
-    probs = [_softmax((Q[:, sl] @ K[:, sl].T) * c, 1) for sl in cols]
-    outs = [P @ V[:, sl] for sl, P in zip(cols, probs)]
+    Qh, Kh, Vh = (M.reshape(n, heads, width).transpose(1, 0, 2) for M in (Q, K, V))
+    P = _softmax((Qh @ Kh.transpose(0, 2, 1)) * c, 2)
 
     def vjp(g):
-        dQ, dK, dV = np.empty((n, d_k)), np.empty((n, d_k)), np.empty((n, d_k))
-        for sl, P in zip(cols, probs):
-            gh = g[:, sl]
-            dP = gh @ V[:, sl].T
-            dS = (dP - (dP * P).sum(1, keepdims=True)) * P * c
-            dQ[:, sl] = dS @ K[:, sl]
-            dK[:, sl] = dS.T @ Q[:, sl]
-            dV[:, sl] = P.T @ gh
+        gh = g.reshape(n, heads, width).transpose(1, 0, 2)
+        dP = gh @ Vh.transpose(0, 2, 1)
+        dS = (dP - (dP * P).sum(2, keepdims=True)) * P * c
+        dQ, dK, dV = (D.transpose(1, 0, 2).reshape(n, d_k)
+                      for D in (dS @ Kh, dS.transpose(0, 2, 1) @ Qh, P.transpose(0, 2, 1) @ gh))
         if center:
             dQ -= dQ.sum(axis=0, keepdims=True) * (1.0 / n)
             dK -= dK.sum(axis=0, keepdims=True) * (1.0 / n)
         return (dQ @ Wq.value.T + dK @ Wk.value.T + dV @ Wv.value.T,
                 (X.T, dQ), (X.T, dK), (X.T, dV))
 
-    out = outs[0] if heads == 1 else np.concatenate(outs, axis=1)
-    return Var(out, (H_G, Wq, Wk, Wv), vjp), probs[0]
+    out = (P @ Vh).transpose(1, 0, 2).reshape(n, d_k)
+    return Var(out, (H_G, Wq, Wk, Wv), vjp), P[0]
 
 
 def local_forward_var(H: Var, span: tuple[int, int], mask_params, attn_params,

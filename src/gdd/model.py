@@ -391,10 +391,8 @@ class Model:
         self._layers: list[dg.DgatLayerParams] | None = None
 
     @classmethod
-    def build(cls, config: ModelConfig, vocab: Vocab, tag_vocab: TagVocab,
-              seed: int | None = None) -> "Model":
-        rng = Rng(config.seed if seed is None else seed)
-        params = init_params(config, len(vocab), len(tag_vocab), rng)
+    def build(cls, config: ModelConfig, vocab: Vocab, tag_vocab: TagVocab) -> "Model":
+        params = init_params(config, len(vocab), len(tag_vocab), Rng(config.seed))
         return cls(config, vocab, tag_vocab, params)
 
     @classmethod

@@ -341,6 +341,38 @@ class TestNonUtf8Input:
         assert re.fullmatch(r"error: .*bad\.txt:2: not UTF-8 text.*\n", err), err
 
 
+JSONL_FLAGS = ["train --train", "train --dev", "eval --data", "inspect --data",
+               "--embeddings-file", "build-graph --spans"]
+
+
+@pytest.mark.parametrize("flag", JSONL_FLAGS)
+def test_invalid_json_on_line_2_of_any_jsonl_flag_exits_2_naming_it(dataset, tmp_path, capsys,
+                                                                   flag):
+    """Every JSON Lines input is read by one function: a line that is not
+    JSON is one stderr line naming the file and the line, and exit 2."""
+    first = {"--embeddings-file": {"tokens": ["a"], "vectors": [[1.0]]},
+             "build-graph --spans": {"spans": [[2, 3]]}}.get(
+        flag, json.loads(dataset.read_text().splitlines()[0]))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(first) + "\n{broken\n")
+    conllu = tmp_path / "s.conllu"
+    conllu.write_text(CHAIN_CONLLU)
+    out, toy = str(tmp_path / "m.gdd"), str(GOLDEN_DIR / "toy.gdd")
+    argv = {"train --train": ["train", "--train", str(bad), "--out", out, *toy_flags()],
+            "train --dev": ["train", "--train", str(dataset), "--dev", str(bad), "--out", out,
+                            *toy_flags()],
+            "eval --data": ["eval", "--checkpoint", toy, "--data", str(bad)],
+            "inspect --data": ["inspect", "--checkpoint", toy, "--data", str(bad)],
+            "--embeddings-file": ["eval", "--checkpoint", toy, "--data", str(dataset),
+                                  "--embeddings-file", str(bad)],
+            "build-graph --spans": ["build-graph", "--conllu", str(conllu), "--spans", str(bad)],
+            }[flag]
+    code, stdout, err = run(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert re.fullmatch(rf"error: {re.escape(str(bad))}:2: invalid JSON: [^\n]*\n", err), err
+
+
 class TestBadSeed:
     """A seed that is not a non-negative integer, from --seed or from GDD_SEED,
     is a usage error naming seed on every command that takes one."""
@@ -553,6 +585,34 @@ class TestBuildGraph:
                             "--spans", str(spans)], capsys)
         assert code == 2
         assert "line 1" in err
+
+    def test_a_span_the_graph_rejects_names_its_spans_line(self, tmp_path, capsys):
+        conllu = tmp_path / "s.conllu"
+        conllu.write_text(CHAIN_CONLLU + "\n" + CHAIN_CONLLU)
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text('{"spans": [[2, 3]]}\n\n{"spans": [[5, 6]]}\n')
+        code, stdout, err = run(["build-graph", "--conllu", str(conllu),
+                                 "--spans", str(spans)], capsys)
+        assert code == 2
+        assert re.fullmatch(rf"error: {re.escape(str(spans))}:3: sentence 2: .*span.*\n", err), err
+
+    @pytest.mark.parametrize("conllu_text, message", [
+        (CHAIN_CONLLU.replace("\t1\tdep_a", "\tx\tdep_a"),
+         "line 2: HEAD column is not an integer: 'x'"),
+        (CHAIN_CONLLU.replace("\t0\troot", "\t3\troot"),
+         "sentence starting at line 1: cycle in heads through tokens"),
+    ], ids=["head-not-an-integer", "cycle"])
+    def test_a_conllu_error_names_the_file(self, tmp_path, capsys, conllu_text, message):
+        conllu = tmp_path / "s.conllu"
+        conllu.write_text(conllu_text)
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text(json.dumps({"spans": [[2, 3]]}) + "\n")
+        code, stdout, err = run(["build-graph", "--conllu", str(conllu),
+                                 "--spans", str(spans)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {conllu}: {message}"), err
+        assert err.count("\n") == 1, err
 
     def test_golden_output(self, tmp_path, capsys):
         conllu = tmp_path / "s.conllu"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gdd import autodiff as ad
+from gdd.data import DataError
 from gdd.dep_graph import Awig
 from gdd.embeddings import (
     PAD,
@@ -161,13 +162,46 @@ class TestPrecomputed:
         with pytest.raises(ValueError, match="1 vectors for 2 tokens"):
             load_precomputed(path)
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" * 400],
+                             ids=["NaN", "Infinity", "-Infinity", "int-beyond-float64"])
     def test_non_finite_vectors_rejected(self, tmp_path, value):
         path = tmp_path / "vecs.jsonl"
         good = json.dumps({"tokens": ["a"], "vectors": [[1.0, 2.0]]})
         path.write_text(f'{good}\n{{"tokens": ["b"], "vectors": [[1.0, {value}]]}}\n')
         with pytest.raises(ValueError, match=r"vecs\.jsonl:2: vectors must be finite"):
             load_precomputed(path)
+
+    @pytest.mark.parametrize("vectors", ["[[true, false]]", '[["1.5", 2]]', "[[true, 1]]"],
+                             ids=["booleans", "numeric-string", "mixed-row"])
+    def test_vector_entries_must_be_json_numbers(self, tmp_path, vectors):
+        """np.asarray would read true as 1.0 and "1.5" as 1.5."""
+        path = tmp_path / "vecs.jsonl"
+        good = json.dumps({"tokens": ["a"], "vectors": [[1.0, 2.0]]})
+        path.write_text(f'{good}\n{{"tokens": ["b"], "vectors": {vectors}}}\n')
+        with pytest.raises(DataError) as info:
+            load_precomputed(path)
+        assert str(info.value) == f"{path}:2: vectors must be a 2-D list of numbers"
+
+    def test_a_repeated_sentence_with_other_vectors_names_both_lines(self, tmp_path):
+        path = tmp_path / "vecs.jsonl"
+        records = [{"tokens": ["c"], "vectors": [[1, 2]]},
+                   {"tokens": ["d"], "vectors": [[3, 4]]},
+                   {"tokens": ["c"], "vectors": [[9, 9]]}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DataError) as info:
+            load_precomputed(path)
+        assert str(info.value) == f"{path}:3: sentence repeats line 1 with other vectors"
+
+    def test_a_repeated_sentence_with_equal_vectors_loads(self, tmp_path):
+        """A converter may write one record per aspect, so a sentence with two
+        aspects can arrive twice."""
+        path = tmp_path / "vecs.jsonl"
+        records = [{"tokens": ["c"], "vectors": [[1, 2]]},
+                   {"tokens": ["c"], "vectors": [[1.0, 2.0]]}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        table = load_precomputed(path)
+        assert list(table) == [("c",)]
+        assert table[("c",)].tolist() == [[1.0, 2.0]]
 
     def test_bad_keys(self, tmp_path):
         path = tmp_path / "vecs.jsonl"

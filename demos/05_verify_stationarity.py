@@ -18,7 +18,7 @@ rng = Rng(2024)
 for trial in range(5):
     Q = rng.normal((6, 4))
     K = rng.normal((6, 4))
-    report = check_stationarity(Q, K, num_random=100, rng=Rng(trial))
+    report = check_stationarity(Q, K, rng=Rng(trial))
     ratio = report.grad_norm_at_mean / report.median_random_grad_norm
     print(f"trial {trial}: |grad O| at means = {report.grad_norm_at_mean:.3e}   "
           f"median at random points = {report.median_random_grad_norm:.3e}   "

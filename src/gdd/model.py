@@ -379,13 +379,13 @@ class Model:
     """Configured parameters plus the forward machinery tying them together."""
 
     def __init__(self, config: ModelConfig, vocab: Vocab, tag_vocab: TagVocab,
-                 params: ModelParams,
-                 frozen_embeddings: dict[tuple[str, ...], Tensor] | None = None):
+                 params: ModelParams):
         self.config = config
         self.vocab = vocab
         self.tag_vocab = tag_vocab
         self.params = params
-        self.frozen_embeddings = frozen_embeddings
+        # sentence -> frozen vectors read in place of the token table
+        self.frozen_embeddings: dict[tuple[str, ...], Tensor] | None = None
         # the DGAT layers' parameters, built by the first forward pass,
         # training's or predict's, like params.leaves()
         self._layers: list[dg.DgatLayerParams] | None = None

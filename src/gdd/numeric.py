@@ -40,8 +40,8 @@ class Rng:
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> Tensor:
         return self._gen.uniform(low, high, size=shape)
 
-    def normal(self, shape, scale: float = 1.0) -> Tensor:
-        return self._gen.normal(0.0, scale, size=shape)
+    def normal(self, shape) -> Tensor:
+        return self._gen.normal(0.0, 1.0, size=shape)
 
     def integers(self, low: int, high: int) -> int:
         """One integer in [low, high)."""
@@ -88,18 +88,12 @@ def finite_diff_grad(f: Callable[[Tensor], float], x, eps: float = 1e-6) -> Tens
     return grad
 
 
-def init_uniform(rng: Rng, shape, bound: float | None = None) -> Tensor:
-    """I.i.d. uniform init in [-bound, bound].
-
-    Without an explicit bound, 2-D weights use sqrt(6 / (fan_in + fan_out))
-    and everything else (biases) starts at zero.
+def init_uniform(rng: Rng, shape) -> Tensor:
+    """Glorot init: 2-D weights i.i.d. uniform in [-b, b] with
+    b = sqrt(6 / (fan_in + fan_out)); everything else (biases) starts at zero.
     """
     shape = tuple(int(s) for s in shape)
-    if bound is None:
-        if len(shape) == 2:
-            bound = math.sqrt(6.0 / (shape[0] + shape[1]))
-        else:
-            return np.zeros(shape)
-    if bound <= 0:
-        raise ValueError("init_uniform: bound must be positive")
+    if len(shape) != 2:
+        return np.zeros(shape)
+    bound = math.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(shape, -bound, bound)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .metrics import Metrics, metrics_from_predictions
+from .metrics import metrics_from_predictions
 from .model import Model, ModelParams
 from .numeric import Rng, Tensor, finite_diff_grad
 
@@ -19,6 +19,8 @@ from .numeric import Rng, Tensor, finite_diff_grad
 # scratch vectors stay small (whole-buffer ones would add 2 x 2.8 MB of
 # resident memory at a 5k vocab), and each block's operands stay in cache.
 ADAM_BLOCK = 1 << 14
+# Kingma & Ba 2015's defaults, used unchanged.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -38,9 +40,9 @@ class AdamState:
         return cls(m=np.zeros(params.total_size()), v=np.zeros(params.total_size()))
 
 
-def adam_step(params: ModelParams, state: AdamState, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update of every parameter from params.grad, in place.
+def adam_step(params: ModelParams, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of every parameter from params.grad, in
+    place, with b1, b2 and eps the module's ADAM_BETA1, ADAM_BETA2, ADAM_EPS.
 
     With c1 = 1 - b1^t and c2 = 1 - b2^t, the textbook update
     theta -= lr * (m/c1) / (sqrt(v/c2) + eps) equals
@@ -51,6 +53,7 @@ def adam_step(params: ModelParams, state: AdamState, lr: float, beta1: float = 0
     rounding. The update runs over the flat buffers, a block at a time:
     m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; then the step above.
     """
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     state.t += 1
     c1, c2 = 1 - beta1 ** state.t, 1 - beta2 ** state.t
     step, eps_hat = lr * math.sqrt(c2) / c1, eps * math.sqrt(c2)
@@ -136,36 +139,27 @@ def check_finite(loss: float, params: ModelParams, epoch: int, step: int) -> Non
     raise TrainingDiverged(epoch, step, loss, params.first_non_finite(params.grad))
 
 
-def _evaluate_prepared(model: Model, preps) -> Metrics:
-    """metrics.evaluate over examples prepared already."""
-    return metrics_from_predictions([prep.gold for prep in preps],
-                                    [model.predict_prepared(prep).label_id for prep in preps])
-
-
 @dataclass
 class EpochLog:
     epoch: int
     train_loss: float
-    train_accuracy: float | None = None
     dev_accuracy: float | None = None
     dev_macro_f1: float | None = None
 
 
 def train(model: Model, train_examples, dev_examples=None, *,
-          epochs: int | None = None, shuffle: bool = True,
-          track_train_accuracy: bool = False, stop_at_train_accuracy: float | None = None,
-          on_epoch=None) -> list[EpochLog]:
+          epochs: int | None = None, shuffle: bool = True, on_epoch=None) -> list[EpochLog]:
     """Per-example (or accumulated-batch) Adam training, fully seeded.
 
-    Stops early when training accuracy reaches stop_at_train_accuracy.
-    on_epoch(EpochLog) fires after each epoch. A step whose loss or gradient
-    is not finite raises TrainingDiverged before its update, leaving the
-    parameters at their last finite values.
+    on_epoch(EpochLog) fires after each epoch; when it returns a true value,
+    training stops after that epoch. A step whose loss or gradient is not
+    finite raises TrainingDiverged before its update, leaving the parameters
+    at their last finite values.
     """
     cfg = model.config
     epochs = cfg.epochs if epochs is None else epochs
-    # Each set is prepared once; the tape, the accuracy passes and the dev
-    # evaluations of every epoch read the same Prepared objects.
+    # Each set is prepared once; the tape and the dev evaluations of every
+    # epoch read the same Prepared objects.
     with gc_paused():
         preps = [model.prepare(ex) for ex in train_examples]
         dev_preps = [model.prepare(ex) for ex in dev_examples] if dev_examples else []
@@ -189,19 +183,15 @@ def train(model: Model, train_examples, dev_examples=None, *,
                 adam_step(model.params, state, cfg.lr)
             total += loss
         log = EpochLog(epoch=epoch, train_loss=total / len(preps))
-        need_train_acc = track_train_accuracy or stop_at_train_accuracy is not None
-        if need_train_acc:
-            log.train_accuracy = _evaluate_prepared(model, preps).accuracy
         if dev_preps:
-            dev = _evaluate_prepared(model, dev_preps)
+            # metrics.evaluate over the prepared set
+            dev = metrics_from_predictions(
+                [prep.gold for prep in dev_preps],
+                [model.predict_prepared(prep).label_id for prep in dev_preps])
             log.dev_accuracy = dev.accuracy
             log.dev_macro_f1 = dev.macro_f1
         history.append(log)
-        if on_epoch is not None:
-            on_epoch(log)
-        if (stop_at_train_accuracy is not None
-                and log.train_accuracy is not None
-                and log.train_accuracy >= stop_at_train_accuracy):
+        if on_epoch is not None and on_epoch(log):
             break
     return history
 

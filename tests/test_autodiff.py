@@ -126,7 +126,7 @@ def small_integers(rng, shape):
     """Floats with small integer values: their products and sums are exact in
     any order, so a reduction is compared bit for bit with the sequence of
     adds it replaces."""
-    return np.round(rng.normal(shape, 3.0))
+    return np.round(3.0 * rng.normal(shape))
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "strided"])

@@ -214,7 +214,7 @@ class TestAdam:
         params.grad[:] = g
         state = AdamState.for_params(params)
         lr, eps = 0.1, 1e-8
-        adam_step(params, state, lr=lr, eps=eps)
+        adam_step(params, state, lr=lr)
         # bias-corrected single step: delta = -lr * g / (|g| + eps)
         expected = 1.0 - lr * g / (np.abs(g) + eps)
         assert np.max(np.abs(params.get("w") - expected)) < 1e-12

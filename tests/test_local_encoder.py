@@ -431,7 +431,7 @@ class TestStationarity:
         k = np.array([0.3, 1.1, -0.7])
         Q = np.stack([q, -q])
         K = np.stack([k, -k])
-        report = check_stationarity(Q, K, num_random=50, rng=Rng(19))
+        report = check_stationarity(Q, K, rng=Rng(19))
         assert report.is_stationary
         assert report.grad_norm_at_mean < 1e-5 * report.median_random_grad_norm
 
@@ -440,7 +440,7 @@ class TestStationarity:
         for trial in range(5):
             Q = rng.normal((6, 4))
             K = rng.normal((6, 4))
-            report = check_stationarity(Q, K, num_random=30, rng=Rng(100 + trial))
+            report = check_stationarity(Q, K, rng=Rng(100 + trial))
             assert report.is_stationary, trial
 
     def test_perturbation_changes_objective(self):

@@ -184,13 +184,9 @@ class TestInitUniform:
         assert np.max(np.abs(w)) <= bound
 
     def test_empirical_mean(self):
-        bound = 0.3
-        w = init_uniform(Rng(17), (100, 100), bound=bound)
+        bound = math.sqrt(6.0 / 200.0)
+        w = init_uniform(Rng(17), (100, 100))
         assert abs(w.mean()) < 0.05 * bound
-
-    def test_invalid_bound(self):
-        with pytest.raises(ValueError, match="bound"):
-            init_uniform(Rng(0), (2, 2), bound=-1.0)
 
 
 class TestRng:

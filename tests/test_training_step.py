@@ -1,7 +1,7 @@
 """One training step: its tape-node budget, the leaves it reuses, its pause
 of cyclic GC, its check for divergence, its independence of the BLAS
-thread count, and the one preparation of each set that train makes; and
-the training leaves that predict reads."""
+thread count, the one preparation of each set that train makes, and the
+stop that on_epoch asks for; and the training leaves that predict reads."""
 
 import gc
 import os
@@ -305,10 +305,25 @@ def test_train_prepares_each_set_once_and_scores_as_evaluate_does(monkeypatch):
         return build_awig(*args, **kwargs)
 
     monkeypatch.setattr(md, "build_awig", counting_build_awig)
-    history = train(model, train_set, dev_set, epochs=3, track_train_accuracy=True)
+    history = train(model, train_set, dev_set, epochs=3)
     assert len(history) == 3
     assert calls["n"] == len(train_set) + len(dev_set)
     dev = evaluate(model, dev_set)
     assert history[-1].dev_accuracy == dev.accuracy
     assert history[-1].dev_macro_f1 == dev.macro_f1
-    assert history[-1].train_accuracy == evaluate(model, train_set).accuracy
+
+
+@pytest.mark.parametrize("stop_after, expected", [(2, [1, 2]), (None, [1, 2, 3, 4, 5])])
+def test_a_true_on_epoch_return_ends_training_after_that_epoch(stop_after, expected):
+    """A callback that returns True after epoch 2 of 5 leaves two EpochLogs;
+    one that returns None, as the CLI's does, runs every epoch."""
+    examples = generate_synthetic(seed=4, count=3)
+    model = Model.build_for_examples(ModelConfig(**TOY), examples)
+    seen = []
+
+    def on_epoch(log):
+        seen.append(log.epoch)
+        return True if log.epoch == stop_after else None
+
+    history = train(model, examples, epochs=5, on_epoch=on_epoch)
+    assert [log.epoch for log in history] == seen == expected

@@ -70,16 +70,20 @@ def load_checkpoint(path) -> Model:
         tag_vocab = _vocab(TagVocab, header, "tag_vocab")
         layout = param_layout(config, len(vocab), len(tag_vocab))
         _check_manifest(header["params"], layout)
+        # The file's size is checked before anything is allocated, so a
+        # header that implies more data than the file holds allocates nothing.
+        left -= header_len
+        stop = 0
+        for name, shape in layout:
+            stop += math.prod(shape)
+            if 8 * stop > left:
+                raise CheckpointError(f"truncated data for parameter {name}")
+        if 8 * stop < left:
+            raise CheckpointError("trailing bytes after parameter data")
         params = ModelParams(layout)
-        raw = params.flat.view(np.uint8)
-        got = fh.readinto(raw)
-        if got < raw.size:
-            name = next(name for name, _ in layout if params.span(name)[1] * 8 > got)
-            raise CheckpointError(f"truncated data for parameter {name}")
+        fh.readinto(params.flat.view(np.uint8))
         if sys.byteorder == "big":  # the file holds little-endian float64
             params.flat.byteswap(inplace=True)
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after parameter data")
     # One sum tests every entry, as training.check_finite does; a sum that
     # overflows over finite entries finds no culprit and loads.
     with np.errstate(over="ignore"):

@@ -77,9 +77,13 @@ class DepTree:
 def parse_conllu(text: str) -> list[DepTree]:
     """Parse CoNLL-U text into validated trees.
 
-    Comment lines start with '#'; sentences are separated by blank lines;
-    multiword-token ranges ("3-4") and empty nodes ("3.1") are skipped.
-    Errors carry the 1-based line number.
+    Lines end at "\n" only (read_text has turned every line end into one),
+    so a comment or a FORM may hold any other character. Comment lines start
+    with '#'; sentences are separated by blank lines; multiword-token ranges
+    ("3-4") and empty nodes ("3.1") are skipped, and the word IDs of each
+    sentence must run 1, 2, 3, ... in decimal. Errors carry the 1-based line
+    number: a word's own line for its ID and HEAD columns, the sentence's
+    first line for what the whole tree breaks (a cycle, a second root).
     """
     trees: list[DepTree] = []
     tokens: list[str] = []
@@ -97,8 +101,7 @@ def parse_conllu(text: str) -> list[DepTree]:
             raise ParseError(f"sentence starting at line {first_line}: {e}") from None
         tokens, heads, rels = [], [], []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip("\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             flush()
             continue
@@ -110,12 +113,17 @@ def parse_conllu(text: str) -> list[DepTree]:
         tok_id = cols[0]
         if "-" in tok_id or "." in tok_id:
             continue  # multiword range / empty node
+        word_id = len(tokens) + 1
+        if tok_id != str(word_id):
+            raise ParseError(f"line {lineno}: expected word ID {word_id}, got {tok_id!r}")
         if not tokens:
             first_line = lineno
         try:
             head = int(cols[6])
         except ValueError:
             raise ParseError(f"line {lineno}: HEAD column is not an integer: {cols[6]!r}") from None
+        if head == word_id:
+            raise ParseError(f"line {lineno}: word {word_id} is its own head")
         tokens.append(cols[1])
         heads.append(head)
         rels.append(cols[7])

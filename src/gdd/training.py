@@ -224,9 +224,8 @@ def gradcheck_model(model: Model, example, eps: float = 1e-6,
         raise ValueError("gradcheck requires dropout == 0")
     params = model.params
     prep = model.prepare(example)
-    params.grad.fill(0.0)
-    ad.backward(model.batch_loss_var([prep]))
-    analytic_grads = {name: leaf.grad.copy() for name, leaf in params.leaves().items()}
+    _, grads = batch_grads(model, [prep], train=False)
+    analytic_grads = {name: g.copy() for name, g in grads.items()}
 
     report: dict[str, float] = {}
     for name, view in params.items():

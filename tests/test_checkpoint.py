@@ -62,6 +62,39 @@ def test_truncated_file(trained_model):
         load_checkpoint(path)
 
 
+def test_a_header_that_implies_more_data_than_the_file_holds_allocates_nothing(
+        trained_model, capsys):
+    """The default config at d_model = 10**7 implies ~728 TiB of parameters;
+    the file holds 64 data bytes. The size is compared before ModelParams
+    allocates its buffers."""
+    model, examples, path = trained_model
+    config = {**ModelConfig().to_dict(), "d_model": 10 ** 7}
+    layout = param_layout(ModelConfig.from_dict(config), len(model.vocab), len(model.tag_vocab))
+    header = {"config": config, "vocab": model.vocab.to_list(),
+              "tag_vocab": model.tag_vocab.to_list(),
+              "params": [{"name": n, "shape": list(shape)} for n, shape in layout]}
+    _write(path, header, bytes(64))
+    message = f"truncated data for parameter {layout[0][0]}"
+    with pytest.raises(CheckpointError, match=f"^{message}$"):
+        load_checkpoint(path)
+    data = path.with_name("data.jsonl")
+    data.write_text(json.dumps(example_to_dict(examples[0])) + "\n")
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cut", [8, 50])
+def test_a_short_file_names_the_first_tensor_whose_data_is_missing(trained_model, cut):
+    model, _, path = trained_model
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - cut])
+    have = model.params.total_size() - cut / 8
+    name = next(n for n in model.params.names() if model.params.span(n)[1] > have)
+    with pytest.raises(CheckpointError, match=f"^truncated data for parameter {name}$"):
+        load_checkpoint(path)
+
+
 def test_file_cut_inside_the_header_length(trained_model):
     _, _, path = trained_model
     path.write_bytes(path.read_bytes()[:7])

@@ -601,7 +601,9 @@ class TestBuildGraph:
          "line 2: HEAD column is not an integer: 'x'"),
         (CHAIN_CONLLU.replace("\t0\troot", "\t3\troot"),
          "sentence starting at line 1: cycle in heads through tokens"),
-    ], ids=["head-not-an-integer", "cycle"])
+        (CHAIN_CONLLU.replace("\n2\t", "\n3\t", 1),
+         "line 2: expected word ID 2, got '3'"),
+    ], ids=["head-not-an-integer", "cycle", "word-id-out-of-turn"])
     def test_a_conllu_error_names_the_file(self, tmp_path, capsys, conllu_text, message):
         conllu = tmp_path / "s.conllu"
         conllu.write_text(conllu_text)

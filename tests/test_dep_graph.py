@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdd.dep_graph import (
     Awig,
@@ -74,6 +76,105 @@ class TestParseConllu:
                 "2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n")
         with pytest.raises(ParseError, match="one root"):
             parse_conllu(text)
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0c", "\x0b"])
+    def test_only_newline_ends_a_line(self, char):
+        """Only "\n" ends a line: a comment holding one of these characters
+        is one line, and the lines after it keep their numbers."""
+        trees = parse_conllu(f"# text = a{char}b\n" + CONLLU_TWO_TOKENS.split("\n", 1)[1])
+        assert trees[0].tokens == ["great", "food"]
+        text = (f"# text = a{char}\n"
+                "1\tgreat\t_\t_\t_\t_\t2\tamod\t_\t_\n"
+                "2\tfood\t_\t_\t_\t_\tx\troot\t_\t_\n")
+        with pytest.raises(ParseError, match="^line 3: HEAD column is not an integer: 'x'$"):
+            parse_conllu(text)
+
+    def test_word_ids_must_run_from_1(self):
+        """Read by position, IDs 1, 3, 2 would build a tree the file does not
+        describe: word 2 names itself as its head, an amod edge by position."""
+        text = ("1\tthe\t_\t_\t_\t_\t3\tdet\t_\t_\n"
+                "3\tfood\t_\t_\t_\t_\t0\troot\t_\t_\n"
+                "2\tgreat\t_\t_\t_\t_\t2\tamod\t_\t_\n")
+        with pytest.raises(ParseError, match="^line 2: expected word ID 2, got '3'$"):
+            parse_conllu(text)
+        with pytest.raises(ParseError, match="^line 2: expected word ID 1, got '01'$"):
+            parse_conllu("# x\n01\ta\t_\t_\t_\t_\t0\troot\t_\t_\n")
+
+
+# Any character but the three that end a CoNLL-U field or line; the ones that
+# str.splitlines() would also break at are drawn often.
+FREE_TEXT = st.one_of(st.sampled_from("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                      st.characters(exclude_characters="\t\n\r"))
+FIELD = st.text(FREE_TEXT, min_size=1, max_size=6)
+
+
+@st.composite
+def conllu_documents(draw):
+    """(lines, word_lines, trees): valid CoNLL-U text as its lines, the index
+    of every word line, and the (tokens, heads, rels) each sentence must parse
+    to. Sentences carry comments, multiword ranges and empty nodes."""
+    lines, word_lines, trees = [], [], []
+    for s in range(draw(st.integers(1, 3))):
+        if s:
+            lines.append("")
+        n = draw(st.integers(1, 6))
+        order = draw(st.permutations(range(1, n + 1)))
+        heads = [0] * n
+        for j in range(1, n):
+            heads[order[j] - 1] = draw(st.sampled_from(order[:j]))
+        forms, lemmas, rels, miscs = (draw(st.lists(FIELD, min_size=n, max_size=n))
+                                      for _ in range(4))
+        lines += ["#" + draw(st.text(FREE_TEXT, max_size=10))
+                  for _ in range(draw(st.integers(0, 2)))]
+        if draw(st.booleans()):
+            lines.append("0.1\t" + "\t".join(draw(st.lists(FIELD, min_size=9, max_size=9))))
+        for k in range(1, n + 1):
+            if k < n and draw(st.booleans()):
+                lines.append(f"{k}-{k + 1}\t{draw(FIELD)}\t_\t_\t_\t_\t_\t_\t_\t{draw(FIELD)}")
+            word_lines.append(len(lines))
+            lines.append(f"{k}\t{forms[k - 1]}\t{lemmas[k - 1]}\tX\tX\t_\t{heads[k - 1]}"
+                         f"\t{rels[k - 1]}\t_\t{miscs[k - 1]}")
+            if draw(st.booleans()):
+                lines.append(f"{k}.1\t{draw(FIELD)}\t_\t_\t_\t_\t_\t_\t{k}:dep\t_")
+        trees.append((forms, heads, rels))
+    return lines, word_lines, trees
+
+
+def conllu_text(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+class TestConlluProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(conllu_documents())
+    def test_valid_text_parses_back_to_its_trees(self, doc):
+        lines, _, trees = doc
+        parsed = parse_conllu(conllu_text(lines))
+        assert [(t.tokens, t.heads, t.rels) for t in parsed] == trees
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(conllu_documents(), st.data())
+    def test_a_changed_word_id_is_named_at_its_line(self, doc, data):
+        lines, word_lines, _ = doc
+        i = data.draw(st.sampled_from(word_lines))
+        word_id, rest = lines[i].split("\t", 1)
+        new_id = data.draw(st.integers(0, 99).map(str).filter(lambda j: j != word_id))
+        lines = lines[:i] + [f"{new_id}\t{rest}"] + lines[i + 1:]
+        with pytest.raises(ParseError) as err:
+            parse_conllu(conllu_text(lines))
+        assert str(err.value) == f"line {i + 1}: expected word ID {word_id}, got '{new_id}'"
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(conllu_documents(), st.data())
+    def test_a_word_made_its_own_head_is_named_at_its_line(self, doc, data):
+        lines, word_lines, _ = doc
+        i = data.draw(st.sampled_from(word_lines))
+        cols = lines[i].split("\t")
+        cols[6] = cols[0]
+        lines = lines[:i] + ["\t".join(cols)] + lines[i + 1:]
+        with pytest.raises(ParseError) as err:
+            parse_conllu(conllu_text(lines))
+        assert str(err.value) == f"line {i + 1}: word {cols[0]} is its own head"
 
 
 class TestDepTree:

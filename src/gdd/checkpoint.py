@@ -45,6 +45,15 @@ def save_checkpoint(path, model: Model) -> None:
 
 
 def load_checkpoint(path) -> Model:
+    """The model saved at `path`; CheckpointError for a file that is not a
+    consistent checkpoint.
+
+    Every entry of the loaded parameters comes from the file: the data's
+    size is checked against the file's before anything is allocated, and a
+    read that then returns fewer bytes (a file cut short meanwhile) raises,
+    naming the first tensor it cut. The gradient buffer is not written, so
+    a model loaded only to predict never makes it resident (ModelParams).
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -73,15 +82,12 @@ def load_checkpoint(path) -> Model:
         # The file's size is checked before anything is allocated, so a
         # header that implies more data than the file holds allocates nothing.
         left -= header_len
-        stop = 0
-        for name, shape in layout:
-            stop += math.prod(shape)
-            if 8 * stop > left:
-                raise CheckpointError(f"truncated data for parameter {name}")
-        if 8 * stop < left:
+        if _data_bytes(layout, left) < left:
             raise CheckpointError("trailing bytes after parameter data")
         params = ModelParams(layout)
-        fh.readinto(params.flat.view(np.uint8))
+        # params.flat starts uninitialized, so a file that shrank after the
+        # size check must not load: every byte has to come from the file.
+        _data_bytes(layout, fh.readinto(params.flat.view(np.uint8)))
         if sys.byteorder == "big":  # the file holds little-endian float64
             params.flat.byteswap(inplace=True)
     # One sum tests every entry, as training.check_finite does; a sum that
@@ -93,6 +99,18 @@ def load_checkpoint(path) -> Model:
         if bad is not None:
             raise CheckpointError(f"non-finite value in parameter {bad}")
     return Model(config, vocab, tag_vocab, params)
+
+
+def _data_bytes(layout, nbytes: int) -> int:
+    """The bytes that the layout's tensors take. Raises CheckpointError,
+    naming the first tensor whose data ends past `nbytes`, when that is more
+    than nbytes."""
+    stop = 0
+    for name, shape in layout:
+        stop += math.prod(shape)
+        if 8 * stop > nbytes:
+            raise CheckpointError(f"truncated data for parameter {name}")
+    return 8 * stop
 
 
 def _vocab(cls, header: dict, key: str) -> Vocab:

@@ -79,11 +79,15 @@ def parse_conllu(text: str) -> list[DepTree]:
 
     Lines end at "\n" only (read_text has turned every line end into one),
     so a comment or a FORM may hold any other character. Comment lines start
-    with '#'; sentences are separated by blank lines; multiword-token ranges
-    ("3-4") and empty nodes ("3.1") are skipped, and the word IDs of each
-    sentence must run 1, 2, 3, ... in decimal. Errors carry the 1-based line
-    number: a word's own line for its ID and HEAD columns, the sentence's
-    first line for what the whole tree breaks (a cycle, a second root).
+    with '#'; sentences are separated by empty lines, and a line of only
+    whitespace (a space, a form feed) is an error, not a break, as in the UD
+    validator; multiword-token ranges ("3-4") and empty nodes ("3.1") are
+    skipped. The word IDs of each sentence must run 1, 2, 3, ..., and IDs
+    and HEADs alike are plain decimals: ASCII digits with no sign,
+    underscore, space or leading zero ("+1", "0_1", "01" are refused).
+    Errors carry the 1-based line number: a word's own line for its ID and
+    HEAD columns and for a whitespace line, the sentence's first line for
+    what the whole tree breaks (a cycle, a second root).
     """
     trees: list[DepTree] = []
     tokens: list[str] = []
@@ -102,9 +106,12 @@ def parse_conllu(text: str) -> list[DepTree]:
         tokens, heads, rels = [], [], []
 
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if not line:
             flush()
             continue
+        if line.isspace():
+            raise ParseError(f"line {lineno}: a line of only whitespace is not a sentence "
+                             f"break: {line!r}")
         if line.startswith("#"):
             continue
         cols = line.split("\t")
@@ -119,9 +126,11 @@ def parse_conllu(text: str) -> list[DepTree]:
         if not tokens:
             first_line = lineno
         try:
-            head = int(cols[6])
-        except ValueError:
-            raise ParseError(f"line {lineno}: HEAD column is not an integer: {cols[6]!r}") from None
+            head = int(cols[6]) if cols[6].isascii() and cols[6].isdigit() else None
+        except ValueError:  # more digits than int() converts
+            head = None
+        if head is None or str(head) != cols[6]:
+            raise ParseError(f"line {lineno}: HEAD column is not an integer: {cols[6]!r}")
         if head == word_id:
             raise ParseError(f"line {lineno}: word {word_id} is its own head")
         tokens.append(cols[1])

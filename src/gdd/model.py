@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,13 @@ def _coerce(key: str, raw, typ):
         raise ValueError(f"config: {key} expects a number ({typ}), got {raw!r}") from None
 
 
+def _zero_pages(size: int) -> Tensor:
+    """`size` float64 zeros on private anonymous pages, resident once written."""
+    if not size:  # mmap refuses length 0
+        return np.zeros(0)
+    return np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), np.float64)
+
+
 class ModelParams:
     """Named trainable tensors, each a view into one contiguous float64 buffer.
 
@@ -134,6 +142,16 @@ class ModelParams:
     write through them is a write into the buffer. The tape leaves are built
     on first use, not here, and every forward pass reads the same ones,
     predict's as well as training's.
+
+    Only the memory a run writes is made resident:
+    - `flat` starts uninitialized (np.empty). Whoever builds a ModelParams
+      writes every entry before reading one: init_params assigns every
+      tensor, and the tensors tile `flat`; load_checkpoint reads the whole
+      buffer from the file.
+    - `grad` starts as zeros on private anonymous-mmap pages, which read as
+      zero and become resident only when written. A model that never runs
+      backward() (one loaded to predict, one built to prepare) never makes
+      its gradient resident and never fills it.
     """
 
     def __init__(self, layout=()):
@@ -146,8 +164,8 @@ class ModelParams:
             stop = size + math.prod(shape)
             self._spans[name] = (size, stop, shape)
             size = stop
-        self.flat = np.zeros(size)
-        self.grad = np.zeros(size)
+        self.flat = np.empty(size)
+        self.grad = _zero_pages(size)
         self._values = {name: self.flat[lo:hi].reshape(shape)
                         for name, (lo, hi, shape) in self._spans.items()}
         self._grads = {name: self.grad[lo:hi].reshape(shape)

@@ -206,6 +206,16 @@ def test_a_leaf_reduces_every_kind_at_once():
     assert np.array_equal(plain.grad, want - prior)
 
 
+def test_a_leaf_with_one_pair_and_one_array_gets_their_dense_sum():
+    """Two edges into a Leaf, a matmul's (X^T, G) pair and a mul's plain
+    array, leave a single array to reduce beside the product."""
+    rng = Rng(11)
+    X, C, prior = (small_integers(rng, shape) for shape in ((4, 3), (3, 2), (3, 2)))
+    leaf = ad.Leaf(small_integers(rng, (3, 2)), prior.copy())
+    backward(sum_(ad.matmul(X, leaf)) + sum_(ad.mul(leaf, C)))
+    assert np.array_equal(leaf.grad, prior + X.T @ np.ones((4, 2)) + C)
+
+
 def test_sum_squares_over_runs():
     rng = Rng(6)
     w, prior = rng.normal((10,)), rng.normal((10,))

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -7,11 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
+from gdd import checkpoint
 from gdd.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from gdd.cli import main
 from gdd.data import example_to_dict, generate_synthetic
 from gdd.metrics import evaluate
 from gdd.model import Model, ModelConfig, param_layout
+from gdd.numeric import Rng
+from gdd.training import batch_grads
 
 TOY = dict(d_model=8, d_tag=4, d_head=4, d_hid=4, U=1, V=1, L=1)
 
@@ -93,6 +97,46 @@ def test_a_short_file_names_the_first_tensor_whose_data_is_missing(trained_model
     name = next(n for n in model.params.names() if model.params.span(n)[1] > have)
     with pytest.raises(CheckpointError, match=f"^truncated data for parameter {name}$"):
         load_checkpoint(path)
+
+
+class _ShortReader(io.BufferedReader):
+    """A reader whose readinto stops 8 bytes short, as when the file is cut
+    after load_checkpoint has checked its size."""
+
+    def readinto(self, buffer):
+        view = memoryview(buffer)
+        return super().readinto(view[:len(view) - 8])
+
+
+def test_a_read_that_comes_back_short_loads_nothing(trained_model, monkeypatch, capsys):
+    """params.flat starts uninitialized, so every byte must come from the
+    file: a short readinto names the tensor it cut, also through gdd eval."""
+    model, examples, path = trained_model
+    monkeypatch.setattr(checkpoint, "open", lambda p, mode: _ShortReader(io.FileIO(p, mode)),
+                        raising=False)
+    message = f"truncated data for parameter {model.params.names()[-1]}"
+    with pytest.raises(CheckpointError, match=f"^{message}$"):
+        load_checkpoint(path)
+    data = path.with_name("data.jsonl")
+    data.write_text(json.dumps(example_to_dict(examples[0])) + "\n")
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_a_loaded_model_takes_the_in_memory_models_gradient(trained_model):
+    """A loaded model's gradient starts on fresh zero pages; its first two
+    batch_grads match the in-memory model's bit for bit."""
+    model, examples, path = trained_model
+    loaded = load_checkpoint(path)
+    assert not loaded.params.grad.any()
+    grads = []
+    for m in (model, loaded):
+        preps = [m.prepare(ex) for ex in examples]
+        rng = Rng(4)
+        grads.append([(batch_grads(m, preps[:4], dropout_rng=rng)[0], m.params.grad.tobytes()),
+                      (batch_grads(m, preps[4:], dropout_rng=rng)[0], m.params.grad.tobytes())])
+    assert grads[0] == grads[1]
 
 
 def test_file_cut_inside_the_header_length(trained_model):

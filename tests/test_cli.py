@@ -27,6 +27,10 @@ CHAIN_CONLLU = """\
 """
 
 
+# HEAD strings that int() reads as 1 but that are not plain decimals
+HEADS_NOT_PLAIN = ("+1", "0_1", "\u0661", " 1", "1 ", "01")
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -603,10 +607,14 @@ class TestBuildGraph:
          "sentence starting at line 1: cycle in heads through tokens"),
         (CHAIN_CONLLU.replace("\n2\t", "\n3\t", 1),
          "line 2: expected word ID 2, got '3'"),
-    ], ids=["head-not-an-integer", "cycle", "word-id-out-of-turn"])
+    ] + [(CHAIN_CONLLU.replace("\t1\tdep_a", f"\t{head}\tdep_a"),
+          f"line 2: HEAD column is not an integer: {head!r}")
+         for head in HEADS_NOT_PLAIN],
+        ids=["head-not-an-integer", "cycle", "word-id-out-of-turn",
+             *(f"head-{head!r}" for head in HEADS_NOT_PLAIN)])
     def test_a_conllu_error_names_the_file(self, tmp_path, capsys, conllu_text, message):
         conllu = tmp_path / "s.conllu"
-        conllu.write_text(conllu_text)
+        conllu.write_text(conllu_text, encoding="utf-8")
         spans = tmp_path / "spans.jsonl"
         spans.write_text(json.dumps({"spans": [[2, 3]]}) + "\n")
         code, stdout, err = run(["build-graph", "--conllu", str(conllu),

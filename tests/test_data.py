@@ -52,6 +52,12 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="label.*conflict"):
             load_dataset(path)
 
+    def test_a_numeric_label_gets_the_label_message(self, tmp_path):
+        path = write_jsonl(tmp_path / "d.jsonl", [dict(GOOD_LINE, label=1)])
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}:1: label: '1' is not one of positive/neutral/negative"
+
     def test_missing_field_named_with_line(self, tmp_path):
         bad = {k: v for k, v in GOOD_LINE.items() if k != "dep_rels"}
         path = write_jsonl(tmp_path / "d.jsonl", [GOOD_LINE, bad])

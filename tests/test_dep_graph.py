@@ -66,10 +66,30 @@ class TestParseConllu:
         with pytest.raises(ParseError, match="line 1.*columns"):
             parse_conllu("1\tonly\tthree\n")
 
-    def test_non_integer_head(self):
-        text = "1\ta\t_\t_\t_\t_\tx\tdep\t_\t_\n"
-        with pytest.raises(ParseError, match="line 1.*HEAD"):
+    @pytest.mark.parametrize("head", ["x", "+1", "0_1", "\u0661", " 1", "1 ", "01", "-1", "1.0", "",
+                                      pytest.param("9" * 5000, id="more-digits-than-int-reads")])
+    def test_non_integer_head(self, head):
+        """HEAD is read by the ID column's rule: a decimal string with no
+        sign, underscore, space or leading zero, in ASCII digits."""
+        text = ("1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
+                f"2\tb\t_\t_\t_\t_\t{head}\tdep\t_\t_\n")
+        with pytest.raises(ParseError) as err:
             parse_conllu(text)
+        assert str(err.value) == f"line 2: HEAD column is not an integer: {head!r}"
+
+    def test_a_head_of_two_digits_reads(self):
+        text = "".join(f"{k}\tw{k}\t_\t_\t_\t_\t{k - 1}\tdep\t_\t_\n" for k in range(1, 12))
+        assert parse_conllu(text)[0].heads == list(range(11))
+
+    @pytest.mark.parametrize("line", [" ", "\x0c", "\t", " \x0b "])
+    def test_a_line_of_only_whitespace_is_not_a_sentence_break(self, line):
+        """Only an empty line ends a sentence. A line of only whitespace is
+        refused at its line, as the UD validator refuses it, so a stray space
+        or form feed never splits a sentence silently."""
+        with pytest.raises(ParseError) as err:
+            parse_conllu(CONLLU_TWO_TOKENS + f"{line}\n" + CONLLU_TWO_TOKENS)
+        assert str(err.value) == (f"line 4: a line of only whitespace is not a sentence "
+                                  f"break: {line!r}")
 
     def test_multiple_roots(self):
         text = ("1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"

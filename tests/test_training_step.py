@@ -156,6 +156,16 @@ def test_predict_leaves_the_gradient_buffer_as_it_was(tmp_path):
     assert trained.params.grad.any()
 
 
+def test_a_fresh_gradient_reads_zero_and_an_empty_layout_builds():
+    params = md.ModelParams([("a", (300, 7)), ("b", (5,))])
+    assert params.grad.shape == (2105,) and not params.grad.any()
+    params.leaves()["b"].grad[...] = 1.0
+    assert params.grad[-5:].tolist() == [1.0] * 5 and params.grad.sum() == 5.0
+    for layout in ((), [("z", (0, 4))]):
+        empty = md.ModelParams(layout)
+        assert empty.total_size() == 0 and empty.grad.shape == (0,)
+
+
 def test_predict_reads_the_training_leaves(monkeypatch):
     """A model's first predict builds one Leaf per parameter tensor outside
     the forward pass, params.leaves() itself, and later predicts build none

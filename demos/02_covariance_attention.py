@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Covariance self-attention versus the original formulation.
 
-The covariance variant subtracts the token-mean from Q and K before the
-score product. The motivating quantity is a score-contrast objective
+The paper's covariance variant subtracts the token-mean from Q and K before
+the score product. `attention_var` centers Q only: K's mean shifts every
+score of a row by one amount, which the row-wise softmax cancels, so the
+probabilities are the paper's. The motivating quantity is a score-contrast objective
 O(theta, phi): how far apart the centered pairwise scores spread when
 queries and keys are re-centered on (theta, phi). The sample means are its
 stationary maximizer, so centering there always beats not centering

@@ -128,8 +128,16 @@ def forward_passes(*sources):
             raise DataError(f"{path}:{lineno}: {e}") from None
 
 
+def load_model(path) -> Model:
+    """load_checkpoint(path), with path in front of a CheckpointError."""
+    try:
+        return load_checkpoint(path)
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from None
+
+
 def cmd_eval(args) -> int:
-    model = load_checkpoint(args.checkpoint)
+    model = load_model(args.checkpoint)
     numbered = load_numbered(args.data)
     if not numbered:
         raise DataError(f"{args.data}: empty dataset")
@@ -180,7 +188,7 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    model = load_checkpoint(args.checkpoint)
+    model = load_model(args.checkpoint)
     numbered = load_numbered(args.data)
     if not 0 <= args.index < len(numbered):
         raise DataError(f"--index {args.index} out of range for {len(numbered)} examples")

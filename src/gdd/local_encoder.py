@@ -4,8 +4,9 @@ A small MLP reads the pooled sentence representation and emits the standard
 deviation of a zero-mean Gaussian; sampling its density at equal intervals
 away from the aspect yields a multiplicative mask that shrinks far-away
 tokens. The masked representation then goes through self-attention whose
-query/key matrices are mean-centered first ("covariance" attention), which
-spreads the score distribution; the plain variant is kept for ablations.
+queries are mean-centered first ("covariance" attention; the paper centers
+the keys too, a per-row score shift that the softmax cancels, so not here),
+which spreads the score distribution; the plain variant is for ablations.
 
 The encoder runs on the tape: `gaussian_mask_var` (sigma, mask and the
 masked rows, over the plain-array kernels `_mask_width` and
@@ -101,15 +102,17 @@ def attention_var(H_G: Var, Wq, Wk, Wv, variant: str = "covariance",
     """Self-attention over masked token rows as one tape node; returns
     (output Var[n, d_k], probs array[n, n]).
 
-    variant "covariance" subtracts the token-mean from Q and K before the
-    score product; "original" scores raw projections. Both scale by
-    sqrt(d_head) and softmax row-wise. The projection columns split into
-    `heads` equal groups that run as one (heads, n, width) stack, and the
-    outputs concatenate back to d_k; probs is the first head's matrix (the
-    trace keeps one n x n view).
+    variant "covariance" subtracts the token-mean from Q before the score
+    product (centering K too, as the paper does, adds -Qc_i . mean(K) to row
+    i, which the row-wise softmax cancels); "original" scores raw
+    projections. Both scale by sqrt(d_head) and softmax row-wise. The
+    projection columns split into `heads` equal groups that run as one
+    (heads, n, width) stack, and the outputs concatenate back to d_k; probs
+    is the first head's matrix (the trace keeps one n x n view).
 
     The VJP runs the stacked softmax and score products back by hand, then
-    the centering (its VJP is centering: dQ = dQc - mean(dQc)) and the three
+    Q's centering (its VJP is centering: dQ = dQc - mean(dQc); dK's columns
+    sum to 0 already, as each row of the softmax VJP does) and the three
     projections; Wq, Wk and Wv get their gradients as the factors
     (H_G^T, dQ), (H_G^T, dK) and (H_G^T, dV) (see autodiff).
     """
@@ -126,7 +129,6 @@ def attention_var(H_G: Var, Wq, Wk, Wv, variant: str = "covariance",
     center = variant == "covariance"
     if center:
         Q = Q - Q.sum(axis=0, keepdims=True) * (1.0 / n)
-        K = K - K.sum(axis=0, keepdims=True) * (1.0 / n)
     Qh, Kh, Vh = (M.reshape(n, heads, width).transpose(1, 0, 2) for M in (Q, K, V))
     P = _softmax((Qh @ Kh.transpose(0, 2, 1)) * c, 2)
 
@@ -138,7 +140,6 @@ def attention_var(H_G: Var, Wq, Wk, Wv, variant: str = "covariance",
                       for D in (dS @ Kh, dS.transpose(0, 2, 1) @ Qh, P.transpose(0, 2, 1) @ gh))
         if center:
             dQ -= dQ.sum(axis=0, keepdims=True) * (1.0 / n)
-            dK -= dK.sum(axis=0, keepdims=True) * (1.0 / n)
         return (dQ @ Wq.value.T + dK @ Wk.value.T + dV @ Wv.value.T,
                 (X.T, dQ), (X.T, dK), (X.T, dV))
 

@@ -222,11 +222,11 @@ class ModelParams:
     def total_size(self) -> int:
         return self.flat.size
 
-    def stack(self, names) -> tuple[Tensor, Tensor]:
-        """Views of flat and of grad that stack the tensors `names` along a
-        new leading axis, with no copy. They must share one shape and sit at
-        equal spacing in the layout, as the heads of one family in a DGAT
-        layer do."""
+    def stack(self, names) -> Leaf:
+        """A Leaf over views of flat and of grad that stack the tensors
+        `names` along a new leading axis, with no copy. They must share one
+        shape and sit at equal spacing in the layout, as the heads of one
+        family in a DGAT layer do."""
         spans = [self._spans[name] for name in names]
         start, stop, shape = spans[0]
         step = spans[1][0] - start if len(spans) > 1 else 0
@@ -238,7 +238,7 @@ class ModelParams:
             return np.lib.stride_tricks.as_strided(
                 buf[start:], (len(spans),) + shape, (step * buf.itemsize,) + first.strides)
 
-        return view(self.flat), view(self.grad)
+        return Leaf(view(self.flat), view(self.grad))
 
 
 def param_layout(config: ModelConfig, vocab_size: int,
@@ -285,31 +285,22 @@ def init_params(config: ModelConfig, vocab_size: int, tag_vocab_size: int,
 REL_FIELDS = ("Wv", "W1", "b1", "W2")  # b2, a softmax shift, is stored but never read
 
 
-def rel_head_stacks(params: ModelParams, config: ModelConfig) -> list[dg.RelHeads | None]:
-    """Per DGAT layer, its V relational heads as one dg.RelHeads (None when
-    V = 0). Each field is a Leaf over the ModelParams.stack views of that
-    field across the layer's heads, which a forward reads from params.flat
-    and backward() adds into params.grad. The heads of a layer sit at equal
-    spacing in param_layout, so these are strided views, and checkpoints and
-    the layout stay per head."""
-    return [dg.RelHeads(*(Leaf(*params.stack([f"dgat.l{l}.rel{v}.{w}" for v in range(config.V)]))
-                          for w in REL_FIELDS)) if config.V else None
-            for l in range(config.L)]
-
-
 def dgat_layer_params(params: ModelParams, config: ModelConfig) -> list[dg.DgatLayerParams]:
     """Per DGAT layer, the tensors its forward reads: each dual head's We and
-    Wi and the layer's Wr as params.leaves(), and the stacks over the
-    layer's heads, which sit at equal spacing in param_layout, as Leafs over
-    ModelParams.stack views: the dual heads' Wa (None when U = 0) and the
-    relational fields (rel_head_stacks)."""
-    leaves, U = params.leaves(), config.U
+    Wi and the layer's Wr as params.leaves(), and as ModelParams.stack
+    leaves over the layer's heads the dual heads' Wa (None when U = 0) and
+    the V relational heads field by field (rel None when V = 0). Heads sit
+    at equal spacing in param_layout, so the stacks are strided views, and
+    checkpoints and the layout stay per head."""
+    leaves, U, V = params.leaves(), config.U, config.V
     return [dg.DgatLayerParams(
         dual=[dg.DualHeadParams(leaves[f"dgat.l{l}.dual{u}.We"], leaves[f"dgat.l{l}.dual{u}.Wi"])
               for u in range(U)],
-        Wa=Leaf(*params.stack([f"dgat.l{l}.dual{u}.Wa" for u in range(U)])) if U else None,
-        rel=rel, Wr=leaves[f"dgat.l{l}.Wr"])
-        for l, rel in enumerate(rel_head_stacks(params, config))]
+        Wa=params.stack([f"dgat.l{l}.dual{u}.Wa" for u in range(U)]) if U else None,
+        rel=dg.RelHeads(*(params.stack([f"dgat.l{l}.rel{v}.{w}" for v in range(V)])
+                          for w in REL_FIELDS)) if V else None,
+        Wr=leaves[f"dgat.l{l}.Wr"])
+        for l in range(config.L)]
 
 
 def _as_lists(trace):
@@ -467,8 +458,9 @@ class Model:
                                  (leaves["embed.hop"], prep.edge_hop_idx)))
 
     def forward_var(self, prep: Prepared, leaves: dict[str, Var],
-                    train: bool = False, dropout_rng: Rng | None = None):
-        """Tape forward pass; returns (logits Var[3], trace dict).
+                    dropout_rng: Rng | None = None):
+        """Tape forward pass; returns (logits Var[3], trace dict). Dropout
+        runs exactly when dropout_rng is given and config.dropout > 0.
 
         Every weight comes from `leaves` except the DGAT layers', which, as
         regularizer_var's, always read the model's own buffers: the list of
@@ -497,7 +489,7 @@ class Model:
         E = self._edge_matrix(prep, leaves)
         h_global, layer_traces = dg.global_forward_var(
             h_a, H_N, E, self._layers, cfg.d_head,
-            scale=cfg.scale_logits, dropout=cfg.dropout if train else 0.0, rng=dropout_rng)
+            scale=cfg.scale_logits, dropout=cfg.dropout, rng=dropout_rng)
 
         trace["dgat"] = {
             "beta": [t["beta"] for t in layer_traces],
@@ -561,15 +553,13 @@ class Model:
                 runs.append((lo, hi))
         return tuple(runs)
 
-    def batch_loss_var(self, preps, train: bool = False,
-                       dropout_rng: Rng | None = None) -> Var:
+    def batch_loss_var(self, preps, dropout_rng: Rng | None = None) -> Var:
         """Summed cross-entropy over the batch plus one l2 term, over the
-        model's tape leaves."""
+        model's tape leaves; dropout as forward_var."""
         leaves = self.params.leaves()
         total = None
         for prep in preps:
-            logits, _ = self.forward_var(prep, leaves, train=train,
-                                         dropout_rng=dropout_rng)
+            logits, _ = self.forward_var(prep, leaves, dropout_rng)
             ce = ad.cross_entropy(logits, prep.gold)
             total = ce if total is None else total + ce
         if self.config.l2 > 0.0:

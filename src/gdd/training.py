@@ -76,16 +76,16 @@ def adam_step(params: ModelParams, state: AdamState, lr: float) -> None:
         theta[lo:hi] -= s
 
 
-def batch_grads(model: Model, preps, train: bool = True,
-                dropout_rng: Rng | None = None):
-    """Loss value of one batch (cross-entropy + l2 once), with its gradient
-    left in model.params.grad, and that gradient's views by tensor name.
+def batch_grads(model: Model, preps, dropout_rng: Rng | None = None):
+    """Loss value of one batch (cross-entropy + l2 once, dropout as in
+    Model.forward_var), with its gradient left in model.params.grad, and
+    that gradient's views by tensor name.
 
     Each call zeroes model.params.grad before backward() refills it: copy
     the views to keep them past the next step.
     """
     model.params.grad.fill(0.0)
-    loss = model.batch_loss_var(preps, train=train, dropout_rng=dropout_rng)
+    loss = model.batch_loss_var(preps, dropout_rng)
     ad.backward(loss)
     return float(loss.value), {name: leaf.grad for name, leaf in model.params.leaves().items()}
 
@@ -178,7 +178,7 @@ def train(model: Model, train_examples, dev_examples=None, *,
             with gc_paused():
                 # check_finite names a non-finite step, so numpy need not warn first
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    loss, _ = batch_grads(model, batch, train=True, dropout_rng=dropout_rng)
+                    loss, _ = batch_grads(model, batch, dropout_rng)
                     check_finite(loss, model.params, epoch, step)
                 adam_step(model.params, state, cfg.lr)
             total += loss
@@ -224,7 +224,7 @@ def gradcheck_model(model: Model, example, eps: float = 1e-6,
         raise ValueError("gradcheck requires dropout == 0")
     params = model.params
     prep = model.prepare(example)
-    _, grads = batch_grads(model, [prep], train=False)
+    _, grads = batch_grads(model, [prep])
     analytic_grads = {name: g.copy() for name, g in grads.items()}
 
     report: dict[str, float] = {}

@@ -7,11 +7,12 @@ examples must not matter, and with no l2 term a batch's gradient is the sum
 of its examples' own gradients, as the per-example accumulation computed
 it. The DGAT is a set function over an aspect's graph words, so permuting
 them permutes its attention weights and leaves the logits alone. The
-covariance attention centers its queries and keys, so a shift shared by
-every token embedding cannot move it (the original attention moves). And
-the tensors that no forward reads (every relational head's b2, the last
-layer's Wr) cannot move a logit. Rounding is taken as 1e-12 of the largest
-entry of each compared array.
+covariance attention centers its queries, and its row-wise softmax cancels
+the shift that keys share, so a shift shared by every token embedding
+cannot move it (the original attention moves). And the tensors that no
+forward reads (every relational head's b2, the last layer's Wr) cannot
+move a logit. Rounding is taken as 1e-12 of the largest entry of each
+compared array.
 """
 
 import dataclasses
@@ -40,7 +41,7 @@ def _examples():
 
 
 def _grads(model, preps):
-    loss, grads = batch_grads(model, preps, train=False)
+    loss, grads = batch_grads(model, preps)
     return loss, {name: g.copy() for name, g in grads.items()}
 
 

@@ -121,7 +121,7 @@ def test_a_read_that_comes_back_short_loads_nothing(trained_model, monkeypatch, 
     data.write_text(json.dumps(example_to_dict(examples[0])) + "\n")
     assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
+    assert err == f"error: {path}: {message}\n"
 
 
 def test_a_loaded_model_takes_the_in_memory_models_gradient(trained_model):
@@ -318,6 +318,39 @@ def test_header_that_is_not_an_object(trained_model):
     _write(path, [1, 2], b"")
     with pytest.raises(CheckpointError, match="JSON object"):
         load_checkpoint(path)
+
+
+def _bad_magic(path):
+    path.write_bytes(b"NOPE" + path.read_bytes()[4:])
+    return f"bad magic header: expected {MAGIC!r}, got {b'NOPE'!r}"
+
+
+def _cut_last_entry(path):
+    path.write_bytes(path.read_bytes()[:-8])
+    return "truncated data for parameter out.b"
+
+
+def _header_not_an_object(path):
+    _write(path, [1, 2], b"")
+    return "header is not a JSON object"
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+@pytest.mark.parametrize("corrupt", [_bad_magic, _cut_last_entry, _header_not_an_object],
+                         ids=["magic", "truncated", "header"])
+def test_the_cli_names_the_checkpoint_in_a_checkpoint_error(trained_model, command, corrupt,
+                                                             capsys):
+    """gdd eval and gdd inspect put the checkpoint's path in front of
+    load_checkpoint's own message, exit 2 and print nothing to stdout."""
+    _, examples, path = trained_model
+    message = corrupt(path)
+    data = path.with_name("data.jsonl")
+    data.write_text(json.dumps(example_to_dict(examples[0])) + "\n")
+    extra = ["--index", "0"] if command == "inspect" else []
+    assert main([command, "--checkpoint", str(path), "--data", str(data), *extra]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {path}: {message}\n"
+    assert out == ""
 
 
 def _eval_exit_code(path, examples) -> int:

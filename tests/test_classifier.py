@@ -282,7 +282,7 @@ class TestAdam:
 
     def test_batch_grads_are_views_of_the_gradient_buffer(self, toy_model):
         model, examples = toy_model
-        _, grads = batch_grads(model, [model.prepare(examples[0])], train=False)
+        _, grads = batch_grads(model, [model.prepare(examples[0])])
         assert list(grads) == model.params.names()
         for name, g in grads.items():
             lo, hi = model.params.span(name)
@@ -442,7 +442,7 @@ class TestTraining:
         state = AdamState.for_params(model.params)
         losses = []
         for _ in range(10):
-            value, _ = batch_grads(model, preps, train=False)
+            value, _ = batch_grads(model, preps)
             losses.append(value)
             adam_step(model.params, state, lr=model.config.lr)
         assert all(b < a for a, b in zip(losses, losses[1:])), losses

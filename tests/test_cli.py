@@ -504,8 +504,8 @@ class TestEval:
         bad.write_bytes(raw[:4] + struct.pack("<Q", len(blob)) + blob + body)
         code, stdout, err = run(["eval", "--checkpoint", str(bad), "--data", str(dataset)], capsys)
         assert code == 2
-        assert err == ("error: header field 'vocab': must start with the reserved tokens "
-                       "'<pad>', '<unk>'\n")
+        assert err == (f"error: {bad}: header field 'vocab': must start with the reserved "
+                       "tokens '<pad>', '<unk>'\n")
         assert stdout == ""
 
     def test_eval_deterministic(self, dataset, tmp_path, capsys):
@@ -663,7 +663,16 @@ class TestInspect:
 
     def test_toy_checkpoint_output_is_pinned(self, tmp_path, capsys):
         """The JSON of golden/toy.gdd on synthetic example 3 (seed 0), byte for
-        byte as recorded in inspect_toy.json, whatever the trace holds inside."""
+        byte as recorded in inspect_toy.json, whatever the trace holds inside.
+
+        A change that moves rounding regenerates the file, from the repo root:
+
+            PYTHONPATH=src python3 -c "import gdd.data as d; \\
+                d.save_dataset('toy15.jsonl', d.generate_synthetic(seed=0, count=15))"
+            PYTHONPATH=src python3 -m gdd.cli inspect --checkpoint tests/golden/toy.gdd \\
+                --data toy15.jsonl --index 3 > tests/inspect_toy.json
+            rm toy15.jsonl
+        """
         data = tmp_path / "data.jsonl"
         save_dataset(data, generate_synthetic(seed=0, count=15))
         code, stdout, _ = run(["inspect", "--checkpoint", str(GOLDEN_DIR / "toy.gdd"),

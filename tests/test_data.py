@@ -9,6 +9,7 @@ from gdd.data import (
     DataError,
     Example,
     class_counts,
+    example_from_dict,
     example_to_dict,
     generate_synthetic,
     load_dataset,
@@ -171,6 +172,13 @@ class TestInterning:
         second = load_dataset(write_jsonl(tmp_path / "b.jsonl", [GOOD_LINE]))
         a, b, c = (_strings(ex) for ex in first + second)
         assert all(x is y is z for x, y, z in zip(a, b, c))
+
+    def test_lists_of_the_right_types_are_used_as_they_are(self):
+        rec = json.loads(json.dumps(GOOD_LINE))
+        ex = example_from_dict(rec)
+        assert ex.tokens is rec["tokens"]
+        assert ex.dep_heads is rec["dep_heads"]
+        assert ex.dep_rels is rec["dep_rels"]
 
     def test_converted_items_are_interned_too(self, tmp_path):
         as_text = dict(GOOD_LINE, tokens=["the", "staff", "was", "1234", "rude"])

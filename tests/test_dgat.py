@@ -21,7 +21,7 @@ from gdd.dgat import (
     relation_update_var,
     relational_head_var,
 )
-from gdd.model import REL_FIELDS, Model, ModelConfig, rel_head_stacks
+from gdd.model import REL_FIELDS, Model, ModelConfig, dgat_layer_params
 from gdd.numeric import Rng
 from gdd.training import batch_grads
 
@@ -621,7 +621,7 @@ class TestRelHeadStacks:
         config, d = self.CONFIG, self.CONFIG.d_head
         model = Model.build_for_examples(config, generate_synthetic(seed=0, count=2))
         params = model.params
-        for l, heads in enumerate(rel_head_stacks(params, config)):
+        for l, heads in enumerate(layer.rel for layer in dgat_layer_params(params, config)):
             rng = Rng(60 + l)
             graph = [rng.uniform(s, -1, 1) for s in [(4, config.d_model),
                                                       (4, config.edge_width(l))]]

@@ -51,7 +51,7 @@ def record(config_name: str) -> dict[str, np.ndarray]:
     examples = _examples()
     model = Model.build_for_examples(ModelConfig(**overrides), examples)
     out = {}
-    loss, grads = batch_grads(model, [model.prepare(ex) for ex in examples], train=False)
+    loss, grads = batch_grads(model, [model.prepare(ex) for ex in examples])
     out[f"{config_name}/loss"] = np.array(loss)
     for name, g in grads.items():
         out[f"{config_name}/grad/{name}"] = g.copy()

@@ -362,7 +362,7 @@ def _run_local(local, H, span, values, probe, **kwargs):
 class TestFusedNodesAgainstOracle:
     @pytest.mark.parametrize("n, span", [(1, (0, 0)), (6, (0, 1)), (6, (5, 5)), (7, (2, 4))])
     @pytest.mark.parametrize("variant", ["covariance", "original"])
-    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("normalize_mask, use_mask",
                              [(False, True), (True, True), (False, False)])
     def test_value_trace_and_every_gradient(self, n, span, variant, heads, normalize_mask,

@@ -1,8 +1,9 @@
-"""One training step: its tape-node budget, the leaves it reuses, its pause
-of cyclic GC, its check for divergence, its independence of the BLAS
+"""One training step: its tape-node budget, the leaves it reuses, the
+Leafs its backward holds back to reduce at once, its pause of cyclic GC, its check for divergence, its independence of the BLAS
 thread count, the one preparation of each set that train makes, and the
 stop that on_epoch asks for; and the training leaves that predict reads."""
 
+import dataclasses
 import gc
 import os
 import subprocess
@@ -139,6 +140,23 @@ def test_constant_inputs_get_no_gradient(monkeypatch):
     assert [v for v in inputs if v.grad is not None] == []
 
 
+def test_without_a_dropout_rng_a_dropout_model_steps_as_one_without_dropout():
+    """Dropout is switched by its Rng alone: with none, a dropout = 0.2
+    model's loss and gradient are the bits of the same weights at 0."""
+    examples = generate_synthetic(seed=0, count=3)
+    model = Model.build_for_examples(ModelConfig(dropout=0.2, batch_size=3), examples)
+    params = md.ModelParams(md.param_layout(model.config, len(model.vocab), len(model.tag_vocab)))
+    params.flat[...] = model.params.flat
+    plain = Model(dataclasses.replace(model.config, dropout=0.0), model.vocab, model.tag_vocab,
+                  params)
+    loss, _ = batch_grads(model, [model.prepare(ex) for ex in examples])
+    plain_loss, _ = batch_grads(plain, [plain.prepare(ex) for ex in examples])
+    assert loss == plain_loss
+    assert model.params.grad.tobytes() == plain.params.grad.tobytes()
+    dropped, _ = batch_grads(model, [model.prepare(ex) for ex in examples], Rng(1))
+    assert dropped != loss
+
+
 def test_predict_leaves_the_gradient_buffer_as_it_was(tmp_path):
     """Predict reads the Leafs that backward() adds into, but runs no
     backward(): params.grad keeps its bytes, on a trained model (the last
@@ -196,6 +214,44 @@ def test_predict_reads_the_training_leaves(monkeypatch):
     assert outside == [len(model.params.names()), 0, 0]
     assert all(leaves is model.params.leaves() for leaves in passed)
     assert max(total[1:]) <= MAX_NODES_PER_STEADY_PREDICT
+
+
+def _recording_reductions(monkeypatch):
+    """A list that gets (gradient array, contribution count) for each call of
+    autodiff._reduce_into; the arrays stay referenced, so ids stay unique."""
+    calls = []
+    reduce_into = ad._reduce_into
+
+    def recording(grad, contribs):
+        calls.append((grad, len(contribs)))
+        reduce_into(grad, contribs)
+
+    monkeypatch.setattr(ad, "_reduce_into", recording)
+    return calls
+
+
+def test_at_batch_1_backward_holds_no_leaf_back(monkeypatch):
+    """Every Leaf of a one-example step has one edge into it, so its
+    contribution is added as it arrives and nothing is left to reduce."""
+    examples = generate_synthetic(seed=0, count=2)
+    model = Model.build_for_examples(ModelConfig(), examples)
+    calls = _recording_reductions(monkeypatch)
+    for ex in examples:
+        batch_grads(model, [model.prepare(ex)])
+    assert calls == []
+
+
+def test_at_batch_3_each_leaf_with_several_edges_is_reduced_once(monkeypatch):
+    """A Leaf that all three examples read is reduced once, over all its
+    contributions, and a Leaf with one edge (the l2 term's flat leaf) never."""
+    examples = generate_synthetic(seed=0, count=3)
+    model = Model.build_for_examples(ModelConfig(), examples)
+    calls = _recording_reductions(monkeypatch)
+    batch_grads(model, [model.prepare(ex) for ex in examples])
+    assert calls
+    assert len({id(grad) for grad, _ in calls}) == len(calls)
+    assert all(count >= 2 for _, count in calls)
+    assert all(grad is not model.params.grad for grad, _ in calls)
 
 
 def test_a_predict_after_an_update_reads_the_new_weights():

@@ -35,13 +35,14 @@ print(f"\nfinal: accuracy {metrics.accuracy:.3f}, macro-F1 {metrics.macro_f1:.3f
 
 # inspect a far-opinion example: the graph path carries the signal
 far = next(ex for ex in examples if len(ex.tokens) == 8)
-pred, trace = model.predict(far, with_trace=True)
+pred = model.predict(far)
+trace = pred.trace
 print(f"\nsentence: {' '.join(far.tokens)}")
 print(f"aspect:   {far.tokens[far.aspect_start:far.aspect_end]}  "
       f"gold {far.label}  predicted {pred.label}")
 print(f"sigma = {trace['sigma']:.4f}")
-print("mask  =", [round(v, 4) for v in trace["mask"]])
+print("mask  =", [round(v, 4) for v in trace["mask"].tolist()])
 print("dgat beta (layer 0, head 0) =",
-      [round(v, 4) for v in trace["dgat"]["beta"][0][0]])
+      [round(v, 4) for v in trace["dgat"]["beta"][0][0].tolist()])
 print("\nfull trace JSON is what `gdd inspect` emits:")
 print(json.dumps({k: trace[k] for k in ("sigma",)}, indent=2))

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import os
+import statistics
 import sys
 import traceback
 
@@ -195,8 +196,8 @@ def cmd_inspect(args) -> int:
     if args.embeddings_file:
         model.frozen_embeddings = load_precomputed(args.embeddings_file)
     with forward_passes((args.data, numbered)):
-        _, trace = model.predict(numbered[args.index][1], with_trace=True)
-    print(json.dumps(trace))
+        pred = model.predict(numbered[args.index][1])
+    print(json.dumps(pred.trace, default=np.ndarray.tolist))
     return 0
 
 
@@ -230,7 +231,7 @@ def cmd_verify_proposition(args) -> int:
         "pass": all_ok,
         "grad_norm_at_mean": {
             "max": max(t.grad_norm_at_mean for t in trials),
-            "median": sorted(t.grad_norm_at_mean for t in trials)[len(trials) // 2],
+            "median": statistics.median(t.grad_norm_at_mean for t in trials),
         },
         "median_random_grad_norm": {
             "min": min(t.median_random_grad_norm for t in trials),

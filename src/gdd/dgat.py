@@ -15,8 +15,8 @@ heads is one node, with a hand-derived VJP over the plain-array kernels
 `_edge_weights` and `_node_weights`, and so are its V relational heads.
 Each family's weights come stacked over its heads (`DgatLayerParams.Wa`,
 `RelHeads`; the model passes strided views of its flat buffers), so each
-step is one matmul or ufunc call for all of them. A layer over an empty
-graph returns a zero vector and flags it in its trace.
+step is one matmul or ufunc call for all of them. A layer returns its heads'
+attention weights as computed; an empty graph gives a zero vector and [].
 
 The paper's relational scoring MLP ends in an output bias b2, one scalar
 per head added to every logit of that head's softmax. softmax(z + b2)
@@ -207,31 +207,25 @@ def relation_update_var(E: Var, Wr) -> Var:
 
 def dgat_layer_var(h_a: Var, H_N: Var, E: Var, params: DgatLayerParams,
                    d_head: int, scale: bool = False):
-    """One layer's heads: (concat(U dual heads, V relational heads), trace).
+    """One layer's heads: (concat(U dual heads, V relational heads), beta,
+    omega, rho), the weights as dual_attention_var (U x m) and
+    relational_head_var (V x m) return them, [] for a family with no heads.
 
-    The trace holds each head's attention weights as arrays (one rho per
-    relational head, rows of the family node's rho). An empty graph
-    (m == 0) yields a zero vector of the layer width and a trace flag
-    instead of attention coefficients. The layer's relation update is not
-    run here: global_forward_var runs it only between layers.
+    An empty graph (m == 0) yields a zero vector of the layer width and []
+    for all three weights. The layer's relation update is not run here:
+    global_forward_var runs it only between layers.
     """
-    m = H_N.value.shape[0]
-    width = params.num_heads * d_head
-    trace = {"beta": [], "omega": [], "rho": [], "empty": m == 0}
-    if m == 0:
-        return Var(np.zeros(width)), trace
-    outs = []
+    if H_N.value.shape[0] == 0:
+        return Var(np.zeros(params.num_heads * d_head)), [], [], []
+    outs, beta, omega, rho = [], [], [], []
     if params.dual:
         pairs, composeds = zip(*(dual_head_var(H_N, E, hp) for hp in params.dual))
         out, beta, omega = dual_attention_var(h_a, params.Wa, pairs, composeds, scale)
         outs.append(out)
-        trace["beta"].extend(beta)
-        trace["omega"].extend(omega)
     if params.rel is not None:
         out, rho = relational_head_var(H_N, E, params.rel)
         outs.append(out)
-        trace["rho"].extend(rho)
-    return ad.concat(outs), trace
+    return ad.concat(outs), beta, omega, rho
 
 
 def global_forward_var(h_a: Var, H_N: Var, E: Var, layers: list[DgatLayerParams],
@@ -243,15 +237,17 @@ def global_forward_var(h_a: Var, H_N: Var, E: Var, layers: list[DgatLayerParams]
     reads the last layer's edges, so its Wr is never used (nor is any Wr
     over an empty graph). Dropout (training only; pass an Rng) hits the
     concatenated aspect vector after each layer. Returns (h_a_final Var,
-    list of per-layer traces).
+    trace): under "beta", "omega" and "rho" a list of each layer's weights,
+    as dgat_layer_var returns them, and "empty": m == 0.
     """
-    traces = []
+    trace = {"beta": [], "omega": [], "rho": [], "empty": H_N.value.shape[0] == 0}
     for i, layer in enumerate(layers):
-        h_a, trace = dgat_layer_var(h_a, H_N, E, layer, d_head, scale)
+        h_a, *weights = dgat_layer_var(h_a, H_N, E, layer, d_head, scale)
         if dropout > 0.0 and rng is not None:
             keep = (rng.uniform(h_a.value.shape) >= dropout) / (1.0 - dropout)
             h_a = ad.mul(h_a, keep)
-        traces.append(trace)
+        for key, w in zip(("beta", "omega", "rho"), weights):
+            trace[key].append(w)
         if i + 1 < len(layers) and not trace["empty"]:
             E = relation_update_var(E, layer.Wr)
-    return h_a, traces
+    return h_a, trace

@@ -303,17 +303,6 @@ def dgat_layer_params(params: ModelParams, config: ModelConfig) -> list[dg.DgatL
         for l in range(config.L)]
 
 
-def _as_lists(trace):
-    """A trace with every array turned into nested lists, for JSON."""
-    if isinstance(trace, np.ndarray):
-        return trace.tolist()
-    if isinstance(trace, dict):
-        return {key: _as_lists(value) for key, value in trace.items()}
-    if isinstance(trace, list):
-        return [_as_lists(value) for value in trace]
-    return trace
-
-
 class NonFiniteForward(ArithmeticError):
     """A forward pass whose logits are not all finite.
 
@@ -357,6 +346,7 @@ class Prediction:
     probs: Tensor  # over (positive, neutral, negative)
     label_id: int
     logits: Tensor
+    trace: dict  # forward_var's trace, its arrays as the pass computed them
 
     @property
     def label(self) -> str:
@@ -466,8 +456,9 @@ class Model:
         regularizer_var's, always read the model's own buffers: the list of
         dgat_layer_params, built on the first call (its Wa and relational
         stacks are Leafs over params.flat and params.grad) and read by every
-        later one. The trace holds the attention weights and the mask as
-        arrays; predict(with_trace=True) turns them into lists for JSON.
+        later one. The trace is local_forward_var's (sigma, mask, local
+        attention) with global_forward_var's under "dgat": the arrays as the
+        pass computed them, which predict hands out as Prediction.trace.
         """
         cfg = self.config
         if self._layers is None:
@@ -487,27 +478,19 @@ class Model:
         h_a = ad.sum_rows(H, s, e + 1)
         H_N = ad.gather_rows(H, prep.word_token_idx)
         E = self._edge_matrix(prep, leaves)
-        h_global, layer_traces = dg.global_forward_var(
+        h_global, trace["dgat"] = dg.global_forward_var(
             h_a, H_N, E, self._layers, cfg.d_head,
             scale=cfg.scale_logits, dropout=cfg.dropout, rng=dropout_rng)
-
-        trace["dgat"] = {
-            "beta": [t["beta"] for t in layer_traces],
-            "omega": [t["omega"] for t in layer_traces],
-            "rho": [t["rho"] for t in layer_traces],
-            "empty": layer_traces[0]["empty"] if layer_traces else True,
-        }
 
         h_final = ad.concat([h_local, h_global])
         logits = ad.matmul(h_final, leaves["out.W"]) + leaves["out.b"]
         return logits, trace
 
-    def predict(self, example: Example, with_trace: bool = False):
-        """Class probabilities for one example (and its trace, as lists for
-        JSON, with with_trace)."""
-        return self.predict_prepared(self.prepare(example), with_trace)
+    def predict(self, example: Example) -> Prediction:
+        """Class probabilities for one example, with the forward pass's trace."""
+        return self.predict_prepared(self.prepare(example))
 
-    def predict_prepared(self, prep: Prepared, with_trace: bool = False):
+    def predict_prepared(self, prep: Prepared) -> Prediction:
         """predict() on an example prepared already, e.g. once for many epochs.
 
         The forward reads the tape leaves that training reads (params.leaves()
@@ -515,16 +498,16 @@ class Model:
         (adam_step, ModelParams.set). It runs no backward(), so params.grad
         is left as it was. Logits that are not all finite raise
         NonFiniteForward, naming the first quantity of the pass that is not;
-        numpy's own floating-point warnings are the caller's to silence.
+        numpy's own floating-point warnings are the caller's to silence. The
+        logits and trace are the pass's own arrays; its tape is dropped.
         """
         logits, trace = self.forward_var(prep, self.params.leaves())
         if not np.isfinite(logits.value).all():
             raise NonFiniteForward(prep.example, _first_non_finite(trace))
         probs = np.exp(logits.value - logits.value.max())
         probs /= probs.sum()
-        pred = Prediction(probs=probs, label_id=int(np.argmax(probs)),
-                          logits=logits.value.copy())
-        return (pred, _as_lists(trace)) if with_trace else pred
+        return Prediction(probs=probs, label_id=int(np.argmax(probs)),
+                          logits=logits.value, trace=trace)
 
     def regularizer_var(self) -> Var:
         """Sum of squared weight-matrix entries; biases and PAD rows excluded.

@@ -59,9 +59,27 @@ class TestForward:
     def test_empty_graph_flagged_not_crashed(self):
         ex = whole_sentence_example()
         model = Model.build_for_examples(ModelConfig(**TOY), [ex])
-        pred, trace = model.predict(ex, with_trace=True)
-        assert trace["dgat"]["empty"] is True
+        pred = model.predict(ex)
+        assert pred.trace["dgat"]["empty"] is True
         assert abs(pred.probs.sum() - 1.0) < 1e-12
+
+    def test_a_prediction_owns_its_trace_and_logits(self, toy_model):
+        """A Prediction's logits and trace arrays keep their bytes through a
+        later predict and an Adam step with a non-zero gradient."""
+        model, examples = toy_model
+        pred = model.predict(examples[0])
+        dgat = pred.trace["dgat"]
+        assert dgat["empty"] is False
+        arrays = [pred.logits, pred.trace["mask"], pred.trace["local_attention"],
+                  *(w for key in ("beta", "omega", "rho") for w in dgat[key])]
+        assert all(isinstance(a, np.ndarray) for a in arrays)
+        saved = [a.tobytes() for a in arrays]
+        model.predict(examples[1])
+        batch_grads(model, [model.prepare(ex) for ex in examples])
+        assert np.any(model.params.grad)
+        adam_step(model.params, AdamState.for_params(model.params), lr=0.1)
+        assert not np.array_equal(model.predict(examples[0]).logits, pred.logits)
+        assert [a.tobytes() for a in arrays] == saved
 
     def test_frozen_embeddings_used(self, toy_model):
         model, examples = toy_model

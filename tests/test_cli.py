@@ -7,14 +7,16 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import numpy as np
 
+from gdd import cli
 from gdd.checkpoint import load_checkpoint, save_checkpoint
 from gdd.cli import main
-from gdd.data import generate_synthetic, save_dataset
+from gdd.data import Example, generate_synthetic, save_dataset
 from gdd.numeric import Rng
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -680,6 +682,44 @@ class TestInspect:
         assert code == 0
         assert stdout.encode() == (Path(__file__).parent / "inspect_toy.json").read_bytes()
 
+    @pytest.mark.parametrize("heads", [{}, {"U": "0"}, {"V": "0"}], ids=["default", "U0", "V0"])
+    def test_trace_json_at_its_edges(self, tmp_path, capsys, heads):
+        """At L = 2, a family with no heads prints [] for each layer, as does
+        every family over an empty graph (an aspect that spans its sentence),
+        which also prints "empty": true; a present family prints one row of
+        m weights per head."""
+        whole = Example(tokens=["food", "good"], aspect_start=0, aspect_end=2,
+                        label="positive", dep_heads=[2, 0], dep_rels=["nsubj", "root"])
+        data = tmp_path / "data.jsonl"
+        save_dataset(data, generate_synthetic(seed=3, count=9) + [whole])
+        out = tmp_path / "m.gdd"
+        code, _, _ = run(["train", "--train", str(data), "--out", str(out),
+                          *toy_flags(L="2", **heads)], capsys)
+        assert code == 0
+        counts = {"beta": int(heads.get("U", 1)), "omega": int(heads.get("U", 1)),
+                  "rho": int(heads.get("V", 1))}
+        for index, empty in [(0, False), (9, True)]:
+            code, stdout, _ = run(["inspect", "--checkpoint", str(out), "--data", str(data),
+                                   "--index", str(index)], capsys)
+            assert code == 0
+            dgat = json.loads(stdout)["dgat"]
+            assert list(dgat) == ["beta", "omega", "rho", "empty"]
+            assert dgat["empty"] is empty
+            if empty:
+                assert stdout.endswith('"dgat": {"beta": [[], []], "omega": [[], []], '
+                                       '"rho": [[], []], "empty": true}}\n')
+                continue
+            m = len(dgat["rho"][0][0]) if counts["rho"] else len(dgat["beta"][0][0])
+            assert m > 0
+            for key, count in counts.items():
+                assert len(dgat[key]) == 2, key
+                for layer in dgat[key]:
+                    assert len(layer) == count, key
+                    assert all(len(row) == m and abs(sum(row) - 1.0) < 1e-12
+                               for row in layer), key
+                if not count:
+                    assert f'"{key}": [[], []]' in stdout
+
     def test_index_out_of_range(self, dataset, checkpoint, capsys):
         code, _, err = run(["inspect", "--checkpoint", str(checkpoint),
                             "--data", str(dataset), "--index", "99"], capsys)
@@ -699,6 +739,17 @@ class TestVerifyProposition:
         _, a, _ = run(["verify-proposition", "--trials", "2", "--seed", "9"], capsys)
         _, b, _ = run(["verify-proposition", "--trials", "2", "--seed", "9"], capsys)
         assert a == b
+
+    @pytest.mark.parametrize("norms, median", [([3.0, 1.0], 2.0), ([3.0, 1.0, 2.5], 2.5),
+                                               ([4.0, 1.0, 2.0, 8.0], 3.0)])
+    def test_median_is_the_middle_value_or_the_mean_of_the_two(self, capsys, monkeypatch,
+                                                                 norms, median):
+        reports = iter(norms)
+        monkeypatch.setattr(cli, "check_stationarity", lambda Q, K, rng: SimpleNamespace(
+            is_stationary=True, grad_norm_at_mean=next(reports), median_random_grad_norm=1.0))
+        code, stdout, _ = run(["verify-proposition", "--trials", str(len(norms))], capsys)
+        assert code == 0
+        assert json.loads(stdout)["grad_norm_at_mean"] == {"max": max(norms), "median": median}
 
     def test_n_below_two_rejected(self, capsys):
         code, _, err = run(["verify-proposition", "--n", "1"], capsys)

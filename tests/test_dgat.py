@@ -124,8 +124,12 @@ def rel_head_out(H_N, E, p):
 
 
 def layer_out(h_a, H_N, E, layer):
-    h, trace = dgat_layer_var(Var(h_a), Var(H_N), Var(E), layer, d_head=4)
-    return h.value, trace
+    """dgat_layer_var's (output value, beta, omega, rho)."""
+    h, beta, omega, rho = dgat_layer_var(Var(h_a), Var(H_N), Var(E), layer, d_head=4)
+    return h.value, beta, omega, rho
+
+
+WEIGHTS = ("beta", "omega", "rho")
 
 
 def make_dual(rng, a_w=6, e_w=8, d_model=6, d_head=4):
@@ -330,26 +334,29 @@ class TestDgatLayer:
         h_a = rng.uniform((6,), -1, 1)
         H_N = rng.uniform((1, 6), -1, 1)
         E = rng.uniform((1, 8), -1, 1)
-        h_next, trace = layer_out(h_a, H_N, E, layer)
+        h_next, *weights = layer_out(h_a, H_N, E, layer)
         expected = np.concatenate([
             dual_head_out(h_a, H_N, E, one_dual(layer, 0)),
             rel_head_out(H_N, E, layer.rel),
         ])
         assert np.max(np.abs(h_next - expected)) < 1e-12
-        assert trace["empty"] is False
+        assert [w.shape for w in weights] == [(1, 1)] * 3  # not the empty graph's []
 
     def test_output_width_any_m(self):
         rng = Rng(17)
         layer = make_layer(rng, U=2, V=1)
         for m in (1, 3, 6):
-            h, _ = layer_out(Rng(0).uniform((6,)), Rng(1).uniform((m, 6)),
-                             Rng(2).uniform((m, 8)), layer)
+            h, *_ = layer_out(Rng(0).uniform((6,)), Rng(1).uniform((m, 6)),
+                              Rng(2).uniform((m, 8)), layer)
             assert h.shape == (12,)
 
     def test_empty_graph_zero_vector_flagged(self):
         layer = make_layer(Rng(18))
-        h, trace = layer_out(np.ones(6), np.zeros((0, 6)), np.zeros((0, 8)), layer)
+        h, *weights = layer_out(np.ones(6), np.zeros((0, 6)), np.zeros((0, 8)), layer)
         assert np.array_equal(h, np.zeros(8))
+        assert weights == [[], [], []]
+        _, trace = global_forward_var(Var(np.ones(6)), Var(np.zeros((0, 6))),
+                                      Var(np.zeros((0, 8))), [layer], d_head=4)
         assert trace["empty"] is True
 
     def test_single_layer_stack_equals_one_layer_call(self):
@@ -358,11 +365,14 @@ class TestDgatLayer:
         h_a = rng.uniform((6,), -1, 1)
         H_N = rng.uniform((3, 6), -1, 1)
         E = rng.uniform((3, 8), -1, 1)
-        stacked, traces = global_forward_var(Var(h_a), Var(H_N), Var(E), [layer],
-                                             d_head=4)
-        single, _ = layer_out(h_a, H_N, E, layer)
+        stacked, trace = global_forward_var(Var(h_a), Var(H_N), Var(E), [layer],
+                                            d_head=4)
+        single, *weights = layer_out(h_a, H_N, E, layer)
         assert np.array_equal(stacked.value, single)
-        assert len(traces) == 1
+        for key, w in zip(WEIGHTS, weights, strict=True):
+            assert len(trace[key]) == 1
+            assert np.array_equal(trace[key][0], w), key
+        assert trace["empty"] is False
 
     def test_two_stacked_layers_plumb(self):
         rng = Rng(19)
@@ -371,16 +381,17 @@ class TestDgatLayer:
         h_a = Var(rng.uniform((6,)))
         H_N = Var(rng.uniform((2, 6)))
         E = Var(rng.uniform((2, 8)))
-        h, traces = global_forward_var(h_a, H_N, E, [layer0, layer1], d_head=4)
+        h, trace = global_forward_var(h_a, H_N, E, [layer0, layer1], d_head=4)
         assert h.value.shape == (8,)
-        assert len(traces) == 2
+        assert [len(trace[key]) for key in WEIGHTS] == [2, 2, 2]
 
     def test_probability_vectors(self):
         rng = Rng(20)
         layer = make_layer(rng, U=2, V=2)
-        _, trace = layer_out(rng.uniform((6,)), rng.uniform((5, 6)),
-                             rng.uniform((5, 8)), layer)
-        for coeffs in trace["beta"] + trace["omega"] + trace["rho"]:
+        _, beta, omega, rho = layer_out(rng.uniform((6,)), rng.uniform((5, 6)),
+                                        rng.uniform((5, 8)), layer)
+        assert beta.shape == omega.shape == rho.shape == (2, 5)
+        for coeffs in [*beta, *omega, *rho]:
             assert isinstance(coeffs, np.ndarray) and coeffs.shape == (5,)
             assert np.all(coeffs >= 0)
             assert abs(coeffs.sum() - 1.0) < 1e-12
@@ -391,9 +402,9 @@ class TestDgatLayer:
         h_a = rng.uniform((6,), -1, 1)
         H_N = rng.uniform((5, 6), -1, 1)
         E = rng.uniform((5, 8), -1, 1)
-        base, _ = layer_out(h_a, H_N, E, layer)
+        base, *_ = layer_out(h_a, H_N, E, layer)
         perm = Rng(22).permutation(5)
-        shuffled, _ = layer_out(h_a, H_N[perm], E[perm], layer)
+        shuffled, *_ = layer_out(h_a, H_N[perm], E[perm], layer)
         assert np.max(np.abs(base - shuffled)) < 1e-12
 
     def test_scale_logits_changes_attention(self):
@@ -411,13 +422,14 @@ class TestDgatLayer:
 def global_forward_updating_every_layer(h_a, H_N, E, layers, d_head):
     """The layer stack as it ran when every layer, the last one included,
     updated the edges; nothing reads the last update."""
-    traces = []
+    trace = {key: [] for key in WEIGHTS}
     for layer in layers:
-        h_a, trace = dgat_layer_var(h_a, H_N, E, layer, d_head)
-        if not trace["empty"]:
+        h_a, *weights = dgat_layer_var(h_a, H_N, E, layer, d_head)
+        if H_N.value.shape[0]:
             E = relation_update_var(E, layer.Wr)
-        traces.append(trace)
-    return h_a, traces
+        for key, w in zip(WEIGHTS, weights):
+            trace[key].append(w)
+    return h_a, trace
 
 
 def _as_vars(layer):
@@ -438,12 +450,12 @@ class TestRelationUpdateBetweenLayersOnly:
         def run(forward):
             inputs = [Var(v) for v in graph]
             params = [_as_vars(layer) for layer in layers]
-            h, traces = forward(*inputs, params, d_head=4)
+            h, trace = forward(*inputs, params, d_head=4)
             ad.backward(ad.matmul(h, Var(probe)))
             tensors = (inputs + [w for p in params for heads in p.dual + [p.rel]
                                  for w in vars(heads).values()]
                        + [p.Wa for p in params] + [p.Wr for p in params])
-            return h.value, traces, [t.grad for t in tensors]
+            return h.value, trace, [t.grad for t in tensors]
 
         calls = []
         monkeypatch.setattr(dg, "relation_update_var",
@@ -452,10 +464,9 @@ class TestRelationUpdateBetweenLayersOnly:
         assert len(calls) == L - 1
         want = run(global_forward_updating_every_layer)
         assert np.array_equal(got[0], want[0])
-        for t_got, t_want in zip(got[1], want[1], strict=True):
-            for key in ("beta", "omega", "rho"):
-                for a, b in zip(t_got[key], t_want[key], strict=True):
-                    assert np.array_equal(a, b), key
+        for key in WEIGHTS:
+            for a, b in zip(got[1][key], want[1][key], strict=True):
+                assert np.array_equal(a, b), key
         for g, w in zip(got[2], want[2], strict=True):
             assert (g is None and w is None) or np.array_equal(g, w)
         assert got[2][-1] is None  # the last layer's Wr reaches no output
@@ -465,10 +476,10 @@ class TestRelationUpdateBetweenLayersOnly:
         layers = [make_layer(rng, a_w=6, e_w=8), make_layer(rng, a_w=8, e_w=6)]
         calls = []
         monkeypatch.setattr(dg, "relation_update_var", lambda *a: calls.append(a))
-        h, traces = global_forward_var(Var(np.ones(6)), Var(np.zeros((0, 6))),
-                                       Var(np.zeros((0, 8))), layers, d_head=4)
+        h, trace = global_forward_var(Var(np.ones(6)), Var(np.zeros((0, 6))),
+                                      Var(np.zeros((0, 8))), layers, d_head=4)
         assert np.array_equal(h.value, np.zeros(8))
-        assert [t["empty"] for t in traces] == [True, True]
+        assert trace == {"beta": [[], []], "omega": [[], []], "rho": [[], []], "empty": True}
         assert calls == []
 
 

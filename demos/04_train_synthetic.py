@@ -8,6 +8,8 @@ show what the mask and the graph attention learned to focus on.
 
 import json
 
+import numpy as np
+
 from gdd.data import generate_synthetic
 from gdd.metrics import evaluate
 from gdd.model import Model, ModelConfig
@@ -45,4 +47,4 @@ print("mask  =", [round(v, 4) for v in trace["mask"].tolist()])
 print("dgat beta (layer 0, head 0) =",
       [round(v, 4) for v in trace["dgat"]["beta"][0][0].tolist()])
 print("\nfull trace JSON is what `gdd inspect` emits:")
-print(json.dumps({k: trace[k] for k in ("sigma",)}, indent=2))
+print(json.dumps(trace, default=np.ndarray.tolist))

@@ -2,14 +2,20 @@
 
 Every op is eager: it computes its value immediately and records its
 parents and one VJP, a callback mapping the output gradient to one
-gradient contribution per parent, in order. backward() sorts the op nodes
-(those with a VJP) reachable from its output and replays them in reverse
-topological order, calling each node's VJP once; inputs (leaves and
-constants) never enter the sort, they only receive contributions.
+gradient contribution per parent, in order. backward() finds the op nodes
+(those with a VJP) reachable from its output and replays them from an
+agenda, each once all of its consumers have handed it their
+contributions; inputs (leaves and constants) never enter the search, they
+only receive contributions. A node kind whose VJPs are worth running
+together has a Batched VJP: a kernel over a group of nodes, which the
+replay holds until every node of the group is ready and then calls once
+over all of them (DyNet's on-the-fly operation batching, Neubig et al.
+2017). Its kernel over a group of one is that node's own VJP.
 
 A contribution comes in one of three kinds:
 - an array (or number) of the parent's shape;
-- None, when the op added it into a Leaf's gradient itself (sum_squares);
+- None, when the op added it into a Leaf's gradient itself (sum_squares),
+  or when a Batched kernel handed the parent its share on another node;
 - the factors of a weight or embedding gradient, whose minibatch sum is a
   sum of per-example products: a pair (X^T, G) stands for the product
   X^T @ G (X of shape (..., rows, a) and G of (..., rows, b), with numpy's
@@ -18,27 +24,30 @@ A contribution comes in one of three kinds:
   (idx, rows) stands for rows scatter-added into the table rows idx.
 backward() multiplies factors out at once when the parent is not a Leaf.
 A Leaf's gradient is a preallocated array, possibly a strided view into a
-larger buffer. A Leaf that the sort found one edge into (as every weight
+larger buffer. A Leaf that the search found one edge into (as every weight
 at batch 1) adds its one contribution into that array as it arrives. A
 Leaf with several (one per example of a minibatch) collects them while
 the replay runs and adds them once it ends, each kind reduced: one GEMM
 over the concatenated rows of all the pairs, one flat 1-D np.add.at over
 all the Scatters (in the order of the 2-D scatters it replaces, so with
-the same result bits) and one add of the sum of the arrays. Nothing stays
+the same result bits) and one add of the sum of the arrays; a single one
+(a Batched group's, reduced already) is added as it is. Nothing stays
 pending once backward() returns.
 
-The model's attention and mask layers are nodes of this one kind, with
-hand-derived VJPs over many parents, and so are the short chains it runs on
-every example: a sum or mean over a span of rows (sum_rows), row gathers
-laid side by side (gather_concat) and the cross-entropy (cross_entropy).
+The model's attention and mask layers are nodes too, with hand-derived
+VJPs over many parents (the DGAT's are Batched kinds, see dgat), and so
+are the short chains it runs on every example: a sum or mean over a span
+of rows (sum_rows), row gathers laid side by side (gather_concat) and the
+cross-entropy (cross_entropy).
 Analytic gradients produced here are validated against
 numeric.finite_diff_grad, never trusted blind.
 
-circ_corr runs its transforms as matrix products with two cached real DFT
-matrices per length d (K = d // 2 + 1 bins), their columns interleaved bin
-by bin: x @ F is [Re X0, Im X0, Re X1, Im X1, ...] for X = rfft(x), so its
-.view(np.complex128) is rfft(x) and each spectral product is one complex
-multiply, and the float64 view of a spectrum @ Finv gives irfft(., n=d).
+circ_corr, a Batched kind, runs its transforms as matrix products with
+two cached real DFT matrices per length d (K = d // 2 + 1 bins), their
+columns interleaved bin by bin: x @ F is [Re X0, Im X0, Re X1, Im X1, ...]
+for X = rfft(x), so its .view(np.complex128) is rfft(x) and each spectral
+product is one complex multiply, and the float64 view of a spectrum @ Finv
+gives irfft(., n=d).
 At the model's widths (d_head = 16) a small GEMM costs less than the numpy
 FFT call it replaces.
 """
@@ -312,7 +321,9 @@ def _between(runs: tuple) -> np.ndarray:
 
 def sum_squares(a: Leaf, runs) -> Var:
     """Sum of squares of a 1-D Leaf's entries over the index ranges `runs`
-    ((start, stop) pairs, sorted and disjoint). Its gradient, 2*g*a on those
+    ((start, stop) pairs, sorted and disjoint): one dot over the span from
+    the first range's start to the last one's stop, less one dot over the
+    entries between the ranges. Its gradient, 2*g*a on those
     ranges, is added into the Leaf's own gradient in one pass from the first
     range's start to the last one's stop, through one scratch array of at
     most L2_BLOCK entries a block at a time, so no temporary is larger than
@@ -321,9 +332,10 @@ def sum_squares(a: Leaf, runs) -> Var:
     expression would do it, and no other entry moves."""
     w = a.value
     runs = tuple(runs)
-    total = sum(float(np.dot(w[lo:hi], w[lo:hi])) for lo, hi in runs)
     lo, hi = (runs[0][0], runs[-1][1]) if runs else (0, 0)
     gaps = _between(runs)
+    between = w[gaps]
+    total = float(np.dot(w[lo:hi], w[lo:hi])) - float(np.dot(between, between))
 
     def vjp(g):
         scale = 2.0 * float(g)
@@ -373,10 +385,8 @@ def circ_corr(pair) -> Var:
     interleaved layout makes a GEMM's output rows complex spectra under
     .view(np.complex128): one GEMM of the pair's rows, read as they lie,
     gives A and B, conj(A) * B is one complex multiply, and one GEMM of its
-    float64 view takes it back. Over G = rfft(g) the gradient is d/d pair[0]
-    = irfft(conj(G) * B) and d/d pair[1] = irfft(G * A): one GEMM of g, two
-    complex multiplies and one GEMM of both products, the pair's one
-    (2, ..., d) contribution.
+    float64 view takes it back. Its VJP is Batched over the width d (see
+    _circ_corr_kernel).
     """
     pair = as_var(pair)
     shape = pair.value.shape
@@ -387,70 +397,163 @@ def circ_corr(pair) -> Var:
     m = pair.value.size // (2 * d)
     spectra = (pair.value.reshape(2 * m, d) @ F).view(np.complex128)  # [A; B], 2m x K
     A, B = spectra[:m], spectra[m:]
+    return Var(((A.conj() * B).view(np.float64) @ Finv).reshape(shape[1:]), (pair,),
+               Batched(_circ_corr_kernel, d, (A, B, shape)))
 
-    def vjp(g):
-        G = (g.reshape(m, d) @ F).view(np.complex128)
-        both = np.empty((2 * m, A.shape[1]), np.complex128)
-        np.multiply(G.conj(), B, out=both[:m])
-        np.multiply(G, A, out=both[m:])
-        return ((both.view(np.float64) @ Finv).reshape(shape),)
 
-    return Var(((A.conj() * B).view(np.float64) @ Finv).reshape(shape[1:]), (pair,), vjp)
+def _circ_corr_kernel(saved, grads):
+    """circ_corr's VJP over a group of nodes of one width d, saved (A, B,
+    pair shape) each: their gradient rows g, concatenated, go through one
+    GEMM to G = rfft(g), and d/d pair[0] = irfft(conj(G) * B) and d/d
+    pair[1] = irfft(G * A) through two complex multiplies and one GEMM of
+    both products; each pair's (2, ..., d) contribution is a view of it."""
+    d = saved[0][2][-1]
+    F, Finv = _real_dft(d)
+    counts = [s[0].shape[0] for s in saved]
+    A, B, _ = joined(saved, (0, 0, None))
+    G = (cat_rows([g.reshape(-1, d) for g in grads]) @ F).view(np.complex128)
+    M = G.shape[0]
+    both = np.empty((2 * M, G.shape[1]), np.complex128)
+    np.multiply(G.conj(), B, out=both[:M])
+    np.multiply(G, A, out=both[M:])
+    R = (both.view(np.float64) @ Finv).reshape(2, M, d)
+    return [(R[:, lo:hi].reshape(s[2]),) for s, (lo, hi) in zip(saved, row_spans(counts))]
+
+
+def cat_rows(arrays, axis: int = 0) -> np.ndarray:
+    """The arrays concatenated along `axis`; a single one as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+
+
+def joined(saved, axes) -> tuple:
+    """The fields of a group's saved tuples, each concatenated along its axis
+    in `axes` (None: a field the group shares, taken from the first node);
+    a group of one's tuple as it is."""
+    if len(saved) == 1:
+        return saved[0]
+    return tuple(col[0] if axis is None else np.concatenate(col, axis=axis)
+                 for col, axis in zip(zip(*saved), axes))
+
+
+def row_spans(counts: list) -> list:
+    """The [lo, hi) ranges of consecutive blocks of `counts` rows."""
+    if len(counts) == 1:
+        return [(0, counts[0])]
+    return list(itertools.pairwise(itertools.accumulate(counts, initial=0)))
+
+
+class Batched:
+    """A VJP that runs as one call for a group of nodes: kernel(saved, grads)
+    takes each node's saved state and output gradient, in group order, and
+    returns each node's contributions, as a VJP returns them. Nodes whose
+    group, (kernel, key), is equal may run as one group. A parent that
+    several nodes of the group share (a weight, or one input of several
+    heads) may receive their summed contribution once, from one of them,
+    and None from the others.
+
+    Called with one gradient, it is the node's own VJP: its kernel over a
+    group of one."""
+
+    __slots__ = ("kernel", "group", "saved")
+
+    def __init__(self, kernel, key, saved):
+        self.kernel, self.group, self.saved = kernel, (kernel, key), saved
+
+    def __call__(self, g):
+        return self.kernel([self.saved], [g])[0]
 
 
 def backward(out: Var) -> None:
     """Accumulate d(out)/d(node) into .grad for every node reachable from out.
 
-    Only op nodes (those with a VJP) are sorted and replayed: a parent
-    without one, a Leaf or a constant input, never enters the search. It
-    only receives its contributions: any other input into a fresh or summed
-    .grad as they arrive, with factors multiplied out; a Leaf into its
-    preallocated array, at once when the sort found one edge into it, and
-    otherwise reduced across all of its contributions once the replay ends
-    (see the module docstring).
+    A search from out finds the op nodes (those with a VJP) and counts, for
+    each, the op nodes that consume it; a parent without a VJP, a Leaf or a
+    constant input, is not searched, only counted when it is a Leaf. The
+    replay then runs an agenda: a node is ready once every consumer has
+    handed it its contribution. A ready node with a plain VJP runs at once,
+    and so does one with a Batched VJP that is the last node of its group
+    left to run; any other is held with its group, in arrival order. When
+    no node is ready, each group that holds every node of it that has not
+    run yet runs as one kernel call (all groups run when none is complete),
+    which may make more nodes ready.
+
+    A parent receives each contribution as it arrives: an op node or
+    constant input into a fresh or summed .grad, with factors multiplied
+    out; a Leaf into its preallocated array, at once when the search found
+    one edge into it, and otherwise reduced across all of its contributions
+    once the replay ends (see the module docstring). None adds nothing.
     """
     if out.value.size != 1:
         raise ValueError("backward expects a scalar output")
     out.grad = np.ones_like(out.value)
     if out._vjp is None:
         return
-    order = []
-    seen = set()
+    seen = {out}
+    more: dict = {}  # op nodes with several op-node consumers -> how many, less one, are due
     fan_in: dict[Leaf, int] = {}  # edges into each Leaf: the contributions it will get
-    stack = [(out, False)]
+    left: dict = {}  # Batched nodes per group that have not run
+    stack = [out]
     while stack:
-        node, children_done = stack.pop()
-        if children_done:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
+        node = stack.pop()
+        if type(node._vjp) is Batched:
+            key = node._vjp.group
+            left[key] = left.get(key, 0) + 1
         for parent in node._parents:
             if parent._vjp is not None:
-                if parent not in seen:
-                    stack.append((parent, False))
+                if parent in seen:
+                    more[parent] = more.get(parent, 0) + 1
+                else:
+                    seen.add(parent)
+                    stack.append(parent)
             elif isinstance(parent, Leaf):
                 fan_in[parent] = fan_in.get(parent, 0) + 1
     pending: dict[Leaf, list] = {}
-    for node in reversed(order):
-        for parent, contrib in zip(node._parents, node._vjp(node.grad)):
-            if contrib is None:  # the op added into the Leaf's gradient itself
-                continue
-            if isinstance(parent, Leaf):
-                if fan_in[parent] == 1:
-                    _apply(parent.grad, contrib)
-                elif parent in pending:
-                    pending[parent].append(contrib)
+    ready = [out]
+    held: dict = {}  # group -> its ready nodes, in arrival order
+    while ready or held:
+        if ready:
+            node = ready.pop()
+            vjp = node._vjp
+            if type(vjp) is Batched and left[vjp.group] > 1:
+                if vjp.group in held:
+                    held[vjp.group].append(node)
                 else:
-                    pending[parent] = [contrib]
+                    held[vjp.group] = [node]
                 continue
-            if not isinstance(contrib, np.ndarray):
-                if type(contrib) is tuple:
-                    contrib = _product(*contrib)
-                elif type(contrib) is Scatter:
-                    contrib = contrib.dense(parent.value.shape)
-            parent.grad = contrib if parent.grad is None else parent.grad + contrib
+            done = ((node, vjp(node.grad)),)  # a plain VJP, or the last of its group
+        else:
+            done = []
+            for key in [k for k, nodes in held.items() if len(nodes) == left[k]] or list(held):
+                nodes = held.pop(key)
+                left[key] -= len(nodes)
+                kernel = key[0]
+                done += zip(nodes, kernel([n._vjp.saved for n in nodes], [n.grad for n in nodes]))
+        for node, contribs in done:
+            for parent, contrib in zip(node._parents, contribs):
+                if isinstance(parent, Leaf):
+                    if contrib is None:  # nothing, or added by the op itself (sum_squares)
+                        pass
+                    elif fan_in[parent] == 1:
+                        _apply(parent.grad, contrib)
+                    elif parent in pending:
+                        pending[parent].append(contrib)
+                    else:
+                        pending[parent] = [contrib]
+                    continue
+                if contrib is not None:
+                    if not isinstance(contrib, np.ndarray):
+                        if type(contrib) is tuple:
+                            contrib = _product(*contrib)
+                        elif type(contrib) is Scatter:
+                            contrib = contrib.dense(parent.value.shape)
+                    parent.grad = contrib if parent.grad is None else parent.grad + contrib
+                if parent._vjp is not None:
+                    if more.get(parent):
+                        more[parent] -= 1
+                    else:
+                        ready.append(parent)
     for leaf, contribs in pending.items():
-        _reduce_into(leaf.grad, contribs)
+        if len(contribs) == 1:  # a group's shared contribution, reduced already
+            _apply(leaf.grad, contribs[0])
+        else:
+            _reduce_into(leaf.grad, contribs)

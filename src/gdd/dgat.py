@@ -18,6 +18,14 @@ Each family's weights come stacked over its heads (`DgatLayerParams.Wa`,
 step is one matmul or ufunc call for all of them. A layer returns its heads'
 attention weights as computed; an empty graph gives a zero vector and [].
 
+The pair, the dual attention and the relational attention have Batched
+VJPs (see autodiff): kernels that run a whole minibatch's nodes of one
+kind as one call over their concatenated rows, each node an example with
+its own m_i >= 1 graph words (an empty graph builds no such node). Their
+softmax VJPs sum over each node's rows with np.add.reduceat (PyG's
+scatter_softmax, Fey & Lenssen 2019; see _Segments), and the weights'
+gradients go out once per group, as factors over all of its rows.
+
 The paper's relational scoring MLP ends in an output bias b2, one scalar
 per head added to every logit of that head's softmax. softmax(z + b2)
 equals softmax(z) in exact arithmetic, so b2 changes no output and its
@@ -30,6 +38,7 @@ too.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,12 +100,62 @@ def _node_weights(dots: Tensor, beta: Tensor, d_head: int, scale: bool) -> Tenso
     return _softmax(_scaled(beta * dots, d_head, scale))
 
 
+class _Segments:
+    """Consecutive segments of `counts` rows (one per node of a group) along
+    the row axis M = sum(counts) of per-head arrays, axis 1 of a (heads, M,
+    ...) array. With one segment each method is the plain expression for
+    one node (a sum, a broadcast, a matmul); with several it runs
+    np.add.reduceat or np.repeat at offsets kept in a Python list. Every
+    count must be at least 1: reduceat gives an empty segment the next
+    entry, not 0."""
+
+    def __init__(self, counts):
+        self.counts = counts
+        self.one = len(counts) == 1
+        if not self.one:
+            assert min(counts) > 0, "an empty segment"
+            self.starts = list(itertools.accumulate(counts[:-1], initial=0))
+
+    def softmax_vjp(self, dy, p):
+        """(heads, M) each: the VJP of a softmax p over each segment, given
+        the gradient dy of p."""
+        dot = dy * p
+        if self.one:
+            return (dy - dot.sum(axis=1, keepdims=True)) * p
+        return (dy - np.repeat(np.add.reduceat(dot, self.starts, axis=1), self.counts, axis=1)) * p
+
+    def rows(self, y):
+        """(heads, N, ...) -> (heads, M, ...): each entry over its segment's
+        rows (as it is for one segment, where it broadcasts)."""
+        return y if self.one else np.repeat(y, self.counts, axis=1)
+
+    def dots(self, X, y):
+        """(heads, M, d), (heads, N, d) -> (heads, M): each row of X dotted
+        with its segment's y."""
+        if self.one:
+            return np.matmul(X, y.transpose(0, 2, 1))[:, :, 0]
+        return (X * self.rows(y)).sum(axis=2)
+
+    def weighted(self, w, X):
+        """(heads, k, M), (heads, k, M, d) -> (heads, N, d): per segment, the
+        sum over its rows and the k halves of w-weighted rows of X."""
+        if self.one:
+            heads, _, _, d = X.shape
+            return np.matmul(w.reshape(heads, 1, -1), X.reshape(heads, -1, d))
+        return np.add.reduceat((w[..., None] * X).sum(axis=1), self.starts, axis=1)
+
+
+def _by_head(arrays, heads: int, d: int) -> Tensor:
+    """N arrays of heads * d entries each, the nodes' output gradients, as
+    one (heads, N, d) array."""
+    return ad.cat_rows(arrays).reshape(len(arrays), heads, d).transpose(1, 0, 2)
+
+
 def dual_head_var(H_N: Var, E: Var, p: DualHeadParams):
     """One dual-level head's projections and their composition, two nodes.
 
-    The first is the pair [H_N Wi; E We], stacked as (2, m, d_head), whose
-    VJP does the two GEMMs to H_N and E and hands Wi and We their gradients
-    as factors, (H_N^T, g[0]) and (E^T, g[1]) (see autodiff); the second is
+    The first is the pair [H_N Wi; E We], stacked as (2, m, d_head), with a
+    Batched VJP over all pairs of its widths (_pair_kernel); the second is
     ad.circ_corr(pair), whose row i is corr(Wi h_i, We e_i). Returns (pair,
     composed); dual_attention_var weighs them for all of a layer's heads.
     """
@@ -105,12 +164,53 @@ def dual_head_var(H_N: Var, E: Var, p: DualHeadParams):
     value = np.empty((2, Hv.shape[0], wi.shape[1]))
     np.matmul(Hv, wi, out=value[0])
     np.matmul(Ev, we, out=value[1])
-
-    def vjp(g):
-        return g[0] @ wi.T, g[1] @ we.T, (Hv.T, g[0]), (Ev.T, g[1])
-
-    pair = Var(value, (H_N, E, Wi, We), vjp)
+    parents = (H_N, E, Wi, We)
+    pair = Var(value, parents, ad.Batched(_pair_kernel, wi.shape + we.shape, parents))
     return pair, ad.circ_corr(pair)
+
+
+def _pair_kernel(saved, grads):
+    """The pair VJP of a group of dual heads' nodes, saved as their parents
+    (H_N, E, Wi, We).
+
+    The heads that read one (H_N, E), one example's layer, sum their
+    gradients to it, g[0] Wi^T and g[1] We^T, into one array each, which
+    goes out once, as its first head's contribution. Inputs whose heads
+    read the same weights in the same order (one layer's, across examples)
+    share each head's GEMMs over all of their rows, and each head's Wi and
+    We get their gradients once, as the factors (H_N^T, g[0]) and (E^T,
+    g[1]) over those rows (see autodiff).
+    """
+    inputs: dict = {}  # (H_N, E) -> its heads' positions in the group, in arrival order
+    for i, s in enumerate(saved):
+        if s[:2] in inputs:
+            inputs[s[:2]].append(i)
+        else:
+            inputs[s[:2]] = [i]
+    layers: dict = {}  # the heads' (Wi, We), in order -> their inputs' head positions
+    for heads in inputs.values():
+        weights = tuple(saved[i][2:] for i in heads)
+        if weights in layers:
+            layers[weights].append(heads)
+        else:
+            layers[weights] = [heads]
+    out = [[None] * 4 for _ in saved]
+    for weights, members in layers.items():
+        firsts = [saved[heads[0]] for heads in members]
+        H = ad.cat_rows([s[0].value for s in firsts]).T
+        E = ad.cat_rows([s[1].value for s in firsts]).T
+        for u, (Wi, We) in enumerate(weights):
+            g = ad.cat_rows([grads[heads[u]] for heads in members], axis=1)  # 2 x rows x d_head
+            if u == 0:
+                dH, dE = g[0] @ Wi.value.T, g[1] @ We.value.T
+            else:
+                dH += g[0] @ Wi.value.T
+                dE += g[1] @ We.value.T
+            out[members[0][u]][2:] = (H, g[0]), (E, g[1])
+        spans = ad.row_spans([s[0].value.shape[0] for s in firsts])
+        for heads, (lo, hi) in zip(members, spans):
+            out[heads[0]][:2] = dH[lo:hi], dE[lo:hi]
+    return out
 
 
 def dual_attention_var(h_a: Var, Wa, pairs, composeds, scale: bool = False):
@@ -123,11 +223,8 @@ def dual_attention_var(h_a: Var, Wa, pairs, composeds, scale: bool = False):
     (target-edge), omega that of beta times the node logits (target-node),
     and head u outputs the omega_u-weighted sum of its composed rows.
     Returns (the heads' outputs side by side, Var[U * d_head]; beta, omega,
-    arrays U x m). The VJP runs back through both softmaxes by hand to
-    d_logits; then d/d pair_u = d_logits_u a_u^T, d_a_u = pair_u^T d_logits_u,
-    d/d h_a = sum_u Wa_u d_a_u and d/d composed_u = omega_u g_u^T. The Wa
-    stack's gradient, the outer products h_a d_a_u^T, goes out as the
-    factors (h_a as a column, d_a) for all heads at once.
+    arrays U x m). Its VJP is Batched over the layer's Wa and scale
+    (_dual_attention_kernel).
     """
     Wa = as_var(Wa)
     h, W = h_a.value, Wa.value
@@ -141,23 +238,44 @@ def dual_attention_var(h_a: Var, Wa, pairs, composeds, scale: bool = False):
     beta = _edge_weights(logits[:, m:], d, scale)
     omega = _node_weights(dots, beta, d, scale)
     c = 1.0 / math.sqrt(d) if scale else 1.0
-
-    def vjp(g):
-        g = g.reshape(U, d)
-        d_omega = np.matmul(C, g[:, :, None])[:, :, 0]
-        d_node = (d_omega - (d_omega * omega).sum(axis=1, keepdims=True)) * omega * c
-        d_beta = d_node * dots
-        d_logits = np.empty((U, 2 * m))
-        np.multiply(d_node, beta, out=d_logits[:, :m])  # d/d dots
-        d_logits[:, m:] = (d_beta - (d_beta * beta).sum(axis=1, keepdims=True)) * beta * c
-        d_a = np.matmul(d_logits[:, None, :], P)[:, 0, :]
-        d_pairs = (d_logits[:, :, None] * a[:, None, :]).reshape(U, 2, m, d)
-        return (np.matmul(W, d_a[:, :, None])[:, :, 0].sum(axis=0),
-                (h[:, None], d_a[:, None, :]), *d_pairs,
-                *(omega[:, :, None] * g[:, None, :]))
-
     out = np.matmul(omega[:, None, :], C).reshape(U * d)
-    return Var(out, (h_a, Wa, *pairs, *composeds), vjp), beta, omega
+    saved = (omega, beta, dots, P.reshape(U, 2, m, d), C, h[:, None], a[:, None], W, c)
+    return (Var(out, (h_a, Wa, *pairs, *composeds),
+                ad.Batched(_dual_attention_kernel, (Wa, scale), saved)), beta, omega)
+
+
+def _dual_attention_kernel(saved, grads):
+    """dual_attention_var's VJP over a group of its nodes, each with its own
+    m_i rows, concatenated per head (the softmaxes' row sums taken per node,
+    see _Segments).
+
+    It runs back through both softmaxes by hand to the logits, d_logits =
+    [d_dots; d_edge]; then d/d pair_u = d_logits_u a_u^T, d_a_u = pair_u^T
+    d_logits_u, d/d h_a = sum_u Wa_u d_a_u and d/d composed_u = omega_u
+    g_u^T. The Wa stack's gradient, the sum over nodes of the outer products
+    h_a d_a_u^T, goes out once as the factors (the h_a as columns, d_a) for
+    all heads and nodes.
+    """
+    seg = _Segments([s[0].shape[1] for s in saved])
+    # P: U x 2 x M x d, node rows then edge rows; h: a_width x N; a: U x N x d
+    omega, beta, dots, P, C, h, a, W, c = ad.joined(saved, (1, 1, 1, 2, 1, 1, 1, None, None))
+    U, _, d = W.shape
+    g = _by_head(grads, U, d)  # U x N x d
+    d_omega = seg.dots(C, g)
+    d_node = seg.softmax_vjp(d_omega, omega) * c
+    d_beta = d_node * dots
+    d_logits = np.empty((U, 2) + omega.shape[1:])
+    np.multiply(d_node, beta, out=d_logits[:, 0])  # d/d dots
+    d_logits[:, 1] = seg.softmax_vjp(d_beta, beta) * c
+    d_a = seg.weighted(d_logits, P)  # U x N x d
+    d_pairs = d_logits[..., None] * seg.rows(a)[:, None]
+    d_composed = omega[:, :, None] * seg.rows(g)
+    d_h = np.matmul(d_a, W.transpose(0, 2, 1)).sum(axis=0)  # N x a_width
+    spans = ad.row_spans(seg.counts)
+    lo, hi = spans[0]
+    return [(d_h[0], (h, d_a), *d_pairs[:, :, lo:hi], *d_composed[:, lo:hi]),
+            *((d_h[i], None, *d_pairs[:, :, lo:hi], *d_composed[:, lo:hi])
+              for i, (lo, hi) in enumerate(spans[1:], 1))]
 
 
 def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
@@ -168,13 +286,8 @@ def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
     H_N Wv_v. (The paper's MLP also adds a bias b2_v to every logit; it
     is not read, see the module docstring.) Every step runs for all heads
     at once, as a matmul over the stacked weights. Returns (the heads'
-    outputs side by side, Var[V * d_head]; rho, array[V, m]).
-
-    The VJP goes by hand through each softmax and relu MLP to E and the
-    MLP weights, and through the values (d/d values_v = rho_v g_v^T) to H_N
-    and Wv. E and H_N sum their heads' terms. The Wv, W1 and W2 stacks get
-    their gradients as head-batched factors: (H_N^T, d_values) and (E^T,
-    d_pre) over one shared X, (hidden_v^T, d_logits_v) per head.
+    outputs side by side, Var[V * d_head]; rho, array[V, m]). Its VJP is
+    Batched over the layer's stacks (_relational_kernel).
     """
     fields = tuple(as_var(w) for w in (heads.Wv, heads.W1, heads.b1, heads.W2))
     Wv, W1, b1, W2 = (w.value for w in fields)
@@ -184,20 +297,39 @@ def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
     hidden = np.maximum(pre, 0.0)
     rho = _softmax(np.matmul(hidden, W2)[:, :, 0])  # V x m
     values = np.matmul(Hv, Wv)  # V x m x d_head
-
-    def vjp(g):
-        g = g.reshape(V, 1, d_head)
-        d_rho = np.matmul(values, g.transpose(0, 2, 1))[:, :, 0]
-        d_logits = (d_rho - (d_rho * rho).sum(axis=1, keepdims=True)) * rho
-        d_pre = d_logits[:, :, None] * W2.transpose(0, 2, 1) * (pre > 0.0)
-        d_values = rho[:, :, None] * g
-        return (np.matmul(d_values, Wv.transpose(0, 2, 1)).sum(axis=0),
-                np.matmul(d_pre, W1.transpose(0, 2, 1)).sum(axis=0),
-                (Hv.T, d_values), (Ev.T, d_pre), d_pre.sum(axis=1),
-                (hidden.transpose(0, 2, 1), d_logits[:, :, None]))
-
     out = np.matmul(rho[:, None, :], values).reshape(V * d_head)
-    return Var(out, (H_N, E, *fields), vjp), rho
+    saved = (rho, values, pre, hidden, Hv, Ev, Wv, W1, W2)
+    return Var(out, (H_N, E, *fields), ad.Batched(_relational_kernel, fields, saved)), rho
+
+
+def _relational_kernel(saved, grads):
+    """relational_head_var's VJP over a group of its nodes, each with its own
+    m_i rows, concatenated per head (the softmax's row sums taken per node,
+    see _Segments).
+
+    It goes by hand through each softmax and relu MLP to E and the MLP
+    weights, and through the values (d/d values_v = rho_v g_v^T) to H_N and
+    Wv. E and H_N sum their heads' terms. The Wv, W1 and W2 stacks get their
+    gradients as head-batched factors over all nodes' rows, handed out
+    once: (H_N^T, d_values) and (E^T, d_pre) over one shared X,
+    (hidden_v^T, d_logits_v) per head.
+    """
+    seg = _Segments([s[0].shape[1] for s in saved])
+    rho, values, pre, hidden, Hv, Ev, Wv, W1, W2 = ad.joined(
+        saved, (1, 1, 1, 1, 0, 0, None, None, None))
+    V, _, d_head = Wv.shape
+    g = _by_head(grads, V, d_head)  # V x N x d_head
+    d_rho = seg.dots(values, g)
+    d_logits = seg.softmax_vjp(d_rho, rho)
+    d_pre = d_logits[:, :, None] * W2.transpose(0, 2, 1) * (pre > 0.0)
+    d_values = rho[:, :, None] * seg.rows(g)
+    dH = np.matmul(d_values, Wv.transpose(0, 2, 1)).sum(axis=0)
+    dE = np.matmul(d_pre, W1.transpose(0, 2, 1)).sum(axis=0)
+    spans = ad.row_spans(seg.counts)
+    lo, hi = spans[0]
+    return [(dH[lo:hi], dE[lo:hi], (Hv.T, d_values), (Ev.T, d_pre), d_pre.sum(axis=1),
+             (hidden.transpose(0, 2, 1), d_logits[:, :, None])),
+            *((dH[lo:hi], dE[lo:hi], None, None, None, None) for lo, hi in spans[1:])]
 
 
 def relation_update_var(E: Var, Wr) -> Var:

@@ -108,7 +108,8 @@ def attention_var(H_G: Var, Wq, Wk, Wv, variant: str = "covariance",
     projections. Both scale by sqrt(d_head) and softmax row-wise. The
     projection columns split into `heads` equal groups that run as one
     (heads, n, width) stack, and the outputs concatenate back to d_k; probs
-    is the first head's matrix (the trace keeps one n x n view).
+    is a copy of the first head's matrix, so a trace that keeps it keeps no
+    other head's.
 
     The VJP runs the stacked softmax and score products back by hand, then
     Q's centering (its VJP is centering: dQ = dQc - mean(dQc); dK's columns
@@ -144,7 +145,7 @@ def attention_var(H_G: Var, Wq, Wk, Wv, variant: str = "covariance",
                 (X.T, dQ), (X.T, dK), (X.T, dV))
 
     out = (P @ Vh).transpose(1, 0, 2).reshape(n, d_k)
-    return Var(out, (H_G, Wq, Wk, Wv), vjp), P[0]
+    return Var(out, (H_G, Wq, Wk, Wv), vjp), P[0].copy()
 
 
 def local_forward_var(H: Var, span: tuple[int, int], mask_params, attn_params,

@@ -81,6 +81,16 @@ class TestForward:
         assert not np.array_equal(model.predict(examples[0]).logits, pred.logits)
         assert [a.tobytes() for a in arrays] == saved
 
+    def test_local_attention_trace_keeps_one_head(self):
+        """At local_heads=4 the trace's local attention is an n x n array of
+        its own, not a view into the (heads, n, n) stack."""
+        examples = generate_synthetic(seed=0, count=2)
+        model = Model.build_for_examples(ModelConfig(**{**TOY, "local_heads": 4}), examples)
+        attention = model.predict(examples[0]).trace["local_attention"]
+        n = len(examples[0].tokens)
+        assert attention.base is None and attention.shape == (n, n)
+        assert np.allclose(attention.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
     def test_frozen_embeddings_used(self, toy_model):
         model, examples = toy_model
         ex = examples[0]

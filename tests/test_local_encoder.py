@@ -292,6 +292,18 @@ class TestAttention:
         assert out.value.shape == (5, 4)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
+    def test_multihead_probs_are_the_first_heads_own_array(self):
+        """probs owns its memory (a view would keep every head's matrix alive)
+        and holds head 0's attention: that of one head over the first quarter
+        of the projection columns."""
+        H = Rng(13).uniform((5, 6))
+        Wq, Wk, Wv = (Rng(14 + i).uniform((6, 8), -1, 1) for i in range(3))
+        for variant in ("covariance", "original"):
+            _, probs = attention_var(Var(H), Wq, Wk, Wv, variant=variant, heads=4)
+            _, head0 = attention_var(Var(H), Wq[:, :2], Wk[:, :2], Wv[:, :2], variant=variant)
+            assert probs.base is None and probs.shape == (5, 5)
+            assert np.allclose(probs, head0, rtol=1e-15, atol=0)
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             attention_var(Var(np.ones((2, 6))), *make_attn_params(), variant="fancy")

@@ -5,6 +5,7 @@ stop that on_epoch asks for; and the training leaves that predict reads."""
 
 import dataclasses
 import gc
+import itertools
 import os
 import subprocess
 import sys
@@ -273,26 +274,28 @@ import sys
 from gdd.data import generate_synthetic
 from gdd.model import Model, ModelConfig
 from gdd.training import train
-examples = generate_synthetic(seed=5, count=6)
-model = Model.build_for_examples(ModelConfig(), examples)
+examples = generate_synthetic(seed=5, count=12)
+model = Model.build_for_examples(ModelConfig(batch_size=4, dropout=0.1), examples)
 train(model, examples, epochs=1)
 open(sys.argv[1], "wb").write(model.params.flat.tobytes())
 """
 
 
 def test_training_is_bit_identical_across_blas_thread_counts(tmp_path):
-    """A few default-config steps end in the same parameter bytes with one
-    and with two OpenBLAS threads."""
+    """A few minibatch steps with dropout (backward() runs its Batched groups
+    in arrival order) end in the same parameter bytes with one and with two
+    OpenBLAS threads, and under two hash seeds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     flat = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"flat-{threads}.bin"
+    for threads, hash_seed in itertools.product(("1", "2"), ("0", "1")):
+        out = tmp_path / f"flat-{threads}-{hash_seed}.bin"
         subprocess.run([sys.executable, "-c", _STEPS, str(out)], check=True, timeout=300,
-                       env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
-        flat[threads] = out.read_bytes()
-    assert len(flat["1"]) > 0
-    assert flat["1"] == flat["2"]
+                       env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                            "PYTHONHASHSEED": hash_seed})
+        flat[threads, hash_seed] = out.read_bytes()
+    assert len(flat["1", "0"]) > 0
+    assert len(set(flat.values())) == 1
 
 
 @pytest.mark.parametrize("overrides", [TOY, {}], ids=["toy", "default"])

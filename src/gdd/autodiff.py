@@ -3,14 +3,16 @@
 Every op is eager: it computes its value immediately and records its
 parents and one VJP, a callback mapping the output gradient to one
 gradient contribution per parent, in order. backward() finds the op nodes
-(those with a VJP) reachable from its output and replays them from an
-agenda, each once all of its consumers have handed it their
-contributions; inputs (leaves and constants) never enter the search, they
-only receive contributions. A node kind whose VJPs are worth running
-together has a Batched VJP: a kernel over a group of nodes, which the
-replay holds until every node of the group is ready and then calls once
-over all of them (DyNet's on-the-fly operation batching, Neubig et al.
-2017). Its kernel over a group of one is that node's own VJP.
+(those with a VJP) reachable from its output and replays each once all of
+its consumers have handed it their contributions; inputs (leaves and
+constants) never enter the search, they only receive contributions. A
+node kind whose VJPs are worth running together has a Batched VJP (see
+batched): a kernel over a group of nodes. backward(grouped=True) replays
+an agenda that holds a group's nodes until all of them are ready and then
+calls the kernel once over all of them (DyNet's on-the-fly operation
+batching, Neubig et al. 2017); without grouped it replays a reverse
+topological sort. A Batched node's own VJP is its kernel over a group of
+one.
 
 A contribution comes in one of three kinds:
 - an array (or number) of the parent's shape;
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from types import MethodType
 
 import numpy as np
 
@@ -398,84 +401,169 @@ def circ_corr(pair) -> Var:
     spectra = (pair.value.reshape(2 * m, d) @ F).view(np.complex128)  # [A; B], 2m x K
     A, B = spectra[:m], spectra[m:]
     return Var(((A.conj() * B).view(np.float64) @ Finv).reshape(shape[1:]), (pair,),
-               Batched(_circ_corr_kernel, d, (A, B, shape)))
+               batched(_circ_corr_kernel, d, (A, B, F, Finv, shape)))
 
 
 def _circ_corr_kernel(saved, grads):
-    """circ_corr's VJP over a group of nodes of one width d, saved (A, B,
-    pair shape) each: their gradient rows g, concatenated, go through one
-    GEMM to G = rfft(g), and d/d pair[0] = irfft(conj(G) * B) and d/d
-    pair[1] = irfft(G * A) through two complex multiplies and one GEMM of
-    both products; each pair's (2, ..., d) contribution is a view of it."""
-    d = saved[0][2][-1]
-    F, Finv = _real_dft(d)
-    counts = [s[0].shape[0] for s in saved]
-    A, B, _ = joined(saved, (0, 0, None))
-    G = (cat_rows([g.reshape(-1, d) for g in grads]) @ F).view(np.complex128)
+    """circ_corr's VJP over one node, or over a group of nodes of one width
+    d, saved (A, B, F, Finv, pair shape) each: their gradient rows g,
+    concatenated, go through one GEMM to G = rfft(g), and d/d pair[0] =
+    irfft(conj(G) * B) and d/d pair[1] = irfft(G * A) through two complex
+    multiplies and one GEMM of both products; each pair's (2, ..., d)
+    contribution is a view of it."""
+    if type(saved) is tuple:  # one node, as its own VJP
+        (_, (A, B, F, Finv, shape)), g = saved, grads
+    else:
+        A, B, F, Finv, shape = joined(saved, (0, 0, None, None, None))
+        g = np.concatenate([g.reshape(-1, shape[-1]) for g in grads])
+    d = shape[-1]
+    G = (g.reshape(-1, d) @ F).view(np.complex128)
     M = G.shape[0]
     both = np.empty((2 * M, G.shape[1]), np.complex128)
     np.multiply(G.conj(), B, out=both[:M])
     np.multiply(G, A, out=both[M:])
-    R = (both.view(np.float64) @ Finv).reshape(2, M, d)
-    return [(R[:, lo:hi].reshape(s[2]),) for s, (lo, hi) in zip(saved, row_spans(counts))]
-
-
-def cat_rows(arrays, axis: int = 0) -> np.ndarray:
-    """The arrays concatenated along `axis`; a single one as it is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+    R = both.view(np.float64) @ Finv
+    if type(saved) is tuple:
+        return (R.reshape(shape),)
+    R = R.reshape(2, M, d)
+    spans = row_spans([s[0].shape[0] for s in saved])
+    return [(R[:, lo:hi].reshape(s[4]),) for s, (lo, hi) in zip(saved, spans)]
 
 
 def joined(saved, axes) -> tuple:
     """The fields of a group's saved tuples, each concatenated along its axis
-    in `axes` (None: a field the group shares, taken from the first node);
-    a group of one's tuple as it is."""
-    if len(saved) == 1:
-        return saved[0]
+    in `axes` (None: a field the group shares, taken from the first node)."""
     return tuple(col[0] if axis is None else np.concatenate(col, axis=axis)
                  for col, axis in zip(zip(*saved), axes))
 
 
 def row_spans(counts: list) -> list:
     """The [lo, hi) ranges of consecutive blocks of `counts` rows."""
-    if len(counts) == 1:
-        return [(0, counts[0])]
     return list(itertools.pairwise(itertools.accumulate(counts, initial=0)))
 
 
-class Batched:
-    """A VJP that runs as one call for a group of nodes: kernel(saved, grads)
-    takes each node's saved state and output gradient, in group order, and
-    returns each node's contributions, as a VJP returns them. Nodes whose
-    group, (kernel, key), is equal may run as one group. A parent that
-    several nodes of the group share (a weight, or one input of several
-    heads) may receive their summed contribution once, from one of them,
-    and None from the others.
+def batched(kernel, key, saved) -> MethodType:
+    """The VJP of a node of a Batched kind, one that runs for a group of
+    nodes as one call: kernel bound to ((kernel, key), saved), the node's
+    group and saved state. Called with the node's output gradient, it is
+    the node's own VJP, the kernel over a group of one, and returns the
+    node's contributions; the agenda calls kernel(saved, grads) with the
+    lists of a group's saved states and output gradients, in group order,
+    and gets the list of each node's contributions. Nodes whose group is
+    equal may run as one. A parent that several nodes of the group share (a
+    weight, or one input of several heads) may receive their summed
+    contribution once, from one of them, and None from the others.
 
-    Called with one gradient, it is the node's own VJP: its kernel over a
-    group of one."""
-
-    __slots__ = ("kernel", "group", "saved")
-
-    def __init__(self, kernel, key, saved):
-        self.kernel, self.group, self.saved = kernel, (kernel, key), saved
-
-    def __call__(self, g):
-        return self.kernel([self.saved], [g])[0]
+    A bound method, unlike an instance with a __call__ method, costs what a
+    closure costs to make and to call (130 against 420 ns for a trivial
+    kernel called from a Python loop, CPython 3.11 on a 2-core x86 host),
+    and the kernel needs no adapter for a group of one: at batch 1, where
+    every node runs alone, that is a share of the step. backward() takes a
+    VJP that is a bound method for a Batched one; no other op makes one."""
+    return MethodType(kernel, ((kernel, key), saved))
 
 
-def backward(out: Var) -> None:
+def _sorted(out: Var):
+    """The op nodes reachable from out in a depth-first post-order, whose
+    reverse is a topological sort, and the number of edges into each Leaf."""
+    order = []
+    seen = set()
+    fan_in: dict[Leaf, int] = {}
+    stack = [(out, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if children_done:
+            order.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent._vjp is not None:
+                if parent not in seen:
+                    stack.append((parent, False))
+            elif isinstance(parent, Leaf):
+                fan_in[parent] = fan_in.get(parent, 0) + 1
+    return order, fan_in
+
+
+def _counted(out: Var):
+    """For the agenda: the op nodes reachable from out that have several
+    op-node consumers -> their number less one, the number of edges into
+    each Leaf, and the number of Batched nodes in each group."""
+    seen = {out}
+    more: dict = {}
+    fan_in: dict[Leaf, int] = {}
+    left: dict = {}
+    stack = [out]
+    while stack:
+        node = stack.pop()
+        vjp = node._vjp
+        if type(vjp) is MethodType:
+            group = vjp.__self__[0]
+            left[group] = left.get(group, 0) + 1
+        for parent in node._parents:
+            if parent._vjp is not None:
+                if parent in seen:
+                    more[parent] = more.get(parent, 0) + 1
+                else:
+                    seen.add(parent)
+                    stack.append(parent)
+            elif isinstance(parent, Leaf):
+                fan_in[parent] = fan_in.get(parent, 0) + 1
+    return more, fan_in, left
+
+
+def _agenda(ready: list, left: dict, ran: dict):
+    """Yield the nodes of the agenda `ready` in the order they run: a stack
+    to which the caller pushes each node that its contributions make ready.
+    A node with a plain VJP runs as it comes off the stack, and so does one
+    with a Batched VJP that is the last node of its group left to run (left:
+    the group's nodes not yet run); any other is held with its group, in
+    arrival order. When the stack is empty, each group that holds every
+    node of it not yet run runs as one kernel call (all held groups run when
+    none is complete): its nodes' contributions go into `ran`, from which
+    the caller takes them as it takes the nodes."""
+    held: dict = {}  # group -> its ready nodes, in arrival order
+    while ready or held:
+        if ready:
+            node = ready.pop()
+            vjp = node._vjp
+            if type(vjp) is MethodType:
+                group = vjp.__self__[0]
+                if left[group] > 1:
+                    if group in held:
+                        held[group].append(node)
+                    else:
+                        held[group] = [node]
+                    continue
+            yield node
+        else:
+            for group in [g for g, nodes in held.items() if len(nodes) == left[g]] or list(held):
+                nodes = held.pop(group)
+                left[group] -= len(nodes)
+                kernel = group[0]
+                ran.update(zip(nodes, kernel([n._vjp.__self__[1] for n in nodes],
+                                             [n.grad for n in nodes])))
+                yield from nodes
+
+
+def backward(out: Var, grouped: bool = True) -> None:
     """Accumulate d(out)/d(node) into .grad for every node reachable from out.
 
-    A search from out finds the op nodes (those with a VJP) and counts, for
-    each, the op nodes that consume it; a parent without a VJP, a Leaf or a
-    constant input, is not searched, only counted when it is a Leaf. The
-    replay then runs an agenda: a node is ready once every consumer has
-    handed it its contribution. A ready node with a plain VJP runs at once,
-    and so does one with a Batched VJP that is the last node of its group
-    left to run; any other is held with its group, in arrival order. When
-    no node is ready, each group that holds every node of it that has not
-    run yet runs as one kernel call (all groups run when none is complete),
-    which may make more nodes ready.
+    Only op nodes (those with a VJP) are searched and replayed: a parent
+    without one, a Leaf or a constant input, only receives contributions.
+
+    grouped runs each Batched group as one kernel call: the search counts,
+    for each op node, the op nodes that consume it, and the replay is an
+    agenda (_agenda) in which a node is ready once every consumer has
+    handed it its contribution. Without grouped, the replay is a reverse
+    topological sort of a depth-first search, and each Batched node runs as
+    its own group of one. batch_grads groups only a minibatch of several
+    examples: with one, no group could span two examples, and the agenda's
+    bookkeeping (a dict lookup per edge, nodes held back) costs more than
+    the few calls it would merge (see ROADMAP item 3).
 
     A parent receives each contribution as it arrives: an op node or
     constant input into a fresh or summed .grad, with factors multiplied
@@ -488,70 +576,41 @@ def backward(out: Var) -> None:
     out.grad = np.ones_like(out.value)
     if out._vjp is None:
         return
-    seen = {out}
-    more: dict = {}  # op nodes with several op-node consumers -> how many, less one, are due
-    fan_in: dict[Leaf, int] = {}  # edges into each Leaf: the contributions it will get
-    left: dict = {}  # Batched nodes per group that have not run
-    stack = [out]
-    while stack:
-        node = stack.pop()
-        if type(node._vjp) is Batched:
-            key = node._vjp.group
-            left[key] = left.get(key, 0) + 1
-        for parent in node._parents:
-            if parent._vjp is not None:
-                if parent in seen:
-                    more[parent] = more.get(parent, 0) + 1
-                else:
-                    seen.add(parent)
-                    stack.append(parent)
-            elif isinstance(parent, Leaf):
-                fan_in[parent] = fan_in.get(parent, 0) + 1
+    ran: dict = {}  # the nodes of a group that has run, until handed out -> their contributions
+    if grouped:
+        more, fan_in, left = _counted(out)
+        ready = [out]
+        nodes = _agenda(ready, left, ran)
+    else:
+        order, fan_in = _sorted(out)
+        more = None
+        nodes = reversed(order)
     pending: dict[Leaf, list] = {}
-    ready = [out]
-    held: dict = {}  # group -> its ready nodes, in arrival order
-    while ready or held:
-        if ready:
-            node = ready.pop()
-            vjp = node._vjp
-            if type(vjp) is Batched and left[vjp.group] > 1:
-                if vjp.group in held:
-                    held[vjp.group].append(node)
+    for node in nodes:
+        contribs = ran.pop(node) if ran else node._vjp(node.grad)
+        for parent, contrib in zip(node._parents, contribs):
+            if isinstance(parent, Leaf):
+                if contrib is None:  # nothing, or added by the op itself (sum_squares)
+                    pass
+                elif fan_in[parent] == 1:
+                    _apply(parent.grad, contrib)
+                elif parent in pending:
+                    pending[parent].append(contrib)
                 else:
-                    held[vjp.group] = [node]
+                    pending[parent] = [contrib]
                 continue
-            done = ((node, vjp(node.grad)),)  # a plain VJP, or the last of its group
-        else:
-            done = []
-            for key in [k for k, nodes in held.items() if len(nodes) == left[k]] or list(held):
-                nodes = held.pop(key)
-                left[key] -= len(nodes)
-                kernel = key[0]
-                done += zip(nodes, kernel([n._vjp.saved for n in nodes], [n.grad for n in nodes]))
-        for node, contribs in done:
-            for parent, contrib in zip(node._parents, contribs):
-                if isinstance(parent, Leaf):
-                    if contrib is None:  # nothing, or added by the op itself (sum_squares)
-                        pass
-                    elif fan_in[parent] == 1:
-                        _apply(parent.grad, contrib)
-                    elif parent in pending:
-                        pending[parent].append(contrib)
-                    else:
-                        pending[parent] = [contrib]
-                    continue
-                if contrib is not None:
-                    if not isinstance(contrib, np.ndarray):
-                        if type(contrib) is tuple:
-                            contrib = _product(*contrib)
-                        elif type(contrib) is Scatter:
-                            contrib = contrib.dense(parent.value.shape)
-                    parent.grad = contrib if parent.grad is None else parent.grad + contrib
-                if parent._vjp is not None:
-                    if more.get(parent):
-                        more[parent] -= 1
-                    else:
-                        ready.append(parent)
+            if contrib is not None:
+                if not isinstance(contrib, np.ndarray):
+                    if type(contrib) is tuple:
+                        contrib = _product(*contrib)
+                    elif type(contrib) is Scatter:
+                        contrib = contrib.dense(parent.value.shape)
+                parent.grad = contrib if parent.grad is None else parent.grad + contrib
+            if more is not None and parent._vjp is not None:
+                if more.get(parent):
+                    more[parent] -= 1
+                else:
+                    ready.append(parent)
     for leaf, contribs in pending.items():
         if len(contribs) == 1:  # a group's shared contribution, reduced already
             _apply(leaf.grad, contribs[0])

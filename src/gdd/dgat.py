@@ -101,54 +101,43 @@ def _node_weights(dots: Tensor, beta: Tensor, d_head: int, scale: bool) -> Tenso
 
 
 class _Segments:
-    """Consecutive segments of `counts` rows (one per node of a group) along
-    the row axis M = sum(counts) of per-head arrays, axis 1 of a (heads, M,
-    ...) array. With one segment each method is the plain expression for
-    one node (a sum, a broadcast, a matmul); with several it runs
-    np.add.reduceat or np.repeat at offsets kept in a Python list. Every
-    count must be at least 1: reduceat gives an empty segment the next
-    entry, not 0."""
+    """Consecutive segments of `counts` rows, one per node of a group of
+    several, along the row axis M = sum(counts) of per-head arrays (axis 1
+    of a (heads, M, ...) array), reduced with np.add.reduceat and spread
+    with np.repeat at offsets kept in a Python list. Every count must be at
+    least 1: reduceat gives an empty segment the next entry, not 0. One
+    node, run as its own VJP, has no segments: its kernel takes the plain
+    sum, broadcast or matmul in each place instead."""
 
     def __init__(self, counts):
+        assert min(counts) > 0, "an empty segment"
         self.counts = counts
-        self.one = len(counts) == 1
-        if not self.one:
-            assert min(counts) > 0, "an empty segment"
-            self.starts = list(itertools.accumulate(counts[:-1], initial=0))
+        self.starts = list(itertools.accumulate(counts[:-1], initial=0))
 
-    def softmax_vjp(self, dy, p):
-        """(heads, M) each: the VJP of a softmax p over each segment, given
-        the gradient dy of p."""
-        dot = dy * p
-        if self.one:
-            return (dy - dot.sum(axis=1, keepdims=True)) * p
-        return (dy - np.repeat(np.add.reduceat(dot, self.starts, axis=1), self.counts, axis=1)) * p
+    def sums(self, x):
+        """(heads, M) -> (heads, M): each entry's segment sum, on each of the
+        segment's rows."""
+        return np.repeat(np.add.reduceat(x, self.starts, axis=1), self.counts, axis=1)
 
     def rows(self, y):
-        """(heads, N, ...) -> (heads, M, ...): each entry over its segment's
-        rows (as it is for one segment, where it broadcasts)."""
-        return y if self.one else np.repeat(y, self.counts, axis=1)
-
-    def dots(self, X, y):
-        """(heads, M, d), (heads, N, d) -> (heads, M): each row of X dotted
-        with its segment's y."""
-        if self.one:
-            return np.matmul(X, y.transpose(0, 2, 1))[:, :, 0]
-        return (X * self.rows(y)).sum(axis=2)
+        """(heads, N, ...) -> (heads, M, ...): each node's entry on each of
+        its segment's rows."""
+        return np.repeat(y, self.counts, axis=1)
 
     def weighted(self, w, X):
         """(heads, k, M), (heads, k, M, d) -> (heads, N, d): per segment, the
         sum over its rows and the k halves of w-weighted rows of X."""
-        if self.one:
-            heads, _, _, d = X.shape
-            return np.matmul(w.reshape(heads, 1, -1), X.reshape(heads, -1, d))
         return np.add.reduceat((w[..., None] * X).sum(axis=1), self.starts, axis=1)
 
 
-def _by_head(arrays, heads: int, d: int) -> Tensor:
-    """N arrays of heads * d entries each, the nodes' output gradients, as
-    one (heads, N, d) array."""
-    return ad.cat_rows(arrays).reshape(len(arrays), heads, d).transpose(1, 0, 2)
+def _gathered(saved, axes):
+    """A Batched kernel's segments and saved fields: for one node, as its
+    own VJP, None and its fields as they are (every node at batch 1); for
+    a group, its _Segments and its nodes' fields joined along `axes` (see
+    autodiff.joined)."""
+    if type(saved) is tuple:  # ((kernel, key), the node's saved state)
+        return None, saved[1]
+    return _Segments([s[0].shape[1] for s in saved]), ad.joined(saved, axes)
 
 
 def dual_head_var(H_N: Var, E: Var, p: DualHeadParams):
@@ -165,13 +154,13 @@ def dual_head_var(H_N: Var, E: Var, p: DualHeadParams):
     np.matmul(Hv, wi, out=value[0])
     np.matmul(Ev, we, out=value[1])
     parents = (H_N, E, Wi, We)
-    pair = Var(value, parents, ad.Batched(_pair_kernel, wi.shape + we.shape, parents))
+    pair = Var(value, parents, ad.batched(_pair_kernel, wi.shape + we.shape, parents))
     return pair, ad.circ_corr(pair)
 
 
 def _pair_kernel(saved, grads):
-    """The pair VJP of a group of dual heads' nodes, saved as their parents
-    (H_N, E, Wi, We).
+    """The pair VJP of one dual head's node, or of a group of them, saved as
+    their parents (H_N, E, Wi, We).
 
     The heads that read one (H_N, E), one example's layer, sum their
     gradients to it, g[0] Wi^T and g[1] We^T, into one array each, which
@@ -181,6 +170,9 @@ def _pair_kernel(saved, grads):
     We get their gradients once, as the factors (H_N^T, g[0]) and (E^T,
     g[1]) over those rows (see autodiff).
     """
+    if type(saved) is tuple:  # one node, as its own VJP: its rows as they lie
+        (_, (H_N, E, Wi, We)), g = saved, grads
+        return g[0] @ Wi.value.T, g[1] @ We.value.T, (H_N.value.T, g[0]), (E.value.T, g[1])
     inputs: dict = {}  # (H_N, E) -> its heads' positions in the group, in arrival order
     for i, s in enumerate(saved):
         if s[:2] in inputs:
@@ -197,10 +189,10 @@ def _pair_kernel(saved, grads):
     out = [[None] * 4 for _ in saved]
     for weights, members in layers.items():
         firsts = [saved[heads[0]] for heads in members]
-        H = ad.cat_rows([s[0].value for s in firsts]).T
-        E = ad.cat_rows([s[1].value for s in firsts]).T
+        H = np.concatenate([s[0].value for s in firsts]).T
+        E = np.concatenate([s[1].value for s in firsts]).T
         for u, (Wi, We) in enumerate(weights):
-            g = ad.cat_rows([grads[heads[u]] for heads in members], axis=1)  # 2 x rows x d_head
+            g = np.concatenate([grads[heads[u]] for heads in members], axis=1)  # 2 x rows x d_head
             if u == 0:
                 dH, dE = g[0] @ Wi.value.T, g[1] @ We.value.T
             else:
@@ -241,13 +233,13 @@ def dual_attention_var(h_a: Var, Wa, pairs, composeds, scale: bool = False):
     out = np.matmul(omega[:, None, :], C).reshape(U * d)
     saved = (omega, beta, dots, P.reshape(U, 2, m, d), C, h[:, None], a[:, None], W, c)
     return (Var(out, (h_a, Wa, *pairs, *composeds),
-                ad.Batched(_dual_attention_kernel, (Wa, scale), saved)), beta, omega)
+                ad.batched(_dual_attention_kernel, (Wa, scale), saved)), beta, omega)
 
 
 def _dual_attention_kernel(saved, grads):
-    """dual_attention_var's VJP over a group of its nodes, each with its own
-    m_i rows, concatenated per head (the softmaxes' row sums taken per node,
-    see _Segments).
+    """dual_attention_var's VJP over one node, or over a group of its nodes,
+    each with its own m_i rows, concatenated per head (the softmaxes' row
+    sums taken per node, see _Segments).
 
     It runs back through both softmaxes by hand to the logits, d_logits =
     [d_dots; d_edge]; then d/d pair_u = d_logits_u a_u^T, d_a_u = pair_u^T
@@ -256,25 +248,30 @@ def _dual_attention_kernel(saved, grads):
     h_a d_a_u^T, goes out once as the factors (the h_a as columns, d_a) for
     all heads and nodes.
     """
-    seg = _Segments([s[0].shape[1] for s in saved])
-    # P: U x 2 x M x d, node rows then edge rows; h: a_width x N; a: U x N x d
-    omega, beta, dots, P, C, h, a, W, c = ad.joined(saved, (1, 1, 1, 2, 1, 1, 1, None, None))
+    # P: U x 2 x M x d, node rows then edge rows; h: a_width x N; a, g: U x N x d
+    seg, (omega, beta, dots, P, C, h, a, W, c) = _gathered(saved, (1, 1, 1, 2, 1, 1, 1, None, None))
     U, _, d = W.shape
-    g = _by_head(grads, U, d)  # U x N x d
-    d_omega = seg.dots(C, g)
-    d_node = seg.softmax_vjp(d_omega, omega) * c
+    one = seg is None
+    g = grads.reshape(U, 1, d) if one else np.concatenate(grads).reshape(-1, U, d).transpose(1, 0, 2)
+    d_omega = np.matmul(C, g.transpose(0, 2, 1))[:, :, 0] if one else (C * seg.rows(g)).sum(axis=2)
+    dot = d_omega * omega
+    d_node = (d_omega - (dot.sum(axis=1, keepdims=True) if one else seg.sums(dot))) * omega * c
     d_beta = d_node * dots
     d_logits = np.empty((U, 2) + omega.shape[1:])
     np.multiply(d_node, beta, out=d_logits[:, 0])  # d/d dots
-    d_logits[:, 1] = seg.softmax_vjp(d_beta, beta) * c
-    d_a = seg.weighted(d_logits, P)  # U x N x d
-    d_pairs = d_logits[..., None] * seg.rows(a)[:, None]
-    d_composed = omega[:, :, None] * seg.rows(g)
-    d_h = np.matmul(d_a, W.transpose(0, 2, 1)).sum(axis=0)  # N x a_width
+    dot = d_beta * beta
+    d_logits[:, 1] = (d_beta - (dot.sum(axis=1, keepdims=True) if one else seg.sums(dot))) * beta * c
+    d_a = (np.matmul(d_logits.reshape(U, 1, -1), P.reshape(U, -1, d)) if one
+           else seg.weighted(d_logits, P))  # U x N x d
+    d_pairs = d_logits[..., None] * (a if one else seg.rows(a))[:, None]
+    d_composed = omega[:, :, None] * (g if one else seg.rows(g))
+    d_h = np.matmul(W, d_a.transpose(0, 2, 1)).sum(axis=0)  # a_width x N
+    if one:
+        return (d_h[:, 0], (h, d_a), *d_pairs, *d_composed)
     spans = ad.row_spans(seg.counts)
     lo, hi = spans[0]
-    return [(d_h[0], (h, d_a), *d_pairs[:, :, lo:hi], *d_composed[:, lo:hi]),
-            *((d_h[i], None, *d_pairs[:, :, lo:hi], *d_composed[:, lo:hi])
+    return [(d_h[:, 0], (h, d_a), *d_pairs[:, :, lo:hi], *d_composed[:, lo:hi]),
+            *((d_h[:, i], None, *d_pairs[:, :, lo:hi], *d_composed[:, lo:hi])
               for i, (lo, hi) in enumerate(spans[1:], 1))]
 
 
@@ -299,13 +296,13 @@ def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
     values = np.matmul(Hv, Wv)  # V x m x d_head
     out = np.matmul(rho[:, None, :], values).reshape(V * d_head)
     saved = (rho, values, pre, hidden, Hv, Ev, Wv, W1, W2)
-    return Var(out, (H_N, E, *fields), ad.Batched(_relational_kernel, fields, saved)), rho
+    return Var(out, (H_N, E, *fields), ad.batched(_relational_kernel, fields, saved)), rho
 
 
 def _relational_kernel(saved, grads):
-    """relational_head_var's VJP over a group of its nodes, each with its own
-    m_i rows, concatenated per head (the softmax's row sums taken per node,
-    see _Segments).
+    """relational_head_var's VJP over one node, or over a group of its
+    nodes, each with its own m_i rows, concatenated per head (the softmax's
+    row sums taken per node, see _Segments).
 
     It goes by hand through each softmax and relu MLP to E and the MLP
     weights, and through the values (d/d values_v = rho_v g_v^T) to H_N and
@@ -314,21 +311,25 @@ def _relational_kernel(saved, grads):
     once: (H_N^T, d_values) and (E^T, d_pre) over one shared X,
     (hidden_v^T, d_logits_v) per head.
     """
-    seg = _Segments([s[0].shape[1] for s in saved])
-    rho, values, pre, hidden, Hv, Ev, Wv, W1, W2 = ad.joined(
+    seg, (rho, values, pre, hidden, Hv, Ev, Wv, W1, W2) = _gathered(
         saved, (1, 1, 1, 1, 0, 0, None, None, None))
-    V, _, d_head = Wv.shape
-    g = _by_head(grads, V, d_head)  # V x N x d_head
-    d_rho = seg.dots(values, g)
-    d_logits = seg.softmax_vjp(d_rho, rho)
+    V, _, d = Wv.shape
+    one = seg is None
+    g = grads.reshape(V, 1, d) if one else np.concatenate(grads).reshape(-1, V, d).transpose(1, 0, 2)
+    d_rho = np.matmul(values, g.transpose(0, 2, 1))[:, :, 0] if one else (values * seg.rows(g)).sum(axis=2)
+    dot = d_rho * rho
+    d_logits = (d_rho - (dot.sum(axis=1, keepdims=True) if one else seg.sums(dot))) * rho
     d_pre = d_logits[:, :, None] * W2.transpose(0, 2, 1) * (pre > 0.0)
-    d_values = rho[:, :, None] * seg.rows(g)
+    d_values = rho[:, :, None] * (g if one else seg.rows(g))
     dH = np.matmul(d_values, Wv.transpose(0, 2, 1)).sum(axis=0)
     dE = np.matmul(d_pre, W1.transpose(0, 2, 1)).sum(axis=0)
+    weights = ((Hv.T, d_values), (Ev.T, d_pre), d_pre.sum(axis=1),
+               (hidden.transpose(0, 2, 1), d_logits[:, :, None]))
+    if one:
+        return (dH, dE, *weights)
     spans = ad.row_spans(seg.counts)
     lo, hi = spans[0]
-    return [(dH[lo:hi], dE[lo:hi], (Hv.T, d_values), (Ev.T, d_pre), d_pre.sum(axis=1),
-             (hidden.transpose(0, 2, 1), d_logits[:, :, None])),
+    return [(dH[lo:hi], dE[lo:hi], *weights),
             *((dH[lo:hi], dE[lo:hi], None, None, None, None) for lo, hi in spans[1:])]
 
 

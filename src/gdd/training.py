@@ -82,11 +82,13 @@ def batch_grads(model: Model, preps, dropout_rng: Rng | None = None):
     that gradient's views by tensor name.
 
     Each call zeroes model.params.grad before backward() refills it: copy
-    the views to keep them past the next step.
+    the views to keep them past the next step. backward() runs its Batched
+    groups only for several examples (see autodiff.backward): one example's
+    nodes run one by one, as the reverse topological sort has them.
     """
     model.params.grad.fill(0.0)
     loss = model.batch_loss_var(preps, dropout_rng)
-    ad.backward(loss)
+    ad.backward(loss, grouped=len(preps) > 1)
     return float(loss.value), {name: leaf.grad for name, leaf in model.params.leaves().items()}
 
 

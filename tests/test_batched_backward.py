@@ -50,9 +50,10 @@ def _per_parent(nodes, results):
 def _assert_group_equals_singles(nodes, grads):
     """One kernel call over the nodes gives each parent what the nodes' own
     batch-of-one calls give it, within 1e-14 relative."""
-    kernel = nodes[0]._vjp.kernel
-    assert all(n._vjp.group == nodes[0]._vjp.group for n in nodes)
-    grouped = _per_parent(nodes, kernel([n._vjp.saved for n in nodes], grads))
+    batches = [n._vjp.__self__ for n in nodes]  # ((kernel, key), saved) each, see ad.batched
+    (kernel, _), _ = batches[0]
+    assert all(group == batches[0][0] for group, _ in batches)
+    grouped = _per_parent(nodes, kernel([saved for _, saved in batches], grads))
     single = _per_parent(nodes, [n._vjp(g) for n, g in zip(nodes, grads)])
     assert grouped.keys() == single.keys()
     for key, (_, want) in single.items():
@@ -140,3 +141,37 @@ def test_a_minibatch_step_runs_one_kernel_call_per_group(monkeypatch, config):
             assert counts == [16 * U * L]
         else:
             assert counts == [16] * L
+
+
+def test_batch_grads_runs_the_agenda_only_for_a_minibatch(monkeypatch):
+    """At batch 1 backward() replays its sort, each Batched node alone; at
+    batch 3 it runs the agenda."""
+    examples = data.generate_synthetic(seed=2, count=3)
+    model = Model.build_for_examples(ModelConfig(), examples)
+    preps = [model.prepare(ex) for ex in examples]
+    calls = []
+    agenda = ad._agenda
+    monkeypatch.setattr(ad, "_agenda", lambda *args: calls.append(args) or agenda(*args))
+    for batch, want in (([preps[0]], 0), (preps, 1)):
+        calls.clear()
+        batch_grads(model, batch)
+        assert len(calls) == want
+
+
+@pytest.mark.parametrize("config", [{}, {"U": 1, "V": 0, "scale_logits": True}],
+                         ids=["default", "one-dual-head-scaled"])
+def test_the_sort_and_the_agenda_give_the_same_gradient(config):
+    """One minibatch's loss, taped twice: backward() without and with groups
+    gives every tensor the same gradient within 1e-14 relative."""
+    examples = data.generate_synthetic(seed=3, count=4)
+    model = Model.build_for_examples(ModelConfig(batch_size=4, **config), examples)
+    preps = [model.prepare(ex) for ex in examples]
+    grads = []
+    for grouped in (False, True):
+        model.params.grad.fill(0.0)
+        ad.backward(model.batch_loss_var(preps), grouped=grouped)
+        grads.append({name: leaf.grad.copy() for name, leaf in model.params.leaves().items()})
+    assert any(np.any(g) for g in grads[0].values())
+    for name, want in grads[0].items():
+        scale = np.max(np.abs(want), initial=0.0)
+        assert np.max(np.abs(grads[1][name] - want), initial=0.0) <= 1e-14 * scale, name

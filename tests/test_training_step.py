@@ -274,25 +274,30 @@ import sys
 from gdd.data import generate_synthetic
 from gdd.model import Model, ModelConfig
 from gdd.training import train
-examples = generate_synthetic(seed=5, count=12)
-model = Model.build_for_examples(ModelConfig(batch_size=4, dropout=0.1), examples)
+count, overrides = {"default": (6, {}), "batch-4": (12, {"batch_size": 4, "dropout": 0.1})}[sys.argv[2]]
+examples = generate_synthetic(seed=5, count=count)
+model = Model.build_for_examples(ModelConfig(**overrides), examples)
 train(model, examples, epochs=1)
 open(sys.argv[1], "wb").write(model.params.flat.tobytes())
 """
 
 
-def test_training_is_bit_identical_across_blas_thread_counts(tmp_path):
-    """A few minibatch steps with dropout (backward() runs its Batched groups
-    in arrival order) end in the same parameter bytes with one and with two
-    OpenBLAS threads, and under two hash seeds."""
+@pytest.mark.parametrize("config", ["default", "batch-4"])
+def test_training_is_bit_identical_across_blas_thread_counts(tmp_path, config):
+    """A few steps end in the same parameter bytes with one and with two
+    OpenBLAS threads, and under two hash seeds: at the default config (batch
+    1, where backward() replays its sort and each Batched node runs alone)
+    and at batch 4 with dropout (where it runs its Batched groups in arrival
+    order)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     flat = {}
     for threads, hash_seed in itertools.product(("1", "2"), ("0", "1")):
         out = tmp_path / f"flat-{threads}-{hash_seed}.bin"
-        subprocess.run([sys.executable, "-c", _STEPS, str(out)], check=True, timeout=300,
-                       env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
-                            "PYTHONHASHSEED": hash_seed})
+        subprocess.run([sys.executable, "-c", _STEPS, str(out), config], check=True,
+                       timeout=300, env={**os.environ, "PYTHONPATH": path,
+                                         "OPENBLAS_NUM_THREADS": threads,
+                                         "PYTHONHASHSEED": hash_seed})
         flat[threads, hash_seed] = out.read_bytes()
     assert len(flat["1", "0"]) > 0
     assert len(set(flat.values())) == 1

@@ -14,27 +14,29 @@ batching, Neubig et al. 2017); without grouped it replays a reverse
 topological sort. A Batched node's own VJP is its kernel over a group of
 one.
 
-A contribution comes in one of three kinds:
+A contribution comes in one of these kinds:
 - an array (or number) of the parent's shape;
-- None, when the op added it into a Leaf's gradient itself (sum_squares),
-  or when a Batched kernel handed the parent its share on another node;
+- None, when a Batched kernel handed the parent its share on another node;
 - the factors of a weight or embedding gradient, whose minibatch sum is a
   sum of per-example products: a pair (X^T, G) stands for the product
   X^T @ G (X of shape (..., rows, a) and G of (..., rows, b), with numpy's
   matmul broadcasting over leading head axes, so one X may serve a stack
   of heads; a single row makes it an outer product), and a Scatter
-  (idx, rows) stands for rows scatter-added into the table rows idx.
+  (idx, rows) stands for rows scatter-added into the table rows idx;
+- for a Leaf only, a function that adds the contribution into the
+  gradient array it is given (sum_squares', which adds in blocks).
 backward() multiplies factors out at once when the parent is not a Leaf.
 A Leaf's gradient is a preallocated array, possibly a strided view into a
-larger buffer. A Leaf that the search found one edge into (as every weight
-at batch 1) adds its one contribution into that array as it arrives. A
-Leaf with several (one per example of a minibatch) collects them while
-the replay runs and adds them once it ends, each kind reduced: one GEMM
-over the concatenated rows of all the pairs, one flat 1-D np.add.at over
-all the Scatters (in the order of the 2-D scatters it replaces, so with
-the same result bits) and one add of the sum of the arrays; a single one
-(a Batched group's, reduced already) is added as it is. Nothing stays
-pending once backward() returns.
+larger buffer, and no VJP writes into it: a Leaf collects its
+contributions while the replay runs, and each Leaf's are added once it
+ends, in the order of the Leafs' first contributions. A single one (as
+every weight's at batch 1, or a Batched group's, reduced already) is
+added as it is; several (one per example of a minibatch) are reduced,
+each kind at once: the functions first, then one GEMM over the
+concatenated rows of all the pairs, one flat 1-D np.add.at over all the
+Scatters (in the order of the 2-D scatters it replaces, so with the same
+result bits) and one add of the sum of the arrays. Nothing stays pending
+once backward() returns.
 
 The model's attention and mask layers are nodes too, with hand-derived
 VJPs over many parents (the DGAT's are Batched kinds, see dgat), and so
@@ -147,6 +149,8 @@ def _apply(grad: np.ndarray, c) -> None:
         _add_into(grad, _product(*c))
     elif type(c) is Scatter:
         np.add.at(grad, c.idx, c.rows)
+    elif callable(c):
+        c(grad)
     else:
         _add_into(grad, c)
 
@@ -168,13 +172,16 @@ def _scatter_into(grad: np.ndarray, scatters: list) -> None:
 
 def _reduce_into(grad: np.ndarray, contribs: list) -> None:
     """Add a Leaf's several contributions into its gradient, grouped by kind:
-    the pairs (X_k^T, G_k) concatenated along the axis that their product
-    sums over (the rows of X_k and G_k), so that their sum is one product;
-    the Scatters through _scatter_into; the plain arrays summed before one
-    add."""
+    the functions called first, in turn; then the pairs (X_k^T, G_k)
+    concatenated along the axis that their product sums over (the rows of
+    X_k and G_k), so that their sum is one product; the Scatters through
+    _scatter_into; the plain arrays summed before one add."""
     products, scatters, arrays = [], [], []
     for c in contribs:
-        (products if type(c) is tuple else scatters if type(c) is Scatter else arrays).append(c)
+        if callable(c):
+            c(grad)
+        else:
+            (products if type(c) is tuple else scatters if type(c) is Scatter else arrays).append(c)
     if products:
         _add_into(grad, np.concatenate([Xt for Xt, _ in products], axis=-1)
                   @ np.concatenate([G for _, G in products], axis=-2))
@@ -326,13 +333,13 @@ def sum_squares(a: Leaf, runs) -> Var:
     """Sum of squares of a 1-D Leaf's entries over the index ranges `runs`
     ((start, stop) pairs, sorted and disjoint): one dot over the span from
     the first range's start to the last one's stop, less one dot over the
-    entries between the ranges. Its gradient, 2*g*a on those
-    ranges, is added into the Leaf's own gradient in one pass from the first
-    range's start to the last one's stop, through one scratch array of at
-    most L2_BLOCK entries a block at a time, so no temporary is larger than
-    that; the entries between the ranges are saved before the pass and put
-    back after it. Each entry of a range is scaled, then added, as its own
-    expression would do it, and no other entry moves."""
+    entries between the ranges. Its gradient, 2*g*a on those ranges, is
+    a function that adds it into the gradient it is given in one pass from
+    the first range's start to the last one's stop, through one scratch
+    array of at most L2_BLOCK entries a block at a time, so no temporary is
+    larger than that; the entries between the ranges are saved before the
+    pass and put back after it. Each entry of a range is scaled, then added,
+    as its own expression would do it, and no other entry moves."""
     w = a.value
     runs = tuple(runs)
     lo, hi = (runs[0][0], runs[-1][1]) if runs else (0, 0)
@@ -342,13 +349,16 @@ def sum_squares(a: Leaf, runs) -> Var:
 
     def vjp(g):
         scale = 2.0 * float(g)
-        saved = a.grad[gaps]
-        scratch = np.empty(min(L2_BLOCK, hi - lo))
-        for start in range(lo, hi, L2_BLOCK):
-            stop = min(start + L2_BLOCK, hi)
-            a.grad[start:stop] += np.multiply(w[start:stop], scale, out=scratch[:stop - start])
-        a.grad[gaps] = saved
-        return (None,)
+
+        def add_scaled(grad):
+            saved = grad[gaps]
+            scratch = np.empty(min(L2_BLOCK, hi - lo))
+            for start in range(lo, hi, L2_BLOCK):
+                stop = min(start + L2_BLOCK, hi)
+                grad[start:stop] += np.multiply(w[start:stop], scale, out=scratch[:stop - start])
+            grad[gaps] = saved
+
+        return (add_scaled,)
 
     return Var(np.asarray(total), (a,), vjp)
 
@@ -463,12 +473,11 @@ def batched(kernel, key, saved) -> MethodType:
     return MethodType(kernel, ((kernel, key), saved))
 
 
-def _sorted(out: Var):
+def _sorted(out: Var) -> list:
     """The op nodes reachable from out in a depth-first post-order, whose
-    reverse is a topological sort, and the number of edges into each Leaf."""
+    reverse is a topological sort."""
     order = []
     seen = set()
-    fan_in: dict[Leaf, int] = {}
     stack = [(out, False)]
     while stack:
         node, children_done = stack.pop()
@@ -480,21 +489,17 @@ def _sorted(out: Var):
         seen.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if parent._vjp is not None:
-                if parent not in seen:
-                    stack.append((parent, False))
-            elif isinstance(parent, Leaf):
-                fan_in[parent] = fan_in.get(parent, 0) + 1
-    return order, fan_in
+            if parent._vjp is not None and parent not in seen:
+                stack.append((parent, False))
+    return order
 
 
 def _counted(out: Var):
     """For the agenda: the op nodes reachable from out that have several
-    op-node consumers -> their number less one, the number of edges into
-    each Leaf, and the number of Batched nodes in each group."""
+    op-node consumers -> their number less one, and the number of Batched
+    nodes in each group."""
     seen = {out}
     more: dict = {}
-    fan_in: dict[Leaf, int] = {}
     left: dict = {}
     stack = [out]
     while stack:
@@ -510,9 +515,7 @@ def _counted(out: Var):
                 else:
                     seen.add(parent)
                     stack.append(parent)
-            elif isinstance(parent, Leaf):
-                fan_in[parent] = fan_in.get(parent, 0) + 1
-    return more, fan_in, left
+    return more, left
 
 
 def _agenda(ready: list, left: dict, ran: dict):
@@ -565,11 +568,11 @@ def backward(out: Var, grouped: bool = True) -> None:
     bookkeeping (a dict lookup per edge, nodes held back) costs more than
     the few calls it would merge (see ROADMAP item 3).
 
-    A parent receives each contribution as it arrives: an op node or
-    constant input into a fresh or summed .grad, with factors multiplied
-    out; a Leaf into its preallocated array, at once when the search found
-    one edge into it, and otherwise reduced across all of its contributions
-    once the replay ends (see the module docstring). None adds nothing.
+    An op node or constant input receives each contribution as it arrives,
+    into a fresh or summed .grad, with factors multiplied out. A Leaf's are
+    collected, and each Leaf's are added into its preallocated array once
+    the replay ends: a single one as it is, several reduced (see the module
+    docstring). None adds nothing.
     """
     if out.value.size != 1:
         raise ValueError("backward expects a scalar output")
@@ -578,26 +581,22 @@ def backward(out: Var, grouped: bool = True) -> None:
         return
     ran: dict = {}  # the nodes of a group that has run, until handed out -> their contributions
     if grouped:
-        more, fan_in, left = _counted(out)
+        more, left = _counted(out)
         ready = [out]
         nodes = _agenda(ready, left, ran)
     else:
-        order, fan_in = _sorted(out)
         more = None
-        nodes = reversed(order)
+        nodes = reversed(_sorted(out))
     pending: dict[Leaf, list] = {}
     for node in nodes:
         contribs = ran.pop(node) if ran else node._vjp(node.grad)
         for parent, contrib in zip(node._parents, contribs):
             if isinstance(parent, Leaf):
-                if contrib is None:  # nothing, or added by the op itself (sum_squares)
-                    pass
-                elif fan_in[parent] == 1:
-                    _apply(parent.grad, contrib)
-                elif parent in pending:
-                    pending[parent].append(contrib)
-                else:
-                    pending[parent] = [contrib]
+                if contrib is not None:
+                    if parent in pending:
+                        pending[parent].append(contrib)
+                    else:
+                        pending[parent] = [contrib]
                 continue
             if contrib is not None:
                 if not isinstance(contrib, np.ndarray):
@@ -612,7 +611,7 @@ def backward(out: Var, grouped: bool = True) -> None:
                 else:
                     ready.append(parent)
     for leaf, contribs in pending.items():
-        if len(contribs) == 1:  # a group's shared contribution, reduced already
+        if len(contribs) == 1:
             _apply(leaf.grad, contribs[0])
         else:
             _reduce_into(leaf.grad, contribs)

@@ -10,6 +10,7 @@ vocabulary sizes imply.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -68,7 +69,7 @@ def load_checkpoint(path) -> Model:
                 f"header length {header_len} exceeds the {left} bytes left in the file")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise CheckpointError(f"corrupt header: {e}") from None
         _check_header_types(header)
         try:
@@ -77,7 +78,10 @@ def load_checkpoint(path) -> Model:
             raise CheckpointError(f"bad config in header: {e}") from None
         vocab = _vocab(Vocab, header, "vocab")
         tag_vocab = _vocab(TagVocab, header, "tag_vocab")
-        layout = param_layout(config, len(vocab), len(tag_vocab))
+        # A layout longer than the manifest cannot match it, so it is built
+        # one entry past the manifest's length, its work bounded by the file.
+        layout = list(itertools.islice(param_layout(config, len(vocab), len(tag_vocab)),
+                                       len(header["params"]) + 1))
         _check_manifest(header["params"], layout)
         # The file's size is checked before anything is allocated, so a
         # header that implies more data than the file holds allocates nothing.
@@ -144,8 +148,12 @@ def _check_header_types(header) -> None:
 
 def _check_manifest(manifest, layout) -> None:
     """The manifest must list exactly the tensors that the config and both
-    vocabulary sizes imply, in layout order, with their shapes."""
+    vocabulary sizes imply, in layout order, with their shapes. A manifest
+    shorter than the layout is reported by a tensor it misses, whatever
+    else it names, so the layout may be cut one entry past the manifest's
+    length (as load_checkpoint cuts it)."""
     expected = dict(layout)
+    complete = len(expected) <= len(manifest)
     names = []
     for i, entry in enumerate(manifest):
         try:
@@ -154,8 +162,9 @@ def _check_manifest(manifest, layout) -> None:
         except (KeyError, TypeError):
             raise CheckpointError(f"malformed parameter manifest entry {i}: {entry!r}") from None
         if not known:
-            raise CheckpointError(f"checkpoint has unknown parameter {name}")
-        if shape != expected[name]:
+            if complete:
+                raise CheckpointError(f"checkpoint has unknown parameter {name}")
+        elif shape != expected[name]:
             raise CheckpointError(
                 f"checkpoint/config mismatch for {name}: {shape} vs expected {expected[name]}")
         names.append(name)

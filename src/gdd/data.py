@@ -8,6 +8,7 @@ exercised without any external corpus.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -61,6 +62,13 @@ class Example:
     def aspect_span_inclusive(self) -> tuple[int, int]:
         return self.aspect_start, self.aspect_end - 1
 
+    @functools.cached_property
+    def tree(self) -> DepTree:
+        """The dependency tree, built and validated (ParseError) on first use
+        and then kept: validate() and Model.prepare read the same one. It
+        shares the example's lists."""
+        return DepTree(self.tokens, self.dep_heads, self.dep_rels)
+
     def validate(self) -> None:
         n = len(self.tokens)
         if n == 0:
@@ -76,7 +84,7 @@ class Example:
         if self.label not in LABELS:
             raise DataError(f"label: {self.label!r} is not one of {'/'.join(LABELS)}")
         try:
-            DepTree(self.tokens, self.dep_heads, self.dep_rels)  # validates; kept nowhere
+            self.tree  # validates the tree it builds
         except ParseError as e:
             raise DataError(f"dep_heads: {e}") from None
 
@@ -176,8 +184,9 @@ def example_to_dict(ex: Example) -> dict:
 
 def read_jsonl(path, parse) -> list[tuple[int, object]]:
     """(line number, parse(record)) for each line of the JSON Lines file at
-    path that is not blank, the file read once (read_text). Invalid JSON, or
-    a DataError raised by parse, becomes DataError "<path>:<line>: ..."."""
+    path that is not blank, the file read once (read_text). Invalid JSON (or
+    JSON nested too deep to read), or a DataError raised by parse, becomes
+    DataError "<path>:<line>: ..."."""
     out = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
@@ -185,7 +194,7 @@ def read_jsonl(path, parse) -> list[tuple[int, object]]:
             continue
         try:
             out.append((lineno, parse(json.loads(line))))
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
         except DataError as e:
             raise DataError(f"{path}:{lineno}: {e}") from None

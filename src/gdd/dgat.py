@@ -130,6 +130,14 @@ class _Segments:
         return np.add.reduceat((w[..., None] * X).sum(axis=1), self.starts, axis=1)
 
 
+def _softmax_vjp(dp, p, seg):
+    """The gradient of the logits of the row softmaxes p (heads x rows)
+    given dp, the gradient of p: (dp - rowsum(dp * p)) * p, each row sum
+    over the whole row for one node (seg None), else over its segment."""
+    dot = dp * p
+    return (dp - (dot.sum(axis=1, keepdims=True) if seg is None else seg.sums(dot))) * p
+
+
 def _gathered(saved, axes):
     """A Batched kernel's segments and saved fields: for one node, as its
     own VJP, None and its fields as they are (every node at batch 1); for
@@ -239,7 +247,7 @@ def dual_attention_var(h_a: Var, Wa, pairs, composeds, scale: bool = False):
 def _dual_attention_kernel(saved, grads):
     """dual_attention_var's VJP over one node, or over a group of its nodes,
     each with its own m_i rows, concatenated per head (the softmaxes' row
-    sums taken per node, see _Segments).
+    sums taken per node, see _softmax_vjp).
 
     It runs back through both softmaxes by hand to the logits, d_logits =
     [d_dots; d_edge]; then d/d pair_u = d_logits_u a_u^T, d_a_u = pair_u^T
@@ -254,13 +262,11 @@ def _dual_attention_kernel(saved, grads):
     one = seg is None
     g = grads.reshape(U, 1, d) if one else np.concatenate(grads).reshape(-1, U, d).transpose(1, 0, 2)
     d_omega = np.matmul(C, g.transpose(0, 2, 1))[:, :, 0] if one else (C * seg.rows(g)).sum(axis=2)
-    dot = d_omega * omega
-    d_node = (d_omega - (dot.sum(axis=1, keepdims=True) if one else seg.sums(dot))) * omega * c
+    d_node = _softmax_vjp(d_omega, omega, seg) * c
     d_beta = d_node * dots
     d_logits = np.empty((U, 2) + omega.shape[1:])
     np.multiply(d_node, beta, out=d_logits[:, 0])  # d/d dots
-    dot = d_beta * beta
-    d_logits[:, 1] = (d_beta - (dot.sum(axis=1, keepdims=True) if one else seg.sums(dot))) * beta * c
+    d_logits[:, 1] = _softmax_vjp(d_beta, beta, seg) * c
     d_a = (np.matmul(d_logits.reshape(U, 1, -1), P.reshape(U, -1, d)) if one
            else seg.weighted(d_logits, P))  # U x N x d
     d_pairs = d_logits[..., None] * (a if one else seg.rows(a))[:, None]
@@ -302,7 +308,7 @@ def relational_head_var(H_N: Var, E: Var, heads: RelHeads):
 def _relational_kernel(saved, grads):
     """relational_head_var's VJP over one node, or over a group of its
     nodes, each with its own m_i rows, concatenated per head (the softmax's
-    row sums taken per node, see _Segments).
+    row sums taken per node, see _softmax_vjp).
 
     It goes by hand through each softmax and relu MLP to E and the MLP
     weights, and through the values (d/d values_v = rho_v g_v^T) to H_N and
@@ -317,8 +323,7 @@ def _relational_kernel(saved, grads):
     one = seg is None
     g = grads.reshape(V, 1, d) if one else np.concatenate(grads).reshape(-1, V, d).transpose(1, 0, 2)
     d_rho = np.matmul(values, g.transpose(0, 2, 1))[:, :, 0] if one else (values * seg.rows(g)).sum(axis=2)
-    dot = d_rho * rho
-    d_logits = (d_rho - (dot.sum(axis=1, keepdims=True) if one else seg.sums(dot))) * rho
+    d_logits = _softmax_vjp(d_rho, rho, seg)
     d_pre = d_logits[:, :, None] * W2.transpose(0, 2, 1) * (pre > 0.0)
     d_values = rho[:, :, None] * (g if one else seg.rows(g))
     dH = np.matmul(d_values, Wv.transpose(0, 2, 1)).sum(axis=0)

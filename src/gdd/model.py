@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import math
 import mmap
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import dgat as dg
 from . import local_encoder as le
 from .autodiff import Leaf, Var
 from .data import LABELS, DataError, Example
-from .dep_graph import Awig, DepTree, build_awig
+from .dep_graph import Awig, build_awig
 from .embeddings import TagVocab, Vocab, composed_tag_ids, token_ids
 from .numeric import Rng, Tensor, init_uniform
 
@@ -242,11 +243,14 @@ class ModelParams:
 
 
 def param_layout(config: ModelConfig, vocab_size: int,
-                 tag_vocab_size: int) -> list[tuple[str, tuple[int, ...]]]:
+                 tag_vocab_size: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Name and shape of every trainable tensor, in the fixed order of
-    initialization, of the flat buffers and of checkpoints."""
+    initialization, of the flat buffers and of checkpoints. Generated
+    lazily, so that a caller may stop early: load_checkpoint reads one entry
+    past a file's manifest, so the config in its header cannot make it
+    build a layout that grows with the head and layer counts."""
     d_model, d_tag, d_head = config.d_model, config.d_tag, config.d_head
-    layout = [
+    yield from (
         ("embed.token", (vocab_size, d_model)),
         ("embed.tag", (tag_vocab_size, d_tag)),
         ("embed.hop", (config.kappa_max, d_tag)),
@@ -254,23 +258,22 @@ def param_layout(config: ModelConfig, vocab_size: int,
         ("local.mask.b1", (config.d_hid,)),
         ("local.mask.W2", (config.d_hid, 1)),
         ("local.mask.b2", (1,)),
-    ]
-    layout += [(f"local.attn.{w}", (d_model, d_head)) for w in ("Wq", "Wk", "Wv")]
+    )
+    yield from ((f"local.attn.{w}", (d_model, d_head)) for w in ("Wq", "Wk", "Wv"))
     for l in range(config.L):
         a_w, e_w = config.aspect_width(l), config.edge_width(l)
         for u in range(config.U):
-            layout += [(f"dgat.l{l}.dual{u}.Wa", (a_w, d_head)),
-                       (f"dgat.l{l}.dual{u}.We", (e_w, d_head)),
-                       (f"dgat.l{l}.dual{u}.Wi", (d_model, d_head))]
+            yield from ((f"dgat.l{l}.dual{u}.Wa", (a_w, d_head)),
+                        (f"dgat.l{l}.dual{u}.We", (e_w, d_head)),
+                        (f"dgat.l{l}.dual{u}.Wi", (d_model, d_head)))
         for v in range(config.V):
-            layout += [(f"dgat.l{l}.rel{v}.Wv", (d_model, d_head)),
-                       (f"dgat.l{l}.rel{v}.W1", (e_w, d_head)),
-                       (f"dgat.l{l}.rel{v}.b1", (d_head,)),
-                       (f"dgat.l{l}.rel{v}.W2", (d_head, 1)),
-                       (f"dgat.l{l}.rel{v}.b2", (1,))]
-        layout.append((f"dgat.l{l}.Wr", (e_w, d_model)))
-    layout += [("out.W", (config.final_width, len(LABELS))), ("out.b", (len(LABELS),))]
-    return layout
+            yield from ((f"dgat.l{l}.rel{v}.Wv", (d_model, d_head)),
+                        (f"dgat.l{l}.rel{v}.W1", (e_w, d_head)),
+                        (f"dgat.l{l}.rel{v}.b1", (d_head,)),
+                        (f"dgat.l{l}.rel{v}.W2", (d_head, 1)),
+                        (f"dgat.l{l}.rel{v}.b2", (1,)))
+        yield f"dgat.l{l}.Wr", (e_w, d_model)
+    yield from (("out.W", (config.final_width, len(LABELS))), ("out.b", (len(LABELS),)))
 
 
 def init_params(config: ModelConfig, vocab_size: int, tag_vocab_size: int,
@@ -404,14 +407,13 @@ class Model:
         """The parameter-free inputs of one forward pass: token ids, the
         aspect-word graph (one build_awig call) and its edges' tag ids.
 
-        The example's tree is validated again, since an Example built in
-        code is checked nowhere else; it shares the example's lists, as
-        nothing keeps it.
+        The graph is built on example.tree, the tree that validation built
+        and checked; an Example built in code has its tree built and checked
+        here, on first use.
         """
         cfg = self.config
         span = example.aspect_span_inclusive
-        awig = build_awig(DepTree(example.tokens, example.dep_heads, example.dep_rels),
-                          span, cfg.kappa_max, drop_punct=cfg.drop_punct)
+        awig = build_awig(example.tree, span, cfg.kappa_max, drop_punct=cfg.drop_punct)
         slots, hops = composed_tag_ids(awig.paths, self.tag_vocab, cfg.kappa_max)
         return Prepared(
             example=example,
@@ -512,7 +514,7 @@ class Model:
     def regularizer_var(self) -> Var:
         """Sum of squared weight-matrix entries; biases and PAD rows excluded.
 
-        One tape node over params.flat_leaf(); its gradient goes straight
+        One tape node over params.flat_leaf(); backward() adds its gradient
         into params.grad, which the leaves of params.leaves() view.
         """
         return ad.sum_squares(self.params.flat_leaf(), self._l2_runs)

@@ -246,6 +246,45 @@ def test_sum_squares_gradient_through_blocks_is_the_whole_range_expression(monke
     assert np.array_equal(leaf.grad, want)
 
 
+def test_sum_squares_vjp_writes_nothing_and_returns_its_add():
+    """The VJP leaves the Leaf's gradient as it was; its contribution, a
+    function, once applied gives prior + 2*g*w on the runs and moves no
+    other entry."""
+    rng = Rng(8)
+    w, prior = rng.normal((12,)), rng.normal((12,))
+    runs = ((1, 4), (6, 11))
+    leaf = ad.Leaf(w, prior.copy())
+    (contrib,) = ad.sum_squares(leaf, runs)._vjp(np.asarray(0.7))
+    assert np.array_equal(leaf.grad, prior)
+    ad._apply(leaf.grad, contrib)
+    want = prior.copy()
+    for lo, hi in runs:
+        want[lo:hi] += (2.0 * 0.7) * w[lo:hi]
+    assert np.array_equal(leaf.grad, want)
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_a_leaf_gets_the_l2_term_beside_its_other_contributions(monkeypatch, grouped):
+    """A Leaf that one backward hands the l2 term's function and two arrays
+    (a mul's and a matmul's) reduces the three at once, into the sum of
+    all of them."""
+    reduced = []
+    reduce_into = ad._reduce_into
+    monkeypatch.setattr(ad, "_reduce_into",
+                        lambda grad, contribs: (reduced.append(contribs), reduce_into(grad, contribs)))
+    rng = Rng(13)
+    w, prior, C, v = (small_integers(rng, (9,)) for _ in range(4))
+    runs = ((0, 3), (5, 8))
+    mask = np.zeros(9)
+    mask[0:3] = mask[5:8] = 1.0
+    leaf = ad.Leaf(w, prior.copy())
+    backward(ad.sum_squares(leaf, runs) + sum_(ad.mul(leaf, C)) + ad.matmul(leaf, v),
+             grouped=grouped)
+    assert np.array_equal(leaf.grad, prior + 2.0 * mask * w + C + v)
+    assert len(reduced) == 1 and len(reduced[0]) == 3
+    assert sum(callable(c) for c in reduced[0]) == 1
+
+
 def test_gather_rows_untouched_rows_get_zero_grad():
     a = Var(np.arange(12.0).reshape(4, 3))
     out = sum_(ad.gather_rows(a, [1, 1]))

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -73,7 +74,8 @@ def test_a_header_that_implies_more_data_than_the_file_holds_allocates_nothing(
     allocates its buffers."""
     model, examples, path = trained_model
     config = {**ModelConfig().to_dict(), "d_model": 10 ** 7}
-    layout = param_layout(ModelConfig.from_dict(config), len(model.vocab), len(model.tag_vocab))
+    layout = list(param_layout(ModelConfig.from_dict(config), len(model.vocab),
+                               len(model.tag_vocab)))
     header = {"config": config, "vocab": model.vocab.to_list(),
               "tag_vocab": model.tag_vocab.to_list(),
               "params": [{"name": n, "shape": list(shape)} for n, shape in layout]}
@@ -359,6 +361,36 @@ def _eval_exit_code(path, examples) -> int:
     return main(["eval", "--checkpoint", str(path), "--data", str(data)])
 
 
+def test_a_header_nested_too_deep_is_a_corrupt_header(trained_model, capsys):
+    """A header whose config is 5,000 arrays deep overflows the JSON
+    parser's recursion: gdd eval names the checkpoint, calls the header
+    corrupt and exits 2, without a traceback."""
+    _, examples, path = trained_model
+    blob = b'{"config": ' + b"[" * 5000 + b"]" * 5000 + b"}"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
+    assert _eval_exit_code(path, examples[:1]) == 2
+    out, err = capsys.readouterr()
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: corrupt header: [^\n]*\n", err), err
+    assert out == ""
+
+
+def test_a_header_with_many_heads_builds_no_layout_past_the_manifest(trained_model):
+    """U = 10**5 in the header implies 300,000 dual-head tensors, but the
+    file's manifest lists the toy's few: the load stops one tensor past
+    them, so its work stays that of the file, a peak of a few MB of
+    allocations rather than tens, before the manifest check raises."""
+    _, _, path = trained_model
+    _edit_header(path, lambda h: h["config"].__setitem__("U", 10 ** 5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 def _write_vocabs(path, edit):
     """Rewrite a checkpoint after edit(header) changes its vocabularies; its
     manifest and data (zeros) are sized to the new vocabularies, so that
@@ -367,7 +399,7 @@ def _write_vocabs(path, edit):
     header = {"config": model.config.to_dict(), "vocab": model.vocab.to_list(),
               "tag_vocab": model.tag_vocab.to_list()}
     edit(header)
-    layout = param_layout(model.config, len(header["vocab"]), len(header["tag_vocab"]))
+    layout = list(param_layout(model.config, len(header["vocab"]), len(header["tag_vocab"])))
     header["params"] = [{"name": n, "shape": list(shape)} for n, shape in layout]
     _write(path, header, bytes(8 * sum(math.prod(shape) for _, shape in layout)))
 

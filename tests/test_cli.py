@@ -351,16 +351,15 @@ JSONL_FLAGS = ["train --train", "train --dev", "eval --data", "inspect --data",
                "--embeddings-file", "build-graph --spans"]
 
 
-@pytest.mark.parametrize("flag", JSONL_FLAGS)
-def test_invalid_json_on_line_2_of_any_jsonl_flag_exits_2_naming_it(dataset, tmp_path, capsys,
-                                                                   flag):
-    """Every JSON Lines input is read by one function: a line that is not
-    JSON is one stderr line naming the file and the line, and exit 2."""
+def _line_2_is_invalid_json(flag, line, dataset, tmp_path, capsys):
+    """The command of a JSON Lines flag, run on a file whose line 2 is
+    `line`, prints one stderr line naming the file and the line as invalid
+    JSON, and exits 2."""
     first = {"--embeddings-file": {"tokens": ["a"], "vectors": [[1.0]]},
              "build-graph --spans": {"spans": [[2, 3]]}}.get(
         flag, json.loads(dataset.read_text().splitlines()[0]))
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(json.dumps(first) + "\n{broken\n")
+    bad.write_text(json.dumps(first) + "\n" + line + "\n")
     conllu = tmp_path / "s.conllu"
     conllu.write_text(CHAIN_CONLLU)
     out, toy = str(tmp_path / "m.gdd"), str(GOLDEN_DIR / "toy.gdd")
@@ -377,6 +376,23 @@ def test_invalid_json_on_line_2_of_any_jsonl_flag_exits_2_naming_it(dataset, tmp
     assert code == 2
     assert stdout == ""
     assert re.fullmatch(rf"error: {re.escape(str(bad))}:2: invalid JSON: [^\n]*\n", err), err
+
+
+@pytest.mark.parametrize("flag", JSONL_FLAGS)
+def test_invalid_json_on_line_2_of_any_jsonl_flag_exits_2_naming_it(dataset, tmp_path, capsys,
+                                                                   flag):
+    """Every JSON Lines input is read by one function: a line that is not
+    JSON is one stderr line naming the file and the line, and exit 2."""
+    _line_2_is_invalid_json(flag, "{broken", dataset, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("flag", JSONL_FLAGS)
+def test_json_nested_too_deep_on_line_2_of_any_jsonl_flag_exits_2_naming_it(
+        dataset, tmp_path, capsys, flag):
+    """A line of 100,000 ['s is deeper than the JSON parser can recurse: it
+    is reported as invalid JSON, like any other bad line, not as a
+    traceback."""
+    _line_2_is_invalid_json(flag, "[" * 100_000, dataset, tmp_path, capsys)
 
 
 class TestBadSeed:

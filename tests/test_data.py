@@ -15,6 +15,8 @@ from gdd.data import (
     load_dataset,
     save_dataset,
 )
+from gdd.dep_graph import DepTree, ParseError
+from gdd.model import Model, ModelConfig
 
 GOOD_LINE = {
     "tokens": ["the", "staff", "was", "very", "rude"],
@@ -225,6 +227,25 @@ class TestSyntheticGenerator:
         a = generate_synthetic(seed=1, count=10)
         b = generate_synthetic(seed=2, count=10)
         assert [example_to_dict(x) for x in a] != [example_to_dict(x) for x in b]
+
+
+def test_prepare_reads_the_tree_that_validation_built(monkeypatch):
+    """A dataset record's tree is built and checked once, by validation;
+    Model.prepare builds the graph on the same tree."""
+    built = []
+    post_init = DepTree.__post_init__
+    monkeypatch.setattr(DepTree, "__post_init__",
+                        lambda tree: (built.append(tree), post_init(tree)))
+    ex = example_from_dict(dict(GOOD_LINE))
+    Model.build_for_examples(ModelConfig(), [ex]).prepare(ex)
+    assert built == [ex.tree]
+    assert ex.tree.heads is ex.dep_heads
+
+
+def test_prepare_checks_the_tree_of_an_example_built_in_code():
+    ex = Example(**{**GOOD_LINE, "dep_heads": [2, 1, 5, 5, 0]})
+    with pytest.raises(ParseError, match="cycle"):
+        Model.build_for_examples(ModelConfig(), [ex]).prepare(ex)
 
 
 def test_example_validalign_aspect_span_inclusive():

@@ -1,5 +1,6 @@
 """One training step: its tape-node budget, the leaves it reuses, the
-Leafs its backward holds back to reduce at once, its pause of cyclic GC, its check for divergence, its independence of the BLAS
+Leafs its backward reduces, the replay that leaves every Leaf's gradient
+alone, its pause of cyclic GC, its check for divergence, its independence of the BLAS
 thread count, the one preparation of each set that train makes, and the
 stop that on_epoch asks for; and the training leaves that predict reads."""
 
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import MethodType
 
 import numpy as np
 import pytest
@@ -231,15 +233,65 @@ def _recording_reductions(monkeypatch):
     return calls
 
 
-def test_at_batch_1_backward_holds_no_leaf_back(monkeypatch):
-    """Every Leaf of a one-example step has one edge into it, so its
-    contribution is added as it arrives and nothing is left to reduce."""
+def test_at_batch_1_each_leaf_takes_its_one_contribution_unreduced(monkeypatch):
+    """Every Leaf of a one-example step, the l2 term's flat leaf too, gets
+    one contribution, which is added as it is: nothing is reduced."""
     examples = generate_synthetic(seed=0, count=2)
     model = Model.build_for_examples(ModelConfig(), examples)
     calls = _recording_reductions(monkeypatch)
     for ex in examples:
         batch_grads(model, [model.prepare(ex)])
     assert calls == []
+
+
+def _checking_every_vjp(out, check) -> None:
+    """Wrap the VJP of every op node reachable from out so that check() runs
+    as each call starts and as it returns. A Batched VJP stays Batched: one
+    wrapper per kernel, bound as the kernel was, so the groups are as they
+    were."""
+    wrappers = {}
+
+    def checked(f):
+        def call(*args):
+            check()
+            result = f(*args)
+            check()
+            return result
+        return call
+
+    seen, stack = {out}, [out]
+    while stack:
+        node = stack.pop()
+        if type(node._vjp) is MethodType:
+            (kernel, key), saved = node._vjp.__self__
+            wrapper = wrappers.setdefault(kernel, checked(kernel))
+            node._vjp = MethodType(wrapper, ((wrapper, key), saved))
+        else:
+            node._vjp = checked(node._vjp)
+        for parent in node._parents:
+            if parent._vjp is not None and parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_no_leaf_gradient_moves_until_the_replay_has_run_every_vjp(batch):
+    """Every Leaf, the l2 term's flat leaf included, collects what the
+    replay hands it and takes it after the last VJP: each VJP starts and
+    returns with params.grad all zero, and the gradient is batch_grads'."""
+    examples = generate_synthetic(seed=0, count=batch)
+    model = Model.build_for_examples(ModelConfig(), examples)
+    preps = [model.prepare(ex) for ex in examples]
+    model.params.grad.fill(0.0)
+    loss = model.batch_loss_var(preps)
+    moved = []
+    _checking_every_vjp(loss, lambda: moved.append(model.params.grad.any()))
+    ad.backward(loss, grouped=batch > 1)
+    assert moved and not any(moved)
+    got = model.params.grad.copy()
+    assert got.any()
+    batch_grads(model, preps)
+    assert np.array_equal(model.params.grad, got)
 
 
 def test_at_batch_3_each_leaf_with_several_edges_is_reduced_once(monkeypatch):

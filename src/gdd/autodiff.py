@@ -41,8 +41,8 @@ once backward() returns.
 The model's attention and mask layers are nodes too, with hand-derived
 VJPs over many parents (the DGAT's are Batched kinds, see dgat), and so
 are the short chains it runs on every example: a sum or mean over a span
-of rows (sum_rows), row gathers laid side by side (gather_concat) and the
-cross-entropy (cross_entropy).
+of rows (sum_rows) and the cross-entropy (cross_entropy). One gather_rows
+node reads an edge's k table rows side by side, given (m, k) indices.
 Analytic gradients produced here are validated against
 numeric.finite_diff_grad, never trusted blind.
 
@@ -261,28 +261,15 @@ def concat(vs, axis: int = 0) -> Var:
 
 
 def gather_rows(a, indices) -> Var:
-    """Index along the first axis; rows may repeat. Its gradient is the
+    """Index along the first axis; rows may repeat. Indices of shape (m, k)
+    lay each output row's k table rows side by side: row i concatenates
+    table[indices[i, 0]], ..., table[indices[i, k - 1]]. Its gradient is the
     Scatter of the output gradient into the gathered rows."""
     a = as_var(a)
     idx = np.asarray(indices, dtype=np.intp)
-    return Var(a.value.take(idx, axis=0), (a,), lambda g: (Scatter(idx, g),))
-
-
-def gather_concat(parts) -> Var:
-    """Row gathers laid side by side, as one node. parts are (table, indices)
-    pairs, indices of shape (m,) or (m, k); output row i concatenates, part
-    by part, table[indices[i, 0]], ..., table[indices[i, k - 1]]. Each
-    table's gradient is a Scatter, as gather_rows' is."""
-    tables = tuple(as_var(t) for t, _ in parts)
-    idxs = tuple(np.asarray(i, dtype=np.intp) for _, i in parts)
-    blocks = [t.value.take(i, axis=0).reshape(i.shape[0], -1) for t, i in zip(tables, idxs)]
-    cols = list(itertools.pairwise(itertools.accumulate((b.shape[1] for b in blocks), initial=0)))
-
-    def vjp(g):
-        return tuple(Scatter(i, g[:, lo:hi].reshape(i.shape + t.value.shape[1:]))
-                     for t, i, (lo, hi) in zip(tables, idxs, cols))
-
-    return Var(np.concatenate(blocks, axis=1), tables, vjp)
+    rows = a.value.take(idx, axis=0)
+    return Var(rows.reshape(len(idx), -1) if idx.ndim == 2 else rows, (a,),
+               lambda g: (Scatter(idx, g.reshape(rows.shape)),))
 
 
 def sum_rows(a, start: int, stop: int, scale: float = 1.0) -> Var:

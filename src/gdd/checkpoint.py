@@ -90,8 +90,10 @@ def load_checkpoint(path) -> Model:
             raise CheckpointError("trailing bytes after parameter data")
         params = ModelParams(layout)
         # params.flat starts uninitialized, so a file that shrank after the
-        # size check must not load: every byte has to come from the file.
-        _data_bytes(layout, fh.readinto(params.flat.view(np.uint8)))
+        # size check must not load: every byte has to come from the file. Only
+        # a short read walks the layout, to name the first tensor it cut.
+        if (got := fh.readinto(params.flat.view(np.uint8))) < params.flat.nbytes:
+            _data_bytes(layout, got)
         if sys.byteorder == "big":  # the file holds little-endian float64
             params.flat.byteswap(inplace=True)
     # One sum tests every entry, as training.check_finite does; a sum that

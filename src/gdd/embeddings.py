@@ -1,7 +1,8 @@
 """Vocabularies and id encodings for tokens, dependency tags and hop counts.
 
 A graph edge's composed tag arrives as its path of relation labels; its hop
-count is the path's length, so composed_tag_ids reads both from the path.
+count is the path's length, so composed_tag_ids reads both from the path,
+as rows of one joint table: the tag table's rows, then the hop table's.
 
 The lookup tables themselves are model parameters (`embed.token`,
 `embed.tag`, `embed.hop`) that `Model._sentence_matrix` and
@@ -83,8 +84,8 @@ class TagVocab(Vocab):
     """Dependency-relation-tag vocabulary: PAD_TAG=0, UNK_TAG=1, then tags.
 
     Unseen test-time tags map to UNK_TAG. Hop counts are not in it: a path
-    of k labels (k hops) reads row k-1 of the separate hop table, as
-    composed_tag_ids encodes it.
+    of k labels (k hops) reads row k-1 of the hop table, which follows the
+    tag table's rows in the joint table that composed_tag_ids indexes.
     """
 
     pad_token = PAD_TAG_TOKEN
@@ -97,21 +98,24 @@ def token_ids(tokens: Sequence[str], vocab: Vocab) -> np.ndarray:
 
 
 def composed_tag_ids(paths: Iterable[Sequence[str]], tag_vocab: TagVocab,
-                     kappa_max: int) -> tuple[np.ndarray, np.ndarray]:
+                     kappa_max: int) -> np.ndarray:
     """Resolve one example's edge paths to their composed tags' fixed-width
-    id encoding.
+    encoding as rows of the joint table: the tag table's len(tag_vocab) rows
+    followed by the hop table's kappa_max rows (`embed.tag` then `embed.hop`,
+    as the layout places them).
 
-    Returns (slot_ids, hop_idx), both C-contiguous intp arrays: slot_ids
-    holds m rows of kappa_max tag-table ids (each path right-padded with
-    PAD_TAG) and hop_idx the m hop-table rows (a path of k labels, k hops,
-    at row k-1). Each path must hold 1..kappa_max labels; the graph builder
-    drops deeper nodes before we get here. All m rows' tags, the padding as
-    the vocabulary's own pad token (at id PAD), are looked up in one pass
-    and become one array.
+    Returns one C-contiguous intp array of m rows of kappa_max + 1 joint-table
+    rows: the path's tag ids, right-padded with PAD_TAG, then its hop row,
+    len(tag_vocab) + k - 1 for a path of k labels (k hops). Each path must
+    hold 1..kappa_max labels; the graph builder drops deeper nodes before we
+    get here. All m rows' tags, the padding as the vocabulary's own pad token
+    (at id PAD), are looked up in one pass.
     """
-    pads = [[tag_vocab.pad_token] * (kappa_max - h) for h in range(kappa_max + 1)]
+    # each path's tags padded one slot past kappa_max: the slot of its hop row
+    pads = [[tag_vocab.pad_token] * (kappa_max + 1 - h) for h in range(kappa_max + 1)]
+    hop_row_0 = len(tag_vocab) - 1  # the joint-table row of "0 hops"
     names: list[str] = []
-    hop_idx: list[int] = []
+    hop_rows: list[int] = []
     for path in paths:
         hops = len(path)
         if not 1 <= hops <= kappa_max:
@@ -119,10 +123,12 @@ def composed_tag_ids(paths: Iterable[Sequence[str]], tag_vocab: TagVocab,
                              f"composed tag: {hops} hops exceeds kappa_max={kappa_max}")
         names += path
         names += pads[hops]
-        hop_idx.append(hops - 1)
-    slot_ids = np.array(tag_vocab.ids(names), dtype=np.intp)
-    slot_ids.shape = (-1, kappa_max)  # in place: a reshaped view would keep a second array
-    return slot_ids, np.array(hop_idx, dtype=np.intp)
+        hop_rows.append(hop_row_0 + hops)
+    ids = tag_vocab.ids(names)
+    ids[kappa_max::kappa_max + 1] = hop_rows
+    edge_ids = np.array(ids, dtype=np.intp)
+    edge_ids.shape = (-1, kappa_max + 1)  # in place: a reshaped view would keep a second array
+    return edge_ids
 
 
 def _vector_record(rec) -> tuple[tuple[str, ...], Tensor]:

@@ -90,7 +90,9 @@ class ModelConfig:
         return (self.U + self.V + 1) * self.d_head
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """Every field by name, in declaration order; the values are scalars,
+        so no copy is needed (dataclasses.asdict would deep-copy each one)."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -241,6 +243,15 @@ class ModelParams:
 
         return Leaf(view(self.flat), view(self.grad))
 
+    def table(self, names) -> Leaf:
+        """A Leaf over views of flat and of grad that read the tensors `names`
+        as one table, their rows one after another, with no copy. They must
+        sit next to each other in the layout, in order, and share one row
+        shape, as embed.tag and embed.hop do."""
+        (lo, _, shape), (_, hi, _) = self._spans[names[0]], self._spans[names[-1]]
+        row = (-1,) + shape[1:]
+        return Leaf(self.flat[lo:hi].reshape(row), self.grad[lo:hi].reshape(row))
+
 
 def param_layout(config: ModelConfig, vocab_size: int,
                  tag_vocab_size: int) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -363,8 +374,9 @@ class Prepared:
     Model.prepare makes one per example; forward_var reads it. Its arrays
     are C-contiguous intp arrays: token_ids has one entry per token,
     word_token_idx one per graph word node (the token it stands for), and
-    edge m's tag-table rows and hop-table row sit in edge_slot_ids[m] and
-    edge_hop_idx[m]. An aspect with no graph words has m = 0 rows.
+    edge_tag_ids[m] lists edge m's kappa_max + 1 rows of the joint tag-and-hop
+    table (see composed_tag_ids). An aspect with no graph words has m = 0
+    rows.
     """
 
     example: Example
@@ -373,8 +385,7 @@ class Prepared:
     gold: int
     awig: Awig
     word_token_idx: np.ndarray
-    edge_slot_ids: np.ndarray  # m x kappa_max tag-table rows
-    edge_hop_idx: np.ndarray   # m hop-table rows
+    edge_tag_ids: np.ndarray  # m x (kappa_max + 1) joint-table rows
 
 
 class Model:
@@ -388,9 +399,11 @@ class Model:
         self.params = params
         # sentence -> frozen vectors read in place of the token table
         self.frozen_embeddings: dict[tuple[str, ...], Tensor] | None = None
-        # the DGAT layers' parameters, built by the first forward pass,
-        # training's or predict's, like params.leaves()
+        # the DGAT layers' parameters and the joint tag-and-hop table, built
+        # by the first forward pass, training's or predict's, like
+        # params.leaves()
         self._layers: list[dg.DgatLayerParams] | None = None
+        self._edge_table: Leaf | None = None
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: Vocab, tag_vocab: TagVocab) -> "Model":
@@ -414,7 +427,6 @@ class Model:
         cfg = self.config
         span = example.aspect_span_inclusive
         awig = build_awig(example.tree, span, cfg.kappa_max, drop_punct=cfg.drop_punct)
-        slots, hops = composed_tag_ids(awig.paths, self.tag_vocab, cfg.kappa_max)
         return Prepared(
             example=example,
             token_ids=token_ids(example.tokens, self.vocab),
@@ -422,8 +434,7 @@ class Model:
             gold=example.label_id,
             awig=awig,
             word_token_idx=np.array(awig.words, dtype=np.intp),
-            edge_slot_ids=slots,
-            edge_hop_idx=hops,
+            edge_tag_ids=composed_tag_ids(awig.paths, self.tag_vocab, cfg.kappa_max),
         )
 
     def _sentence_matrix(self, prep: Prepared, leaves: dict[str, Var]) -> Var:
@@ -441,30 +452,33 @@ class Model:
             return Var(H)
         return ad.gather_rows(leaves["embed.token"], prep.token_ids)
 
-    def _edge_matrix(self, prep: Prepared, leaves: dict[str, Var]) -> Var:
-        """The layer-0 edge rows, one node: row i sets the tag-table rows of
-        edge i's path side by side, then its hop-table row."""
+    def _edge_matrix(self, prep: Prepared, table: Var) -> Var:
+        """The layer-0 edge rows, one gather_rows node over the joint
+        tag-and-hop table: row i sets the tag rows of edge i's path side by
+        side, then its hop row."""
         if prep.awig.num_words == 0:
             return Var(np.zeros((0, self.config.d_edge0)))
-        return ad.gather_concat(((leaves["embed.tag"], prep.edge_slot_ids),
-                                 (leaves["embed.hop"], prep.edge_hop_idx)))
+        return ad.gather_rows(table, prep.edge_tag_ids)
 
     def forward_var(self, prep: Prepared, leaves: dict[str, Var],
                     dropout_rng: Rng | None = None):
         """Tape forward pass; returns (logits Var[3], trace dict). Dropout
         runs exactly when dropout_rng is given and config.dropout > 0.
 
-        Every weight comes from `leaves` except the DGAT layers', which, as
-        regularizer_var's, always read the model's own buffers: the list of
-        dgat_layer_params, built on the first call (its Wa and relational
-        stacks are Leafs over params.flat and params.grad) and read by every
-        later one. The trace is local_forward_var's (sigma, mask, local
-        attention) with global_forward_var's under "dgat": the arrays as the
-        pass computed them, which predict hands out as Prediction.trace.
+        Every weight comes from `leaves` except the DGAT layers' and the edge
+        rows' tables, which, as regularizer_var's, always read the model's own
+        buffers: the list of dgat_layer_params (its Wa and relational stacks
+        are Leafs over params.flat and params.grad) and the joint tag-and-hop
+        table (params.table over embed.tag and embed.hop), both built on the
+        first call and read by every later one. The trace is
+        local_forward_var's (sigma, mask, local attention) with
+        global_forward_var's under "dgat": the arrays as the pass computed
+        them, which predict hands out as Prediction.trace.
         """
         cfg = self.config
         if self._layers is None:
             self._layers = dgat_layer_params(self.params, cfg)
+            self._edge_table = self.params.table(("embed.tag", "embed.hop"))
         H = self._sentence_matrix(prep, leaves)
 
         h_local, trace = le.local_forward_var(
@@ -479,7 +493,7 @@ class Model:
         s, e = prep.span
         h_a = ad.sum_rows(H, s, e + 1)
         H_N = ad.gather_rows(H, prep.word_token_idx)
-        E = self._edge_matrix(prep, leaves)
+        E = self._edge_matrix(prep, self._edge_table)
         h_global, trace["dgat"] = dg.global_forward_var(
             h_a, H_N, E, self._layers, cfg.d_head,
             scale=cfg.scale_logits, dropout=cfg.dropout, rng=dropout_rng)

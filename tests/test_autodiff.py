@@ -432,34 +432,26 @@ def test_sum_rows(n, start, stop):
                           mean(rows, axis=0).value)
 
 
-def test_gather_concat():
-    slots = np.array([[0, 2], [3, 3], [1, 0]])  # rows repeat within and across edges
-    hops = np.array([1, 0, 1])
-    probe = Var(Rng(16).uniform((3, 2 * 3 + 2), -1.0, 1.0))
-    check_grad(lambda tag, hop: sum_(ad.mul(ad.gather_concat(((tag, slots), (hop, hops))),
-                                            probe)), (4, 3), (2, 2))
-    tag, hop = inputs((4, 3), (2, 2))
-    rows = ad.concat([reshape(ad.gather_rows(Var(tag), slots.reshape(-1)), (3, 6)),
-                      ad.gather_rows(Var(hop), hops)], axis=1)
-    assert np.array_equal(ad.gather_concat(((tag, slots), (hop, hops))).value, rows.value)
-
-
-def test_gather_concat_adds_into_leaf_gradients():
+def test_gather_rows_lays_k_rows_side_by_side():
+    """(m, k) indices: output row i is the k rows idx[i] side by side, and
+    the gradient is the dense scatter of its k blocks, into a plain Var and
+    added into a Leaf's preallocated gradient."""
+    idx = np.array([[0, 4, 4], [3, 3, 5], [1, 0, 5]])  # rows repeat within and across rows
+    probe = Var(Rng(16).uniform((3, 9), -1.0, 1.0))
+    check_grad(lambda a: sum_(ad.mul(ad.gather_rows(a, idx), probe)), (6, 3))
     rng = Rng(17)
-    tag, hop = rng.normal((4, 3)), rng.normal((2, 2))
-    prior_tag, prior_hop = rng.normal((4, 3)), rng.normal((2, 2))
-    slots, hops = np.array([[0, 2], [2, 2]]), np.array([1, 1])
-    g = rng.normal((2, 8))
-    leaves = ad.Leaf(tag, prior_tag.copy()), ad.Leaf(hop, prior_hop.copy())
-    out = ad.gather_concat(((leaves[0], slots), (leaves[1], hops)))
-    backward(sum_(ad.mul(out, Var(g))))
-    dense_tag, dense_hop = np.zeros((4, 3)), np.zeros((2, 2))
-    np.add.at(dense_tag, slots.reshape(-1), g[:, :6].reshape(4, 3))
-    np.add.at(dense_hop, hops, g[:, 6:])
-    assert np.allclose(leaves[0].grad, prior_tag + dense_tag, rtol=0, atol=1e-15)
-    assert np.allclose(leaves[1].grad, prior_hop + dense_hop, rtol=0, atol=1e-15)
-    assert np.array_equal(leaves[0].grad[[1, 3]], prior_tag[[1, 3]])  # rows not gathered
-    assert np.array_equal(leaves[1].grad[0], prior_hop[0])
+    table, prior, g = rng.normal((6, 3)), rng.normal((6, 3)), rng.normal((3, 9))
+    out = ad.gather_rows(Var(table), idx)
+    assert np.array_equal(out.value, np.concatenate([table[idx[:, j]] for j in range(3)], axis=1))
+    dense = np.zeros_like(table)
+    np.add.at(dense, idx.reshape(-1), g.reshape(9, 3))
+    leaf = ad.Leaf(table, prior.copy())
+    backward(sum_(ad.mul(ad.gather_rows(leaf, idx), Var(g))))
+    assert np.allclose(leaf.grad, prior + dense, rtol=0, atol=1e-15)
+    assert np.array_equal(leaf.grad[2], prior[2])  # a row not gathered
+    plain = Var(table)
+    backward(sum_(ad.mul(ad.gather_rows(plain, idx), Var(g))))
+    assert np.array_equal(plain.grad, dense)
 
 
 @pytest.mark.parametrize("gold", [0, 2])

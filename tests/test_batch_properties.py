@@ -97,8 +97,7 @@ def test_permuting_the_graph_words_permutes_every_layers_weights(config_name):
         if np.array_equal(perm, np.arange(m)):
             perm = perm[::-1]
         permuted = dataclasses.replace(
-            prep, word_token_idx=prep.word_token_idx[perm],
-            edge_slot_ids=prep.edge_slot_ids[perm], edge_hop_idx=prep.edge_hop_idx[perm])
+            prep, word_token_idx=prep.word_token_idx[perm], edge_tag_ids=prep.edge_tag_ids[perm])
         logits, trace = _forward(model, prep)
         p_logits, p_trace = _forward(model, permuted)
         _assert_close(p_logits, logits, "logits")

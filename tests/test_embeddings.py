@@ -18,7 +18,7 @@ from gdd.embeddings import (
 from gdd.model import Model, ModelConfig, Prepared
 from gdd.numeric import Rng, init_uniform
 
-from oracles import sum_
+from oracles import reshape, sum_
 
 
 @pytest.fixture
@@ -80,16 +80,21 @@ def tag_model(vocab, tag_vocab, d_tag=4, kappa_max=3):
     return Model.build(config, vocab, tag_vocab)
 
 
-def edge_rows(model, paths):
-    """Model._edge_matrix over one edge per composed-tag path."""
-    slots, hops = composed_tag_ids(paths, model.tag_vocab, model.config.kappa_max)
+JOINT = ("embed.tag", "embed.hop")
+
+
+def edge_prep(model, paths):
+    """A Prepared with one graph word per composed-tag path."""
     m = len(paths)
-    prep = Prepared(example=None, token_ids=np.zeros(m + 1, dtype=np.intp), span=(0, 0),
+    return Prepared(example=None, token_ids=np.zeros(m + 1, dtype=np.intp), span=(0, 0),
                     gold=0, awig=Awig([0], list(range(1, m + 1)), [tuple(p) for p in paths]),
                     word_token_idx=np.arange(1, m + 1),
-                    edge_slot_ids=slots, edge_hop_idx=hops)
-    leaves = {name: ad.Var(t) for name, t in model.params.items()}
-    return model._edge_matrix(prep, leaves).value
+                    edge_tag_ids=composed_tag_ids(paths, model.tag_vocab, model.config.kappa_max))
+
+
+def edge_rows(model, paths):
+    """Model._edge_matrix over one edge per composed-tag path."""
+    return model._edge_matrix(edge_prep(model, paths), model.params.table(JOINT)).value
 
 
 class TestComposedTag:
@@ -138,14 +143,75 @@ class TestComposedTag:
 
     @pytest.mark.parametrize("paths", [[], [["amod"], ["det", "xcomp", "nsubj"]]])
     def test_id_arrays_are_contiguous_intp(self, tag_vocab, paths):
-        slots, hops = composed_tag_ids(paths, tag_vocab, 3)
-        assert slots.shape == (len(paths), 3) and hops.shape == (len(paths),)
-        for a in (slots, hops):
-            assert a.dtype == np.intp and a.flags.c_contiguous
+        ids = composed_tag_ids(paths, tag_vocab, 3)
+        assert ids.shape == (len(paths), 3 + 1)
+        assert ids.dtype == np.intp and ids.flags.c_contiguous
         if paths:
             amod, det, nsubj = tag_vocab.ids(["amod", "det", "nsubj"])
-            assert slots.tolist() == [[amod, PAD, PAD], [det, UNK, nsubj]]
-            assert hops.tolist() == [0, 2]
+            assert ids[:, :3].tolist() == [[amod, PAD, PAD], [det, UNK, nsubj]]
+            assert (ids[:, 3] - len(tag_vocab)).tolist() == [0, 2]  # hop-table rows
+
+
+class TestJointTable:
+    def test_views_embed_tag_then_embed_hop(self, vocab, tag_vocab):
+        params = tag_model(vocab, tag_vocab).params
+        params.grad[:] = np.arange(params.grad.size)
+        table, leaves, n = params.table(JOINT), params.leaves(), len(tag_vocab)
+        assert np.shares_memory(table.value, params.flat)
+        assert np.shares_memory(table.grad, params.grad)
+        for got, name in ((slice(None, n), "embed.tag"), (slice(n, None), "embed.hop")):
+            assert np.array_equal(table.value[got], leaves[name].value)
+            assert np.array_equal(table.grad[got], leaves[name].grad)
+        assert table.value.shape == (n + 3, 4)
+
+    def test_edge_rows_and_gradient_equal_the_per_table_gathers_bit_for_bit(
+            self, vocab, tag_vocab):
+        """Two examples whose paths repeat a tag, within a path and across
+        them: one gather over the joint table gives the edge rows and the
+        gradients, reduced as one Leaf's several contributions, that a gather
+        from each table, the two laid side by side, gives."""
+        model = tag_model(vocab, tag_vocab)
+        n, width = len(tag_vocab), 3 * 4
+        separate = [ad.Leaf(model.params.get(name), np.zeros_like(model.params.get(name)))
+                    for name in JOINT]
+        rng = Rng(3)
+        joint_terms, separate_terms = [], []
+        for paths in ([["det", "amod"], ["amod", "amod", "det"], ["det"]],
+                      [["amod"], ["det", "det"]]):
+            prep = edge_prep(model, paths)
+            m, ids = len(paths), prep.edge_tag_ids
+            E = model._edge_matrix(prep, model.params.table(JOINT))
+            per_table = ad.concat([reshape(ad.gather_rows(separate[0], ids[:, :3]), (m, width)),
+                                   ad.gather_rows(separate[1], ids[:, 3] - n)], axis=1)
+            assert np.array_equal(E.value, per_table.value)
+            g = ad.Var(rng.normal(E.shape))
+            joint_terms.append(sum_(ad.mul(E, g)))
+            separate_terms.append(sum_(ad.mul(per_table, g)))
+        model.params.grad.fill(0.0)
+        for terms in (joint_terms, separate_terms):
+            ad.backward(terms[0] + terms[1])
+        leaves = model.params.leaves()
+        for name, leaf in zip(JOINT, separate):
+            assert np.array_equal(leaves[name].grad, leaf.grad), name
+
+    def test_forward_builds_one_joint_leaf_and_gathers_it_once(self, vocab, tag_vocab,
+                                                               monkeypatch):
+        model = tag_model(vocab, tag_vocab)
+        calls = []
+        edge_matrix = Model._edge_matrix
+
+        def recording(self, prep, table):
+            calls.append((table, edge_matrix(self, prep, table)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(Model, "_edge_matrix", recording)
+        for paths in ([["det", "amod"]], [["nsubj"], ["amod", "det"]]):
+            model.forward_var(edge_prep(model, paths), model.params.leaves())
+        (first, E0), (second, E1) = calls
+        assert first is second and isinstance(first, ad.Leaf)
+        assert np.shares_memory(first.value, model.params.flat)
+        assert np.shares_memory(first.grad, model.params.grad)
+        assert E0._parents == (first,) and E1._parents == (first,)
 
 
 class TestPrecomputed:

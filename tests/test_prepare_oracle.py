@@ -116,7 +116,7 @@ def oracle_composed_tag_ids(path, hops, tag_vocab, kappa_max):
     if hops > kappa_max:
         raise ValueError(f"composed tag: {hops} hops exceeds kappa_max={kappa_max}")
     slots = [oracle_id(tag_vocab, t) for t in path] + [PAD] * (kappa_max - hops)
-    return np.array(slots, dtype=np.intp), hops - 1
+    return np.array(slots + [len(tag_vocab) + hops - 1], dtype=np.intp)
 
 
 def oracle_prepare(model, example) -> Prepared:
@@ -127,12 +127,9 @@ def oracle_prepare(model, example) -> Prepared:
                                           list(example.dep_rels))
     awig = oracle_build_awig(tree, example.aspect_span_inclusive,
                              cfg.kappa_max, drop_punct=cfg.drop_punct)
-    m = awig.num_words
-    slots = np.zeros((m, cfg.kappa_max), dtype=np.intp)
-    hops = np.zeros(m, dtype=np.intp)
+    edges = np.zeros((awig.num_words, cfg.kappa_max + 1), dtype=np.intp)
     for node_id, path in enumerate(awig.paths):
-        slots[node_id], hops[node_id] = oracle_composed_tag_ids(
-            path, len(path), model.tag_vocab, cfg.kappa_max)
+        edges[node_id] = oracle_composed_tag_ids(path, len(path), model.tag_vocab, cfg.kappa_max)
     return Prepared(
         example=example,
         token_ids=np.array([oracle_id(model.vocab, t) for t in example.tokens], dtype=np.intp),
@@ -140,8 +137,7 @@ def oracle_prepare(model, example) -> Prepared:
         gold=example.label_id,
         awig=awig,
         word_token_idx=np.array(awig.words, dtype=np.intp),
-        edge_slot_ids=slots,
-        edge_hop_idx=hops,
+        edge_tag_ids=edges,
     )
 
 
@@ -193,7 +189,7 @@ def test_build_awig_and_prepare_match_the_oracles(example, kappa_max, drop_punct
     got, want = model.prepare(example), oracle_prepare(model, example)
     assert got.example is want.example
     assert (got.span, got.gold, got.awig) == (want.span, want.gold, want.awig)
-    for name in ("token_ids", "word_token_idx", "edge_slot_ids", "edge_hop_idx"):
+    for name in ("token_ids", "word_token_idx", "edge_tag_ids"):
         assert_same_array(getattr(got, name), getattr(want, name))
 
 
@@ -203,7 +199,7 @@ def test_an_aspect_covering_the_sentence_prepares_an_empty_graph():
     model = model_for(3, False)
     got, want = model.prepare(example), oracle_prepare(model, example)
     assert got.awig.num_words == 0
-    for name in ("token_ids", "word_token_idx", "edge_slot_ids", "edge_hop_idx"):
+    for name in ("token_ids", "word_token_idx", "edge_tag_ids"):
         assert_same_array(getattr(got, name), getattr(want, name))
 
 

@@ -262,14 +262,14 @@ def concat(vs, axis: int = 0) -> Var:
 
 def gather_rows(a, indices) -> Var:
     """Index along the first axis; rows may repeat. Indices of shape (m, k)
-    lay each output row's k table rows side by side: row i concatenates
-    table[indices[i, 0]], ..., table[indices[i, k - 1]]. Its gradient is the
-    Scatter of the output gradient into the gathered rows."""
+    into a 2-D table lay each output row's k rows side by side: row i joins
+    table[indices[i, 0]], ..., table[indices[i, k - 1]], and m may be 0. Its
+    gradient is the Scatter of the output gradient into the gathered rows."""
     a = as_var(a)
     idx = np.asarray(indices, dtype=np.intp)
     rows = a.value.take(idx, axis=0)
-    return Var(rows.reshape(len(idx), -1) if idx.ndim == 2 else rows, (a,),
-               lambda g: (Scatter(idx, g.reshape(rows.shape)),))
+    out = rows.reshape(len(idx), idx.shape[1] * a.value.shape[1]) if idx.ndim == 2 else rows
+    return Var(out, (a,), lambda g: (Scatter(idx, g.reshape(rows.shape)),))
 
 
 def sum_rows(a, start: int, stop: int, scale: float = 1.0) -> Var:

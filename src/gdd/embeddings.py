@@ -98,22 +98,20 @@ def token_ids(tokens: Sequence[str], vocab: Vocab) -> np.ndarray:
 
 
 def composed_tag_ids(paths: Iterable[Sequence[str]], tag_vocab: TagVocab,
-                     kappa_max: int) -> np.ndarray:
+                     kappa_max: int, hop_base: int) -> np.ndarray:
     """Resolve one example's edge paths to their composed tags' fixed-width
-    encoding as rows of the joint table: the tag table's len(tag_vocab) rows
-    followed by the hop table's kappa_max rows (`embed.tag` then `embed.hop`,
-    as the layout places them).
+    encoding as rows of a joint table: the tag table's rows, then the hop
+    table's kappa_max rows from row hop_base on.
 
     Returns one C-contiguous intp array of m rows of kappa_max + 1 joint-table
     rows: the path's tag ids, right-padded with PAD_TAG, then its hop row,
-    len(tag_vocab) + k - 1 for a path of k labels (k hops). Each path must
+    hop_base + k - 1 for a path of k labels (k hops). Each path must
     hold 1..kappa_max labels; the graph builder drops deeper nodes before we
     get here. All m rows' tags, the padding as the vocabulary's own pad token
     (at id PAD), are looked up in one pass.
     """
     # each path's tags padded one slot past kappa_max: the slot of its hop row
     pads = [[tag_vocab.pad_token] * (kappa_max + 1 - h) for h in range(kappa_max + 1)]
-    hop_row_0 = len(tag_vocab) - 1  # the joint-table row of "0 hops"
     names: list[str] = []
     hop_rows: list[int] = []
     for path in paths:
@@ -123,7 +121,7 @@ def composed_tag_ids(paths: Iterable[Sequence[str]], tag_vocab: TagVocab,
                              f"composed tag: {hops} hops exceeds kappa_max={kappa_max}")
         names += path
         names += pads[hops]
-        hop_rows.append(hop_row_0 + hops)
+        hop_rows.append(hop_base + hops - 1)
     ids = tag_vocab.ids(names)
     ids[kappa_max::kappa_max + 1] = hop_rows
     edge_ids = np.array(ids, dtype=np.intp)

@@ -247,10 +247,12 @@ class ModelParams:
         """A Leaf over views of flat and of grad that read the tensors `names`
         as one table, their rows one after another, with no copy. They must
         sit next to each other in the layout, in order, and share one row
-        shape, as embed.tag and embed.hop do."""
-        (lo, _, shape), (_, hi, _) = self._spans[names[0]], self._spans[names[-1]]
-        row = (-1,) + shape[1:]
-        return Leaf(self.flat[lo:hi].reshape(row), self.grad[lo:hi].reshape(row))
+        shape, as embed.tag and embed.hop do; ValueError otherwise."""
+        spans = [self._spans[name] for name in names]
+        (lo, _, shape), (_, hi, _) = spans[0], spans[-1]
+        if any((a[1], shape[1:]) != (b[0], b[2][1:]) for a, b in zip(spans, spans[1:])):
+            raise ValueError(f"cannot read {list(names)} as one table: a gap or unequal rows")
+        return Leaf(*(buf[lo:hi].reshape(-1, *shape[1:]) for buf in (self.flat, self.grad)))
 
 
 def param_layout(config: ModelConfig, vocab_size: int,
@@ -263,6 +265,9 @@ def param_layout(config: ModelConfig, vocab_size: int,
     d_model, d_tag, d_head = config.d_model, config.d_tag, config.d_head
     yield from (
         ("embed.token", (vocab_size, d_model)),
+        # embed.hop directly follows embed.tag: the edge rows read both as
+        # one table (Model.forward_var), its hop rows from embed.tag's row
+        # count on (Model.prepare)
         ("embed.tag", (tag_vocab_size, d_tag)),
         ("embed.hop", (config.kappa_max, d_tag)),
         ("local.mask.W1", (d_model, config.d_hid)),
@@ -434,7 +439,8 @@ class Model:
             gold=example.label_id,
             awig=awig,
             word_token_idx=np.array(awig.words, dtype=np.intp),
-            edge_tag_ids=composed_tag_ids(awig.paths, self.tag_vocab, cfg.kappa_max),
+            edge_tag_ids=composed_tag_ids(awig.paths, self.tag_vocab, cfg.kappa_max,
+                                          hop_base=len(self.params.get("embed.tag"))),
         )
 
     def _sentence_matrix(self, prep: Prepared, leaves: dict[str, Var]) -> Var:
@@ -455,9 +461,7 @@ class Model:
     def _edge_matrix(self, prep: Prepared, table: Var) -> Var:
         """The layer-0 edge rows, one gather_rows node over the joint
         tag-and-hop table: row i sets the tag rows of edge i's path side by
-        side, then its hop row."""
-        if prep.awig.num_words == 0:
-            return Var(np.zeros((0, self.config.d_edge0)))
+        side, then its hop row; no rows for an aspect with no graph words."""
         return ad.gather_rows(table, prep.edge_tag_ids)
 
     def forward_var(self, prep: Prepared, leaves: dict[str, Var],

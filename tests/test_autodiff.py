@@ -454,6 +454,15 @@ def test_gather_rows_lays_k_rows_side_by_side():
     assert np.array_equal(plain.grad, dense)
 
 
+def test_gather_rows_with_no_index_rows():
+    """(0, k) indices give a (0, k * width) value and a zero gradient."""
+    table = Var(Rng(18).normal((4, 3)))
+    out = ad.gather_rows(table, np.zeros((0, 2), dtype=np.intp))
+    assert out.value.shape == (0, 6)
+    backward(sum_(out))
+    assert np.array_equal(table.grad, np.zeros((4, 3)))
+
+
 @pytest.mark.parametrize("gold", [0, 2])
 def test_cross_entropy(gold):
     check_grad(lambda z: ad.cross_entropy(z, gold), (3,), seed=gold)

@@ -71,5 +71,3 @@ def test_main_totals_a_directory_and_files(code_lines, tmp_path, capsys):
         [str(FIXTURE_LINES), str(tmp_path / "pkg" / "a.py")],
         ["1", str(tmp_path / "pkg" / "b.py")],
         [str(FIXTURE_LINES + 1)]]
-    assert code_lines.main([str(tmp_path / "pkg" / "b.py"), "--total"]) == 0
-    assert capsys.readouterr().out == "1\n"

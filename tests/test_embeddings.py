@@ -15,7 +15,7 @@ from gdd.embeddings import (
     load_precomputed,
     token_ids,
 )
-from gdd.model import Model, ModelConfig, Prepared
+from gdd.model import Model, ModelConfig, ModelParams, Prepared
 from gdd.numeric import Rng, init_uniform
 
 from oracles import reshape, sum_
@@ -89,7 +89,8 @@ def edge_prep(model, paths):
     return Prepared(example=None, token_ids=np.zeros(m + 1, dtype=np.intp), span=(0, 0),
                     gold=0, awig=Awig([0], list(range(1, m + 1)), [tuple(p) for p in paths]),
                     word_token_idx=np.arange(1, m + 1),
-                    edge_tag_ids=composed_tag_ids(paths, model.tag_vocab, model.config.kappa_max))
+                    edge_tag_ids=composed_tag_ids(paths, model.tag_vocab, model.config.kappa_max,
+                                                    len(model.tag_vocab)))
 
 
 def edge_rows(model, paths):
@@ -135,21 +136,22 @@ class TestComposedTag:
 
     def test_too_many_hops(self, tag_vocab):
         with pytest.raises(ValueError, match="kappa_max"):
-            composed_tag_ids([["a", "b", "c", "d"]], tag_vocab, 3)
+            composed_tag_ids([["a", "b", "c", "d"]], tag_vocab, 3, len(tag_vocab))
 
     def test_zero_hops(self, tag_vocab):
         with pytest.raises(ValueError, match="at least one hop"):
-            composed_tag_ids([[]], tag_vocab, 3)
+            composed_tag_ids([[]], tag_vocab, 3, len(tag_vocab))
 
     @pytest.mark.parametrize("paths", [[], [["amod"], ["det", "xcomp", "nsubj"]]])
     def test_id_arrays_are_contiguous_intp(self, tag_vocab, paths):
-        ids = composed_tag_ids(paths, tag_vocab, 3)
+        ids = composed_tag_ids(paths, tag_vocab, 3, len(tag_vocab))
         assert ids.shape == (len(paths), 3 + 1)
         assert ids.dtype == np.intp and ids.flags.c_contiguous
         if paths:
             amod, det, nsubj = tag_vocab.ids(["amod", "det", "nsubj"])
             assert ids[:, :3].tolist() == [[amod, PAD, PAD], [det, UNK, nsubj]]
             assert (ids[:, 3] - len(tag_vocab)).tolist() == [0, 2]  # hop-table rows
+            assert composed_tag_ids(paths, tag_vocab, 3, 50)[:, 3].tolist() == [50, 52]
 
 
 class TestJointTable:
@@ -163,6 +165,14 @@ class TestJointTable:
             assert np.array_equal(table.value[got], leaves[name].value)
             assert np.array_equal(table.grad[got], leaves[name].grad)
         assert table.value.shape == (n + 3, 4)
+
+    def test_refuses_tensors_that_are_not_one_table(self):
+        params = ModelParams([("a", (2, 4)), ("b", (1, 4)), ("c", (3, 4)), ("d", (2, 6))])
+        assert params.table(("a", "b", "c")).value.shape == (6, 4)
+        with pytest.raises(ValueError, match="a gap"):
+            params.table(("a", "c"))  # b sits between them
+        with pytest.raises(ValueError, match="unequal rows"):
+            params.table(("c", "d"))  # 24 entries would still reshape to rows of 4
 
     def test_edge_rows_and_gradient_equal_the_per_table_gathers_bit_for_bit(
             self, vocab, tag_vocab):

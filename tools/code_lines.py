@@ -5,8 +5,7 @@ A line counts when a token other than a comment or a line break starts or
 runs through it; a docstring is the string that opens a module, class or
 function body, and none of its lines count.
 
-    python3 tools/code_lines.py src/gdd            # total and per file
-    python3 tools/code_lines.py a.py b.py --total  # the total alone
+    python3 tools/code_lines.py src/gdd    # per file, then the total
 """
 
 from __future__ import annotations
@@ -53,12 +52,10 @@ def files(paths) -> list[Path]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("paths", nargs="+", help="Python files or directories")
-    parser.add_argument("--total", action="store_true", help="print the total alone")
     args = parser.parse_args(argv)
     counts = {str(f): count(f.read_text(encoding="utf-8")) for f in files(args.paths)}
-    if not args.total:
-        for name, n in counts.items():
-            print(f"{n:6d}  {name}")
+    for name, n in counts.items():
+        print(f"{n:6d}  {name}")
     print(sum(counts.values()))
     return 0
 

@@ -8,11 +8,13 @@ its consumers have handed it their contributions; inputs (leaves and
 constants) never enter the search, they only receive contributions. A
 node kind whose VJPs are worth running together has a Batched VJP (see
 batched): a kernel over a group of nodes. backward(grouped=True) replays
-an agenda that holds a group's nodes until all of them are ready and then
-calls the kernel once over all of them (DyNet's on-the-fly operation
-batching, Neubig et al. 2017); without grouped it replays a reverse
-topological sort. A Batched node's own VJP is its kernel over a group of
-one.
+the nodes level by level: a Batched node sits one level above its highest
+op-node parent, so the nodes of one group on one level never depend on
+each other, and each group runs as one kernel call once the level's plain
+nodes have run. That is the depth-based strategy of DyNet's on-the-fly
+operation batching (Neubig et al. 2017), with only Batched nodes counted
+as depth. Without grouped, backward() replays a reverse topological sort.
+A Batched node's own VJP is its kernel over a group of one.
 
 A contribution comes in one of these kinds:
 - an array (or number) of the parent's shape;
@@ -29,7 +31,12 @@ backward() multiplies factors out at once when the parent is not a Leaf.
 A Leaf's gradient is a preallocated array, possibly a strided view into a
 larger buffer, and no VJP writes into it: a Leaf collects its
 contributions while the replay runs, and each Leaf's are added once it
-ends, in the order of the Leafs' first contributions. A single one (as
+ends, in the order of the Leafs' first contributions and each Leaf's in
+the order they arrived. The model's l2 term, a sum_squares over the flat
+Leaf that views every weight's gradient, is the loss's last operand and
+reads no op node, so either replay runs it last (first in post-order, and
+on level 0): its function is added after every other Leaf's
+contributions, at every batch size. A single one (as
 every weight's at batch 1, or a Batched group's, reduced already) is
 added as it is; several (one per example of a minibatch) are reduced,
 each kind at once: the functions first, then one GEMM over the
@@ -444,10 +451,10 @@ def batched(kernel, key, saved) -> MethodType:
     nodes as one call: kernel bound to ((kernel, key), saved), the node's
     group and saved state. Called with the node's output gradient, it is
     the node's own VJP, the kernel over a group of one, and returns the
-    node's contributions; the agenda calls kernel(saved, grads) with the
-    lists of a group's saved states and output gradients, in group order,
-    and gets the list of each node's contributions. Nodes whose group is
-    equal may run as one. A parent that several nodes of the group share (a
+    node's contributions; backward's levelled replay calls kernel(saved,
+    grads) with the lists of a group's saved states and output gradients,
+    in group order, and gets the list of each node's contributions. Nodes
+    whose group is equal may run as one. A parent that several nodes of the group share (a
     weight, or one input of several heads) may receive their summed
     contribution once, from one of them, and None from the others.
 
@@ -481,62 +488,42 @@ def _sorted(out: Var) -> list:
     return order
 
 
-def _counted(out: Var):
-    """For the agenda: the op nodes reachable from out that have several
-    op-node consumers -> their number less one, and the number of Batched
-    nodes in each group."""
-    seen = {out}
-    more: dict = {}
-    left: dict = {}
-    stack = [out]
-    while stack:
-        node = stack.pop()
+def _levelled(out: Var):
+    """Yield each op node reachable from out with its contributions, level by
+    level. A node's level is the highest among its op-node parents' (0 with
+    none), plus one when its VJP is Batched, so a Batched node sits strictly
+    above every node it reads. Levels run from the top; within one, the
+    plain nodes run first, in reverse post-order, then each Batched group
+    as one kernel call (a group of one as the node's own VJP). Every
+    consumer of a node sits on a higher level or is a plain node of its own,
+    so each node runs once all of its contributions have arrived."""
+    order = _sorted(out)
+    level: dict = {}  # op node -> its level; an input reads as level 0
+    get = level.get
+    for node in order:  # each node after its parents
+        top = 0
+        for parent in node._parents:
+            lv = get(parent, 0)
+            if lv > top:
+                top = lv
+        level[node] = top + 1 if type(node._vjp) is MethodType else top
+    plain = [[] for _ in range(level[out] + 1)]
+    groups = [{} for _ in plain]
+    for node in reversed(order):
         vjp = node._vjp
         if type(vjp) is MethodType:
-            group = vjp.__self__[0]
-            left[group] = left.get(group, 0) + 1
-        for parent in node._parents:
-            if parent._vjp is not None:
-                if parent in seen:
-                    more[parent] = more.get(parent, 0) + 1
-                else:
-                    seen.add(parent)
-                    stack.append(parent)
-    return more, left
-
-
-def _agenda(ready: list, left: dict, ran: dict):
-    """Yield the nodes of the agenda `ready` in the order they run: a stack
-    to which the caller pushes each node that its contributions make ready.
-    A node with a plain VJP runs as it comes off the stack, and so does one
-    with a Batched VJP that is the last node of its group left to run (left:
-    the group's nodes not yet run); any other is held with its group, in
-    arrival order. When the stack is empty, each group that holds every
-    node of it not yet run runs as one kernel call (all held groups run when
-    none is complete): its nodes' contributions go into `ran`, from which
-    the caller takes them as it takes the nodes."""
-    held: dict = {}  # group -> its ready nodes, in arrival order
-    while ready or held:
-        if ready:
-            node = ready.pop()
-            vjp = node._vjp
-            if type(vjp) is MethodType:
-                group = vjp.__self__[0]
-                if left[group] > 1:
-                    if group in held:
-                        held[group].append(node)
-                    else:
-                        held[group] = [node]
-                    continue
-            yield node
+            groups[level[node]].setdefault(vjp.__self__[0], []).append(node)
         else:
-            for group in [g for g, nodes in held.items() if len(nodes) == left[g]] or list(held):
-                nodes = held.pop(group)
-                left[group] -= len(nodes)
-                kernel = group[0]
-                ran.update(zip(nodes, kernel([n._vjp.__self__[1] for n in nodes],
-                                             [n.grad for n in nodes])))
-                yield from nodes
+            plain[level[node]].append(node)
+    for nodes, by_group in zip(reversed(plain), reversed(groups)):
+        for node in nodes:
+            yield node, node._vjp(node.grad)
+        for (kernel, _), group in by_group.items():
+            if len(group) == 1:
+                yield group[0], group[0]._vjp(group[0].grad)
+            else:
+                yield from zip(group, kernel([n._vjp.__self__[1] for n in group],
+                                             [n.grad for n in group]))
 
 
 def backward(out: Var, grouped: bool = True) -> None:
@@ -545,15 +532,15 @@ def backward(out: Var, grouped: bool = True) -> None:
     Only op nodes (those with a VJP) are searched and replayed: a parent
     without one, a Leaf or a constant input, only receives contributions.
 
-    grouped runs each Batched group as one kernel call: the search counts,
-    for each op node, the op nodes that consume it, and the replay is an
-    agenda (_agenda) in which a node is ready once every consumer has
-    handed it its contribution. Without grouped, the replay is a reverse
-    topological sort of a depth-first search, and each Batched node runs as
-    its own group of one. batch_grads groups only a minibatch of several
-    examples: with one, no group could span two examples, and the agenda's
-    bookkeeping (a dict lookup per edge, nodes held back) costs more than
-    the few calls it would merge (see ROADMAP item 3).
+    Without grouped, the replay is a reverse topological sort of a
+    depth-first search (_sorted), and each Batched node runs as its own
+    group of one. grouped runs the same nodes by level (_levelled): each
+    level from the top, its plain nodes first in the sort's order, then
+    each of its Batched groups as one kernel call. batch_grads groups only
+    a minibatch of several examples: with one, no group could span two
+    examples, and the levels' bookkeeping (a dict lookup per edge, a list
+    per level) costs more than the few calls it would merge (see ROADMAP
+    item 3).
 
     An op node or constant input receives each contribution as it arrives,
     into a fresh or summed .grad, with factors multiplied out. A Leaf's are
@@ -566,17 +553,12 @@ def backward(out: Var, grouped: bool = True) -> None:
     out.grad = np.ones_like(out.value)
     if out._vjp is None:
         return
-    ran: dict = {}  # the nodes of a group that has run, until handed out -> their contributions
     if grouped:
-        more, left = _counted(out)
-        ready = [out]
-        nodes = _agenda(ready, left, ran)
+        runs = _levelled(out)
     else:
-        more = None
-        nodes = reversed(_sorted(out))
+        runs = ((node, node._vjp(node.grad)) for node in reversed(_sorted(out)))
     pending: dict[Leaf, list] = {}
-    for node in nodes:
-        contribs = ran.pop(node) if ran else node._vjp(node.grad)
+    for node, contribs in runs:
         for parent, contrib in zip(node._parents, contribs):
             if isinstance(parent, Leaf):
                 if contrib is not None:
@@ -592,11 +574,6 @@ def backward(out: Var, grouped: bool = True) -> None:
                     elif type(contrib) is Scatter:
                         contrib = contrib.dense(parent.value.shape)
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
-            if more is not None and parent._vjp is not None:
-                if more.get(parent):
-                    more[parent] -= 1
-                else:
-                    ready.append(parent)
     for leaf, contribs in pending.items():
         if len(contribs) == 1:
             _apply(leaf.grad, contribs[0])

@@ -82,9 +82,10 @@ def batch_grads(model: Model, preps, dropout_rng: Rng | None = None):
     that gradient's views by tensor name.
 
     Each call zeroes model.params.grad before backward() refills it: copy
-    the views to keep them past the next step. backward() runs its Batched
-    groups only for several examples (see autodiff.backward): one example's
-    nodes run one by one, as the reverse topological sort has them.
+    the views to keep them past the next step. backward() levels the tape
+    and runs its Batched groups only for several examples (see
+    autodiff.backward): one example's nodes run one by one, as the reverse
+    topological sort has them.
     """
     model.params.grad.fill(0.0)
     loss = model.batch_loss_var(preps, dropout_rng)

@@ -100,6 +100,78 @@ def test_circ_corr_kernel_over_a_group_equals_its_batch_of_one_calls(counts, d, 
     _assert_group_equals_singles(nodes, _grads(nodes, rng))
 
 
+def _scale_kernel(saved, grads):
+    """A toy Batched kind, out = w * x, saved (name, w, log): each call logs
+    the names of the nodes it runs, as one list."""
+    if type(saved) is tuple:  # one node, as its own VJP
+        (_, (name, w, log)), g = saved, grads
+        log.append([name])
+        return (g * w,)
+    saved[0][2].append([name for name, _, _ in saved])
+    return [(g * w,) for (_, w, _), g in zip(saved, grads)]
+
+
+def _scaled(x, name, w, log):
+    return Var(x.value * w, (x,), ad.batched(_scale_kernel, "scale", (name, w, log)))
+
+
+def _plain(x, name, w, log):
+    """out = w * x with a plain VJP that logs its name."""
+    return Var(x.value * w, (x,), lambda g: log.append(name) or (g * w,))
+
+
+def _total(vs, log):
+    """The sum of every entry of vs, one plain node logged as "out"."""
+    return Var(sum(v.value.sum() for v in vs), tuple(vs),
+               lambda g: log.append("out") or tuple(g * np.ones(v.shape) for v in vs))
+
+
+def _chains(xs, log):
+    """Per input, a Batched node, a plain node and a Batched node of the
+    same key in a chain: the first ones on level 1, the last ones on 2."""
+    return _total([_scaled(_plain(_scaled(x, f"b1{i}", 2.0 + i, log), f"c{i}", 3.0, log),
+                           f"b2{i}", 5.0 - i, log) for i, x in enumerate(xs)], log)
+
+
+def _siblings(xs, log):
+    """Three Batched nodes that read the one input."""
+    return _total([_scaled(xs[0], f"s{i}", 2.0 + i, log) for i in range(3)], log)
+
+
+def _plain_consumer(xs, log):
+    """Two sibling Batched nodes on level 1, one of them read by a plain
+    node on level 1 too."""
+    b, other = _scaled(xs[0], "b", 2.0, log), _scaled(xs[0], "b'", 3.0, log)
+    return _total([_plain(b, "p", 7.0, log), other], log)
+
+
+@pytest.mark.parametrize("tape, want", [
+    (_chains, ["out", ["b20", "b21"], "c0", "c1", ["b10", "b11"]]),
+    (_siblings, ["out", ["s0", "s1", "s2"]]),
+    (_plain_consumer, ["out", "p", ["b", "b'"]]),
+], ids=["chained-batched-nodes-on-two-levels", "siblings-share-a-call",
+        "plain-consumer-runs-first"])
+def test_the_levels_run_the_rule_on_a_hand_built_tape(tape, want):
+    """Levels run from the top; on each, the plain nodes in reverse
+    post-order, then one kernel call per group. Two Batched nodes of one key
+    with a plain node between them run in two calls, siblings share one, and
+    a plain node that consumes a Batched node of its level runs before it.
+    The gradients equal the sort's within 1e-14 relative."""
+    rng = Rng(4)
+    values = [rng.uniform((2, 3), -1.0, 1.0) for _ in range(2)]
+    logs, grads = [], []
+    for grouped in (False, True):
+        xs = [ad.Leaf(v, np.zeros_like(v)) for v in values]
+        log = []
+        ad.backward(tape(xs, log), grouped=grouped)
+        logs.append([sorted(entry) if type(entry) is list else entry for entry in log])
+        grads.append([x.grad for x in xs])
+    assert logs[1] == want
+    assert all(len(entry) == 1 for entry in logs[0] if type(entry) is list)  # the sort: alone
+    for got, ref in zip(grads[1], grads[0]):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref), initial=0.0)
+
+
 def _load_corpus():
     spec = importlib.util.spec_from_file_location("_perfbench_corpus", CORPUS_PY)
     corpus = importlib.util.module_from_spec(spec)
@@ -107,18 +179,24 @@ def _load_corpus():
     return corpus
 
 
-@pytest.mark.parametrize("config", [{}, {"L": 3, "scale_logits": True}],
-                         ids=["default", "three-layers-scaled"])
-def test_a_minibatch_step_runs_one_kernel_call_per_group(monkeypatch, config):
+@pytest.mark.parametrize("config, empty", [
+    ({}, 0), ({"L": 3, "scale_logits": True}, 0), ({"dropout": 0.2}, 1),
+], ids=["default", "three-layers-scaled", "mixed-dropout"])
+def test_a_minibatch_step_runs_one_kernel_call_per_group(monkeypatch, config, empty):
     """At batch 16 on SemEval-shaped records, every Batched group runs as one
     kernel call: all of a step's correlations (one width), all of its pair
     projections (one shape at the default widths), and one dual and one
-    relational call per layer."""
+    relational call per layer. In the mixed minibatch, one example's aspect
+    spans its sentence, so its graph is empty and it runs no DGAT node, and
+    dropout is on: the calls cover the other 15."""
     records = _load_corpus().semeval_records(5, 16)
+    if empty:
+        records[7] = dict(records[7], aspect_start=0, aspect_end=len(records[7]["tokens"]))
     examples = [data.example_from_dict(r) for r in records]
     model = Model.build_for_examples(ModelConfig(batch_size=16, **config), examples)
     preps = [model.prepare(ex) for ex in examples]
-    assert all(prep.awig.num_words > 0 for prep in preps)
+    assert sum(prep.awig.num_words == 0 for prep in preps) == empty
+    full = 16 - empty
     calls = []
 
     def counting(kernel):
@@ -131,36 +209,38 @@ def test_a_minibatch_step_runs_one_kernel_call_per_group(monkeypatch, config):
                (dg, "_dual_attention_kernel"): 0, (dg, "_relational_kernel"): 0}
     for owner, name in kernels:
         monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
-    batch_grads(model, preps)
+    batch_grads(model, preps, Rng(11) if model.config.dropout else None)
     L, U = model.config.L, model.config.U
     for (owner, name), wrapper in ((k, getattr(*k)) for k in kernels):
         counts = [n for w, n in calls if w is wrapper]
         if name == "_circ_corr_kernel":
-            assert counts == [16 * U * L]
+            assert counts == [full * U * L]
         elif name == "_pair_kernel":  # layers past the first share the first's shapes here
-            assert counts == [16 * U * L]
+            assert counts == [full * U * L]
         else:
-            assert counts == [16] * L
+            assert counts == [full] * L
 
 
-def test_batch_grads_runs_the_agenda_only_for_a_minibatch(monkeypatch):
+def test_batch_grads_levels_the_tape_only_for_a_minibatch(monkeypatch):
     """At batch 1 backward() replays its sort, each Batched node alone; at
-    batch 3 it runs the agenda."""
+    batch 3 it levels the tape once."""
     examples = data.generate_synthetic(seed=2, count=3)
     model = Model.build_for_examples(ModelConfig(), examples)
     preps = [model.prepare(ex) for ex in examples]
-    calls = []
-    agenda = ad._agenda
-    monkeypatch.setattr(ad, "_agenda", lambda *args: calls.append(args) or agenda(*args))
+    sorts, levels = [], []
+    sort, levelled = ad._sorted, ad._levelled
+    monkeypatch.setattr(ad, "_sorted", lambda out: sorts.append(out) or sort(out))
+    monkeypatch.setattr(ad, "_levelled", lambda out: levels.append(out) or levelled(out))
     for batch, want in (([preps[0]], 0), (preps, 1)):
-        calls.clear()
+        sorts.clear()
+        levels.clear()
         batch_grads(model, batch)
-        assert len(calls) == want
+        assert (len(sorts), len(levels)) == (1, want)
 
 
 @pytest.mark.parametrize("config", [{}, {"U": 1, "V": 0, "scale_logits": True}],
                          ids=["default", "one-dual-head-scaled"])
-def test_the_sort_and_the_agenda_give_the_same_gradient(config):
+def test_the_sort_and_the_levels_give_the_same_gradient(config):
     """One minibatch's loss, taped twice: backward() without and with groups
     gives every tensor the same gradient within 1e-14 relative."""
     examples = data.generate_synthetic(seed=3, count=4)
